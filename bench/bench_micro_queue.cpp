@@ -1,13 +1,14 @@
-// Microbenchmarks for the runtime job queues (src/runtime/job_queue.h):
-// the legacy single bounded MPMC JobQueue against the ShardedJobQueue
-// the DecodeService scaled onto. Four shapes, each run on both queues:
+// Microbenchmarks for the runtime job queue (src/runtime/job_queue.h):
+// the ShardedJobQueue with one shard — the single bounded MPMC queue
+// baseline — against the four-shard layout the DecodeService scales
+// onto. Four shapes, each run on both:
 //
 //   PushClaim     — per-op cost of the uncontended push -> claim cycle
-//                   (the floor both designs pay with one producer).
+//                   (the floor both layouts pay with one producer).
 //   ClaimBatch    — a mixed-key fleet's dequeue: fill with K interleaved
-//                   tags, then drain with batching claims. The single
-//                   queue scans past strangers and erases mid-deque; the
-//                   sharded queue colocated each tag at fill time.
+//                   tags, then drain with batching claims. One shard
+//                   scans past strangers and erases mid-deque; four
+//                   shards colocated each tag at fill time.
 //   RepostCycle   — the worker self-repost loop: push_many a same-tag
 //                   batch (home shard) and claim it back contiguously.
 //   Contended     — producers x consumers on one bounded queue, with
@@ -32,40 +33,10 @@ using namespace spinal::runtime;
 namespace {
 
 constexpr int kTags = 8;
+using Queue = ShardedJobQueue<int>;
 
-/// Uniform facade over both queues so every benchmark body is written
-/// once: the single queue ignores worker ids and home shards.
-struct SingleQueue {
-  JobQueue<int> q;
-  SingleQueue(std::size_t cap, int /*shards*/) : q(cap) {}
-  bool push(int v, std::int32_t tag, int /*home*/) { return q.push(v, tag); }
-  bool push_many(std::vector<int>& items, std::int32_t tag, int /*home*/) {
-    return q.push_many(items, tag);
-  }
-  bool pop_batch(int /*worker*/, std::vector<int>& out, std::size_t max_batch,
-                 std::size_t window) {
-    return q.pop_batch(out, max_batch, window);
-  }
-  void close() { q.close(); }
-};
-
-struct ShardedQueue {
-  ShardedJobQueue<int> q;
-  ShardedQueue(std::size_t cap, int shards) : q(cap, shards) {}
-  bool push(int v, std::int32_t tag, int home) { return q.push(v, tag, home); }
-  bool push_many(std::vector<int>& items, std::int32_t tag, int home) {
-    return q.push_many(items, tag, home);
-  }
-  bool pop_batch(int worker, std::vector<int>& out, std::size_t max_batch,
-                 std::size_t window) {
-    return q.pop_batch(worker, out, max_batch, window);
-  }
-  void close() { q.close(); }
-};
-
-template <class Q>
-void push_claim(benchmark::State& state, int shards) {
-  Q q(64, shards);
+void BM_QueuePushClaim(benchmark::State& state, int shards) {
+  Queue q(64, shards);
   std::vector<int> out;
   for (auto _ : state) {
     q.push(1, /*tag=*/3, /*home=*/0);
@@ -75,15 +46,14 @@ void push_claim(benchmark::State& state, int shards) {
   state.SetItemsProcessed(state.iterations());
 }
 
-template <class Q>
-void claim_batch(benchmark::State& state, int shards) {
+void BM_QueueClaimBatch(benchmark::State& state, int shards) {
   constexpr int kFill = 512;
-  Q q(kFill + 64, shards);
+  Queue q(kFill + 64, shards);
   std::vector<int> out;
   for (auto _ : state) {
     // Fill round-robin over kTags interned tags — the arrival order of a
     // mixed-key fleet — then drain with batching claims from worker 0.
-    for (int i = 0; i < kFill; ++i) q.push(i, i % kTags, -1);
+    for (int i = 0; i < kFill; ++i) q.push(i, i % kTags, Queue::kNoShard);
     int drained = 0;
     while (drained < kFill) {
       q.pop_batch(0, out, 64, 128);
@@ -94,10 +64,9 @@ void claim_batch(benchmark::State& state, int shards) {
   state.SetItemsProcessed(state.iterations() * kFill);
 }
 
-template <class Q>
-void repost_cycle(benchmark::State& state, int shards) {
+void BM_QueueRepostCycle(benchmark::State& state, int shards) {
   constexpr int kBatch = 64;
-  Q q(kBatch + 64, shards);
+  Queue q(kBatch + 64, shards);
   std::vector<int> items(kBatch, 7);
   std::vector<int> out;
   for (auto _ : state) {
@@ -112,21 +81,20 @@ void repost_cycle(benchmark::State& state, int shards) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
-template <class Q>
-void contended(benchmark::State& state, int shards) {
+void BM_QueueContended(benchmark::State& state, int shards) {
   constexpr int kProducers = 2;
   constexpr int kConsumers = 2;
   constexpr int kPerProducer = 4096;
   for (auto _ : state) {
     // Bounded well below the burst so producers hit the capacity path;
     // termination is close-and-drain (the service teardown shape).
-    Q q(1024, shards);
+    Queue q(1024, shards);
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&q, p] {
         for (int i = 0; i < kPerProducer; ++i)
           q.push(i, /*tag=*/p * (kTags / kProducers) + i % (kTags / kProducers),
-                 /*home=*/-1);
+                 Queue::kNoShard);
       });
     }
     std::atomic<int> received{0};
@@ -148,32 +116,15 @@ void contended(benchmark::State& state, int shards) {
   state.SetItemsProcessed(state.iterations() * kProducers * kPerProducer);
 }
 
-void BM_QueuePushClaim(benchmark::State& s, bool sharded, int shards) {
-  sharded ? push_claim<ShardedQueue>(s, shards)
-          : push_claim<SingleQueue>(s, shards);
-}
-void BM_QueueClaimBatch(benchmark::State& s, bool sharded, int shards) {
-  sharded ? claim_batch<ShardedQueue>(s, shards)
-          : claim_batch<SingleQueue>(s, shards);
-}
-void BM_QueueRepostCycle(benchmark::State& s, bool sharded, int shards) {
-  sharded ? repost_cycle<ShardedQueue>(s, shards)
-          : repost_cycle<SingleQueue>(s, shards);
-}
-void BM_QueueContended(benchmark::State& s, bool sharded, int shards) {
-  sharded ? contended<ShardedQueue>(s, shards)
-          : contended<SingleQueue>(s, shards);
-}
-
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_QueuePushClaim, queue:single, false, 1);
-BENCHMARK_CAPTURE(BM_QueuePushClaim, queue:sharded/shards:4, true, 4);
-BENCHMARK_CAPTURE(BM_QueueClaimBatch, queue:single/tags:8, false, 1);
-BENCHMARK_CAPTURE(BM_QueueClaimBatch, queue:sharded/shards:4/tags:8, true, 4);
-BENCHMARK_CAPTURE(BM_QueueRepostCycle, queue:single, false, 1);
-BENCHMARK_CAPTURE(BM_QueueRepostCycle, queue:sharded/shards:4, true, 4);
-BENCHMARK_CAPTURE(BM_QueueContended, queue:single, false, 1);
-BENCHMARK_CAPTURE(BM_QueueContended, queue:sharded/shards:4, true, 4);
+BENCHMARK_CAPTURE(BM_QueuePushClaim, queue:single, 1);
+BENCHMARK_CAPTURE(BM_QueuePushClaim, queue:sharded/shards:4, 4);
+BENCHMARK_CAPTURE(BM_QueueClaimBatch, queue:single/tags:8, 1);
+BENCHMARK_CAPTURE(BM_QueueClaimBatch, queue:sharded/shards:4/tags:8, 4);
+BENCHMARK_CAPTURE(BM_QueueRepostCycle, queue:single, 1);
+BENCHMARK_CAPTURE(BM_QueueRepostCycle, queue:sharded/shards:4, 4);
+BENCHMARK_CAPTURE(BM_QueueContended, queue:single, 1);
+BENCHMARK_CAPTURE(BM_QueueContended, queue:sharded/shards:4, 4);
 
 BENCHMARK_MAIN();

@@ -21,30 +21,44 @@ void store_max(std::atomic<int>& target, int value) {
   }
 }
 
+/// The error a session fails with when the queue, closed, refuses its
+/// next job.
+std::exception_ptr queue_closed_error() {
+  return std::make_exception_ptr(std::runtime_error(
+      "DecodeService: job queue closed with session in flight"));
+}
+
 }  // namespace
 
 /// One admitted session: the spec (owning the message), the live
-/// session/channel pair, and the MessageRun state machine over them.
-/// Advanced by exactly one job at a time; after finish() only `report`
-/// is ever read again (the heavyweight members are released).
+/// session/channel pair, the MessageRun state machine over them, and
+/// where the session's report goes. Lives in a slot from admission until
+/// the run finishes, advanced by exactly one job at a time; destroying
+/// it (retire) releases everything the session held.
 struct DecodeService::SessionState {
   explicit SessionState(SessionSpec s)
       : spec(std::move(s)),
         session(spec.make_session()),
-        channel(spec.channel.make()) {
-    run.emplace(*session, channel, spec.message, spec.engine);
-  }
+        channel(spec.channel.make()),
+        run(*session, channel, spec.message, spec.engine) {}
 
   SessionSpec spec;
   std::unique_ptr<sim::RatelessSession> session;
   sim::ChannelSim channel;
-  std::optional<sim::MessageRun> run;
-  SessionReport report;
-  long symbols_seen = 0;  ///< feed-telemetry watermark
+  sim::MessageRun run;
+  SessionReport* report = nullptr;  ///< this session's reports_ entry
+  std::size_t id = 0;               ///< session id: its index in reports_
+  long symbols_seen = 0;            ///< feed-telemetry watermark
   /// Interned batch_key() tag (kNoTag: never batched). Set once at
   /// admission, immutable after — jobs carry it into the queue, which
   /// also routes on it (same-tag jobs colocate on one shard).
   std::int32_t batch_tag = ShardedJobQueue<QueueJob>::kNoTag;
+};
+
+/// A reusable home for one in-flight session (engaged from admission to
+/// retirement, empty while on the free list).
+struct DecodeService::Slot {
+  std::optional<SessionState> state;
 };
 
 std::uint64_t DecodeService::now_ns() const noexcept {
@@ -139,7 +153,6 @@ void DecodeService::worker_loop(Worker& w) {
   const std::size_t window =
       opt_.batch.window > 0 ? static_cast<std::size_t>(opt_.batch.window) : 0;
   std::vector<QueueJob> batch;
-  std::vector<std::size_t> indices;
   ShardedClaimInfo cinfo;
   std::uint64_t idle_since = w.trace ? now_ns() : 0;
   while (queue_.pop_batch(w.index, batch, max_batch, window, &cinfo)) {
@@ -167,77 +180,19 @@ void DecodeService::worker_loop(Worker& w) {
         w.trace->instant(TraceKind::kSteal, claim_ns, batch.size(),
                          cinfo.shard);
     }
-    if (batch.size() == 1) {
-      w.telemetry.record_job();
-      QueueJob& j = batch.front();
-      if (j.session != QueueJob::kNoSession) {
-        session_step(scope, j.session, claim_ns);
-      } else {
-        j.task(scope);
-        if (w.trace)
-          w.trace->record(TraceKind::kTask, claim_ns, now_ns(), 1);
-      }
+    w.telemetry.record_jobs(batch.size());
+    // A multi-entry claim is same-tag by construction, and session tags
+    // never collide with task tags (task hints intern under a "task/"
+    // codec prefix) — so every claim is homogeneous.
+    if (head.slot) {
+      step_sessions(scope, batch, claim_ns);
     } else {
-      // A multi-entry claim is same-tag by construction, and session
-      // tags never collide with task tags (task hints intern under a
-      // "task/" codec prefix) — so the batch is homogeneous.
-      w.telemetry.record_jobs(batch.size());
-      if (batch.front().session != QueueJob::kNoSession) {
-        indices.clear();
-        for (QueueJob& j : batch) indices.push_back(j.session);
-        session_step_batch(scope, indices, claim_ns);
-      } else {
-        for (QueueJob& j : batch) j.task(scope);
-        if (w.trace)
-          w.trace->record(TraceKind::kTask, claim_ns, now_ns(), batch.size());
-      }
+      for (QueueJob& j : batch) j.task(scope);
+      if (w.trace)
+        w.trace->record(TraceKind::kTask, claim_ns, now_ns(), batch.size());
     }
     if (w.trace) idle_since = now_ns();
   }
-}
-
-void DecodeService::push_session_job(std::size_t index, int home) {
-  SessionState* s;
-  {
-    std::lock_guard lock(state_m_);
-    s = sessions_[index].get();  // the vector may reallocate under submit()
-  }
-  QueueJob job;
-  job.session = index;
-  job.tag = s->batch_tag;
-  job.enqueue_ns = now_ns();
-  if (tracer_ && home == ShardedJobQueue<QueueJob>::kNoShard) {
-    // Only external admission pushes come through homeless (worker
-    // continuations always repost to their own shard), so this instant
-    // marks session submission; the shard arg mirrors the queue's
-    // tag-hash routing.
-    tracer_->thread_buffer()->instant(
-        TraceKind::kSubmit, job.enqueue_ns, index,
-        s->batch_tag < 0 ? 0
-                         : static_cast<std::uint32_t>(s->batch_tag) %
-                               static_cast<std::uint32_t>(queue_.shards()));
-  }
-  if (queue_.push(std::move(job), s->batch_tag, home)) return;
-  session_job_refused(*s);
-}
-
-/// The queue refused a session's job: it was closed with the session
-/// still mid-run. Silently returning would leak the session — no job
-/// ever finishes it, so drain() deadlocks waiting on completed_.
-/// Record the error and finish the session as failed instead.
-void DecodeService::session_job_refused(SessionState& s) {
-  {
-    std::lock_guard lock(state_m_);
-    if (!first_error_)
-      first_error_ = std::make_exception_ptr(std::runtime_error(
-          "DecodeService: job queue closed with session in flight"));
-  }
-  s.report.run = s.run->result();
-  s.report.run.success = false;
-  s.report.message_bits = s.session->message_bits();
-  s.run.reset();
-  s.session.reset();
-  release_session_slot();
 }
 
 std::int32_t DecodeService::intern_tag_locked(const sim::WorkspaceKey& key) {
@@ -251,7 +206,7 @@ std::int32_t DecodeService::intern_tag_locked(const sim::WorkspaceKey& key) {
   return it->second;
 }
 
-int DecodeService::try_reserve_slot() {
+int DecodeService::try_reserve_admission() {
   int cur = in_flight_.load();
   while (cur < max_in_flight_) {
     if (in_flight_.compare_exchange_weak(cur, cur + 1)) return cur + 1;
@@ -260,53 +215,46 @@ int DecodeService::try_reserve_slot() {
 }
 
 std::size_t DecodeService::submit(SessionSpec spec) {
-  // Build the session (encoder, channel, engine validation) outside any
-  // lock; MessageRun's constructor throws on invalid EngineOptions.
-  auto state = std::make_unique<SessionState>(std::move(spec));
-  // Tags are interned even when batching is off: routing and the
-  // per-tag stage stats want the per-codec identity either way (with
-  // one shard — deterministic mode, single-worker configs — routing is
-  // unaffected).
-  const sim::WorkspaceKey bkey = state->session->batch_key();
   // Admission: lock-free CAS in the common case; fall back to a condvar
   // wait only once the cap is actually hit. The waiter registers under
   // state_m_ before re-probing, and the release side (an atomic
   // decrement) re-checks admit_waiters_ after decrementing — seq_cst
   // order makes one of the two sides see the other, so the wakeup
   // cannot be lost.
-  int reserved = try_reserve_slot();
+  int reserved = try_reserve_admission();
   if (reserved < 0) {
     std::unique_lock lock(state_m_);
     ++admit_waiters_;
     cv_admit_.wait(lock,
-                   [&] { return (reserved = try_reserve_slot()) >= 0; });
+                   [&] { return (reserved = try_reserve_admission()) >= 0; });
     --admit_waiters_;
   }
-  store_max(peak_in_flight_, reserved);
-  std::size_t id;
-  {
-    std::lock_guard lock(state_m_);
-    state->batch_tag = intern_tag_locked(bkey);
-    id = sessions_.size();
-    sessions_.push_back(std::move(state));
-    submitted_.fetch_add(1);  // under the lock: tracks sessions_.size()
-  }
-  push_session_job(id);
-  return id;
+  return admit(std::move(spec), reserved);
 }
 
 std::optional<std::size_t> DecodeService::try_submit(SessionSpec spec) {
-  // Reserve the admission slot *before* building the session: the whole
-  // point of the non-blocking probe is sustained overload, where
-  // constructing an encoder + decoder + channel just to throw them away
-  // on a refusal would burn exactly the compute the caller is trying to
-  // shed.
-  const int reserved = try_reserve_slot();
+  // The reservation comes before the session is built: the point of
+  // the non-blocking probe is sustained overload, where constructing an
+  // encoder + decoder + channel just to throw them away on a refusal
+  // would burn exactly the compute the caller is trying to shed.
+  const int reserved = try_reserve_admission();
   if (reserved < 0) return std::nullopt;
-  std::unique_ptr<SessionState> state;
+  return admit(std::move(spec), reserved);
+}
+
+std::size_t DecodeService::admit(SessionSpec spec, int reserved) {
+  Slot& slot = acquire_slot();
+  std::optional<SessionState>& st = slot.state;
+  // Build the session (encoder, channel, engine validation) outside any
+  // lock; MessageRun's constructor throws on invalid EngineOptions, and
+  // the admission is then rolled back without counting a completion.
   try {
-    state = std::make_unique<SessionState>(std::move(spec));
+    st.emplace(std::move(spec));
   } catch (...) {
+    {
+      std::lock_guard lock(slots_m_);
+      free_slots_.push_back(&slot);
+    }
     in_flight_.fetch_sub(1);
     if (admit_waiters_.load() > 0) {
       std::lock_guard lock(state_m_);
@@ -315,348 +263,268 @@ std::optional<std::size_t> DecodeService::try_submit(SessionSpec spec) {
     throw;
   }
   // The high-water mark moves only once the session is actually
-  // admitted: the reservation above is rolled back if construction
-  // throws, and a peak that counted such a phantom would overstate
-  // concurrency the service never ran. (A concurrent submitter's peak
-  // update can still observe another caller's transient reservation;
-  // the mark is a bound on reservations, exact over admissions.)
+  // admitted, so a reservation rolled back above never counts. (A
+  // concurrent submitter's peak update can still observe another
+  // caller's transient reservation; the mark is a bound on
+  // reservations, exact over admissions.)
   store_max(peak_in_flight_, reserved);
-  const sim::WorkspaceKey bkey = state->session->batch_key();
+  SessionState& s = *st;
+  // Tags are interned even when batching is off: routing and the
+  // per-tag stage stats want the per-codec identity either way (with
+  // one shard — deterministic mode, single-worker configs — routing is
+  // unaffected).
+  const sim::WorkspaceKey bkey = s.session->batch_key();
+  QueueJob job;
+  job.slot = &slot;
   std::size_t id;
   {
     std::lock_guard lock(state_m_);
-    state->batch_tag = intern_tag_locked(bkey);
-    id = sessions_.size();
-    sessions_.push_back(std::move(state));
-    submitted_.fetch_add(1);
+    s.batch_tag = job.tag = intern_tag_locked(bkey);
+    s.id = id = reports_.size();
+    s.report = &reports_.emplace_back();
+    submitted_.fetch_add(1);  // under the lock: tracks reports_.size()
   }
-  push_session_job(id);
+  job.enqueue_ns = now_ns();
+  if (tracer_) {
+    // The shard arg mirrors the queue's tag-hash routing.
+    tracer_->thread_buffer()->instant(
+        TraceKind::kSubmit, job.enqueue_ns, id,
+        job.tag < 0 ? 0
+                    : static_cast<std::uint32_t>(job.tag) %
+                          static_cast<std::uint32_t>(queue_.shards()));
+  }
+  // From the push on, a worker may finish the session at any time: `s`
+  // is not touched again unless the queue refuses the job.
+  const std::int32_t tag = job.tag;
+  if (!queue_.push(std::move(job), tag)) {
+    // Closed with the session admitted: silently returning would leak
+    // it (no job ever finishes it, so drain() would deadlock), so it
+    // fails loudly instead.
+    retire(nullptr, slot, queue_closed_error());
+    Slot* const refused = &slot;
+    release_slots({&refused, 1});
+  }
   return id;
 }
 
-void DecodeService::session_step(WorkerScope& scope, std::size_t index,
-                                 std::uint64_t claim_ns) {
-  SessionState* s;
-  {
-    std::lock_guard lock(state_m_);
-    s = sessions_[index].get();  // the vector may reallocate under submit()
+DecodeService::Slot& DecodeService::acquire_slot() {
+  std::lock_guard lock(slots_m_);
+  if (!free_slots_.empty()) {
+    Slot* const slot = free_slots_.back();
+    free_slots_.pop_back();
+    return *slot;
   }
-  TraceBuffer* const tb = scope.w_->trace;
-  try {
-    if (!s->run->feed_to_attempt()) {  // budget exhausted -> failed run
-      // The instant must land before finish_session: releasing the slot
-      // can wake drain(), after which the caller may export the trace.
-      if (tb)
-        tb->instant(TraceKind::kComplete, now_ns(), index,
-                    s->run->result().success ? 1 : 0);
-      finish_session(scope, *s);
-      return;
-    }
-    const long symbols = s->run->result().symbols;
-    scope.telemetry().record_feed(symbols - s->symbols_seen);
-    s->symbols_seen = symbols;
-
-    const sim::EffortProfile profile = s->session->effort_profile();
-    int effort = 0;
-    if (!opt_.deterministic) effort = scope.pick_effort(profile);
-    const bool reduced = effort > 0 && effort < profile.full;
-
-    // Resolve the worker-pinned workspace (nullptr: session has none —
-    // the attempt allocates internally, which telemetry counts).
-    sim::CodecWorkspace* ws = scope.workspace(*s->session);
-
-    // The clock read that starts the decode also closes the
-    // batch-assembly stage (claim -> dispatch: feed, effort pick,
-    // workspace resolve) — the decomposition costs no extra read here.
-    const std::uint64_t d0 = now_ns();
-    scope.telemetry().record_batch_assembly(
-        static_cast<double>(d0 - claim_ns) / 1000.0);
-    if (tb)
-      tb->record(TraceKind::kFeed, claim_ns, d0, 1,
-                 static_cast<std::uint64_t>(symbols));
-    std::optional<util::BitVec> candidate =
-        s->session->try_decode_with(ws, effort);
-    const std::uint64_t d1 = now_ns();
-    double us = static_cast<double>(d1 - d0) / 1000.0;
-    scope.telemetry().record_attempt(us, reduced, false, ws == nullptr);
-    scope.telemetry().record_decode_service(us);
-    tag_stats_.lane(s->batch_tag).record_attempts(1, us);
-    if (tb)
-      tb->record(TraceKind::kDecode, d0, d1, 1,
-                 static_cast<std::uint64_t>(effort));
-    s->report.decode_micros += us;
-    if (reduced) ++s->report.reduced_effort_attempts;
-    s->run->record_attempt(candidate);
-
-    // A shrunk attempt that failed gets one full-effort retry on the
-    // same symbols when the queue has drained: compute is free when
-    // idle, channel symbols never are.
-    if (!s->run->finished() && reduced && opt_.adapt.retry_full_when_idle &&
-        scope.idle()) {
-      const std::uint64_t r0 = now_ns();
-      candidate = s->session->try_decode_with(ws, 0);
-      const std::uint64_t r1 = now_ns();
-      us = static_cast<double>(r1 - r0) / 1000.0;
-      scope.telemetry().record_attempt(us, false, true, ws == nullptr);
-      scope.telemetry().record_decode_service(us);
-      tag_stats_.lane(s->batch_tag).record_attempts(1, us);
-      if (tb) tb->record(TraceKind::kDecode, r0, r1, 1, 0);
-      s->report.decode_micros += us;
-      ++s->report.full_effort_retries;
-      s->run->record_attempt(candidate);
-    }
-
-    if (s->run->finished()) {
-      // Instant before finish_session — see the feed-exhausted path.
-      if (tb)
-        tb->instant(TraceKind::kComplete, now_ns(), index,
-                    s->run->result().success ? 1 : 0);
-      finish_session(scope, *s);
-      return;
-    }
-  } catch (...) {
-    if (tb) tb->instant(TraceKind::kComplete, now_ns(), index, 0);
-    fail_session(scope, *s, std::current_exception());
-    return;
-  }
-  // Continuations repost onto the stepping worker's own shard: the
-  // session's state is hot in this core's cache, and a self-repost pays
-  // no cross-shard handoff.
-  if (tb) {
-    const std::uint64_t p0 = now_ns();
-    push_session_job(index, scope.w_->index);
-    tb->record(TraceKind::kRepost, p0, now_ns(), 1);
-  } else {
-    push_session_job(index, scope.w_->index);
-  }
+  // No free slot: every allocated slot holds a session whose admission
+  // reservation is still outstanding (release_slots frees the slot
+  // before the reservation), so with our own reservation counted, the
+  // table holds fewer than max_in_flight_ slots here.
+  return *slots_.emplace_back(std::make_unique<Slot>());
 }
 
-void DecodeService::session_step_batch(WorkerScope& scope,
-                                       const std::vector<std::size_t>& indices,
-                                       std::uint64_t claim_ns) {
-  TraceBuffer* const tb = scope.w_->trace;
-  std::vector<SessionState*> states;
-  states.reserve(indices.size());
-  {
-    std::lock_guard lock(state_m_);
-    for (const std::size_t index : indices)
-      states.push_back(sessions_[index].get());
-  }
+void DecodeService::step_sessions(WorkerScope& scope,
+                                  const std::vector<QueueJob>& claim,
+                                  std::uint64_t claim_ns) {
+  Worker& w = *scope.w_;
+  TraceBuffer* const tb = w.trace;
+  std::vector<Slot*>& live = w.live;
+  std::vector<Slot*>& retired = w.retired;
+  live.clear();
+  retired.clear();
 
   // Phase 1 — stream each session to its attempt point individually
   // (feeds are per-session work; only the decode attempt batches). The
   // accounting batches too: one feed-telemetry record and one deferred
   // slot release cover the whole claim.
-  std::vector<SessionState*> live;
-  std::vector<std::size_t> live_idx;
-  live.reserve(states.size());
-  live_idx.reserve(states.size());
-  std::size_t released = 0;
   long fed = 0;
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    SessionState* s = states[i];
+  for (const QueueJob& j : claim) {
+    SessionState& s = *j.slot->state;
     try {
-      if (!s->run->feed_to_attempt()) {  // budget exhausted -> failed run
-        finish_session(scope, *s, /*release_slot=*/false);
-        if (tb)
-          tb->instant(TraceKind::kComplete, now_ns(), indices[i],
-                      s->report.run.success ? 1 : 0);
-        ++released;
+      if (!s.run.feed_to_attempt()) {  // budget exhausted -> failed run
+        retire(&scope, *j.slot);
+        retired.push_back(j.slot);
         continue;
       }
-      const long symbols = s->run->result().symbols;
-      fed += symbols - s->symbols_seen;
-      s->symbols_seen = symbols;
-      live.push_back(s);
-      live_idx.push_back(indices[i]);
+      const long symbols = s.run.result().symbols;
+      fed += symbols - s.symbols_seen;
+      s.symbols_seen = symbols;
+      live.push_back(j.slot);
     } catch (...) {
-      fail_session(scope, *s, std::current_exception(), /*release_slot=*/false);
-      if (tb) tb->instant(TraceKind::kComplete, now_ns(), indices[i], 0);
-      ++released;
+      retire(&scope, *j.slot, std::current_exception());
+      retired.push_back(j.slot);
     }
   }
   if (fed > 0) scope.telemetry().record_feed(fed);
   if (live.empty()) {
-    release_session_slots(released);
+    release_slots(retired);
     return;
   }
 
   // Phase 2 — one fused decode attempt over every live session. Equal
   // batch tags mean equal specs where it matters (profile, workspace
-  // key), so the batch shares one effort pick, one workspace resolve
+  // key), so the claim shares one effort pick, one workspace resolve
   // and one latency clock pair — exactly the per-job overhead the
   // batching exists to amortize.
-  SessionState* lead = live.front();
-  const sim::EffortProfile profile = lead->session->effort_profile();
-  int effort = 0;
-  if (!opt_.deterministic) effort = scope.pick_effort(profile);
+  SessionState& lead = *live.front()->state;
+  const std::int32_t tag = lead.batch_tag;
+  const sim::EffortProfile profile = lead.session->effort_profile();
+  const int effort = scope.pick_effort(profile);
   const bool reduced = effort > 0 && effort < profile.full;
-  sim::CodecWorkspace* ws = scope.workspace(*lead->session);
+  sim::CodecWorkspace* ws = scope.workspace(*lead.session);
 
-  std::vector<std::optional<util::BitVec>> candidates(live.size());
-  std::vector<sim::BatchDecodeJob> jobs(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i)
-    jobs[i] = {live[i]->session.get(), effort, &candidates[i]};
+  const std::size_t n = live.size();
+  if (w.candidates.size() < n) w.candidates.resize(n);
+  w.decode_jobs.clear();
+  for (std::size_t i = 0; i < n; ++i)
+    w.decode_jobs.push_back(
+        {live[i]->state->session.get(), effort, &w.candidates[i]});
   // One clock read ends batch-assembly and starts the fused decode.
   const std::uint64_t d0 = now_ns();
   scope.telemetry().record_batch_assembly(
       static_cast<double>(d0 - claim_ns) / 1000.0);
-  if (tb) tb->record(TraceKind::kFeed, claim_ns, d0, live.size());
+  if (tb) tb->record(TraceKind::kFeed, claim_ns, d0, n);
   try {
-    lead->session->try_decode_batch(ws, jobs);
+    lead.session->try_decode_batch(ws, w.decode_jobs);
   } catch (...) {
     // A torn batched attempt taints every block in it: which blocks hold
     // valid candidates is unknowable, so all of them fail loudly rather
     // than any continuing on garbage.
     const std::exception_ptr err = std::current_exception();
-    for (SessionState* s : live)
-      fail_session(scope, *s, err, /*release_slot=*/false);
-    if (tb)
-      for (std::size_t i = 0; i < live.size(); ++i)
-        tb->instant(TraceKind::kComplete, now_ns(), live_idx[i], 0);
-    release_session_slots(released + live.size());
+    for (Slot* const slot : live) {
+      retire(&scope, *slot, err);
+      retired.push_back(slot);
+    }
+    release_slots(retired);
     return;
   }
   const std::uint64_t d1 = now_ns();
-  const double per = (static_cast<double>(d1 - d0) / 1000.0) /
-                     static_cast<double>(live.size());
-  scope.telemetry().record_attempts(live.size(), per, reduced, ws == nullptr);
+  const double per =
+      (static_cast<double>(d1 - d0) / 1000.0) / static_cast<double>(n);
+  scope.telemetry().record_attempts(n, per, reduced, ws == nullptr);
   // The stage view keeps the fused span whole (one service event per
   // claim); the per-attempt split stays in decode_latency_us and the
   // per-tag lane, whose counts track attempts.
   scope.telemetry().record_decode_service(static_cast<double>(d1 - d0) /
                                           1000.0);
-  tag_stats_.lane(lead->batch_tag).record_attempts(live.size(), per);
+  tag_stats_.lane(tag).record_attempts(n, per);
   if (tb)
-    tb->record(TraceKind::kDecode, d0, d1, live.size(),
-               static_cast<std::uint64_t>(effort));
+    tb->record(TraceKind::kDecode, d0, d1, n, static_cast<std::uint64_t>(effort));
 
-  // Phase 3 — per-session accounting and continuation, same shape as
-  // the solo step (latency attributed evenly across the batch). The
-  // still-running sessions are collected and reposted as one queue
-  // transaction at the end: paying a lock + notify per continuation
-  // would hand back a large slice of the overhead the batch just saved.
-  std::vector<SessionState*> repost;
-  std::vector<QueueJob> repost_jobs;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    SessionState* s = live[i];
+  // Phase 3 — per-session accounting and continuation (latency
+  // attributed evenly across the claim). The still-running sessions are
+  // collected and reposted as one queue transaction at the end: paying
+  // a lock + notify per continuation would hand back a large slice of
+  // the overhead the batch just saved.
+  w.repost.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    Slot* const slot = live[i];
+    SessionState& s = *slot->state;
     try {
-      s->report.decode_micros += per;
-      if (reduced) ++s->report.reduced_effort_attempts;
-      s->run->record_attempt(candidates[i]);
+      s.report->decode_micros += per;
+      if (reduced) ++s.report->reduced_effort_attempts;
+      s.run.record_attempt(w.candidates[i]);
 
-      if (!s->run->finished() && reduced && opt_.adapt.retry_full_when_idle &&
+      // A shrunk attempt that failed gets one full-effort retry on the
+      // same symbols when the queue has drained: compute is free when
+      // idle, channel symbols never are.
+      if (!s.run.finished() && reduced && opt_.adapt.retry_full_when_idle &&
           scope.idle()) {
         const std::uint64_t r0 = now_ns();
         const std::optional<util::BitVec> cand =
-            s->session->try_decode_with(ws, 0);
+            s.session->try_decode_with(ws, 0);
         const std::uint64_t r1 = now_ns();
         const double us = static_cast<double>(r1 - r0) / 1000.0;
         scope.telemetry().record_attempt(us, false, true, ws == nullptr);
         scope.telemetry().record_decode_service(us);
-        tag_stats_.lane(s->batch_tag).record_attempts(1, us);
+        tag_stats_.lane(tag).record_attempts(1, us);
         if (tb) tb->record(TraceKind::kDecode, r0, r1, 1, 0);
-        s->report.decode_micros += us;
-        ++s->report.full_effort_retries;
-        s->run->record_attempt(cand);
+        s.report->decode_micros += us;
+        ++s.report->full_effort_retries;
+        s.run.record_attempt(cand);
       }
 
-      if (s->run->finished()) {
-        finish_session(scope, *s, /*release_slot=*/false);
-        if (tb)
-          tb->instant(TraceKind::kComplete, now_ns(), live_idx[i],
-                      s->report.run.success ? 1 : 0);
-        ++released;
+      if (s.run.finished()) {
+        retire(&scope, *slot);
+        retired.push_back(slot);
         continue;
       }
     } catch (...) {
-      fail_session(scope, *s, std::current_exception(), /*release_slot=*/false);
-      if (tb) tb->instant(TraceKind::kComplete, now_ns(), live_idx[i], 0);
-      ++released;
+      retire(&scope, *slot, std::current_exception());
+      retired.push_back(slot);
       continue;
     }
-    repost.push_back(s);
     QueueJob job;
-    job.session = live_idx[i];
-    repost_jobs.push_back(std::move(job));
+    job.slot = slot;
+    job.tag = tag;
+    w.repost.push_back(std::move(job));
   }
-  // All sessions in the batch carry the same interned tag (same-tag by
-  // construction of the claim), so one shared tag covers the repost —
-  // onto this worker's own shard, where the next claim finds the whole
-  // run contiguous at the head. One enqueue timestamp covers the lot
-  // (queue-wait is head-attributed at the claim anyway).
-  if (!repost_jobs.empty()) {
+  // All sessions in the claim carry the same interned tag, so one
+  // shared tag covers the repost — onto this worker's own shard, where
+  // the session's state is hot in this core's cache and the next claim
+  // finds the whole run contiguous at the head. One enqueue timestamp
+  // covers the lot (queue-wait is head-attributed at the claim anyway).
+  if (!w.repost.empty()) {
     const std::uint64_t p0 = now_ns();
-    for (QueueJob& job : repost_jobs) {
-      job.tag = repost.front()->batch_tag;
-      job.enqueue_ns = p0;
-    }
-    if (!queue_.push_many(repost_jobs, repost.front()->batch_tag,
-                          scope.w_->index)) {
-      // session_job_refused releases each refused session's slot itself.
-      for (SessionState* s : repost) session_job_refused(*s);
-    } else if (tb) {
-      tb->record(TraceKind::kRepost, p0, now_ns(), repost_jobs.size());
+    for (QueueJob& job : w.repost) job.enqueue_ns = p0;
+    if (queue_.push_many(w.repost, tag, w.index)) {
+      if (tb) tb->record(TraceKind::kRepost, p0, now_ns(), w.repost.size());
+    } else {
+      // Closed queue: see the refused-admission path in admit().
+      const std::exception_ptr err = queue_closed_error();
+      for (const QueueJob& job : w.repost) {
+        retire(&scope, *job.slot, err);
+        retired.push_back(job.slot);
+      }
     }
   }
-  release_session_slots(released);
+  release_slots(retired);
 }
 
-void DecodeService::finish_session(WorkerScope& scope, SessionState& s,
-                                   bool release_slot) {
-  s.report.run = s.run->result();
-  s.report.message_bits = s.session->message_bits();
-  // Symbols streamed after the last attempt (the give-up tail) have not
-  // hit the feed counter yet.
-  scope.telemetry().record_feed(s.report.run.symbols - s.symbols_seen);
-  s.symbols_seen = s.report.run.symbols;
-  scope.telemetry().record_session_done(s.report.run.success,
-                                        s.report.message_bits);
-  // Release the heavyweight per-session state (decoder symbol stores,
-  // channel RNGs) now rather than at drain — with thousands of
-  // in-flight sessions this is the difference between O(active) and
-  // O(submitted) memory. Only `report` is read after this point.
-  s.run.reset();
-  s.session.reset();
-  if (release_slot) release_session_slot();
-}
-
-void DecodeService::fail_session(WorkerScope& scope, SessionState& s,
-                                 std::exception_ptr err, bool release_slot) {
-  {
+void DecodeService::retire(WorkerScope* scope, Slot& slot,
+                           std::exception_ptr err) {
+  std::optional<SessionState>& st = slot.state;
+  if (err) {
     std::lock_guard lock(state_m_);
     if (!first_error_) first_error_ = err;
   }
-  // The throwing step may have torn the MessageRun mid-feed or
-  // mid-attempt, so its success flag cannot be trusted — take the
-  // counters for the report but mark the run failed explicitly.
-  s.report.run = s.run->result();
-  s.report.run.success = false;
-  s.report.message_bits = s.session->message_bits();
-  scope.telemetry().record_feed(s.report.run.symbols - s.symbols_seen);
-  s.symbols_seen = s.report.run.symbols;
-  scope.telemetry().record_session_done(false, s.report.message_bits);
-  s.run.reset();
-  s.session.reset();
-  if (release_slot) release_session_slot();
+  SessionReport& r = *st->report;
+  r.run = st->run.result();
+  if (err) r.run.success = false;
+  r.message_bits = st->session->message_bits();
+  if (scope) {
+    // Symbols streamed after the last attempt (the give-up tail) have
+    // not hit the feed counter yet.
+    scope->telemetry().record_feed(r.run.symbols - st->symbols_seen);
+    scope->telemetry().record_session_done(r.run.success, r.message_bits);
+    // The instant lands before the slot's release, which can wake
+    // drain() — after which the caller may export the trace.
+    if (TraceBuffer* tb = scope->w_->trace)
+      tb->instant(TraceKind::kComplete, now_ns(), st->id, r.run.success ? 1 : 0);
+  }
+  // Release everything the session held (spec, decoder symbol stores,
+  // channel RNGs) now rather than at drain: only the report outlives
+  // the run, which keeps memory O(in flight), not O(submitted).
+  st.reset();
 }
 
-void DecodeService::release_session_slot() { release_session_slots(1); }
-
-void DecodeService::release_session_slots(std::size_t n) {
-  if (n == 0) return;
+void DecodeService::release_slots(std::span<Slot* const> slots) {
+  if (slots.empty()) return;
+  {
+    std::lock_guard lock(slots_m_);
+    free_slots_.insert(free_slots_.end(), slots.begin(), slots.end());
+  }
+  const std::size_t n = slots.size();
   in_flight_.fetch_sub(static_cast<int>(n));
   completed_.fetch_add(n);
   // Both notify paths are gated on atomic waiter counts, so in steady
   // state (no submitter blocked, no drain in progress) releasing a
-  // batch of slots is two atomic RMWs and two loads — no lock. When a
-  // waiter does exist, the notify runs under state_m_: a woken thread
-  // may destroy the condvar as soon as it can observe the updated
-  // counters, which it cannot do before this mutex is released. The
-  // waiter side registers its count under state_m_ *before* re-checking
-  // the counters, so whichever of (counter update, waiter registration)
-  // comes first in the seq_cst order, one side sees the other — the
-  // wakeup cannot be lost.
+  // batch of slots is one short free-list lock plus two atomic RMWs and
+  // two loads. When a waiter does exist, the notify runs under
+  // state_m_: a woken thread may destroy the condvar as soon as it can
+  // observe the updated counters, which it cannot do before this mutex
+  // is released. The waiter side registers its count under state_m_
+  // *before* re-checking the counters, so whichever of (counter update,
+  // waiter registration) comes first in the seq_cst order, one side
+  // sees the other — the wakeup cannot be lost.
   if (admit_waiters_.load() > 0) {
     std::lock_guard lock(state_m_);
     if (n > 1)
@@ -682,10 +550,7 @@ std::vector<SessionReport> DecodeService::drain() {
     std::exception_ptr e = std::exchange(first_error_, nullptr);
     std::rethrow_exception(e);
   }
-  std::vector<SessionReport> out;
-  out.reserve(sessions_.size());
-  for (const auto& s : sessions_) out.push_back(s->report);
-  return out;
+  return {reports_.begin(), reports_.end()};
 }
 
 TelemetrySnapshot DecodeService::telemetry() const {
@@ -755,7 +620,7 @@ void DecodeService::post_impl(Task task, std::int32_t tag) {
       if (!first_error_) first_error_ = std::current_exception();
     }
     ext_pending_.fetch_sub(1);
-    // Waiter-gated notifies under state_m_: see release_session_slots.
+    // Waiter-gated notifies under state_m_: see release_slots.
     if (ext_waiters_.load() > 0) {
       std::lock_guard lock(state_m_);
       cv_ext_.notify_one();

@@ -18,7 +18,18 @@
 // or the give-up bound hits. At most one job per session exists at a
 // time, so sessions need no locking of their own; the queue's shard
 // mutexes provide the happens-before edge between the workers that
-// successively advance a session.
+// successively advance a session. Every claim, a solo one included, is
+// served by one step path (step_sessions).
+//
+// Memory model: O(in flight), not O(submitted). An admitted session
+// lives in a slot of a table bounded by max_in_flight; jobs point at
+// the slot, whose address never changes, so the job hop and the step
+// reach a session without a lock. When the run finishes, the
+// session, channel, spec and MessageRun are all freed at once (the
+// session's destructor runs at that moment), and the slot returns to a
+// free list for the next admission. Only the 48-byte SessionReport per
+// session outlives its run, in an append-only log: drain() returns every
+// report since construction, so the log is the one O(submitted) part.
 //
 // Queue sharding: submissions route by the job's interned batch tag, so
 // same-WorkspaceKey jobs colocate on one shard and a worker's dequeue
@@ -54,11 +65,13 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -164,58 +177,68 @@ class DecodeService {
   void post(Task task, const sim::WorkspaceKey& aggregate_hint);
 
  private:
+  struct Slot;
+  /// One queue entry: a session step (slot != nullptr; the Task is
+  /// empty) or an external task. A session step points at the session's
+  /// slot, whose address is stable, so a worker reaches the session
+  /// without a lock. Jobs carry their interned tag and enqueue timestamp
+  /// so the claim can attribute queue-wait per tag without a state
+  /// lookup.
+  struct QueueJob {
+    Task task;
+    Slot* slot = nullptr;
+    std::int32_t tag = -1;          ///< == ShardedJobQueue kNoTag
+    std::uint64_t enqueue_ns = 0;   ///< now_ns() at push
+  };
+
   struct Worker {
     int index = 0;  ///< dense worker id: queue consumer id + pin slot
     std::map<WorkspaceKey, std::unique_ptr<sim::CodecWorkspace>> pinned;
     WorkerTelemetry telemetry;
     TraceBuffer* trace = nullptr;  ///< the worker's trace timeline (or null)
     std::thread thread;
+    // Step scratch, reused across claims so a step allocates nothing
+    // once these reach the worker's high-water claim size.
+    std::vector<Slot*> live, retired;
+    std::vector<std::optional<util::BitVec>> candidates;
+    std::vector<sim::BatchDecodeJob> decode_jobs;
+    std::vector<QueueJob> repost;
   };
   struct SessionState;
 
-  /// One queue entry: a session step (session != kNoSession; the Task is
-  /// empty) or an external task. Session steps travel as bare indices so
-  /// a batched dequeue can regroup them into one session_step_batch.
-  /// Jobs carry their interned tag and enqueue timestamp so the claim
-  /// can attribute queue-wait per tag without a state lookup.
-  struct QueueJob {
-    static constexpr std::size_t kNoSession = static_cast<std::size_t>(-1);
-    Task task;
-    std::size_t session = kNoSession;
-    std::int32_t tag = -1;          ///< == ShardedJobQueue kNoTag
-    std::uint64_t enqueue_ns = 0;   ///< now_ns() at push
-  };
-
   void worker_loop(Worker& w);
-  /// @p claim_ns: now_ns() when the serving claim landed (start of the
+  /// Advances every session of one claim (a batch of one included):
+  /// feeds each to its attempt point, runs one fused decode attempt over
+  /// the live ones and reposts the unfinished as one queue transaction.
+  /// @p claim_ns: now_ns() when the claim landed (start of the
   /// batch-assembly stage).
-  void session_step(WorkerScope& scope, std::size_t index,
-                    std::uint64_t claim_ns);
-  void session_step_batch(WorkerScope& scope,
-                          const std::vector<std::size_t>& indices,
-                          std::uint64_t claim_ns);
-  /// @p release_slot false defers the admission-slot release to a bulk
-  /// release_session_slots() call at the end of a batch step (one lock
-  /// for the whole batch instead of one per finishing session).
-  void finish_session(WorkerScope& scope, SessionState& s,
-                      bool release_slot = true);
-  /// Error-path twin of finish_session: records @p err as the drain()
-  /// error, marks the report failed explicitly (a throwing step may have
-  /// left the MessageRun mid-feed, so its success flag is not re-derived
-  /// from the torn run) and releases the session.
-  void fail_session(WorkerScope& scope, SessionState& s,
-                    std::exception_ptr err, bool release_slot = true);
-  void release_session_slot();
-  void release_session_slots(std::size_t n);
-  /// @p home: pushing worker's shard (self-repost locality) or kNoShard
-  /// for external submitters.
-  void push_session_job(std::size_t index,
-                        int home = ShardedJobQueue<QueueJob>::kNoShard);
-  void session_job_refused(SessionState& s);
+  void step_sessions(WorkerScope& scope, const std::vector<QueueJob>& claim,
+                     std::uint64_t claim_ns);
+  /// Admits @p spec into a free slot under an admission reservation
+  /// already taken (@p reserved: the post-reservation in-flight count)
+  /// and enqueues its first job; returns the session id.
+  std::size_t admit(SessionSpec spec, int reserved);
+  /// Pops a free slot, allocating a new one when none is free. The
+  /// caller holds an admission reservation, which bounds the table at
+  /// max_in_flight_.
+  Slot& acquire_slot();
+  /// Ends the run in @p slot: writes its final report, records the
+  /// completion (telemetry and trace, when @p scope is a worker's) and
+  /// destroys the session state — the moment the session is done. A
+  /// non-null @p err becomes the drain() error and marks the report
+  /// failed explicitly (a throwing step may have left the MessageRun
+  /// mid-feed, so its success flag is not re-derived from the torn run).
+  /// The slot itself is recycled by a later release_slots().
+  void retire(WorkerScope* scope, Slot& slot,
+              std::exception_ptr err = nullptr);
+  /// Returns retired slots to the free list, then releases their
+  /// admission reservations and counts them completed (in that order,
+  /// so a reservation always finds a slot).
+  void release_slots(std::span<Slot* const> slots);
   void post_impl(Task task, std::int32_t tag);
-  /// CAS-reserves one admission slot against max_in_flight_; lock-free.
+  /// CAS-reserves one admission against max_in_flight_; lock-free.
   /// Returns the post-reservation in-flight count, or -1 at capacity.
-  int try_reserve_slot();
+  int try_reserve_admission();
   /// Interns @p key into the dense batch-tag space the queue aggregates
   /// and routes on (and registers its TagStats lane); kNoTag for invalid
   /// keys. Caller holds state_m_.
@@ -236,20 +259,34 @@ class DecodeService {
   // try_submit / slot release never touch state_m_ unless a waiter is
   // actually blocked (the *_waiters_ counts gate every notify, and the
   // notify itself runs under state_m_ so a woken thread can never see
-  // the condvar destroyed — see release_session_slots).
+  // the condvar destroyed — see release_slots).
   std::atomic<int> in_flight_{0};
   std::atomic<int> peak_in_flight_{0};
-  std::atomic<std::size_t> submitted_{0};  ///< == sessions_.size(), lock-free
+  std::atomic<std::size_t> submitted_{0};  ///< == reports_.size(), lock-free
   std::atomic<std::size_t> completed_{0};
   std::atomic<std::size_t> ext_pending_{0};
   std::atomic<int> admit_waiters_{0}, done_waiters_{0}, ext_waiters_{0};
   std::atomic<int> workers_pinned_{0};
 
+  // The slot table: every slot allocated so far, at most one per
+  // session admitted at once (so never more than max_in_flight_).
+  // Slots are heap-allocated, so their addresses survive the table's
+  // growth: workers reach them through their jobs' pointers, never
+  // through the table (the queue's shard mutex orders a slot's filling
+  // before the claim of its job). Finished sessions' slots are recycled
+  // through free_slots_.
+  std::mutex slots_m_;  ///< guards slots_ and free_slots_
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<Slot*> free_slots_;
+
   mutable std::mutex state_m_;
   std::condition_variable cv_admit_;  ///< in_flight_ dropped below the cap
   std::condition_variable cv_done_;   ///< a session or external task finished
   std::condition_variable cv_ext_;    ///< ext_pending_ dropped below its cap
-  std::vector<std::unique_ptr<SessionState>> sessions_;
+  /// The report log, indexed by session id: appended under state_m_ at
+  /// admission, written in place by the session's worker (deque
+  /// appends never move existing entries), read by drain().
+  std::deque<SessionReport> reports_;
   std::map<sim::WorkspaceKey, std::int32_t> batch_tags_;  ///< key interning
   std::exception_ptr first_error_;
 
@@ -260,9 +297,14 @@ class DecodeService {
 
 /// White-box seam for the runtime regression tests: lets a test force
 /// failure modes (a queue closed with work outstanding) that no public
-/// API path reaches deterministically.
+/// API path reaches deterministically, and observe the slot table.
 struct DecodeServiceTestHook {
   static void close_queue(DecodeService& s) { s.queue_.close(); }
+  /// Session slots allocated so far (never more than max_in_flight()).
+  static std::size_t slot_capacity(DecodeService& s) {
+    std::lock_guard lock(s.slots_m_);
+    return s.slots_.size();
+  }
 };
 
 /// Worker-side view handed to every task: the pinned per-WorkspaceKey

@@ -1,28 +1,20 @@
 #pragma once
-// Job queues for the decode runtime.
+// The decode runtime's job queue.
 //
-// Two implementations share the slot/tag/batch vocabulary:
-//
-//  - JobQueue: the original single bounded MPMC queue (one mutex, two
-//    condvars). Retained as the architectural baseline the sharded
-//    queue is benchmarked against (bench_micro_queue,
-//    bench_runtime_throughput's single-queue modes) and as the simplest
-//    reference semantics for the queue tests.
-//
-//  - ShardedJobQueue: what DecodeService actually runs on since the
-//    10k-session scale-out. One bounded deque per shard (by default one
-//    shard per worker), submissions routed by hashing the job's
-//    aggregation tag so same-key jobs colocate — pop_batch then finds
-//    long same-tag runs at a shard's head instead of scanning past
-//    interleaved strangers — worker self-reposts land on the worker's
-//    own shard (push_many with a home shard: locality, no cross-shard
-//    hop), and an idle worker steals a whole batch from the deepest
-//    sibling shard before sleeping. The global capacity lives in one
-//    atomic counter, so producers only ever contend on the shard they
-//    route to; the sleep/wake paths use a shared mutex + condvars but
-//    are gated on atomic waiter counts, so in steady state (busy
-//    workers, queue non-empty, capacity free) no push or pop touches a
-//    global lock.
+// ShardedJobQueue: one bounded deque per shard (by default one shard
+// per worker), submissions routed by hashing the job's aggregation tag
+// so same-key jobs colocate — pop_batch then finds long same-tag runs
+// at a shard's head instead of scanning past interleaved strangers —
+// worker self-reposts land on the worker's own shard (push_many with a
+// home shard: locality, no cross-shard hop), and an idle worker steals
+// a whole batch from the deepest sibling shard before sleeping. The
+// global capacity lives in one atomic counter, so producers only ever
+// contend on the shard they route to; the sleep/wake paths use a shared
+// mutex + condvars but are gated on atomic waiter counts, so in steady
+// state (busy workers, queue non-empty, capacity free) no push or pop
+// touches a global lock. With one shard it is a plain bounded FIFO with
+// windowed batch claims — the single-queue baseline the benches compare
+// against and the ordered queue deterministic mode drains through.
 //
 // Entries carry an optional aggregation tag (an interned batch key):
 // pop_batch() claims the oldest entry plus any same-tag entries within
@@ -36,140 +28,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace spinal::runtime {
-
-template <class T>
-class JobQueue {
- public:
-  /// Tag of entries that must never be batched together.
-  static constexpr std::int32_t kNoTag = -1;
-
-  explicit JobQueue(std::size_t capacity) : cap_(capacity ? capacity : 1) {}
-
-  /// Blocks while the queue is full. Returns false when the queue was
-  /// closed (the item is dropped).
-  bool push(T item, std::int32_t tag = kNoTag) {
-    std::unique_lock lock(m_);
-    cv_space_.wait(lock, [&] { return q_.size() < cap_ || closed_; });
-    if (closed_) return false;
-    q_.push_back({std::move(item), tag});
-    cv_items_.notify_one();
-    return true;
-  }
-
-  /// Pushes every item under one lock acquisition with a single shared
-  /// tag — the continuation-repost companion to pop_batch(): a worker
-  /// that just served a batch reposts the still-running sessions as one
-  /// queue transaction instead of paying a lock + notify per job.
-  /// Blocks while there is not room for all items. Returns false when
-  /// the queue was closed (all items are dropped); never partially
-  /// pushes.
-  bool push_many(std::vector<T>& items, std::int32_t tag = kNoTag) {
-    if (items.empty()) return true;
-    std::unique_lock lock(m_);
-    cv_space_.wait(
-        lock, [&] { return q_.size() + items.size() <= cap_ || closed_; });
-    if (closed_) return false;
-    for (T& item : items) q_.push_back({std::move(item), tag});
-    if (items.size() > 1)
-      cv_items_.notify_all();
-    else
-      cv_items_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking probe: false when full or closed.
-  bool try_push(T item, std::int32_t tag = kNoTag) {
-    std::lock_guard lock(m_);
-    if (closed_ || q_.size() >= cap_) return false;
-    q_.push_back({std::move(item), tag});
-    cv_items_.notify_one();
-    return true;
-  }
-
-  /// Blocks while empty. Returns std::nullopt once the queue is closed
-  /// *and* drained (pending items are still handed out after close()).
-  std::optional<T> pop() {
-    std::unique_lock lock(m_);
-    cv_items_.wait(lock, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return std::nullopt;
-    T item = std::move(q_.front().item);
-    q_.pop_front();
-    cv_space_.notify_one();
-    return item;
-  }
-
-  /// Batch-aggregating pop: blocks like pop() for the first item, then
-  /// — when that item carries a tag and @p max_batch > 1 — claims up to
-  /// max_batch-1 more same-tag entries from among the next @p window
-  /// queued entries, preserving their relative order. Never waits for a
-  /// batch to fill: aggregation is purely opportunistic over what is
-  /// already queued, so batching adds no queueing latency, and the scan
-  /// window bounds both the dequeue cost and how far entries can be
-  /// reordered past ones left behind. Returns false (out left empty)
-  /// once closed and drained.
-  bool pop_batch(std::vector<T>& out, std::size_t max_batch,
-                 std::size_t window) {
-    out.clear();
-    std::unique_lock lock(m_);
-    cv_items_.wait(lock, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    const std::int32_t tag = q_.front().tag;
-    out.push_back(std::move(q_.front().item));
-    q_.pop_front();
-    if (tag != kNoTag && max_batch > 1) {
-      std::size_t scanned = 0;
-      for (auto it = q_.begin();
-           it != q_.end() && out.size() < max_batch && scanned < window;
-           ++scanned) {
-        if (it->tag == tag) {
-          out.push_back(std::move(it->item));
-          it = q_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (out.size() > 1)
-      cv_space_.notify_all();
-    else
-      cv_space_.notify_one();
-    return true;
-  }
-
-  /// Instantaneous depth (for the load-adaptive policy; approximate by
-  /// the time the caller acts on it, exact at the moment of the read).
-  std::size_t depth() const {
-    std::lock_guard lock(m_);
-    return q_.size();
-  }
-
-  void close() {
-    std::lock_guard lock(m_);
-    closed_ = true;
-    cv_items_.notify_all();
-    cv_space_.notify_all();
-  }
-
-  std::size_t capacity() const noexcept { return cap_; }
-
- private:
-  struct Slot {
-    T item;
-    std::int32_t tag;
-  };
-
-  mutable std::mutex m_;
-  std::condition_variable cv_items_, cv_space_;
-  std::deque<Slot> q_;
-  std::size_t cap_;
-  bool closed_ = false;
-};
 
 /// Counters a ShardedJobQueue accumulates over its lifetime, snapshotted
 /// into the runtime telemetry.
@@ -254,9 +117,10 @@ class ShardedJobQueue {
   /// Batch-aggregating pop for consumer @p worker: serves the worker's
   /// own shard first; when it is empty, steals a batch from the deepest
   /// sibling shard; when every shard is empty, sleeps until a push or
-  /// close(). Claim semantics per shard match JobQueue::pop_batch (the
-  /// oldest entry plus same-tag entries within a scan window of @p
-  /// window, batch capped at @p max_batch). Returns false (out left
+  /// close(). A claim on one shard takes the oldest entry plus same-tag
+  /// entries within a scan window of @p window, order preserved, batch
+  /// capped at @p max_batch; it never waits for a batch to fill, so
+  /// batching adds no queueing latency. Returns false (out left
   /// empty) once closed *and* drained — pending items in any shard are
   /// still handed out after close(). @p info, when given, reports which
   /// shard served the claim and whether it was a steal.
@@ -379,8 +243,7 @@ class ShardedJobQueue {
   /// Wakes sleeping consumers after an enqueue. Gated on the atomic
   /// sleeper count: in steady state (no one asleep) a push pays one
   /// atomic load here, no lock and no condvar signal — the notify path
-  /// that JobQueue pays per push only runs when someone is actually
-  /// waiting.
+  /// only runs when someone is actually waiting.
   void notify_items() {
     if (sleepers_.load() > 0) {
       std::lock_guard lock(sleep_m_);
@@ -428,8 +291,8 @@ class ShardedJobQueue {
     return false;
   }
 
-  /// JobQueue::pop_batch's claim algorithm on one shard: head entry plus
-  /// same-tag entries within the scan window, order preserved. Claims
+  /// The claim algorithm on one shard: head entry plus same-tag entries
+  /// within the scan window, order preserved. Claims
   /// from the front, so per-tag FIFO holds across claims (and steals) as
   /// long as a tag routes to a single shard — which tag-hashed routing
   /// guarantees.

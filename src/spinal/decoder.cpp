@@ -346,7 +346,10 @@ DecodeResult SpinalDecoder::decode() const {
   return out;
 }
 
-void SpinalDecoder::decode_into(DecodeResult& out) const { decode_with(ws_, out); }
+void SpinalDecoder::decode_into(DecodeResult& out) const {
+  if (!ws_) ws_ = std::make_unique<detail::DecodeWorkspace>();
+  decode_with(*ws_, out);
+}
 
 void SpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
   // ---- Flatten the AoS symbol store into per-spine SoA arrays ----
@@ -562,7 +565,10 @@ DecodeResult BscSpinalDecoder::decode() const {
   return out;
 }
 
-void BscSpinalDecoder::decode_into(DecodeResult& out) const { decode_with(ws_, out); }
+void BscSpinalDecoder::decode_into(DecodeResult& out) const {
+  if (!ws_) ws_ = std::make_unique<detail::DecodeWorkspace>();
+  decode_with(*ws_, out);
+}
 
 void BscSpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
   // ---- Flatten per-spine bits: ordinals SoA + packed received words ----

@@ -13,11 +13,13 @@
 // into per-spine SoA arrays once, then the search expands whole leaf
 // arrays through the fused child-hash + cost kernels of the active
 // SIMD backend (backend/backend.h: scalar, SSE4.2, AVX2 or NEON,
-// captured per decode from backend::active()). All scratch lives in a
-// DecodeWorkspace owned by the decoder, so repeated decode attempts
-// are allocation-free after the first. The output is bit-identical to
-// the retained scalar reference (decode_reference()) under every
-// backend.
+// captured per decode from backend::active()). decode()/decode_into()
+// run in a private DecodeWorkspace the decoder allocates on its first
+// such call (runtime-served decoders, which always decode in a
+// worker-pinned workspace, never pay for one), so repeated decode
+// attempts are allocation-free after the first. The output is
+// bit-identical to the retained scalar reference (decode_reference())
+// under every backend.
 // One decoder instance must not run decode() concurrently from two
 // threads (the workspace is shared); distinct instances are fine.
 
@@ -201,7 +203,8 @@ class SpinalDecoder {
   std::vector<std::vector<std::uint16_t>> qtab_;     // per spine: nsym rows (+1 gather sentinel)
   std::vector<std::vector<std::uint16_t>> qrow_min_;  // per spine: row minima
 
-  mutable detail::DecodeWorkspace ws_;
+  /// decode()/decode_into() scratch, allocated on first use.
+  mutable std::unique_ptr<detail::DecodeWorkspace> ws_;
 
   /// Flattens the AoS symbol store into @p ws's per-spine SoA arrays
   /// and (when the quantized path is eligible) rebuilds the per-level
@@ -263,7 +266,8 @@ class BscSpinalDecoder {
   hash::SpineHash hash_;
   std::vector<std::vector<RxBit>> rx_;
   std::size_t count_ = 0;
-  mutable detail::DecodeWorkspace ws_;
+  /// decode()/decode_into() scratch, allocated on first use.
+  mutable std::unique_ptr<detail::DecodeWorkspace> ws_;
 
   /// Per-spine bit flatten + packed received words (see
   /// SpinalDecoder::flatten_soa).

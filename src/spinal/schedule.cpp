@@ -1,11 +1,37 @@
 #include "spinal/schedule.h"
 
+#include <stdexcept>
+
 namespace spinal {
+
+namespace {
+
+/// strided_order(ways) for every legal puncture_ways, one row per
+/// log2(ways): subpass() reads its residue here instead of rebuilding
+/// the order on every call. test_schedule checks each row against the
+/// generator.
+constexpr int kStridedOrder[4][8] = {
+    {0}, {1, 0}, {3, 1, 2, 0}, {7, 3, 5, 1, 6, 2, 4, 0}};
+
+const int* strided_row(int ways) {
+  switch (ways) {
+    case 1: return kStridedOrder[0];
+    case 2: return kStridedOrder[1];
+    case 4: return kStridedOrder[2];
+    case 8: return kStridedOrder[3];
+    default:
+      throw std::invalid_argument(
+          "PuncturingSchedule: puncture_ways must be 1, 2, 4 or 8");
+  }
+}
+
+}  // namespace
 
 PuncturingSchedule::PuncturingSchedule(const CodeParams& params)
     : spine_len_(params.spine_length()),
       ways_(params.puncture_ways),
-      tail_(params.tail_symbols) {}
+      tail_(params.tail_symbols),
+      order_(strided_row(ways_)) {}
 
 std::vector<int> PuncturingSchedule::strided_order(int ways) {
   // Bit-reversal of (ways-1-j): 8 -> 7,3,5,1,6,2,4,0. Residue ways-1
@@ -31,8 +57,7 @@ std::vector<int> PuncturingSchedule::strided_order(int ways) {
 std::vector<SymbolId> PuncturingSchedule::subpass(int sp) const {
   const int pass = sp / ways_;
   const int sub = sp % ways_;
-  const std::vector<int> order = strided_order(ways_);
-  const int residue = order[sub];
+  const int residue = order_[sub];
 
   std::vector<SymbolId> out;
   out.reserve(static_cast<std::size_t>(spine_len_ / ways_ + 1 + tail_));

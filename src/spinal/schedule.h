@@ -31,6 +31,8 @@ struct SymbolId {
 /// from the shared CodeParams.
 class PuncturingSchedule {
  public:
+  /// Throws std::invalid_argument unless params.puncture_ways is 1, 2,
+  /// 4 or 8.
   explicit PuncturingSchedule(const CodeParams& params);
 
   int subpasses_per_pass() const noexcept { return ways_; }
@@ -45,13 +47,15 @@ class PuncturingSchedule {
   /// transmission order (for tests and the fixed-rate variant).
   std::vector<SymbolId> prefix(int count) const;
 
-  /// Bit-reversed subpass ordering for @p ways (exposed for tests).
+  /// Bit-reversed subpass ordering for @p ways: the generator behind the
+  /// table subpass() reads (exposed for tests).
   static std::vector<int> strided_order(int ways);
 
  private:
   int spine_len_;
   int ways_;
   int tail_;
+  const int* order_;  ///< strided_order(ways_), from the static table
 };
 
 }  // namespace spinal

@@ -2,7 +2,9 @@
 // decode attempt has grown the DecodeWorkspace to its high-water marks,
 // repeated decode_into() calls must not touch the heap at all — under
 // EVERY kernel backend (the SIMD kernels reuse the same caller-sized
-// scratch, so switching backends must not regress workspace reuse).
+// scratch, so switching backends must not regress workspace reuse) —
+// and a decoder allocates its private workspace only on its first
+// decode_into(), never when it only decodes in a caller's workspace.
 //
 // Global operator new/delete are replaced with counting versions in this
 // test binary only; the counter is read around the steady-state loop.
@@ -41,10 +43,14 @@
 
 namespace {
 std::atomic<long> g_allocations{0};
+/// Allocations exactly the size of a decoder's private workspace.
+std::atomic<long> g_workspace_allocations{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size == sizeof(spinal::detail::DecodeWorkspace))
+    g_workspace_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -163,6 +169,62 @@ TEST(DecoderAlloc, BscSteadyStateDecodeIsAllocationFree) {
     });
     EXPECT_EQ(n, 0) << name;
   });
+}
+
+/// Feeds @p dec, decodes in a caller workspace (the runtime's path),
+/// then through decode_into(): only the latter may allocate the
+/// decoder's private workspace, exactly once, and decode_into() is
+/// allocation-free from then on.
+template <class Decoder, class Feed>
+void expect_workspace_allocated_on_first_decode_into(const CodeParams& p,
+                                                     Feed&& feed) {
+  const long ws_before = g_workspace_allocations.load();
+  Decoder dec(p);
+  feed(dec);
+  detail::DecodeWorkspace ws;
+  DecodeResult out;
+  dec.decode_with(ws, out);
+  EXPECT_EQ(g_workspace_allocations.load() - ws_before, 0)
+      << "a decoder that never ran decode_into() allocated its workspace";
+  const util::BitVec pinned = out.message;
+
+  dec.decode_into(out);
+  EXPECT_EQ(g_workspace_allocations.load() - ws_before, 1);
+  EXPECT_EQ(out.message, pinned);
+  const long n = allocations_during([&] {
+    for (int i = 0; i < 10; ++i) dec.decode_into(out);
+  });
+  EXPECT_EQ(n, 0);
+  EXPECT_EQ(g_workspace_allocations.load() - ws_before, 1);
+}
+
+TEST(DecoderAlloc, PrivateWorkspaceIsAllocatedOnFirstDecodeInto) {
+  SPINAL_SKIP_UNDER_ASAN();
+  CodeParams p;
+  p.n = 64;
+  p.B = 16;
+  util::Xoshiro256 prng(45);
+  const SpinalEncoder enc(p, prng.random_bits(p.n));
+  channel::AwgnChannel ch(10.0, 145);
+  const PuncturingSchedule sched(p);
+  expect_workspace_allocated_on_first_decode_into<SpinalDecoder>(
+      p, [&](SpinalDecoder& dec) {
+        for (int sp = 0; sp < 2 * sched.subpasses_per_pass(); ++sp)
+          for (const SymbolId& id : sched.subpass(sp))
+            dec.add_symbol(id, ch.transmit(enc.symbol(id)));
+      });
+
+  CodeParams q = p;
+  q.c = 1;
+  const BscSpinalEncoder bsc_enc(q, prng.random_bits(q.n));
+  channel::BscChannel bsc(0.05, 146);
+  const PuncturingSchedule bsc_sched(q);
+  expect_workspace_allocated_on_first_decode_into<BscSpinalDecoder>(
+      q, [&](BscSpinalDecoder& dec) {
+        for (int sp = 0; sp < 6 * bsc_sched.subpasses_per_pass(); ++sp)
+          for (const SymbolId& id : bsc_sched.subpass(sp))
+            dec.add_bit(id, bsc.transmit(bsc_enc.bit(id)));
+      });
 }
 
 TEST(DecoderAlloc, MoreSymbolsThenDecodeReusesCapacity) {

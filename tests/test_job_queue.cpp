@@ -1,8 +1,8 @@
-// Job-queue tests (src/runtime/job_queue.h): the legacy single-queue
-// JobQueue reference semantics (FIFO, tagged batch aggregation, close
-// drain) and the ShardedJobQueue that DecodeService runs on — tag-affine
-// routing, home-shard self-reposts, batch stealing from the deepest
-// sibling, per-tag FIFO across steals, the closed-queue drain of
+// Job-queue tests (src/runtime/job_queue.h): the ShardedJobQueue that
+// DecodeService runs on — with one shard, the single-queue reference
+// semantics (FIFO, tagged batch aggregation, close drain); with several,
+// tag-affine routing, home-shard self-reposts, batch stealing from the
+// deepest sibling, per-tag FIFO across steals, the closed-queue drain of
 // non-empty shards (the PR 8 job-loss regression re-stated under
 // sharding), and a seeded randomized producer/consumer/steal stress.
 // This suite runs under the ThreadSanitizer CI lane.
@@ -23,25 +23,32 @@
 namespace spinal::runtime {
 namespace {
 
-// ---------------------------------------- legacy single-queue JobQueue
+// -------------------------------- one shard: the single-queue baseline
+// With one shard the queue is a plain bounded FIFO with windowed batch
+// claims — the deterministic mode's ordered drain is stated against
+// exactly these semantics.
 
-TEST(JobQueue, FifoTryPushAndClose) {
-  JobQueue<int> q(2);
+TEST(ShardedJobQueue, SingleShardFifoTryPushAndClose) {
+  ShardedJobQueue<int> q(2, 1);
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
   EXPECT_FALSE(q.try_push(3));  // full: the backpressure probe refuses
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.pop(), 1);
+  std::vector<int> batch;
+  EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));
+  EXPECT_EQ(batch, (std::vector<int>{1}));
   EXPECT_TRUE(q.push(3));
   q.close();
-  EXPECT_FALSE(q.push(4));      // closed
-  EXPECT_EQ(q.pop(), 2);        // drains pending items after close
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), std::nullopt);
+  EXPECT_FALSE(q.push(4));  // closed
+  EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));  // drains pending items after close
+  EXPECT_EQ(batch, (std::vector<int>{2}));
+  EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));
+  EXPECT_EQ(batch, (std::vector<int>{3}));
+  EXPECT_FALSE(q.pop_batch(0, batch, 1, 0));
 }
 
-TEST(JobQueue, PopBatchAggregatesSameTagOnly) {
-  JobQueue<int> q(16);
+TEST(ShardedJobQueue, SingleShardAggregatesSameTagOnly) {
+  ShardedJobQueue<int> q(16, 1);
   EXPECT_TRUE(q.try_push(1, 7));
   EXPECT_TRUE(q.try_push(2, 9));
   EXPECT_TRUE(q.try_push(3, 7));
@@ -49,64 +56,48 @@ TEST(JobQueue, PopBatchAggregatesSameTagOnly) {
   std::vector<int> batch;
   // Claims the head plus the same-tag entries behind it; the other tag
   // keeps its place at the new head.
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{1, 3, 4}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{2}));
-
-  // Untagged entries never aggregate, even with untagged neighbours.
-  EXPECT_TRUE(q.try_push(5));
-  EXPECT_TRUE(q.try_push(6));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{5}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{6}));
-}
-
-TEST(JobQueue, PopBatchHonorsMaxBatchAndWindow) {
-  JobQueue<int> q(16);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.try_push(10 + i, 3));
-  std::vector<int> batch;
-  EXPECT_TRUE(q.pop_batch(batch, 3, 16));  // max_batch bounds the claim
-  EXPECT_EQ(batch, (std::vector<int>{10, 11, 12}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 1));   // window bounds the scan
-  EXPECT_EQ(batch, (std::vector<int>{13, 14}));
-  EXPECT_TRUE(q.pop_batch(batch, 8, 16));
-  EXPECT_EQ(batch, (std::vector<int>{15}));
-  EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(JobQueue, PopBatchDrainsAfterClose) {
-  JobQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1, 2));
-  EXPECT_TRUE(q.try_push(2, 2));
-  q.close();
-  EXPECT_FALSE(q.try_push(3, 2));
-  std::vector<int> batch;
-  EXPECT_TRUE(q.pop_batch(batch, 4, 8));
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-  EXPECT_FALSE(q.pop_batch(batch, 4, 8));
-  EXPECT_TRUE(batch.empty());
-}
-
-// ----------------------------------------------------- ShardedJobQueue
-
-TEST(ShardedJobQueue, SingleShardMatchesJobQueueSemantics) {
-  // With one shard the sharded queue must degenerate to exactly the
-  // single-queue claim semantics — the deterministic mode's ordered
-  // drain is stated against this.
-  ShardedJobQueue<int> q(16, 1);
-  EXPECT_TRUE(q.try_push(1, 7));
-  EXPECT_TRUE(q.try_push(2, 9));
-  EXPECT_TRUE(q.try_push(3, 7));
-  EXPECT_TRUE(q.try_push(4, 7));
-  std::vector<int> batch;
   EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
   EXPECT_EQ(batch, (std::vector<int>{1, 3, 4}));
   EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
   EXPECT_EQ(batch, (std::vector<int>{2}));
   EXPECT_EQ(q.stats().steals, 0u);  // one shard: nothing to steal from
+
+  // Untagged entries never aggregate, even with untagged neighbours.
+  EXPECT_TRUE(q.try_push(5));
+  EXPECT_TRUE(q.try_push(6));
+  EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
+  EXPECT_EQ(batch, (std::vector<int>{5}));
+  EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
+  EXPECT_EQ(batch, (std::vector<int>{6}));
 }
+
+TEST(ShardedJobQueue, SingleShardHonorsMaxBatchAndWindow) {
+  ShardedJobQueue<int> q(16, 1);
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.try_push(10 + i, 3));
+  std::vector<int> batch;
+  EXPECT_TRUE(q.pop_batch(0, batch, 3, 16));  // max_batch bounds the claim
+  EXPECT_EQ(batch, (std::vector<int>{10, 11, 12}));
+  EXPECT_TRUE(q.pop_batch(0, batch, 8, 1));   // window bounds the scan
+  EXPECT_EQ(batch, (std::vector<int>{13, 14}));
+  EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
+  EXPECT_EQ(batch, (std::vector<int>{15}));
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(ShardedJobQueue, SingleShardDrainsAfterClose) {
+  ShardedJobQueue<int> q(8, 1);
+  EXPECT_TRUE(q.try_push(1, 2));
+  EXPECT_TRUE(q.try_push(2, 2));
+  q.close();
+  EXPECT_FALSE(q.try_push(3, 2));
+  std::vector<int> batch;
+  EXPECT_TRUE(q.pop_batch(0, batch, 4, 8));
+  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(q.pop_batch(0, batch, 4, 8));
+  EXPECT_TRUE(batch.empty());
+}
+
+// ------------------------------------------------------- several shards
 
 TEST(ShardedJobQueue, TagRoutingColocatesSameTag) {
   ShardedJobQueue<int> q(64, 4);

@@ -3,13 +3,17 @@
 // counts — over heterogeneous spinal CodeParams and channels AND over
 // the non-spinal codec families (Strider, Raptor, LDPC, Turbo) —
 // adaptive-effort correctness under load, admission-control
-// backpressure, telemetry consistency (including the unpinned-decode
-// counter), and the link-symbol SessionMux. These suites (plus
+// backpressure, slot recycling (session memory bounded by the admission
+// cap across many drain rounds), telemetry consistency (including the
+// unpinned-decode counter), and the link-symbol SessionMux. These suites (plus
 // test_experiment) also run under the ThreadSanitizer CI lane.
 
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -263,7 +267,7 @@ TEST(Runtime, AdaptiveModeBatchedFleetStillDecodes) {
 // --------------------------------------------- error-path regressions
 
 TEST(Runtime, ClosedQueueFailsSessionsInsteadOfLosingThem) {
-  // Regression: push_session_job used to ignore JobQueue::push's false
+  // Regression: the admission push used to ignore the queue's false
   // return, so a queue closed with a session mid-flight lost the
   // session silently and drain() deadlocked on completed_.
   DecodeService service(det_opts(1));
@@ -307,7 +311,7 @@ class ThrowingSession final : public sim::RatelessSession {
 
 TEST(Runtime, ThrowingDecodeMarksReportFailedAndSurfacesError) {
   // Regression: the step's catch block used to re-derive the report from
-  // the torn MessageRun (finish_session re-reads result() mid-step); the
+  // the torn MessageRun (the finish path re-read result() mid-step); the
   // report must be marked failed explicitly and the error must reach
   // drain().
   DecodeService service(det_opts(1));
@@ -796,7 +800,16 @@ TEST(Runtime, PinWorkersIsBestEffortAndCounted) {
   DecodeService service(opt);
   service.submit(make_spec(0));
   service.drain();
-  const int pinned = service.telemetry().workers_pinned;
+  // Each worker pins itself as its thread starts, so one worker can
+  // serve the whole drain before its sibling has pinned: poll the count
+  // up to a deadline instead of reading it once.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int pinned = service.telemetry().workers_pinned;
+  while (affinity_supported() && pinned < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    pinned = service.telemetry().workers_pinned;
+  }
   if (affinity_supported())
     EXPECT_EQ(pinned, 2);
   else
@@ -806,6 +819,80 @@ TEST(Runtime, PinWorkersIsBestEffortAndCounted) {
   unpinned.submit(make_spec(0));
   unpinned.drain();
   EXPECT_EQ(unpinned.telemetry().workers_pinned, 0);
+}
+
+// ------------------------------------------------ bounded session memory
+
+/// Session objects currently alive, counted by CountedBscSession.
+std::atomic<int> g_live_sessions{0};
+
+class CountedBscSession final : public sim::BscSession {
+ public:
+  explicit CountedBscSession(const CodeParams& p) : BscSession(p) {
+    g_live_sessions.fetch_add(1);
+  }
+  ~CountedBscSession() override { g_live_sessions.fetch_sub(1); }
+};
+
+/// A tiny BSC session (n = 4 or 8, B = 2) over 32 batch keys: decode is
+/// nearly free, so a long run of them exercises admission, slot reuse
+/// and the report log rather than the decoder.
+SessionSpec tiny_bsc_spec(int i) {
+  CodeParams p;
+  p.n = 4 + 4 * ((i / 16) % 2);
+  p.c = 1;
+  p.B = 2;
+  p.max_passes = 32 + i % 16;
+  util::Xoshiro256 prng(0x7151E000u + static_cast<std::uint64_t>(i));
+  SessionSpec spec;
+  spec.make_session = [p] { return std::make_unique<CountedBscSession>(p); };
+  spec.channel.kind = sim::ChannelKind::kBsc;
+  spec.channel.crossover = 0.02;
+  spec.channel.seed = 0x7151F000u + static_cast<std::uint64_t>(i);
+  spec.message = prng.random_bits(p.n);
+  return spec;
+}
+
+TEST(Runtime, SlotsRecycleAcrossRoundsAndReportsStayOrdered) {
+  // Many more sessions than max_in_flight, served in repeated
+  // submit/drain rounds: the slot table must stay within the admission
+  // cap (memory O(in flight), not O(submitted)), every session object
+  // must be gone by the time drain() returns, and drain() must still
+  // return every report since construction, in id order, bit-identical
+  // to the sequential loop.
+  constexpr int kRounds = 200;
+  constexpr int kSessions = 500;
+  constexpr int kCap = 64;
+  std::vector<SessionSpec> specs;
+  std::vector<SessionReport> reference;
+  for (int i = 0; i < kSessions; ++i) {
+    specs.push_back(tiny_bsc_spec(i));
+    reference.push_back(run_sequential(specs.back()));
+  }
+  ASSERT_EQ(g_live_sessions.load(), 0);
+
+  RuntimeOptions opt = det_opts(2);
+  opt.max_in_flight = kCap;
+  DecodeService service(opt);
+  for (int round = 0; round < kRounds; ++round) {
+    for (const SessionSpec& spec : specs) service.submit(spec);
+    EXPECT_LE(DecodeServiceTestHook::slot_capacity(service),
+              static_cast<std::size_t>(kCap));
+    const std::vector<SessionReport> got = service.drain();
+    ASSERT_EQ(g_live_sessions.load(), 0) << "round " << round;
+    ASSERT_EQ(got.size(), static_cast<std::size_t>((round + 1) * kSessions));
+    std::size_t mismatches = 0;
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      const SessionReport& a = reference[j % kSessions];
+      const SessionReport& b = got[j];
+      mismatches += a.run.success != b.run.success || a.run.symbols != b.run.symbols ||
+                    a.run.chunks != b.run.chunks || a.run.attempts != b.run.attempts ||
+                    a.message_bits != b.message_bits;
+    }
+    ASSERT_EQ(mismatches, 0u) << "round " << round;
+  }
+  EXPECT_GT(DecodeServiceTestHook::slot_capacity(service), 0u);
+  EXPECT_LE(service.peak_in_flight(), kCap);
 }
 
 // --------------------------------------------------------- SessionMux

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 namespace spinal {
 namespace {
@@ -25,6 +26,20 @@ TEST(Schedule, StridedOrderIsReversedBitReversal) {
   EXPECT_EQ(PuncturingSchedule::strided_order(4), (std::vector<int>{3, 1, 2, 0}));
   EXPECT_EQ(PuncturingSchedule::strided_order(8),
             (std::vector<int>{7, 3, 5, 1, 6, 2, 4, 0}));
+}
+
+TEST(Schedule, SubpassResiduesFollowStridedOrder) {
+  // subpass() reads residues from a precomputed table; it must agree
+  // with the generator for every legal puncture_ways, in every pass.
+  for (int ways : {1, 2, 4, 8}) {
+    const std::vector<int> order = PuncturingSchedule::strided_order(ways);
+    const PuncturingSchedule s(params_with(256, 4, ways, 0));
+    for (int sp = 0; sp < 2 * ways; ++sp)
+      EXPECT_EQ(s.subpass(sp).front().spine_index,
+                order[static_cast<std::size_t>(sp % ways)])
+          << "ways=" << ways << " sp=" << sp;
+  }
+  EXPECT_THROW(PuncturingSchedule(params_with(64, 4, 3, 0)), std::invalid_argument);
 }
 
 TEST(Schedule, LastSpineValueObservedInFirstSubpass) {
