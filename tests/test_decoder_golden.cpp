@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -349,6 +351,115 @@ TEST_P(QuantGolden, QuantizedDecodeBitIdenticalAcrossBackends) {
     const DecodeResult got = decode_on(b->name);
     EXPECT_EQ(got.message, want.message) << b->name << " d=" << d;
     EXPECT_EQ(got.path_cost, want.path_cost) << b->name << " d=" << d;  // exact bits
+  }
+}
+
+// ---- Pinned quantized decisions. QuantGolden only compares backends
+// with each other, so a change that moved every backend's u16/u8
+// decode the same way would pass it. These constants were recorded
+// from the quantized pipeline and pin its absolute output: an FNV-1a
+// digest of the decoded message bytes and the exact bits of the
+// rescaled path cost, on every available backend.
+
+struct QuantPin {
+  CostPrecision prec;
+  int d;
+  hash::Kind kind;
+  std::uint64_t seed;
+  std::uint64_t message_digest;
+  std::uint64_t cost_bits;
+};
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+constexpr hash::Kind kOaat = hash::Kind::kOneAtATime;
+constexpr hash::Kind kL3 = hash::Kind::kLookup3;
+constexpr hash::Kind kSalsa = hash::Kind::kSalsa20;
+constexpr CostPrecision kU16 = CostPrecision::kU16;
+constexpr CostPrecision kU8 = CostPrecision::kU8;
+
+const QuantPin kQuantPins[] = {
+    {kU16, 1, kOaat, 51, 0xe3c534a58eac5697ull, 0x402c600000000000ull},
+    {kU16, 1, kOaat, 52, 0x47b1da8322f2dc5full, 0x402ee00000000000ull},
+    {kU16, 1, kL3, 51, 0xfd296c1d72d83ed1ull, 0x402c600000000000ull},
+    {kU16, 1, kL3, 52, 0x2630bdf2e55ebfa3ull, 0x402fa00000000000ull},
+    {kU16, 1, kSalsa, 51, 0x7eac69c18d8f82b9ull, 0x4035100000000000ull},
+    {kU16, 1, kSalsa, 52, 0x48435c83236df462ull, 0x4028a00000000000ull},
+    {kU16, 2, kOaat, 51, 0xe3c534a58eac5697ull, 0x402c600000000000ull},
+    {kU16, 2, kOaat, 52, 0x48435c83236df462ull, 0x4028a00000000000ull},
+    {kU16, 2, kL3, 51, 0xb16429857acf387bull, 0x402ae00000000000ull},
+    {kU16, 2, kL3, 52, 0x48435c83236df462ull, 0x4028a00000000000ull},
+    {kU16, 2, kSalsa, 51, 0x3e245e97dd026683ull, 0x4031000000000000ull},
+    {kU16, 2, kSalsa, 52, 0x48435c83236df462ull, 0x4028a00000000000ull},
+    {kU16, 3, kOaat, 51, 0xe3c534a58eac5697ull, 0x402c600000000000ull},
+    {kU16, 3, kOaat, 52, 0x48435c83236df462ull, 0x4028a00000000000ull},
+    {kU16, 3, kL3, 51, 0xf6034ea81a25725eull, 0x402ae00000000000ull},
+    {kU16, 3, kL3, 52, 0x48435c83236df462ull, 0x4028a00000000000ull},
+    {kU16, 3, kSalsa, 51, 0x3e245e97dd026683ull, 0x4031000000000000ull},
+    {kU16, 3, kSalsa, 52, 0x48435c83236df462ull, 0x4028a00000000000ull},
+    {kU8, 1, kOaat, 51, 0xe3c521a58eac364eull, 0x402bc00000000000ull},
+    {kU8, 1, kOaat, 52, 0x47b1da8322f2dc5full, 0x402f000000000000ull},
+    {kU8, 1, kL3, 51, 0xf6034ea81a25725eull, 0x402a000000000000ull},
+    {kU8, 1, kL3, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+    {kU8, 1, kSalsa, 51, 0x7e75cfc18d60ed9bull, 0x4034e00000000000ull},
+    {kU8, 1, kSalsa, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+    {kU8, 2, kOaat, 51, 0xe3c521a58eac364eull, 0x402bc00000000000ull},
+    {kU8, 2, kOaat, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+    {kU8, 2, kL3, 51, 0xb16429857acf387bull, 0x402ac00000000000ull},
+    {kU8, 2, kL3, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+    {kU8, 2, kSalsa, 51, 0x3e245e97dd026683ull, 0x4030800000000000ull},
+    {kU8, 2, kSalsa, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+    {kU8, 3, kOaat, 51, 0xe3c521a58eac364eull, 0x402bc00000000000ull},
+    {kU8, 3, kOaat, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+    {kU8, 3, kL3, 51, 0xf6034ea81a25725eull, 0x402a000000000000ull},
+    {kU8, 3, kL3, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+    {kU8, 3, kSalsa, 51, 0x3e245e97dd026683ull, 0x4030800000000000ull},
+    {kU8, 3, kSalsa, 52, 0x48435c83236df462ull, 0x4028c00000000000ull},
+};
+
+class QuantPinned : public ::testing::TestWithParam<QuantPin> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    PrecisionsDepthsKindsSeeds, QuantPinned, ::testing::ValuesIn(kQuantPins),
+    [](const auto& info) {
+      std::string kind = hash::kind_name(info.param.kind);
+      std::erase(kind, '-');
+      return std::string(info.param.prec == kU16 ? "u16" : "u8") + "_d" +
+             std::to_string(info.param.d) + "_" + kind + "_s" +
+             std::to_string(info.param.seed);
+    });
+
+TEST_P(QuantPinned, DecodeMatchesRecordedConstants) {
+  const QuantPin& pin = GetParam();
+  if (resolve_cost_precision(pin.prec) != pin.prec)
+    GTEST_SKIP() << "SPINAL_COST_PRECISION override replaces the pinned precision";
+  CodeParams p = base_params(pin.kind);
+  p.d = pin.d;
+  p.cost_precision = pin.prec;
+  util::Xoshiro256 prng(pin.seed);
+  const SpinalEncoder enc(p, prng.random_bits(p.n));
+  channel::AwgnChannel ch(5.0, pin.seed + 100);  // capacity just above the 2-pass rate
+  const PuncturingSchedule sched(p);
+  std::vector<std::pair<SymbolId, std::complex<float>>> rx;
+  for (int sp = 0; sp < 2 * sched.subpasses_per_pass(); ++sp)
+    for (const SymbolId& id : sched.subpass(sp))
+      rx.emplace_back(id, ch.transmit(enc.symbol(id)));
+
+  for (const backend::Backend* b : backend::available()) {
+    const ScopedBackend scoped(b->name);
+    SpinalDecoder dec(p);
+    for (const auto& [id, y] : rx) dec.add_symbol(id, y);
+    ASSERT_EQ(dec.active_precision(), pin.prec) << b->name;
+    const DecodeResult r = dec.decode();
+    EXPECT_EQ(fnv1a(r.message.to_bytes()), pin.message_digest)
+        << b->name << std::hex << " digest 0x" << fnv1a(r.message.to_bytes());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.path_cost), pin.cost_bits)
+        << b->name << std::hex << " cost bits 0x"
+        << std::bit_cast<std::uint64_t>(r.path_cost);
   }
 }
 
