@@ -1,8 +1,8 @@
 // Backend registry: runtime CPU-feature detection, the SPINAL_BACKEND
-// environment override, and the shared packed-key selection kernels.
-// This TU is always compiled with baseline flags — the shared kernels
-// defined here are the copies every backend's table points at, so they
-// must run on any CPU the binary reaches.
+// environment override, and the packed-key selection kernels.
+// This TU is always compiled with baseline flags — the selection
+// kernels defined here serve every backend, so they must run on any
+// CPU the binary reaches.
 
 #include "backend/backends_impl.h"
 
@@ -11,8 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-
-#include "backend/scalar_kernels.h"
 
 #if defined(SPINAL_BACKEND_HAVE_NEON) && defined(__linux__)
 #include <sys/auxv.h>
@@ -23,8 +21,9 @@
 
 namespace spinal::backend {
 
-void shared_build_keys(const float* costs, std::size_t count, std::uint64_t* keys) {
-  scalar::build_keys(costs, count, keys);
+void build_keys(const float* costs, std::size_t count, std::uint64_t* keys) {
+  for (std::size_t i = 0; i < count; ++i)
+    keys[i] = F32Lane::key(costs[i], static_cast<std::uint32_t>(i));
 }
 
 namespace {
@@ -143,7 +142,7 @@ inline void sort_keys_prefix_u32(std::uint32_t* keys, std::size_t n) {
 
 }  // namespace
 
-void shared_partition_keys(std::uint64_t* keys, std::size_t count, std::size_t keep) {
+void partition_keys(std::uint64_t* keys, std::size_t count, std::size_t keep) {
   if (keep == 0 || keep >= count) return;
   // Radix select: peel the key bytes from the top, keeping a single
   // ambiguous block [lo, hi) that straddles the keep boundary. Each
@@ -156,7 +155,7 @@ void shared_partition_keys(std::uint64_t* keys, std::size_t count, std::size_t k
   // scan, immune to input order. Keys are unique (candidate index in
   // the low bits), so the kept *set* is exactly nth_element's, and the
   // final prefix sort fixes the kept *order* — bit-identical selection,
-  // per the Backend::select_keys contract.
+  // per the select_keys contract.
   std::size_t lo = 0, hi = count;  // ambiguous block
   std::size_t need = keep;         // how many of [lo, hi) are kept
   while (need > 0 && need < hi - lo) {
@@ -225,13 +224,13 @@ void shared_partition_keys(std::uint64_t* keys, std::size_t count, std::size_t k
   }
 }
 
-void shared_select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep) {
+void select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep) {
   if (keep == 0 || keep >= count) return;
-  shared_partition_keys(keys, count, keep);
+  partition_keys(keys, count, keep);
   sort_keys_prefix(keys, keep);
 }
 
-void shared_partition_keys_u32(std::uint32_t* keys, std::size_t count, std::size_t keep) {
+void partition_keys(std::uint32_t* keys, std::size_t count, std::size_t keep) {
   if (keep == 0 || keep >= count) return;
   // Radix select over the quantized path's 4-byte keys. Keys are
   // unique ((cost << 16) | candidate with distinct candidate indices),
@@ -335,12 +334,12 @@ void shared_partition_keys_u32(std::uint32_t* keys, std::size_t count, std::size
   }
 }
 
-void shared_select_keys_u32(std::uint32_t* keys, std::size_t count, std::size_t keep) {
+void select_keys(std::uint32_t* keys, std::size_t count, std::size_t keep) {
   if (keep == 0) return;
   // keep >= count degenerates to a full ascending sort — the quantized
   // finalize leans on this instead of std::sort (the radix passes beat
   // introsort's mispredicts on a few hundred clustered keys).
-  if (keep < count) shared_partition_keys_u32(keys, count, keep);
+  if (keep < count) partition_keys(keys, count, keep);
   sort_keys_prefix_u32(keys, std::min(keep, count));
 }
 

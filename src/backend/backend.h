@@ -17,6 +17,10 @@
 // suite (test_decoder_golden) therefore acts as the conformance oracle
 // for all of them, and test_backend checks the kernels pairwise.
 //
+// The search's prune/regroup kernels exist once per *cost lane*
+// (F32Lane, U16Lane below): each is one template over the lane traits,
+// instantiated per lane into the table's f32 and u16 slots.
+//
 // Selection: the best available backend is chosen at first use via
 // CPUID (x86) / hwcaps (ARM). The SPINAL_BACKEND environment variable
 // overrides it by name; an unknown name warns on stderr and falls back
@@ -27,7 +31,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <string_view>
 #include <vector>
 
@@ -133,7 +139,7 @@ struct AwgnLevelQ {
 
 /// Packs a quantized cost (<= 65535) and candidate index (< 65536 —
 /// the quantized path requires B*2^k <= 65536) into the u32 selection
-/// key the *_u16 kernels and partition/select_keys_u32 operate on.
+/// key of U16Lane (and of the u32 partition_keys/select_keys).
 /// Integer costs are their own monotone key, so unlike the f32 path
 /// there is no bit trick to undo: cost = key >> 16, cand = key & 0xFFFF.
 inline std::uint32_t quant_key(std::uint32_t cost, std::uint32_t cand) noexcept {
@@ -160,6 +166,137 @@ struct BscLevel {
   std::uint32_t* rng_scratch;
   std::uint32_t* premix_scratch;  ///< shared pre-mix, or nullptr
   std::uint64_t* acc_scratch;     ///< packed coded-bit accumulator
+};
+
+// --- Cost lanes -------------------------------------------------------
+// The bubble search (spinal/beam_search.h) and its prune/regroup
+// kernels are one pipeline, instantiated once per path-metric width.
+// A lane traits type carries every difference as a compile-time fact:
+// the cost and key words, the key pack/unpack, plain vs saturating
+// add, per-level renormalization, the bound-refinement cadence, the
+// per-level cost floor and the final-select sort policy.
+
+/// The f32 path metric (the golden reference): float costs and u64
+/// keys monotone_key(cost) << 32 | candidate.
+struct F32Lane {
+  using cost_t = float;
+  using key_t = std::uint64_t;
+  static constexpr key_t kKeepAll = ~key_t{0};  ///< bound that prunes nothing
+  static constexpr cost_t kWorst = std::numeric_limits<float>::infinity();
+  /// Refine the bound once the survivor buffer holds kRefine * keep
+  /// keys: rare enough to amortize the partition, frequent enough to
+  /// keep the bound tracking the keep-th best.
+  static constexpr int kRefine = 2;
+  static constexpr bool kRenormalize = false;
+  static constexpr bool kLevelFloor = false;
+  /// Final select: plain std::sort when every survivor is kept.
+  static constexpr bool kSortSmallSide = true;
+
+  static cost_t add(cost_t a, cost_t b) noexcept { return a + b; }
+  static key_t key(cost_t cost, std::uint32_t cand) noexcept {
+    return (static_cast<key_t>(monotone_key(cost)) << 32) | cand;
+  }
+  /// The monotone key is a bijection, so the cost comes back bit-for-bit.
+  static cost_t cost_of(key_t key) noexcept {
+    return inverse_monotone_key(static_cast<std::uint32_t>(key >> 32));
+  }
+  static std::uint32_t cand_of(key_t key) noexcept {
+    return static_cast<std::uint32_t>(key);
+  }
+};
+
+/// The quantized path metric (u16/u8 grid, spinal/cost_model.h): u16
+/// saturating costs and u32 quant_key(cost, candidate) keys. Costs are
+/// min(sum, 65535) everywhere and the kernels are pure integer, so
+/// results are bit-identical across backends by construction.
+struct U16Lane {
+  using cost_t = std::uint16_t;
+  using key_t = std::uint32_t;
+  static constexpr key_t kKeepAll = ~key_t{0};
+  static constexpr cost_t kWorst = 0xFFFF;
+  /// Laxer than F32Lane: each refinement re-scans the kept prefix, and
+  /// next to the cheap integer expand that re-scan costs more than the
+  /// slightly looser bound gives back. Bound timing only moves work,
+  /// never the kept set.
+  static constexpr int kRefine = 3;
+  /// Subtract each level's minimum kept cost from every survivor, so
+  /// the u16 lanes carry a level's spread rather than the path sum.
+  static constexpr bool kRenormalize = true;
+  /// Every child of a leaf costs at least leaf + the level's summed
+  /// per-symbol row minima, so sorted leaves cut off before hashing.
+  static constexpr bool kLevelFloor = true;
+  /// Final select: the u32 radix select with keep == count is itself a
+  /// full sort, and beats introsort on clustered integer keys.
+  static constexpr bool kSortSmallSide = false;
+
+  static std::uint32_t add(std::uint32_t a, std::uint32_t b) noexcept {
+    return quant_sat_add(a, b);
+  }
+  static key_t key(std::uint32_t cost, std::uint32_t cand) noexcept {
+    return quant_key(cost, cand);
+  }
+  static cost_t cost_of(key_t key) noexcept { return static_cast<cost_t>(key >> 16); }
+  static std::uint32_t cand_of(key_t key) noexcept { return key & 0xFFFFu; }
+};
+
+/// One backend's streaming prune and regroup kernels for cost lane
+/// @p Lane. The cost arithmetic is Lane::add (float add, or u16
+/// saturating add), so each entry is the same contract in both lanes.
+template <class Lane>
+struct LaneKernels {
+  using cost_t = typename Lane::cost_t;
+  using key_t = typename Lane::key_t;
+
+  /// Streaming fused d=1 finalize+prune over one child-major expansion
+  /// block. For every candidate c = i*fanout + v of the block,
+  ///   cost = Lane::add(parent_cost[i], child_cost[c])
+  /// and the candidate is *discarded* — never written anywhere — when
+  /// its full packed key exceeds bound_key, the running B-th-best
+  /// *key* (cost word and candidate-index tie-break together) the
+  /// search maintains — so even exact cost ties past the bound prune,
+  /// which is where integer metrics put most of their candidates.
+  /// Survivors append in candidate order:
+  ///   out_keys[j] = Lane::key(cost, cand_base + c)
+  /// so the survivor set is a filtered subset of the full key array and
+  /// every downstream selection/tie-break is unchanged. Returns the
+  /// number appended. Whole rows short-circuit on the parent cost
+  /// (children cost at least the parent). Preconditions: child costs
+  /// >= 0 (channel metrics are non-negative; pruning leans on cost
+  /// monotonicity along paths) and no cost is -0.0f. Pass
+  /// Lane::kKeepAll to keep everything. out_keys needs 7 slots of slack
+  /// past the worst-case append count: SIMD backends compress-store
+  /// whole vectors.
+  std::size_t (*d1_prune)(const cost_t* parent_cost, const cost_t* child_cost,
+                          std::size_t count, std::uint32_t fanout,
+                          std::uint32_t cand_base, key_t bound_key, key_t* out_keys);
+
+  /// d>1 regroup, phase 1: per-leaf row minima folded with the parent
+  /// cost, out[i] = Lane::add(leaf_cost[i], min_v child_cost[i*fanout + v]).
+  /// Exact: min is order-free and both adds are monotone, so the value
+  /// matches the running min over finalized child costs bit-for-bit.
+  void (*row_mins)(const cost_t* leaf_cost, const cost_t* child_cost,
+                   std::size_t leaves, std::uint32_t fanout, cost_t* out);
+
+  /// d>1 regroup, phase 2: copies the *surviving* groups' child rows of
+  /// one entry into the survivor arena — the vectorized replacement for
+  /// the old scalar regroup scatter. Every child of leaf i belongs to
+  /// group g = leaf_path[i] & group_mask (the chunk value at path slot
+  /// 0), so rows move whole: for each leaf in order, when
+  /// group_rowbase[g] >= 0 the row lands at the group's next free arena
+  /// rows as
+  ///   out_state[dst + v] = child_state[i*fanout + v]
+  ///   out_cost[dst + v]  = Lane::add(leaf_cost[i], child_cost[i*fanout + v])
+  ///   out_path[dst + v]  = (leaf_path[i] >> k) | v << (k*(d-2))
+  /// reproducing the scalar fill order (leaf-major, children
+  /// contiguous) exactly. group_rowbase[g] is the arena element offset
+  /// of group g's candidate record, or -1 when the group was pruned
+  /// (nothing of it is written at all).
+  void (*regroup_emit)(const std::uint32_t* child_state, const cost_t* child_cost,
+                       const cost_t* leaf_cost, const std::uint32_t* leaf_path,
+                       std::size_t leaves, std::uint32_t fanout, int k, int d,
+                       std::uint32_t group_mask, const std::int32_t* group_rowbase,
+                       std::uint32_t* out_state, cost_t* out_cost,
+                       std::uint32_t* out_path);
 };
 
 /// The kernel table: one entry per hot-path primitive. All function
@@ -211,96 +348,20 @@ struct Backend {
   /// leave the pipeline: the survivor lanes compress and the remaining
   /// nsym-1 hash+metric sweeps run over the compressed set only —
   /// losing children never get their costs finished, let alone written
-  /// back. Appends survivor keys exactly as d1_prune does (same packed
+  /// back. Appends survivor keys exactly as f32.d1_prune does (same packed
   /// contract, same slack requirement) and returns the count; all
   /// child states still land in out_states (the writeback reads kept
   /// states by candidate index). level.acc_scratch, level.idx_scratch,
   /// level.rng_scratch and level.premix_scratch must all be non-null
   /// and sized count*fanout. Bit-identity: each surviving child's
   /// metric accumulates in the same per-lane order as awgn_expand_all,
-  /// so results equal awgn_expand_all + d1_prune exactly
+  /// so results equal awgn_expand_all + f32.d1_prune exactly
   /// (test_backend pins this).
   std::size_t (*awgn_expand_prune)(const AwgnLevel& level, const std::uint32_t* states,
                                    const float* parent_cost, std::size_t count,
                                    std::uint32_t fanout, std::uint32_t cand_base,
                                    std::uint64_t bound_key, std::uint32_t* out_states,
                                    std::uint64_t* out_keys);
-
-  /// keys[i] = monotone_key(costs[i]) << 32 | i — the packed B-of-N
-  /// selection keys.
-  void (*build_keys)(const float* costs, std::size_t count, std::uint64_t* keys);
-
-  /// Streaming fused d=1 finalize+prune over one child-major expansion
-  /// block (the streaming pipeline that retired the old
-  /// materialize-then-select d1_keys contract). For every candidate
-  /// c = i*fanout + v of the block,
-  ///   cost = parent_cost[i] + child_cost[c]   (the exact scalar shape)
-  /// and the candidate is *discarded* — never written anywhere — when
-  /// its full packed key exceeds bound_key, the running B-th-best
-  /// *key* (cost word and candidate-index tie-break together) the
-  /// search maintains — so even exact cost ties past the bound prune,
-  /// which is where integer (Hamming) metrics put most of their
-  /// candidates. Survivors append in candidate order, exactly the
-  /// packed keys the old full build produced:
-  ///   out_keys[j] = monotone_key(cost) << 32 | (cand_base + c)
-  /// so the survivor set is a filtered subset of the historical key
-  /// array and every downstream selection/tie-break is unchanged.
-  /// Returns the number appended. Whole rows short-circuit on the
-  /// parent cost (children cost at least the parent). Preconditions:
-  /// child_cost >= 0 (channel metrics are non-negative; pruning leans
-  /// on cost monotonicity along paths) and no cost is -0.0f. Pass
-  /// bound_key = ~0ull to keep everything. out_keys needs 7 slots of
-  /// slack past the worst-case append count: SIMD backends
-  /// compress-store whole vectors.
-  std::size_t (*d1_prune)(const float* parent_cost, const float* child_cost,
-                          std::size_t count, std::uint32_t fanout,
-                          std::uint32_t cand_base, std::uint64_t bound_key,
-                          std::uint64_t* out_keys);
-
-  /// d>1 regroup, phase 1: per-leaf row minima folded with the parent
-  /// cost, out[i] = leaf_cost[i] + min_v child_cost[i*fanout + v].
-  /// Exact: float min is order-free and x + min(row) equals
-  /// min_v (x + row[v]) bit-for-bit (addition is monotone), so the
-  /// value matches the scalar running-min over finalized child costs.
-  /// Preconditions as for d1_prune (no -0.0f, finite costs).
-  void (*row_mins)(const float* leaf_cost, const float* child_cost, std::size_t leaves,
-                   std::uint32_t fanout, float* out);
-
-  /// d>1 regroup, phase 2: copies the *surviving* groups' child rows of
-  /// one entry into the survivor arena — the vectorized replacement for
-  /// the old scalar regroup scatter. Every child of leaf i belongs to
-  /// group g = leaf_path[i] & group_mask (the chunk value at path slot
-  /// 0), so rows move whole: for each leaf in order, when
-  /// group_rowbase[g] >= 0 the row lands at the group's next free arena
-  /// rows as
-  ///   out_state[dst + v] = child_state[i*fanout + v]
-  ///   out_cost[dst + v]  = leaf_cost[i] + child_cost[i*fanout + v]
-  ///   out_path[dst + v]  = (leaf_path[i] >> k) | v << (k*(d-2))
-  /// reproducing the scalar fill order (leaf-major, children
-  /// contiguous) and float expressions exactly. group_rowbase[g] is the
-  /// arena element offset of group g's candidate record, or -1 when the
-  /// group was pruned (nothing of it is written at all).
-  void (*regroup_emit)(const std::uint32_t* child_state, const float* child_cost,
-                       const float* leaf_cost, const std::uint32_t* leaf_path,
-                       std::size_t leaves, std::uint32_t fanout, int k, int d,
-                       std::uint32_t group_mask, const std::int32_t* group_rowbase,
-                       std::uint32_t* out_state, float* out_cost,
-                       std::uint32_t* out_path);
-
-  /// Moves the keep smallest keys into [0, keep) in *unspecified*
-  /// order (the kept set is deterministic; no order inside or outside
-  /// it is). The streaming pipeline's mid-level bound refinements run
-  /// this over the survivor buffer — the keep-th-best bound needs the
-  /// set, never the order, and the final select re-sorts anyway.
-  void (*partition_keys)(std::uint64_t* keys, std::size_t count, std::size_t keep);
-
-  /// Reorders keys so the keep smallest occupy [0, keep) in ascending
-  /// order (the kept *set* and its *order* are deterministic; the tail
-  /// order is unspecified). Precondition: keep <= count. In the
-  /// streaming pipeline this runs block-locally: over the survivor
-  /// buffer once per level at the end, never over the full B·2^k
-  /// candidate set.
-  void (*select_keys)(std::uint64_t* keys, std::size_t count, std::size_t keep);
 
   /// GF(2) dense row combine: dst[w] ^= src[w] for w < words. The
   /// kernel table's first non-spinal client — Raptor's LT + LDGM
@@ -310,13 +371,12 @@ struct Backend {
   void (*xor_rows)(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t words);
 
-  // --- Quantized (u16/u8-grid) kernel family ---------------------------
-  // Integer mirrors of the AWGN expand/prune/regroup contract above.
-  // Costs are u16-saturating (min(sum, 65535) everywhere), selection
-  // keys are u32 quant_key(cost, cand) values, and every kernel is pure
-  // integer — bit-identical across backends by construction, which is
-  // the conformance contract test_backend and the forced-u16 golden
-  // runs enforce (quantized vs f32 is gated statistically instead, see
+  // --- Quantized AWGN metric (U16Lane) ----------------------------------
+  // The one place the lanes do different work: the quantized metric is
+  // a pre-tabulated integer gather (AwgnLevelQ) where the f32 metric is
+  // the l2 float chain. Costs are u16-saturating and keys U16Lane keys;
+  // the kernels are pure integer, so bit-identical across backends by
+  // construction (quantized vs f32 is gated statistically instead, see
   // spinal/cost_model.h).
 
   /// Quantized awgn_expand_all: out_costs[c] = min(sum of per-symbol
@@ -327,8 +387,8 @@ struct Backend {
                               std::size_t count, std::uint32_t fanout,
                               std::uint32_t* out_states, std::uint16_t* out_costs);
 
-  /// Quantized streaming fused expand+prune, the integer twin of
-  /// awgn_expand_prune: same pipeline (hash children, sweep symbol 0,
+  /// Quantized streaming fused expand+prune, awgn_expand_prune on the
+  /// U16Lane: same pipeline (hash children, sweep symbol 0,
   /// compress partial-cost survivors, finish the remaining sweeps on
   /// survivors only), same survivor-key append contract with u32 keys
   /// (7 slots of slack). Two integer-only extras sharpen the admissible
@@ -345,34 +405,21 @@ struct Backend {
                                        std::uint32_t* out_states,
                                        std::uint32_t* out_keys);
 
-  /// Quantized d1_prune: cost = min(parent + child, 65535), key =
-  /// quant_key(cost, cand_base + c), append iff key <= bound_key.
-  /// Same row short-circuit and slack contract as d1_prune.
-  std::size_t (*d1_prune_u16)(const std::uint16_t* parent_cost,
-                              const std::uint16_t* child_cost, std::size_t count,
-                              std::uint32_t fanout, std::uint32_t cand_base,
-                              std::uint32_t bound_key, std::uint32_t* out_keys);
+  /// The search's prune and regroup kernels, once per cost lane. Both
+  /// tables come from one template instantiated per lane (see
+  /// LaneKernels and the *_t lane drivers in scalar_kernels.h /
+  /// simd_kernels.h).
+  LaneKernels<F32Lane> f32;
+  LaneKernels<U16Lane> u16;
 
-  /// Quantized row_mins: out[i] = min(leaf_cost[i] + min_v child, 65535).
-  void (*row_mins_u16)(const std::uint16_t* leaf_cost, const std::uint16_t* child_cost,
-                       std::size_t leaves, std::uint32_t fanout, std::uint16_t* out);
-
-  /// Quantized regroup_emit: identical move/order contract to
-  /// regroup_emit with out_cost[dst+v] = min(leaf + child, 65535).
-  void (*regroup_emit_u16)(const std::uint32_t* child_state,
-                           const std::uint16_t* child_cost, const std::uint16_t* leaf_cost,
-                           const std::uint32_t* leaf_path, std::size_t leaves,
-                           std::uint32_t fanout, int k, int d, std::uint32_t group_mask,
-                           const std::int32_t* group_rowbase, std::uint32_t* out_state,
-                           std::uint16_t* out_cost, std::uint32_t* out_path);
-
-  /// partition_keys over u32 quantized keys (same set-only contract).
-  void (*partition_keys_u32)(std::uint32_t* keys, std::size_t count, std::size_t keep);
-
-  /// select_keys over u32 quantized keys: keep smallest ascending in
-  /// [0, keep). u32 keys order exactly by (cost, cand), so ascending
-  /// key order *is* the deterministic tie-broken candidate order.
-  void (*select_keys_u32)(std::uint32_t* keys, std::size_t count, std::size_t keep);
+  /// The kernel table of cost lane @p Lane.
+  template <class Lane>
+  const LaneKernels<Lane>& lane() const noexcept {
+    if constexpr (std::is_same_v<Lane, F32Lane>)
+      return f32;
+    else
+      return u16;
+  }
 
   /// Batched RNG of §7.1 (domain-separated hash, see SpineHash::rng).
   void rng_n(hash::Kind kind, std::uint32_t salt, const std::uint32_t* states,
@@ -380,6 +427,33 @@ struct Backend {
     hash_n(kind, salt, states, count, index ^ 0x80000000u, out);
   }
 };
+
+// --- Packed-key B-of-N selection --------------------------------------
+// One copy for every backend, compiled in a baseline TU (backend.cpp).
+// The keys order exactly like the (cost, candidate index) comparator;
+// the radix partition fixes the kept *set*, sorting the kept prefix
+// fixes its *order* — hence arena layout and every equal-cost tie-break
+// downstream — identically on every stdlib and backend. The u32
+// overloads take U16Lane keys, whose full value already orders as
+// (cost, candidate), so that select needs no tie-run fixup.
+
+/// keys[i] = monotone_key(costs[i]) << 32 | i — the F32Lane keys of a
+/// whole cost array.
+void build_keys(const float* costs, std::size_t count, std::uint64_t* keys);
+
+/// Moves the keep smallest keys into [0, keep) in *unspecified* order
+/// (the kept set is deterministic; no order inside or outside it is).
+/// The streaming search's mid-level bound refinements run this over
+/// the survivor buffer: the keep-th-best bound needs the set, never
+/// the order, and the final select re-sorts anyway.
+void partition_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
+void partition_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
+
+/// Reorders keys so the keep smallest occupy [0, keep) in ascending
+/// order (the kept *set* and its *order* are deterministic; the tail
+/// order is unspecified). Precondition: keep <= count.
+void select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
+void select_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
 
 /// Backends compiled in *and* supported by this CPU, detection order
 /// (scalar first, widest last). Never empty: scalar is always present.

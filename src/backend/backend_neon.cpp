@@ -26,20 +26,11 @@ const Backend* neon_backend() noexcept {
       awgn_expand_all_t<Ops>,
       bsc_expand_all_t<Ops>,
       awgn_expand_prune_t<Ops>,
-      shared_build_keys,
-      Ops::d1_prune,
-      Ops::row_mins,
-      Ops::regroup_emit,
-      shared_partition_keys,
-      shared_select_keys,
       Ops::xor_rows,
       awgn_expand_all_u16_t<Ops>,
       awgn_expand_prune_u16_t<Ops>,
-      Ops::d1_prune_u16,
-      Ops::row_mins_u16,
-      Ops::regroup_emit_u16,
-      shared_partition_keys_u32,
-      shared_select_keys_u32,
+      lane_kernels_t<Ops, F32Lane>(),
+      lane_kernels_t<Ops, U16Lane>(),
   };
   return &b;
 }

@@ -72,12 +72,14 @@ struct ScalarOps {
                               std::uint64_t rx_word, float* costs) {
     scalar::bsc_hamming_add(acc, count, rx_word, costs);
   }
-  static std::size_t d1_prune(const float* parent_cost, const float* child_cost,
-                              std::size_t count, std::uint32_t fanout,
-                              std::uint32_t cand_base, std::uint64_t bound_key,
-                              std::uint64_t* out_keys) {
-    return scalar::d1_prune(parent_cost, child_cost, count, fanout, cand_base,
-                            bound_key, out_keys);
+  template <class Lane, class Child = typename Lane::cost_t>
+  static std::size_t d1_prune(const typename Lane::cost_t* parent_cost,
+                              const Child* child_cost, std::size_t count,
+                              std::uint32_t fanout, std::uint32_t cand_base,
+                              typename Lane::key_t bound_key,
+                              typename Lane::key_t* out_keys) {
+    return scalar::d1_prune<Lane, Child>(parent_cost, child_cost, count, fanout,
+                                         cand_base, bound_key, out_keys);
   }
   static std::size_t partial_compress(const float* parent_cost, float* acc,
                                       std::size_t count, std::uint32_t fanout,
@@ -93,18 +95,23 @@ struct ScalarOps {
     return scalar::final_prune(parent_cost, acc, idx, n, log2_fanout, cand_base,
                                bound_key, out_keys);
   }
-  static void row_mins(const float* leaf_cost, const float* child_cost,
-                       std::size_t leaves, std::uint32_t fanout, float* out) {
-    scalar::row_mins(leaf_cost, child_cost, leaves, fanout, out);
+  template <class Lane>
+  static void row_mins(const typename Lane::cost_t* leaf_cost,
+                       const typename Lane::cost_t* child_cost, std::size_t leaves,
+                       std::uint32_t fanout, typename Lane::cost_t* out) {
+    scalar::row_mins<Lane>(leaf_cost, child_cost, leaves, fanout, out);
   }
-  static void regroup_emit(const std::uint32_t* child_state, const float* child_cost,
-                           const float* leaf_cost, const std::uint32_t* leaf_path,
-                           std::size_t leaves, std::uint32_t fanout, int k, int d,
-                           std::uint32_t group_mask, const std::int32_t* group_rowbase,
-                           std::uint32_t* out_state, float* out_cost,
-                           std::uint32_t* out_path) {
-    scalar::regroup_emit(child_state, child_cost, leaf_cost, leaf_path, leaves, fanout,
-                         k, d, group_mask, group_rowbase, out_state, out_cost, out_path);
+  template <class Lane>
+  static void regroup_emit(const std::uint32_t* child_state,
+                           const typename Lane::cost_t* child_cost,
+                           const typename Lane::cost_t* leaf_cost,
+                           const std::uint32_t* leaf_path, std::size_t leaves,
+                           std::uint32_t fanout, int k, int d, std::uint32_t group_mask,
+                           const std::int32_t* group_rowbase, std::uint32_t* out_state,
+                           typename Lane::cost_t* out_cost, std::uint32_t* out_path) {
+    scalar::regroup_emit<Lane>(child_state, child_cost, leaf_cost, leaf_path, leaves,
+                               fanout, k, d, group_mask, group_rowbase, out_state,
+                               out_cost, out_path);
   }
   static void xor_rows(std::uint64_t* dst, const std::uint64_t* src,
                        std::size_t words) {
@@ -124,20 +131,6 @@ struct ScalarOps {
                             std::uint32_t qmask, std::uint32_t* w, std::uint32_t* acc) {
     scalar::awgn_q_sweep0(kind, salt, premixed, lanes, count, data, qtab, qmask, w, acc);
   }
-  static std::size_t d1_prune_u16(const std::uint16_t* parent_cost,
-                                  const std::uint16_t* child_cost, std::size_t count,
-                                  std::uint32_t fanout, std::uint32_t cand_base,
-                                  std::uint32_t bound_key, std::uint32_t* out_keys) {
-    return scalar::d1_prune_u16(parent_cost, child_cost, count, fanout, cand_base,
-                                bound_key, out_keys);
-  }
-  static std::size_t d1_finalize_q(const std::uint16_t* parent_cost,
-                                   const std::uint32_t* acc, std::size_t count,
-                                   std::uint32_t fanout, std::uint32_t cand_base,
-                                   std::uint32_t bound_key, std::uint32_t* out_keys) {
-    return scalar::d1_finalize_q(parent_cost, acc, count, fanout, cand_base, bound_key,
-                                 out_keys);
-  }
   static std::size_t partial_compress_u16(const std::uint16_t* parent_cost,
                                           std::uint32_t* acc, std::size_t count,
                                           std::uint32_t fanout, std::uint32_t row_floor,
@@ -155,22 +148,6 @@ struct ScalarOps {
     return scalar::final_prune_u16(parent32, acc, idx, n, log2_fanout, cand_base,
                                    bound_key, out_keys);
   }
-  static void row_mins_u16(const std::uint16_t* leaf_cost, const std::uint16_t* child_cost,
-                           std::size_t leaves, std::uint32_t fanout, std::uint16_t* out) {
-    scalar::row_mins_u16(leaf_cost, child_cost, leaves, fanout, out);
-  }
-  static void regroup_emit_u16(const std::uint32_t* child_state,
-                               const std::uint16_t* child_cost,
-                               const std::uint16_t* leaf_cost,
-                               const std::uint32_t* leaf_path, std::size_t leaves,
-                               std::uint32_t fanout, int k, int d,
-                               std::uint32_t group_mask, const std::int32_t* group_rowbase,
-                               std::uint32_t* out_state, std::uint16_t* out_cost,
-                               std::uint32_t* out_path) {
-    scalar::regroup_emit_u16(child_state, child_cost, leaf_cost, leaf_path, leaves,
-                             fanout, k, d, group_mask, group_rowbase, out_state, out_cost,
-                             out_path);
-  }
 };
 
 }  // namespace
@@ -186,20 +163,11 @@ const Backend* scalar_backend() noexcept {
       awgn_expand_all_t<ScalarOps>,
       bsc_expand_all_t<ScalarOps>,
       awgn_expand_prune_t<ScalarOps>,
-      shared_build_keys,
-      ScalarOps::d1_prune,
-      ScalarOps::row_mins,
-      ScalarOps::regroup_emit,
-      shared_partition_keys,
-      shared_select_keys,
       ScalarOps::xor_rows,
       awgn_expand_all_u16_t<ScalarOps>,
       awgn_expand_prune_u16_t<ScalarOps>,
-      ScalarOps::d1_prune_u16,
-      ScalarOps::row_mins_u16,
-      ScalarOps::regroup_emit_u16,
-      shared_partition_keys_u32,
-      shared_select_keys_u32,
+      lane_kernels_t<ScalarOps, F32Lane>(),
+      lane_kernels_t<ScalarOps, U16Lane>(),
   };
   return &b;
 }

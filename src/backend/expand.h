@@ -106,8 +106,8 @@ std::size_t awgn_expand_prune_t(const AwgnLevel& L, const std::uint32_t* states,
     Ops::hash_children(L.kind, L.salt, states, count, fanout, out_states);
     float* const acc0 = L.acc_scratch;
     for (std::size_t i = 0; i < total; ++i) acc0[i] = 0.0f;
-    return Ops::d1_prune(parent_cost, acc0, count, fanout, cand_base, bound_key,
-                         out_keys);
+    return Ops::template d1_prune<F32Lane>(parent_cost, acc0, count, fanout, cand_base,
+                                           bound_key, out_keys);
   }
   float* const acc = L.acc_scratch;
   std::uint32_t* const w = L.rng_scratch;
@@ -135,8 +135,8 @@ std::size_t awgn_expand_prune_t(const AwgnLevel& L, const std::uint32_t* states,
     // No pruning leverage: finish full-width, filter once at the end.
     for (std::uint32_t s = 1; s < L.nsym; ++s)
       awgn_symbol_sweep<Ops>(L, s, lanes, premixed, total, w, acc);
-    return Ops::d1_prune(parent_cost, acc, count, fanout, cand_base, bound_key,
-                         out_keys);
+    return Ops::template d1_prune<F32Lane>(parent_cost, acc, count, fanout, cand_base,
+                                           bound_key, out_keys);
   }
 
   // Partial-cost prune: only survivors get the remaining symbols.
@@ -205,8 +205,8 @@ std::size_t awgn_expand_prune_u16_t(const AwgnLevelQ& L, const std::uint32_t* st
   if (L.nsym == 0 || total == 0) {
     Ops::hash_children(L.kind, L.salt, states, count, fanout, out_states);
     for (std::size_t i = 0; i < total; ++i) acc[i] = 0;
-    return Ops::d1_finalize_q(parent_cost, acc, count, fanout, cand_base, bound_key,
-                              out_keys);
+    return Ops::template d1_prune<U16Lane, std::uint32_t>(parent_cost, acc, count, fanout,
+                                                          cand_base, bound_key, out_keys);
   }
   std::uint32_t* const w = L.rng_scratch;
 
@@ -223,8 +223,8 @@ std::size_t awgn_expand_prune_u16_t(const AwgnLevelQ& L, const std::uint32_t* st
                         L.ord[s] ^ 0x80000000u,
                         L.qtab + s * static_cast<std::size_t>(L.qstride), L.qmask, w,
                         acc);
-    return Ops::d1_finalize_q(parent_cost, acc, count, fanout, cand_base, bound_key,
-                              out_keys);
+    return Ops::template d1_prune<U16Lane, std::uint32_t>(parent_cost, acc, count, fanout,
+                                                          cand_base, bound_key, out_keys);
   }
 
   // Partial-cost prune with the remaining-symbol floors folded in.
@@ -275,6 +275,15 @@ void bsc_expand_all_t(const BscLevel& L, const std::uint32_t* states, std::size_
     }
     Ops::bsc_hamming_add(acc, total, L.rx_words[blk], out_costs);
   }
+}
+
+/// A backend's LaneKernels table for cost lane @p Lane: the single
+/// instantiation of the Ops prune/regroup templates each backend TU
+/// lists, once per lane.
+template <class Ops, class Lane>
+constexpr LaneKernels<Lane> lane_kernels_t() noexcept {
+  return {Ops::template d1_prune<Lane>, Ops::template row_mins<Lane>,
+          Ops::template regroup_emit<Lane>};
 }
 
 }  // namespace spinal::backend

@@ -231,34 +231,29 @@ static inline void bsc_hamming_add(const std::uint64_t* acc, std::size_t count,
     oc[i] += static_cast<float>(__builtin_popcountll(acc[i] ^ rx_word));
 }
 
-/// keys[i] = monotone_key(costs[i]) << 32 | i.
-static inline void build_keys(const float* costs, std::size_t count,
-                              std::uint64_t* keys) noexcept {
-  for (std::size_t i = 0; i < count; ++i)
-    keys[i] = (static_cast<std::uint64_t>(monotone_key(costs[i])) << 32) |
-              static_cast<std::uint32_t>(i);
-}
-
-/// Streaming fused d=1 finalize+prune (see Backend::d1_prune): one
+/// Streaming fused d=1 finalize+prune (see LaneKernels::d1_prune): one
 /// sweep over a child-major expansion block that appends only the
-/// candidates whose monotone cost clears the running bound. Whole rows
+/// candidates whose key clears the running bound. Whole rows
 /// short-circuit on the parent cost (children cost at least the
-/// parent: child_cost >= 0 by contract).
-static inline std::size_t d1_prune(const float* parent_cost, const float* child_cost,
-                                   std::size_t count, std::uint32_t fanout,
-                                   std::uint32_t cand_base, std::uint64_t bound_key,
-                                   std::uint64_t* out_keys) noexcept {
+/// parent: child costs >= 0 by contract). @p Child is the child-cost
+/// word: the lane's cost word, or the fused quantized kernel's
+/// unclamped u32 accumulator (Lane::add saturates either way).
+template <class Lane, class Child = typename Lane::cost_t>
+static inline std::size_t d1_prune(const typename Lane::cost_t* parent_cost,
+                                   const Child* child_cost, std::size_t count,
+                                   std::uint32_t fanout, std::uint32_t cand_base,
+                                   typename Lane::key_t bound_key,
+                                   typename Lane::key_t* out_keys) noexcept {
   std::size_t sc = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const float pc = parent_cost[i];
-    // Every child key >= (monotone(pc) << 32): row skip on the parent.
-    if ((static_cast<std::uint64_t>(monotone_key(pc)) << 32) > bound_key) continue;
+    const auto pc = parent_cost[i];
+    // Every child key >= Lane::key(pc, 0): row skip on the parent.
+    if (Lane::key(pc, 0) > bound_key) continue;
     const std::size_t row = i * static_cast<std::size_t>(fanout);
     for (std::uint32_t v = 0; v < fanout; ++v) {
-      const float cost = pc + child_cost[row + v];
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(monotone_key(cost)) << 32) |
-          (cand_base + static_cast<std::uint32_t>(row + v));
+      const typename Lane::key_t key =
+          Lane::key(Lane::add(pc, child_cost[row + v]),
+                    cand_base + static_cast<std::uint32_t>(row + v));
       // Branchless append (prune outcomes are data-random, poison for
       // the predictor): always write, advance on survival. The slot
       // past the last survivor is scratch — hence the contract's
@@ -326,29 +321,34 @@ static inline std::size_t final_prune(const float* parent_cost, const float* acc
 }
 
 /// Per-leaf row minima folded with the parent cost (see
-/// Backend::row_mins). The running strict-less min over the row in v
-/// order is the reference semantics SIMD backends must match.
-static inline void row_mins(const float* leaf_cost, const float* child_cost,
-                            std::size_t leaves, std::uint32_t fanout,
-                            float* out) noexcept {
+/// LaneKernels::row_mins). The running strict-less min over the row in
+/// v order is the reference semantics SIMD backends must match.
+template <class Lane>
+static inline void row_mins(const typename Lane::cost_t* leaf_cost,
+                            const typename Lane::cost_t* child_cost, std::size_t leaves,
+                            std::uint32_t fanout, typename Lane::cost_t* out) noexcept {
   for (std::size_t i = 0; i < leaves; ++i) {
     const std::size_t row = i * static_cast<std::size_t>(fanout);
-    float m = child_cost[row];
+    typename Lane::cost_t m = child_cost[row];
     for (std::uint32_t v = 1; v < fanout; ++v)
       if (child_cost[row + v] < m) m = child_cost[row + v];
-    out[i] = leaf_cost[i] + m;
+    out[i] = static_cast<typename Lane::cost_t>(Lane::add(leaf_cost[i], m));
   }
 }
 
-/// Survivor-group row emit (see Backend::regroup_emit): the scalar
+/// Survivor-group row emit (see LaneKernels::regroup_emit): the scalar
 /// reference for the vectorized d>1 regroup. Kernel-local fill
 /// counters reproduce the old scatter's leaf-major fill order.
-static inline void regroup_emit(const std::uint32_t* child_state, const float* child_cost,
-                                const float* leaf_cost, const std::uint32_t* leaf_path,
-                                std::size_t leaves, std::uint32_t fanout, int k, int d,
+template <class Lane>
+static inline void regroup_emit(const std::uint32_t* child_state,
+                                const typename Lane::cost_t* child_cost,
+                                const typename Lane::cost_t* leaf_cost,
+                                const std::uint32_t* leaf_path, std::size_t leaves,
+                                std::uint32_t fanout, int k, int d,
                                 std::uint32_t group_mask,
                                 const std::int32_t* group_rowbase, std::uint32_t* out_state,
-                                float* out_cost, std::uint32_t* out_path) noexcept {
+                                typename Lane::cost_t* out_cost,
+                                std::uint32_t* out_path) noexcept {
   std::uint32_t next[256];  // group_count <= 2^k <= 256 (CodeParams)
   const std::uint32_t group_count = group_mask + 1;
   for (std::uint32_t g = 0; g < group_count; ++g)
@@ -357,14 +357,15 @@ static inline void regroup_emit(const std::uint32_t* child_state, const float* c
   for (std::size_t i = 0; i < leaves; ++i) {
     const std::uint32_t g = leaf_path[i] & group_mask;
     if (group_rowbase[g] < 0) continue;
-    const float pc = leaf_cost[i];
+    const auto pc = leaf_cost[i];
     const std::uint32_t pbase = leaf_path[i] >> k;
     const std::size_t src = i * static_cast<std::size_t>(fanout);
     const std::size_t dst = next[g];
     next[g] += fanout;
     for (std::uint32_t v = 0; v < fanout; ++v) {
       out_state[dst + v] = child_state[src + v];
-      out_cost[dst + v] = pc + child_cost[src + v];
+      out_cost[dst + v] =
+          static_cast<typename Lane::cost_t>(Lane::add(pc, child_cost[src + v]));
       out_path[dst + v] = pbase | (v << shift);
     }
   }
@@ -387,7 +388,9 @@ static inline void xor_rows(std::uint64_t* dst, const std::uint64_t* src,
 // clamped once, since every table entry is <= 65535 and nsym is
 // bounded far below 2^16). All pure integer: SIMD lanes are trivially
 // bit-identical, so these loops are both the reference semantics and
-// the conformance oracle for the *_u16 backend entries.
+// the conformance oracle for the awgn_*_u16 backend entries. (The
+// prune/regroup kernels above serve this lane too, as U16Lane
+// instantiations.)
 
 static inline std::uint32_t quant_clamp(std::uint32_t sum) noexcept {
   return sum > 65535u ? 65535u : sum;
@@ -436,54 +439,6 @@ static inline void awgn_q_sweep0(hash::Kind kind, std::uint32_t salt, bool premi
   else
     hash_n(kind, salt, lanes, count, data, w);
   awgn_q_accum0(w, count, qtab, qmask, acc);
-}
-
-/// Quantized d1_prune (see Backend::d1_prune_u16): u16 child metrics,
-/// u32 quant_key appends, same branchless-append and row-skip shapes.
-static inline std::size_t d1_prune_u16(const std::uint16_t* parent_cost,
-                                       const std::uint16_t* child_cost,
-                                       std::size_t count, std::uint32_t fanout,
-                                       std::uint32_t cand_base, std::uint32_t bound_key,
-                                       std::uint32_t* out_keys) noexcept {
-  std::size_t sc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t pc = parent_cost[i];
-    // Saturating adds are monotone: every child key >= quant_key(pc, 0).
-    if ((pc << 16) > bound_key) continue;
-    const std::size_t row = i * static_cast<std::size_t>(fanout);
-    for (std::uint32_t v = 0; v < fanout; ++v) {
-      const std::uint32_t cost = quant_clamp(pc + child_cost[row + v]);
-      const std::uint32_t key =
-          (cost << 16) | (cand_base + static_cast<std::uint32_t>(row + v));
-      out_keys[sc] = key;
-      sc += key <= bound_key;
-    }
-  }
-  return sc;
-}
-
-/// Full-width quantized finalize over the uncompressed u32 accumulator
-/// (the fused pipeline's keep-everything / single-symbol exit, where no
-/// partial compress ran): cost = clamp(parent + acc[c]) per candidate.
-static inline std::size_t d1_finalize_q(const std::uint16_t* parent_cost,
-                                        const std::uint32_t* acc, std::size_t count,
-                                        std::uint32_t fanout, std::uint32_t cand_base,
-                                        std::uint32_t bound_key,
-                                        std::uint32_t* out_keys) noexcept {
-  std::size_t sc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t pc = parent_cost[i];
-    if ((pc << 16) > bound_key) continue;
-    const std::size_t row = i * static_cast<std::size_t>(fanout);
-    for (std::uint32_t v = 0; v < fanout; ++v) {
-      const std::uint32_t cost = quant_clamp(pc + acc[row + v]);
-      const std::uint32_t key =
-          (cost << 16) | (cand_base + static_cast<std::uint32_t>(row + v));
-      out_keys[sc] = key;
-      sc += key <= bound_key;
-    }
-  }
-  return sc;
 }
 
 /// Quantized partial-cost survivor compression (see
@@ -536,53 +491,6 @@ static inline std::size_t final_prune_u16(const std::uint32_t* parent32,
     sc += key <= bound_key;
   }
   return sc;
-}
-
-/// Quantized row_mins: unsigned min is order-free and the saturating
-/// fold is monotone, so clamp(leaf + min_v row) equals the running
-/// min over clamped per-child costs exactly.
-static inline void row_mins_u16(const std::uint16_t* leaf_cost,
-                                const std::uint16_t* child_cost, std::size_t leaves,
-                                std::uint32_t fanout, std::uint16_t* out) noexcept {
-  for (std::size_t i = 0; i < leaves; ++i) {
-    const std::size_t row = i * static_cast<std::size_t>(fanout);
-    std::uint32_t m = child_cost[row];
-    for (std::uint32_t v = 1; v < fanout; ++v)
-      if (child_cost[row + v] < m) m = child_cost[row + v];
-    out[i] = static_cast<std::uint16_t>(quant_clamp(leaf_cost[i] + m));
-  }
-}
-
-/// Quantized regroup_emit: same move/order contract as regroup_emit
-/// with saturating cost folds.
-static inline void regroup_emit_u16(const std::uint32_t* child_state,
-                                    const std::uint16_t* child_cost,
-                                    const std::uint16_t* leaf_cost,
-                                    const std::uint32_t* leaf_path, std::size_t leaves,
-                                    std::uint32_t fanout, int k, int d,
-                                    std::uint32_t group_mask,
-                                    const std::int32_t* group_rowbase,
-                                    std::uint32_t* out_state, std::uint16_t* out_cost,
-                                    std::uint32_t* out_path) noexcept {
-  std::uint32_t next[256];  // group_count <= 2^k <= 256 (CodeParams)
-  const std::uint32_t group_count = group_mask + 1;
-  for (std::uint32_t g = 0; g < group_count; ++g)
-    next[g] = group_rowbase[g] < 0 ? 0 : static_cast<std::uint32_t>(group_rowbase[g]);
-  const int shift = k * (d - 2);
-  for (std::size_t i = 0; i < leaves; ++i) {
-    const std::uint32_t g = leaf_path[i] & group_mask;
-    if (group_rowbase[g] < 0) continue;
-    const std::uint32_t pc = leaf_cost[i];
-    const std::uint32_t pbase = leaf_path[i] >> k;
-    const std::size_t src = i * static_cast<std::size_t>(fanout);
-    const std::size_t dst = next[g];
-    next[g] += fanout;
-    for (std::uint32_t v = 0; v < fanout; ++v) {
-      out_state[dst + v] = child_state[src + v];
-      out_cost[dst + v] = static_cast<std::uint16_t>(quant_clamp(pc + child_cost[src + v]));
-      out_path[dst + v] = pbase | (v << shift);
-    }
-  }
 }
 
 }  // namespace spinal::backend::scalar

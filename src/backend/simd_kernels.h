@@ -452,41 +452,99 @@ static inline unsigned keep_mask_v(typename V::U m, typename V::U idxv,
   return m_lt | (m_eq & i_le);
 }
 
-/// Streaming fused d=1 finalize+prune (see Backend::d1_prune),
-/// vectorized over each leaf's contiguous child row. Per vector: cost,
-/// monotone key, and the full-key bound compare; surviving lanes
-/// append through the branchless compress store, a fully-pruned vector
-/// writes nothing at all (the common case once the bound tightens).
-/// Append order is candidate order, so the output matches the scalar
-/// kernel exactly.
+/// Vector view of one cost lane: the per-vector cost type C, the loads
+/// that bring a child-cost word into it, the lane add, and the packed
+/// key bound filter + compress-store append. The prune/regroup kernels
+/// below are written once against this interface.
+template <class V, class Lane>
+struct VLane;
+
+/// F32Lane: float lanes; the u64 key splits into a monotone cost word
+/// and the candidate word, compared against the bound's two halves.
 template <class V>
-static std::size_t d1_prune_v(const float* parent_cost, const float* child_cost,
-                              std::size_t count, std::uint32_t fanout,
-                              std::uint32_t cand_base, std::uint64_t bound_key,
-                              std::uint64_t* out_keys) {
+struct VLane<V, F32Lane> {
+  using C = typename V::F;
+  using Elem = float;  ///< one lane of C in memory
+  static C bcast(float c) { return V::set1f(c); }
+  static C load(const float* p) { return V::loadf(p); }
+  static C add(C a, C b) { return V::addf(a, b); }
+  static C min(C a, C b) { return V::minf(a, b); }
+  static void store(float* p, C c) { V::storef(p, c); }
+
+  struct Bound {
+    typename V::U hi, lo;
+    explicit Bound(std::uint64_t key)
+        : hi(V::set1(static_cast<std::uint32_t>(key >> 32))),
+          lo(V::set1(static_cast<std::uint32_t>(key))) {}
+  };
+  /// Appends the lanes whose key (cost, cand) clears the bound.
+  static std::size_t append(std::uint64_t* out, C cost, typename V::U candv,
+                            const Bound& b) {
+    const typename V::U m = monotone_key_v<V>(cost);
+    const unsigned keep = keep_mask_v<V>(m, candv, b.hi, b.lo, (1u << V::W) - 1u);
+    if (keep == 0) return 0;  // the hot case once the bound bites
+    return V::compress_store_keys(out, candv, m, keep);
+  }
+};
+
+/// U16Lane: costs widen into u32 lanes and saturate at 65535; the key
+/// packs into one u32, so the bound filter is a single unsigned compare.
+template <class V>
+struct VLane<V, U16Lane> {
+  using C = typename V::U;
+  using Elem = std::uint32_t;
+  static C bcast(std::uint32_t c) { return V::set1(c); }
+  static C load(const std::uint16_t* p) { return V::widen_load_u16(p); }
+  static C load(const std::uint32_t* p) { return V::loadu(p); }
+  static C add(C a, C b) { return V::min_u32(V::add(a, b), V::set1(65535u)); }
+  static C min(C a, C b) { return V::min_u32(a, b); }
+  static void store(std::uint16_t* p, C c) { V::narrow_store_u16(p, c); }
+  static void store(std::uint32_t* p, C c) { V::storeu(p, c); }
+
+  struct Bound {
+    typename V::U key;
+    explicit Bound(std::uint32_t k) : key(V::set1(k)) {}
+  };
+  static std::size_t append(std::uint32_t* out, C cost, typename V::U candv,
+                            const Bound& b) {
+    const typename V::U key = V::or_(V::shl(cost, 16), candv);
+    const unsigned keep = ((1u << V::W) - 1u) & ~V::gtu_mask(key, b.key);
+    if (keep == 0) return 0;
+    return V::compress_store_u32(out, key, keep);
+  }
+};
+
+/// Streaming fused d=1 finalize+prune (see LaneKernels::d1_prune),
+/// vectorized over each leaf's contiguous child row. Per vector: cost,
+/// packed key, and the full-key bound compare; surviving lanes append
+/// through the branchless compress store, a fully-pruned vector writes
+/// nothing at all (the common case once the bound tightens). Append
+/// order is candidate order, so the output matches the scalar kernel
+/// exactly.
+template <class V, class Lane, class Child = typename Lane::cost_t>
+static std::size_t d1_prune_v(const typename Lane::cost_t* parent_cost,
+                              const Child* child_cost, std::size_t count,
+                              std::uint32_t fanout, std::uint32_t cand_base,
+                              typename Lane::key_t bound_key,
+                              typename Lane::key_t* out_keys) {
   if (fanout < V::W || fanout % V::W != 0)
-    return scalar::d1_prune(parent_cost, child_cost, count, fanout, cand_base,
-                            bound_key, out_keys);
-  constexpr unsigned kFull = (1u << V::W) - 1u;
-  const typename V::U bhi = V::set1(static_cast<std::uint32_t>(bound_key >> 32));
-  const typename V::U blo = V::set1(static_cast<std::uint32_t>(bound_key));
+    return scalar::d1_prune<Lane, Child>(parent_cost, child_cost, count, fanout,
+                                         cand_base, bound_key, out_keys);
+  using VL = VLane<V, Lane>;
+  const typename VL::Bound bound(bound_key);
   const typename V::U iota = V::iota();
   std::size_t sc = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const float pc = parent_cost[i];
-    if ((static_cast<std::uint64_t>(monotone_key(pc)) << 32) > bound_key)
-      continue;  // children cost >= pc
-    const typename V::F pcv = V::set1f(pc);
+    const auto pc = parent_cost[i];
+    if (Lane::key(pc, 0) > bound_key) continue;  // children cost >= pc
+    const typename VL::C pcv = VL::bcast(pc);
     const std::size_t row = i * static_cast<std::size_t>(fanout);
     for (std::uint32_t v = 0; v < fanout; v += static_cast<std::uint32_t>(V::W)) {
       const std::size_t idx = row + v;
-      const typename V::F cost = V::addf(pcv, V::loadf(child_cost + idx));
-      const typename V::U m = monotone_key_v<V>(cost);
-      const typename V::U idxv =
+      const typename VL::C cost = VL::add(pcv, VL::load(child_cost + idx));
+      const typename V::U candv =
           V::add(V::set1(cand_base + static_cast<std::uint32_t>(idx)), iota);
-      const unsigned keep = keep_mask_v<V>(m, idxv, bhi, blo, kFull);
-      if (keep == 0) continue;  // the hot case once the bound bites
-      sc += V::compress_store_keys(out_keys + sc, idxv, m, keep);
+      sc += VL::append(out_keys + sc, cost, candv, bound);
     }
   }
   return sc;
@@ -568,49 +626,53 @@ static std::size_t final_prune_v(const float* parent_cost, const float* acc,
 }
 
 /// Per-leaf row minima folded with the parent cost (see
-/// Backend::row_mins): vector fold over the row, then a scalar reduce
-/// of the fold buffer — exact, because float min is order-free on
+/// LaneKernels::row_mins): vector fold over the row, then a scalar
+/// reduce of the fold buffer — exact, because min is order-free on
 /// inputs without -0 (the kernel precondition).
-template <class V>
-static void row_mins_v(const float* leaf_cost, const float* child_cost,
-                       std::size_t leaves, std::uint32_t fanout, float* out) {
+template <class V, class Lane>
+static void row_mins_v(const typename Lane::cost_t* leaf_cost,
+                       const typename Lane::cost_t* child_cost, std::size_t leaves,
+                       std::uint32_t fanout, typename Lane::cost_t* out) {
   if (fanout < V::W || fanout % V::W != 0) {
-    scalar::row_mins(leaf_cost, child_cost, leaves, fanout, out);
+    scalar::row_mins<Lane>(leaf_cost, child_cost, leaves, fanout, out);
     return;
   }
+  using VL = VLane<V, Lane>;
   for (std::size_t i = 0; i < leaves; ++i) {
     const std::size_t row = i * static_cast<std::size_t>(fanout);
-    typename V::F acc = V::loadf(child_cost + row);
+    typename VL::C acc = VL::load(child_cost + row);
     for (std::uint32_t v = static_cast<std::uint32_t>(V::W); v < fanout;
          v += static_cast<std::uint32_t>(V::W))
-      acc = V::minf(acc, V::loadf(child_cost + row + v));
-    float buf[V::W];
-    V::storef(buf, acc);
-    float m = buf[0];
+      acc = VL::min(acc, VL::load(child_cost + row + v));
+    typename VL::Elem buf[V::W];
+    VL::store(buf, acc);
+    typename VL::Elem m = buf[0];
     for (unsigned l = 1; l < V::W; ++l)
       if (buf[l] < m) m = buf[l];
-    out[i] = leaf_cost[i] + m;
+    out[i] = static_cast<typename Lane::cost_t>(Lane::add(leaf_cost[i], m));
   }
 }
 
-/// Survivor-group row emit (see Backend::regroup_emit): whole child
+/// Survivor-group row emit (see LaneKernels::regroup_emit): whole child
 /// rows move contiguously (every child of a leaf shares its group), so
 /// the copy + cost finalize + path extension all vectorize over the
 /// row; pruned groups skip without touching memory.
-template <class V>
-static void regroup_emit_v(const std::uint32_t* child_state, const float* child_cost,
-                           const float* leaf_cost, const std::uint32_t* leaf_path,
-                           std::size_t leaves, std::uint32_t fanout, int k, int d,
-                           std::uint32_t group_mask, const std::int32_t* group_rowbase,
-                           std::uint32_t* out_state, float* out_cost,
-                           std::uint32_t* out_path) {
+template <class V, class Lane>
+static void regroup_emit_v(const std::uint32_t* child_state,
+                           const typename Lane::cost_t* child_cost,
+                           const typename Lane::cost_t* leaf_cost,
+                           const std::uint32_t* leaf_path, std::size_t leaves,
+                           std::uint32_t fanout, int k, int d, std::uint32_t group_mask,
+                           const std::int32_t* group_rowbase, std::uint32_t* out_state,
+                           typename Lane::cost_t* out_cost, std::uint32_t* out_path) {
   constexpr std::uint32_t kMaxFanout = 256;
   if (fanout < V::W || fanout % V::W != 0 || fanout > kMaxFanout || group_mask >= 256) {
-    scalar::regroup_emit(child_state, child_cost, leaf_cost, leaf_path, leaves, fanout,
-                         k, d, group_mask, group_rowbase, out_state, out_cost,
-                         out_path);
+    scalar::regroup_emit<Lane>(child_state, child_cost, leaf_cost, leaf_path, leaves,
+                               fanout, k, d, group_mask, group_rowbase, out_state,
+                               out_cost, out_path);
     return;
   }
+  using VL = VLane<V, Lane>;
   const int shift = k * (d - 2);
   typename V::U vvec[kMaxFanout / V::W];  // v << shift, per vector step
   const std::uint32_t steps = fanout / static_cast<std::uint32_t>(V::W);
@@ -623,7 +685,7 @@ static void regroup_emit_v(const std::uint32_t* child_state, const float* child_
   for (std::size_t i = 0; i < leaves; ++i) {
     const std::uint32_t g = leaf_path[i] & group_mask;
     if (group_rowbase[g] < 0) continue;
-    const typename V::F pcv = V::set1f(leaf_cost[i]);
+    const typename VL::C pcv = VL::bcast(leaf_cost[i]);
     const typename V::U pbase = V::set1(leaf_path[i] >> k);
     const std::size_t src = i * static_cast<std::size_t>(fanout);
     const std::size_t dst = next[g];
@@ -631,7 +693,7 @@ static void regroup_emit_v(const std::uint32_t* child_state, const float* child_
     for (std::uint32_t s = 0; s < steps; ++s) {
       const std::size_t o = s * V::W;
       V::storeu(out_state + dst + o, V::loadu(child_state + src + o));
-      V::storef(out_cost + dst + o, V::addf(pcv, V::loadf(child_cost + src + o)));
+      VL::store(out_cost + dst + o, VL::add(pcv, VL::load(child_cost + src + o)));
       V::storeu(out_path + dst + o, V::or_(pbase, vvec[s]));
     }
   }
@@ -796,77 +858,6 @@ static void awgn_q_sweep_impl_v(hash::Kind kind, std::uint32_t salt, bool premix
   }
 }
 
-/// Quantized d1_prune (see Backend::d1_prune_u16): u16 child metrics
-/// widen into u32 lanes, the clamped cost packs with the candidate
-/// index into a single u32 key, and the bound filter is one unsigned
-/// compare (no 64-bit two-word compare as in the float path).
-template <class V>
-static std::size_t d1_prune_u16_v(const std::uint16_t* parent_cost,
-                                  const std::uint16_t* child_cost, std::size_t count,
-                                  std::uint32_t fanout, std::uint32_t cand_base,
-                                  std::uint32_t bound_key, std::uint32_t* out_keys) {
-  if (fanout < V::W || fanout % V::W != 0)
-    return scalar::d1_prune_u16(parent_cost, child_cost, count, fanout, cand_base,
-                                bound_key, out_keys);
-  constexpr unsigned kFull = (1u << V::W) - 1u;
-  const typename V::U boundv = V::set1(bound_key);
-  const typename V::U capv = V::set1(65535u);
-  const typename V::U iota = V::iota();
-  std::size_t sc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t pc = parent_cost[i];
-    if ((pc << 16) > bound_key) continue;  // children cost >= pc
-    const typename V::U pcv = V::set1(pc);
-    const std::size_t row = i * static_cast<std::size_t>(fanout);
-    for (std::uint32_t v = 0; v < fanout; v += static_cast<std::uint32_t>(V::W)) {
-      const std::size_t idx = row + v;
-      const typename V::U cost =
-          V::min_u32(V::add(pcv, V::widen_load_u16(child_cost + idx)), capv);
-      const typename V::U key = V::or_(
-          V::shl(cost, 16),
-          V::add(V::set1(cand_base + static_cast<std::uint32_t>(idx)), iota));
-      const unsigned keep = kFull & ~V::gtu_mask(key, boundv);
-      if (keep == 0) continue;  // the hot case once the bound bites
-      sc += V::compress_store_u32(out_keys + sc, key, keep);
-    }
-  }
-  return sc;
-}
-
-/// Full-width quantized finalize over the u32 accumulator (see
-/// scalar::d1_finalize_q).
-template <class V>
-static std::size_t d1_finalize_q_v(const std::uint16_t* parent_cost,
-                                   const std::uint32_t* acc, std::size_t count,
-                                   std::uint32_t fanout, std::uint32_t cand_base,
-                                   std::uint32_t bound_key, std::uint32_t* out_keys) {
-  if (fanout < V::W || fanout % V::W != 0)
-    return scalar::d1_finalize_q(parent_cost, acc, count, fanout, cand_base, bound_key,
-                                 out_keys);
-  constexpr unsigned kFull = (1u << V::W) - 1u;
-  const typename V::U boundv = V::set1(bound_key);
-  const typename V::U capv = V::set1(65535u);
-  const typename V::U iota = V::iota();
-  std::size_t sc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t pc = parent_cost[i];
-    if ((pc << 16) > bound_key) continue;
-    const typename V::U pcv = V::set1(pc);
-    const std::size_t row = i * static_cast<std::size_t>(fanout);
-    for (std::uint32_t v = 0; v < fanout; v += static_cast<std::uint32_t>(V::W)) {
-      const std::size_t idx = row + v;
-      const typename V::U cost = V::min_u32(V::add(pcv, V::loadu(acc + idx)), capv);
-      const typename V::U key = V::or_(
-          V::shl(cost, 16),
-          V::add(V::set1(cand_base + static_cast<std::uint32_t>(idx)), iota));
-      const unsigned keep = kFull & ~V::gtu_mask(key, boundv);
-      if (keep == 0) continue;
-      sc += V::compress_store_u32(out_keys + sc, key, keep);
-    }
-  }
-  return sc;
-}
-
 /// Quantized partial-cost survivor compression (see
 /// scalar::partial_compress_u16). The accumulator already lives in u32
 /// lanes, so — unlike the float path — the in-place compress needs no
@@ -942,81 +933,6 @@ static std::size_t final_prune_u16_v(const std::uint32_t* parent32,
   return sc;
 }
 
-/// Quantized row_mins (see Backend::row_mins_u16): u16 rows widen into
-/// u32 lanes for the min fold (unsigned min is order-free), then the
-/// fold buffer reduces scalar and folds the leaf cost saturating.
-template <class V>
-static void row_mins_u16_v(const std::uint16_t* leaf_cost,
-                           const std::uint16_t* child_cost, std::size_t leaves,
-                           std::uint32_t fanout, std::uint16_t* out) {
-  if (fanout < V::W || fanout % V::W != 0) {
-    scalar::row_mins_u16(leaf_cost, child_cost, leaves, fanout, out);
-    return;
-  }
-  for (std::size_t i = 0; i < leaves; ++i) {
-    const std::size_t row = i * static_cast<std::size_t>(fanout);
-    typename V::U acc = V::widen_load_u16(child_cost + row);
-    for (std::uint32_t v = static_cast<std::uint32_t>(V::W); v < fanout;
-         v += static_cast<std::uint32_t>(V::W))
-      acc = V::min_u32(acc, V::widen_load_u16(child_cost + row + v));
-    std::uint32_t buf[V::W];
-    V::storeu(buf, acc);
-    std::uint32_t m = buf[0];
-    for (unsigned l = 1; l < V::W; ++l)
-      if (buf[l] < m) m = buf[l];
-    out[i] = static_cast<std::uint16_t>(scalar::quant_clamp(leaf_cost[i] + m));
-  }
-}
-
-/// Quantized regroup_emit (see Backend::regroup_emit_u16): same whole-
-/// row moves as the float kernel; costs widen, saturate-fold with the
-/// leaf cost in u32 lanes, and narrow back to the u16 survivor arena.
-template <class V>
-static void regroup_emit_u16_v(const std::uint32_t* child_state,
-                               const std::uint16_t* child_cost,
-                               const std::uint16_t* leaf_cost,
-                               const std::uint32_t* leaf_path, std::size_t leaves,
-                               std::uint32_t fanout, int k, int d,
-                               std::uint32_t group_mask,
-                               const std::int32_t* group_rowbase,
-                               std::uint32_t* out_state, std::uint16_t* out_cost,
-                               std::uint32_t* out_path) {
-  constexpr std::uint32_t kMaxFanout = 256;
-  if (fanout < V::W || fanout % V::W != 0 || fanout > kMaxFanout || group_mask >= 256) {
-    scalar::regroup_emit_u16(child_state, child_cost, leaf_cost, leaf_path, leaves,
-                             fanout, k, d, group_mask, group_rowbase, out_state,
-                             out_cost, out_path);
-    return;
-  }
-  const int shift = k * (d - 2);
-  typename V::U vvec[kMaxFanout / V::W];  // v << shift, per vector step
-  const std::uint32_t steps = fanout / static_cast<std::uint32_t>(V::W);
-  for (std::uint32_t s = 0; s < steps; ++s)
-    vvec[s] = V::shl(V::add(V::set1(s * static_cast<std::uint32_t>(V::W)), V::iota()),
-                     shift);
-  const typename V::U capv = V::set1(65535u);
-  std::uint32_t next[256];
-  for (std::uint32_t g = 0; g <= group_mask; ++g)
-    next[g] = group_rowbase[g] < 0 ? 0 : static_cast<std::uint32_t>(group_rowbase[g]);
-  for (std::size_t i = 0; i < leaves; ++i) {
-    const std::uint32_t g = leaf_path[i] & group_mask;
-    if (group_rowbase[g] < 0) continue;
-    const typename V::U pcv = V::set1(leaf_cost[i]);
-    const typename V::U pbase = V::set1(leaf_path[i] >> k);
-    const std::size_t src = i * static_cast<std::size_t>(fanout);
-    const std::size_t dst = next[g];
-    next[g] += fanout;
-    for (std::uint32_t s = 0; s < steps; ++s) {
-      const std::size_t o = s * V::W;
-      V::storeu(out_state + dst + o, V::loadu(child_state + src + o));
-      V::narrow_store_u16(
-          out_cost + dst + o,
-          V::min_u32(V::add(pcv, V::widen_load_u16(child_cost + src + o)), capv));
-      V::storeu(out_path + dst + o, V::or_(pbase, vvec[s]));
-    }
-  }
-}
-
 /// The Ops policy the fused expand drivers (expand.h) instantiate with.
 template <class V>
 struct SimdOps {
@@ -1083,12 +999,14 @@ struct SimdOps {
     // popcount instruction in these ISA-flagged TUs already.
     scalar::bsc_hamming_add(acc, count, rx_word, costs);
   }
-  static std::size_t d1_prune(const float* parent_cost, const float* child_cost,
-                              std::size_t count, std::uint32_t fanout,
-                              std::uint32_t cand_base, std::uint64_t bound_key,
-                              std::uint64_t* out_keys) {
-    return d1_prune_v<V>(parent_cost, child_cost, count, fanout, cand_base, bound_key,
-                         out_keys);
+  template <class Lane, class Child = typename Lane::cost_t>
+  static std::size_t d1_prune(const typename Lane::cost_t* parent_cost,
+                              const Child* child_cost, std::size_t count,
+                              std::uint32_t fanout, std::uint32_t cand_base,
+                              typename Lane::key_t bound_key,
+                              typename Lane::key_t* out_keys) {
+    return d1_prune_v<V, Lane, Child>(parent_cost, child_cost, count, fanout, cand_base,
+                                      bound_key, out_keys);
   }
   static std::size_t partial_compress(const float* parent_cost, float* acc,
                                       std::size_t count, std::uint32_t fanout,
@@ -1104,18 +1022,23 @@ struct SimdOps {
     return final_prune_v<V>(parent_cost, acc, idx, n, log2_fanout, cand_base,
                             bound_key, out_keys);
   }
-  static void row_mins(const float* leaf_cost, const float* child_cost,
-                       std::size_t leaves, std::uint32_t fanout, float* out) {
-    row_mins_v<V>(leaf_cost, child_cost, leaves, fanout, out);
+  template <class Lane>
+  static void row_mins(const typename Lane::cost_t* leaf_cost,
+                       const typename Lane::cost_t* child_cost, std::size_t leaves,
+                       std::uint32_t fanout, typename Lane::cost_t* out) {
+    row_mins_v<V, Lane>(leaf_cost, child_cost, leaves, fanout, out);
   }
-  static void regroup_emit(const std::uint32_t* child_state, const float* child_cost,
-                           const float* leaf_cost, const std::uint32_t* leaf_path,
-                           std::size_t leaves, std::uint32_t fanout, int k, int d,
-                           std::uint32_t group_mask, const std::int32_t* group_rowbase,
-                           std::uint32_t* out_state, float* out_cost,
-                           std::uint32_t* out_path) {
-    regroup_emit_v<V>(child_state, child_cost, leaf_cost, leaf_path, leaves, fanout, k,
-                      d, group_mask, group_rowbase, out_state, out_cost, out_path);
+  template <class Lane>
+  static void regroup_emit(const std::uint32_t* child_state,
+                           const typename Lane::cost_t* child_cost,
+                           const typename Lane::cost_t* leaf_cost,
+                           const std::uint32_t* leaf_path, std::size_t leaves,
+                           std::uint32_t fanout, int k, int d, std::uint32_t group_mask,
+                           const std::int32_t* group_rowbase, std::uint32_t* out_state,
+                           typename Lane::cost_t* out_cost, std::uint32_t* out_path) {
+    regroup_emit_v<V, Lane>(child_state, child_cost, leaf_cost, leaf_path, leaves,
+                            fanout, k, d, group_mask, group_rowbase, out_state, out_cost,
+                            out_path);
   }
   static void xor_rows(std::uint64_t* dst, const std::uint64_t* src,
                        std::size_t words) {
@@ -1135,20 +1058,6 @@ struct SimdOps {
     awgn_q_sweep_impl_v<V, true>(kind, salt, premixed, lanes, count, data, qtab, qmask,
                                  w, acc);
   }
-  static std::size_t d1_prune_u16(const std::uint16_t* parent_cost,
-                                  const std::uint16_t* child_cost, std::size_t count,
-                                  std::uint32_t fanout, std::uint32_t cand_base,
-                                  std::uint32_t bound_key, std::uint32_t* out_keys) {
-    return d1_prune_u16_v<V>(parent_cost, child_cost, count, fanout, cand_base,
-                             bound_key, out_keys);
-  }
-  static std::size_t d1_finalize_q(const std::uint16_t* parent_cost,
-                                   const std::uint32_t* acc, std::size_t count,
-                                   std::uint32_t fanout, std::uint32_t cand_base,
-                                   std::uint32_t bound_key, std::uint32_t* out_keys) {
-    return d1_finalize_q_v<V>(parent_cost, acc, count, fanout, cand_base, bound_key,
-                              out_keys);
-  }
   static std::size_t partial_compress_u16(const std::uint16_t* parent_cost,
                                           std::uint32_t* acc, std::size_t count,
                                           std::uint32_t fanout, std::uint32_t row_floor,
@@ -1165,24 +1074,6 @@ struct SimdOps {
                                      std::uint32_t* out_keys) {
     return final_prune_u16_v<V>(parent32, acc, idx, n, log2_fanout, cand_base,
                                 bound_key, out_keys);
-  }
-  static void row_mins_u16(const std::uint16_t* leaf_cost,
-                           const std::uint16_t* child_cost, std::size_t leaves,
-                           std::uint32_t fanout, std::uint16_t* out) {
-    row_mins_u16_v<V>(leaf_cost, child_cost, leaves, fanout, out);
-  }
-  static void regroup_emit_u16(const std::uint32_t* child_state,
-                               const std::uint16_t* child_cost,
-                               const std::uint16_t* leaf_cost,
-                               const std::uint32_t* leaf_path, std::size_t leaves,
-                               std::uint32_t fanout, int k, int d,
-                               std::uint32_t group_mask,
-                               const std::int32_t* group_rowbase,
-                               std::uint32_t* out_state, std::uint16_t* out_cost,
-                               std::uint32_t* out_path) {
-    regroup_emit_u16_v<V>(child_state, child_cost, leaf_cost, leaf_path, leaves,
-                          fanout, k, d, group_mask, group_rowbase, out_state, out_cost,
-                          out_path);
   }
 };
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "spinal/cost_model.h"
 
@@ -50,12 +51,15 @@ std::uint16_t build_quant_row(float yr, float yi, const float* table,
                               std::uint16_t* row) {
   std::uint32_t qre[64], qim[64];  // dim <= 64: eligibility caps 2c at 12
   const std::uint32_t dim = mask + 1;
+  const float capf = static_cast<float>(cap);
   std::uint32_t minre = ~0u, minim = ~0u;
   for (std::uint32_t j = 0; j < dim; ++j) {
     const float dr = yr - table[j];
     const float di = yi - table[j];
-    qre[j] = static_cast<std::uint32_t>(std::lrintf(dr * dr * qs));
-    qim[j] = static_cast<std::uint32_t>(std::lrintf(di * di * qs));
+    // Clamped before rounding: a far-off y would otherwise overflow
+    // lrintf's range (an unspecified result) and wrap the u32 sum.
+    qre[j] = static_cast<std::uint32_t>(std::lrintf(std::min(dr * dr * qs, capf)));
+    qim[j] = static_cast<std::uint32_t>(std::lrintf(std::min(di * di * qs, capf)));
     minre = std::min(minre, qre[j]);
     minim = std::min(minim, qim[j]);
   }
@@ -193,25 +197,28 @@ struct AwgnBatchEnv : AwgnEnv {
                                  bound_key, out_states, out_keys);
   }
 
-  // ---- Quantized (u16 path metric) kernel family ----
+  // ---- U16Lane (quantized path metric) overloads ----
   // Active only when decode_with resolved the precision knob to a
   // narrow type AND the decode is eligible (AWGN without CSI, 2c <= 12
   // so the combined metric table stays cache-resident, B·2^k <= 65536
   // so candidate indices fit the u32 packed key's low half). The
-  // search checks quantized() per run and silently stays on the f32
-  // pipeline otherwise.
+  // search checks quantized() per run and silently stays on the
+  // F32Lane otherwise.
   bool q_on = false;              ///< this decode runs the quantized pipeline
-  float q_scale_v = 0.0f;         ///< metric grid scale (2^6 u16, 2^3 u8)
+  float q_scale_v = 0.0f;         ///< metric grid scale (2^4 u16, 2^3 u8)
   std::uint32_t q_stride = 0;     ///< combined metric row length, 2^(2c)
   std::uint32_t q_mask = 0;       ///< q_stride - 1
 
   bool quantized() const noexcept { return q_on; }
   float quant_scale() const noexcept { return q_scale_v; }
 
-  /// Scalar per-node metric on the quantized grid (prologue levels and
-  /// the scalar-quantized pinning reference): the saturating-add chain
-  /// over the symbol rows, identical to the kernels' accumulate+clamp.
-  std::uint32_t node_cost_q(int spine_idx, std::uint32_t state) const noexcept {
+  using AwgnEnv::node_cost;
+
+  /// Scalar per-node metric on the quantized grid (prologue levels):
+  /// the saturating-add chain over the symbol rows, identical to the
+  /// kernels' accumulate+clamp.
+  std::uint32_t node_cost(int spine_idx, std::uint32_t state,
+                          backend::U16Lane) const noexcept {
     const std::uint32_t begin = ws->soa_off[spine_idx];
     const std::uint32_t nsym = ws->soa_off[spine_idx + 1] - begin;
     const std::uint16_t* rows = dec.qtab_[spine_idx].data();
@@ -228,7 +235,7 @@ struct AwgnBatchEnv : AwgnEnv {
   /// saturated sum of this level's per-symbol row minima (0 for levels
   /// with no received symbols). The search adds it to sorted parent
   /// costs to cut leaves before they are ever hashed.
-  std::uint32_t level_floor_q(int spine_idx) const noexcept {
+  std::uint32_t level_floor(int spine_idx) const noexcept {
     return ws->qmin_rest[ws->soa_off[spine_idx] + static_cast<std::uint32_t>(spine_idx)];
   }
 
@@ -254,25 +261,90 @@ struct AwgnBatchEnv : AwgnEnv {
                                want_idx ? sc.idx.data() : nullptr};
   }
 
-  void expand_all_q(int spine_idx, const std::uint32_t* states, std::size_t count,
-                    int fanout, std::uint32_t* out_states,
-                    std::uint16_t* out_costs) const {
+  void expand_all(int spine_idx, const std::uint32_t* states, std::size_t count,
+                  int fanout, std::uint32_t* out_states, std::uint16_t* out_costs) const {
     const std::size_t total = count * static_cast<std::size_t>(fanout);
     const backend::AwgnLevelQ level = level_q(spine_idx, total, false);
     be->awgn_expand_all_u16(level, states, count, static_cast<std::uint32_t>(fanout),
                             out_states, out_costs);
   }
 
-  std::size_t expand_prune_q(int spine_idx, const std::uint32_t* states,
-                             const std::uint16_t* parent_cost, std::size_t count,
-                             int fanout, std::uint32_t cand_base,
-                             std::uint32_t bound_key, std::uint32_t* out_states,
-                             std::uint32_t* out_keys) const {
+  std::size_t expand_prune(int spine_idx, const std::uint32_t* states,
+                           const std::uint16_t* parent_cost, std::size_t count,
+                           int fanout, std::uint32_t cand_base, std::uint32_t bound_key,
+                           std::uint32_t* out_states, std::uint32_t* out_keys) const {
     const std::size_t total = count * static_cast<std::size_t>(fanout);
     const backend::AwgnLevelQ level = level_q(spine_idx, total, true);
     return be->awgn_expand_prune_u16(level, states, parent_cost, count,
                                      static_cast<std::uint32_t>(fanout), cand_base,
                                      bound_key, out_states, out_keys);
+  }
+};
+
+/// The decode entry points both spinal decoders share: one block
+/// (decode_with) or a level-synchronous batch (decode_batch_with), over
+/// whichever batched Env the decoder builds.
+struct detail::DecodeDriver {
+  template <class Decoder>
+  static void one(const Decoder& dec, DecodeWorkspace& ws, DecodeResult& out,
+                  int beam_width) {
+    dec.flatten_soa(ws);
+    CodeParams p = dec.params_;
+    if (beam_width > 0 && beam_width < p.B) p.B = beam_width;
+    using Env = decltype(dec.batch_env(ws));
+    const Env env = dec.batch_env(ws);
+    const BeamSearch<Env> search;
+    search.run(env, p, ws.search, ws.result);
+    chunks_to_message_into(dec.params_, ws.result.chunks, out.message);
+    out.path_cost = ws.result.best_cost;
+  }
+
+  template <class Decoder>
+  static void batch(DecodeWorkspace& ws, std::span<const typename Decoder::BlockJob> jobs) {
+    if (jobs.empty()) return;
+    if (jobs.size() == 1) {
+      one(*jobs[0].decoder, ws, *jobs[0].out, jobs[0].beam_width);
+      return;
+    }
+    while (ws.batch.size() < jobs.size())
+      ws.batch.push_back(std::make_unique<DecodeWorkspace>());
+
+    // Per-block search state. The block count is small (a service batch),
+    // so these little control arrays are the only per-call allocations;
+    // all decode-sized scratch lives in the reused sub-workspaces.
+    using Env = decltype(std::declval<const Decoder&>().batch_env(ws));
+    const BeamSearch<Env> search;
+    std::vector<Env> envs;
+    envs.reserve(jobs.size());
+    std::vector<CodeParams> ps(jobs.size());
+    std::vector<SearchCursor> curs(jobs.size());
+    int max_steps = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const Decoder& dec = *jobs[i].decoder;
+      DecodeWorkspace& bws = *ws.batch[i];
+      dec.flatten_soa(bws);
+      ps[i] = dec.params_;
+      if (jobs[i].beam_width > 0 && jobs[i].beam_width < ps[i].B)
+        ps[i].B = jobs[i].beam_width;
+      envs.push_back(dec.batch_env(bws));
+      search.begin(envs[i], ps[i], bws.search, curs[i]);
+      max_steps = std::max(max_steps, BeamSearch<Env>::steps(ps[i]));
+    }
+    // Level-synchronous interleave: at step t every live block advances
+    // one level back-to-back, so the expand/prune kernel family sweeps
+    // sum(B_i) lanes' worth of work per level while each block's
+    // selection stays per-block exact (its own workspace + cursor).
+    for (int t = 0; t < max_steps; ++t)
+      for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (t < BeamSearch<Env>::steps(ps[i]))
+          search.step(envs[i], ps[i], ws.batch[i]->search, curs[i], t);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      DecodeWorkspace& bws = *ws.batch[i];
+      search.end(envs[i], ps[i], bws.search, curs[i], bws.result);
+      chunks_to_message_into(jobs[i].decoder->params_, bws.result.chunks,
+                             jobs[i].out->message);
+      jobs[i].out->path_cost = bws.result.best_cost;
+    }
   }
 };
 
@@ -314,6 +386,12 @@ void SpinalDecoder::add_symbol(SymbolId id, std::complex<float> y,
                                std::complex<float> csi) {
   if (id.spine_index < 0 || id.spine_index >= static_cast<std::int32_t>(rx_.size()))
     throw std::out_of_range("SpinalDecoder::add_symbol: spine index out of range");
+  // A non-finite sample carries no information about x: treat it as an
+  // erasure (not stored, counted or tabulated), exactly like a
+  // punctured symbol, instead of letting NaN/Inf poison every path cost.
+  if (!std::isfinite(y.real()) || !std::isfinite(y.imag()) ||
+      !std::isfinite(csi.real()) || !std::isfinite(csi.imag()))
+    return;
   rx_[id.spine_index].push_back({id.ordinal, y, csi});
   if (csi != std::complex<float>{1.0f, 0.0f}) any_csi_ = true;
   ++count_;
@@ -420,61 +498,12 @@ AwgnBatchEnv SpinalDecoder::batch_env(detail::DecodeWorkspace& ws) const {
 
 void SpinalDecoder::decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
                                 int beam_width) const {
-  flatten_soa(ws);
-  CodeParams p = params_;
-  if (beam_width > 0 && beam_width < p.B) p.B = beam_width;
-  const detail::BeamSearch<AwgnBatchEnv> search;
-  const AwgnBatchEnv env = batch_env(ws);
-  search.run(env, p, ws.search, ws.result);
-  chunks_to_message_into(params_, ws.result.chunks, out.message);
-  out.path_cost = ws.result.best_cost;
+  detail::DecodeDriver::one(*this, ws, out, beam_width);
 }
 
 void SpinalDecoder::decode_batch_with(detail::DecodeWorkspace& ws,
                                       std::span<const BlockJob> jobs) {
-  if (jobs.empty()) return;
-  if (jobs.size() == 1) {
-    jobs[0].decoder->decode_with(ws, *jobs[0].out, jobs[0].beam_width);
-    return;
-  }
-  while (ws.batch.size() < jobs.size())
-    ws.batch.push_back(std::make_unique<detail::DecodeWorkspace>());
-
-  // Per-block search state. The block count is small (a service batch),
-  // so these little control arrays are the only per-call allocations;
-  // all decode-sized scratch lives in the reused sub-workspaces.
-  const detail::BeamSearch<AwgnBatchEnv> search;
-  std::vector<AwgnBatchEnv> envs;
-  envs.reserve(jobs.size());
-  std::vector<CodeParams> ps(jobs.size());
-  std::vector<detail::SearchCursor> curs(jobs.size());
-  int max_steps = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const SpinalDecoder& dec = *jobs[i].decoder;
-    detail::DecodeWorkspace& bws = *ws.batch[i];
-    dec.flatten_soa(bws);
-    ps[i] = dec.params_;
-    if (jobs[i].beam_width > 0 && jobs[i].beam_width < ps[i].B)
-      ps[i].B = jobs[i].beam_width;
-    envs.push_back(dec.batch_env(bws));
-    search.begin(envs[i], ps[i], bws.search, curs[i]);
-    max_steps = std::max(max_steps, detail::BeamSearch<AwgnBatchEnv>::steps(ps[i]));
-  }
-  // Level-synchronous interleave: at step t every live block advances
-  // one level back-to-back, so the expand/prune kernel family sweeps
-  // sum(B_i) lanes' worth of work per level while each block's
-  // selection stays per-block exact (its own workspace + cursor).
-  for (int t = 0; t < max_steps; ++t)
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      if (t < detail::BeamSearch<AwgnBatchEnv>::steps(ps[i]))
-        search.step(envs[i], ps[i], ws.batch[i]->search, curs[i], t);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    detail::DecodeWorkspace& bws = *ws.batch[i];
-    search.end(envs[i], ps[i], bws.search, curs[i], bws.result);
-    chunks_to_message_into(jobs[i].decoder->params_, bws.result.chunks,
-                           jobs[i].out->message);
-    jobs[i].out->path_cost = bws.result.best_cost;
-  }
+  detail::DecodeDriver::batch<SpinalDecoder>(ws, jobs);
 }
 
 DecodeResult SpinalDecoder::decode_reference() const {
@@ -604,55 +633,12 @@ BscBatchEnv BscSpinalDecoder::batch_env(detail::DecodeWorkspace& ws) const {
 
 void BscSpinalDecoder::decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
                                    int beam_width) const {
-  flatten_soa(ws);
-  CodeParams p = params_;
-  if (beam_width > 0 && beam_width < p.B) p.B = beam_width;
-  const detail::BeamSearch<BscBatchEnv> search;
-  const BscBatchEnv env = batch_env(ws);
-  search.run(env, p, ws.search, ws.result);
-  chunks_to_message_into(params_, ws.result.chunks, out.message);
-  out.path_cost = ws.result.best_cost;
+  detail::DecodeDriver::one(*this, ws, out, beam_width);
 }
 
 void BscSpinalDecoder::decode_batch_with(detail::DecodeWorkspace& ws,
                                          std::span<const BlockJob> jobs) {
-  if (jobs.empty()) return;
-  if (jobs.size() == 1) {
-    jobs[0].decoder->decode_with(ws, *jobs[0].out, jobs[0].beam_width);
-    return;
-  }
-  while (ws.batch.size() < jobs.size())
-    ws.batch.push_back(std::make_unique<detail::DecodeWorkspace>());
-
-  const detail::BeamSearch<BscBatchEnv> search;
-  std::vector<BscBatchEnv> envs;
-  envs.reserve(jobs.size());
-  std::vector<CodeParams> ps(jobs.size());
-  std::vector<detail::SearchCursor> curs(jobs.size());
-  int max_steps = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const BscSpinalDecoder& dec = *jobs[i].decoder;
-    detail::DecodeWorkspace& bws = *ws.batch[i];
-    dec.flatten_soa(bws);
-    ps[i] = dec.params_;
-    if (jobs[i].beam_width > 0 && jobs[i].beam_width < ps[i].B)
-      ps[i].B = jobs[i].beam_width;
-    envs.push_back(dec.batch_env(bws));
-    search.begin(envs[i], ps[i], bws.search, curs[i]);
-    max_steps = std::max(max_steps, detail::BeamSearch<BscBatchEnv>::steps(ps[i]));
-  }
-  // Level-synchronous interleave (see SpinalDecoder::decode_batch_with).
-  for (int t = 0; t < max_steps; ++t)
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      if (t < detail::BeamSearch<BscBatchEnv>::steps(ps[i]))
-        search.step(envs[i], ps[i], ws.batch[i]->search, curs[i], t);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    detail::DecodeWorkspace& bws = *ws.batch[i];
-    search.end(envs[i], ps[i], bws.search, curs[i], bws.result);
-    chunks_to_message_into(jobs[i].decoder->params_, bws.result.chunks,
-                           jobs[i].out->message);
-    jobs[i].out->path_cost = bws.result.best_cost;
-  }
+  detail::DecodeDriver::batch<BscSpinalDecoder>(ws, jobs);
 }
 
 DecodeResult BscSpinalDecoder::decode_reference() const {

@@ -87,6 +87,10 @@ struct DecodeWorkspace {
   std::vector<std::unique_ptr<DecodeWorkspace>> batch;
 };
 
+/// The decode_with / decode_batch_with driver both decoders share
+/// (defined in decoder.cpp).
+struct DecodeDriver;
+
 }  // namespace detail
 
 struct AwgnBatchEnv;
@@ -104,6 +108,8 @@ class SpinalDecoder {
 
   /// Stores one received symbol with its fading coefficient (exact CSI,
   /// Fig 8-4). Pass h=(1,0) to ignore fading (Fig 8-5's AWGN decoder).
+  /// A symbol whose y or csi has a NaN or infinite component is an
+  /// erasure: it is dropped and not counted in symbols_received().
   void add_symbol(SymbolId id, std::complex<float> y, std::complex<float> csi);
 
   std::size_t symbols_received() const noexcept { return count_; }
@@ -216,6 +222,7 @@ class SpinalDecoder {
 
   friend struct AwgnEnv;
   friend struct AwgnBatchEnv;
+  friend struct detail::DecodeDriver;
 };
 
 class BscSpinalDecoder {
@@ -277,6 +284,7 @@ class BscSpinalDecoder {
 
   friend struct BscEnv;
   friend struct BscBatchEnv;
+  friend struct detail::DecodeDriver;
 };
 
 }  // namespace spinal

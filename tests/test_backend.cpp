@@ -70,13 +70,15 @@ TEST(BackendRegistry, NamesAreUniqueAndLanesSane) {
     EXPECT_NE(b->awgn_expand_all, nullptr) << b->name;
     EXPECT_NE(b->bsc_expand_all, nullptr) << b->name;
     EXPECT_NE(b->awgn_expand_prune, nullptr) << b->name;
-    EXPECT_NE(b->build_keys, nullptr) << b->name;
-    EXPECT_NE(b->d1_prune, nullptr) << b->name;
-    EXPECT_NE(b->row_mins, nullptr) << b->name;
-    EXPECT_NE(b->regroup_emit, nullptr) << b->name;
-    EXPECT_NE(b->partition_keys, nullptr) << b->name;
-    EXPECT_NE(b->select_keys, nullptr) << b->name;
     EXPECT_NE(b->xor_rows, nullptr) << b->name;
+    EXPECT_NE(b->awgn_expand_all_u16, nullptr) << b->name;
+    EXPECT_NE(b->awgn_expand_prune_u16, nullptr) << b->name;
+    EXPECT_NE(b->f32.d1_prune, nullptr) << b->name;
+    EXPECT_NE(b->f32.row_mins, nullptr) << b->name;
+    EXPECT_NE(b->f32.regroup_emit, nullptr) << b->name;
+    EXPECT_NE(b->u16.d1_prune, nullptr) << b->name;
+    EXPECT_NE(b->u16.row_mins, nullptr) << b->name;
+    EXPECT_NE(b->u16.regroup_emit, nullptr) << b->name;
   }
   for (std::size_t i = 0; i < names.size(); ++i)
     for (std::size_t j = i + 1; j < names.size(); ++j)
@@ -418,7 +420,7 @@ TEST(BackendKernels, AwgnExpandPruneMatchesSplitPipeline) {
           }
           std::vector<std::uint64_t> k_split(total + 7, ~0ull), k_fused(total + 7, ~1ull);
           const std::size_t n_split =
-              b->d1_prune(parent.data(), costs.data(), count, fanout, 100, bound,
+              b->f32.d1_prune(parent.data(), costs.data(), count, fanout, 100, bound,
                           k_split.data());
           const backend::AwgnLevel lf = make_level(sc_fused);
           std::vector<std::uint32_t> st_fused(total, ~0u);
@@ -444,53 +446,53 @@ TEST(BackendKernels, PartitionKeysKeepsTheSelectSet) {
   // smallest keys land in [0, keep) in some order — exactly the
   // select_keys set, order-free.
   util::Xoshiro256 prng(112);
-  for (const Backend* b : backend::available()) {
-    for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{4096}}) {
-      std::vector<float> costs(n);
-      float walk = 5.0f;
-      for (auto& c : costs) {
-        walk += static_cast<float>(prng.next_double()) * 0.25f;
-        c = walk + static_cast<float>(prng.next_double()) * 2.0f;
-      }
-      std::vector<std::uint64_t> keys(n);
-      b->build_keys(costs.data(), n, keys.data());
-      std::vector<std::uint64_t> sorted = keys;
-      std::sort(sorted.begin(), sorted.end());
-      for (std::size_t keep : {std::size_t{1}, n / 2, n - 1}) {
-        if (keep == 0) continue;
-        std::vector<std::uint64_t> work = keys;
-        b->partition_keys(work.data(), n, keep);
-        std::sort(work.begin(), work.begin() + keep);
-        for (std::size_t i = 0; i < keep; ++i)
-          EXPECT_EQ(work[i], sorted[i]) << b->name << " n=" << n << " keep=" << keep;
-      }
+  for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{4096}}) {
+    std::vector<float> costs(n);
+    float walk = 5.0f;
+    for (auto& c : costs) {
+      walk += static_cast<float>(prng.next_double()) * 0.25f;
+      c = walk + static_cast<float>(prng.next_double()) * 2.0f;
+    }
+    std::vector<std::uint64_t> keys(n);
+    backend::build_keys(costs.data(), n, keys.data());
+    std::vector<std::uint64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t keep : {std::size_t{1}, n / 2, n - 1}) {
+      if (keep == 0) continue;
+      std::vector<std::uint64_t> work = keys;
+      backend::partition_keys(work.data(), n, keep);
+      std::sort(work.begin(), work.begin() + keep);
+      for (std::size_t i = 0; i < keep; ++i)
+        EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
     }
   }
 }
 
-TEST(BackendKernels, SelectionKeysMatchScalarExactly) {
+TEST(BackendKernels, SelectionKeysMatchFirstPrinciples) {
+  // One selection implementation serves every backend, so the oracle
+  // is first principles: build_keys packs F32Lane keys (monotone cost
+  // word, candidate index) and select_keys keeps the full sort's prefix
+  // in order — over mixed signs and exact ties at zero.
   util::Xoshiro256 prng(106);
-  for (const Backend* b : simd_backends()) {
-    for (std::size_t n : {std::size_t{1}, std::size_t{17}, std::size_t{1024}}) {
-      std::vector<float> costs(n);
-      for (auto& c : costs)
-        c = static_cast<float>(prng.next_double()) * 8.0f - 1.0f;  // mixed signs
-      costs[0] = 0.0f;  // exercise ties at zero
-      if (n > 4) costs[4] = 0.0f;
-      std::vector<std::uint64_t> want(n), got(n);
-      scalar()->build_keys(costs.data(), n, want.data());
-      b->build_keys(costs.data(), n, got.data());
-      EXPECT_EQ(want, got) << b->name << " build_keys n=" << n;
+  for (std::size_t n : {std::size_t{1}, std::size_t{17}, std::size_t{1024}}) {
+    std::vector<float> costs(n);
+    for (auto& c : costs)
+      c = static_cast<float>(prng.next_double()) * 8.0f - 1.0f;  // mixed signs
+    costs[0] = 0.0f;  // exercise ties at zero
+    if (n > 4) costs[4] = 0.0f;
+    std::vector<std::uint64_t> want(n), got(n);
+    for (std::size_t i = 0; i < n; ++i)
+      want[i] = (static_cast<std::uint64_t>(backend::monotone_key(costs[i])) << 32) | i;
+    backend::build_keys(costs.data(), n, got.data());
+    EXPECT_EQ(want, got) << "build_keys n=" << n;
 
-      // Selection: same kept set, same kept order.
-      const std::size_t keep = n / 2 + 1;
-      std::vector<std::uint64_t> sel_want = want, sel_got = got;
-      scalar()->select_keys(sel_want.data(), n, keep);
-      b->select_keys(sel_got.data(), n, keep);
-      sel_want.resize(keep);
-      sel_got.resize(keep);
-      EXPECT_EQ(sel_want, sel_got) << b->name << " select_keys n=" << n;
-    }
+    // Selection: the kept set and its order are the sorted prefix.
+    const std::size_t keep = n / 2 + 1;
+    std::sort(want.begin(), want.end());
+    backend::select_keys(got.data(), n, keep);
+    want.resize(keep);
+    got.resize(keep);
+    EXPECT_EQ(want, got) << "select_keys n=" << n;
   }
 }
 
@@ -526,7 +528,7 @@ TEST(BackendKernels, D1PruneMatchesScalarExactly) {
         const std::uint32_t cand_base = 1000;
         // + 7 slack: SIMD backends compress-store whole vectors.
         std::vector<std::uint64_t> keys(total + 7, ~0ull);
-        const std::size_t got = b->d1_prune(parent.data(), child.data(), count, fanout,
+        const std::size_t got = b->f32.d1_prune(parent.data(), child.data(), count, fanout,
                                             cand_base, bound, keys.data());
         std::size_t want = 0;
         for (std::size_t c = 0; c < total; ++c) {
@@ -556,7 +558,7 @@ TEST(BackendKernels, RowMinsMatchScalarExactly) {
       // Exercise exact ties inside a row: the min must stay bit-stable.
       if (fanout > 2) child[3 * fanout + 2] = child[3 * fanout + 1];
       std::vector<float> got(leaves, -1.0f);
-      b->row_mins(leaf_cost.data(), child.data(), leaves, fanout, got.data());
+      b->f32.row_mins(leaf_cost.data(), child.data(), leaves, fanout, got.data());
       for (std::size_t i = 0; i < leaves; ++i) {
         float m = child[i * fanout];
         for (std::uint32_t v = 1; v < fanout; ++v)
@@ -603,11 +605,11 @@ TEST(BackendKernels, RegroupEmitMatchesScalarExactly) {
       std::vector<std::uint32_t> st_want(arena, 0xABABABABu), st_got = st_want;
       std::vector<float> c_want(arena, -7.0f), c_got = c_want;
       std::vector<std::uint32_t> p_want(arena, 0xCDCDCDCDu), p_got = p_want;
-      scalar()->regroup_emit(child_state.data(), child_cost.data(), leaf_cost.data(),
+      scalar()->f32.regroup_emit(child_state.data(), child_cost.data(), leaf_cost.data(),
                              leaf_path.data(), lpe, fanout, k, d, group_mask,
                              rowbase.data(), st_want.data(), c_want.data(),
                              p_want.data());
-      b->regroup_emit(child_state.data(), child_cost.data(), leaf_cost.data(),
+      b->f32.regroup_emit(child_state.data(), child_cost.data(), leaf_cost.data(),
                       leaf_path.data(), lpe, fanout, k, d, group_mask, rowbase.data(),
                       st_got.data(), c_got.data(), p_got.data());
       EXPECT_EQ(st_want, st_got) << b->name << " d=" << d;
@@ -665,7 +667,7 @@ TEST(BackendKernels, StreamingPruneEqualsFullExpandSelect) {
       for (std::uint32_t v = 0; v < fanout; ++v)
         cost[i * fanout + v] = parent[i] + child[i * fanout + v];
     std::vector<std::uint64_t> full(total);
-    backend::find("scalar")->build_keys(cost.data(), total, full.data());
+    backend::build_keys(cost.data(), total, full.data());
     std::sort(full.begin(), full.end());
 
     for (const Backend* b : backend::available()) {
@@ -676,19 +678,19 @@ TEST(BackendKernels, StreamingPruneEqualsFullExpandSelect) {
       std::size_t sc = 0;
       for (std::size_t L = 0; L < count; L += block_leaves) {
         const std::size_t n = std::min(block_leaves, count - L);
-        sc += b->d1_prune(parent.data() + L, child.data() + L * fanout, n, fanout,
+        sc += b->f32.d1_prune(parent.data() + L, child.data() + L * fanout, n, fanout,
                           static_cast<std::uint32_t>(L * fanout), bound,
                           keys.data() + sc);
         // The online bound: keep-th best survivor so far, via the
         // block-local radix refinement (truncation is admissible).
         if (sc >= trigger && L + n < count) {
-          b->select_keys(keys.data(), sc, static_cast<std::size_t>(keep));
+          backend::select_keys(keys.data(), sc, static_cast<std::size_t>(keep));
           sc = static_cast<std::size_t>(keep);
           bound = keys[keep - 1];  // the full keep-th-best packed key
         }
       }
       ASSERT_GE(sc, static_cast<std::size_t>(keep)) << b->name << " seed=" << seed;
-      b->select_keys(keys.data(), sc, static_cast<std::size_t>(keep));
+      backend::select_keys(keys.data(), sc, static_cast<std::size_t>(keep));
       // The kept keys — cost bits AND candidate indices, in packed-key
       // order — must be exactly the full sort's prefix.
       for (int j = 0; j < keep; ++j)
@@ -701,34 +703,32 @@ TEST(BackendKernels, SelectKeysMatchesFullSortReference) {
   // The radix selection must keep exactly the keep smallest keys, in
   // ascending order — i.e. the prefix of a full sort. Exercised on
   // clustered near-sorted keys (the shape real decode costs have) and
-  // several keep points, for every backend's table entry.
+  // several keep points.
   util::Xoshiro256 prng(108);
-  for (const Backend* b : backend::available()) {
-    for (std::size_t n : {std::size_t{2}, std::size_t{100}, std::size_t{4096},
-                          std::size_t{5000}}) {
-      std::vector<float> costs(n);
-      float walk = 20.0f;
-      for (auto& c : costs) {
-        walk += static_cast<float>(prng.next_double()) * 0.25f;
-        c = walk + static_cast<float>(prng.next_double()) * 2.0f;
+  for (std::size_t n : {std::size_t{2}, std::size_t{100}, std::size_t{4096},
+                        std::size_t{5000}}) {
+    std::vector<float> costs(n);
+    float walk = 20.0f;
+    for (auto& c : costs) {
+      walk += static_cast<float>(prng.next_double()) * 0.25f;
+      c = walk + static_cast<float>(prng.next_double()) * 2.0f;
+    }
+    std::vector<std::uint64_t> keys(n);
+    backend::build_keys(costs.data(), n, keys.data());
+    std::vector<std::uint64_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t keep : {std::size_t{1}, n / 3, n - 1, n}) {
+      if (keep == 0) continue;
+      std::vector<std::uint64_t> work = keys;
+      backend::select_keys(work.data(), n, keep);
+      bool ok = true;
+      if (keep < n) {
+        for (std::size_t i = 0; i < keep; ++i) ok &= work[i] == sorted[i];
+      } else {
+        // keep == n is a no-op by contract (no pruning, order kept).
+        ok = work == keys;
       }
-      std::vector<std::uint64_t> keys(n);
-      b->build_keys(costs.data(), n, keys.data());
-      std::vector<std::uint64_t> sorted = keys;
-      std::sort(sorted.begin(), sorted.end());
-      for (std::size_t keep : {std::size_t{1}, n / 3, n - 1, n}) {
-        if (keep == 0) continue;
-        std::vector<std::uint64_t> work = keys;
-        b->select_keys(work.data(), n, keep);
-        bool ok = true;
-        if (keep < n) {
-          for (std::size_t i = 0; i < keep; ++i) ok &= work[i] == sorted[i];
-        } else {
-          // keep == n is a no-op by contract (no pruning, order kept).
-          ok = work == keys;
-        }
-        EXPECT_TRUE(ok) << b->name << " n=" << n << " keep=" << keep;
-      }
+      EXPECT_TRUE(ok) << "n=" << n << " keep=" << keep;
     }
   }
 }
@@ -856,7 +856,7 @@ TEST(BackendKernels, QuantizedD1PruneMatchesBruteForce) {
            {~0u, backend::quant_key(2500, 0xFFFF), backend::quant_key(900, 1200)}) {
         const std::uint32_t cand_base = 1000;
         std::vector<std::uint32_t> keys(total + 7, ~0u);
-        const std::size_t got = b->d1_prune_u16(parent.data(), child.data(), count,
+        const std::size_t got = b->u16.d1_prune(parent.data(), child.data(), count,
                                                 fanout, cand_base, bound, keys.data());
         std::size_t want = 0;
         for (std::size_t c = 0; c < total; ++c) {
@@ -928,7 +928,7 @@ TEST(BackendKernels, QuantizedExpandPruneMatchesSplitPipeline) {
           bound = backend::quant_key(fin[bsel == 1 ? total / 4 : 3 * total / 4], 0x4FF);
         }
         std::vector<std::uint32_t> k_split(total + 7, ~0u), k_fused(total + 7, ~1u);
-        const std::size_t n_split = b->d1_prune_u16(parent.data(), costs.data(), count,
+        const std::size_t n_split = b->u16.d1_prune(parent.data(), costs.data(), count,
                                                     fanout, 100, bound, k_split.data());
         const backend::AwgnLevelQ lf = make_level();
         std::vector<std::uint32_t> st_fused(total, ~0u);
@@ -958,7 +958,7 @@ TEST(BackendKernels, QuantizedRowMinsMatchBruteForce) {
       for (auto& c : child) c = static_cast<std::uint16_t>(prng.next_u64() % 9000u);
       if (fanout > 2) child[3 * fanout + 2] = child[3 * fanout + 1];  // exact tie
       std::vector<std::uint16_t> got(leaves, 0xAAAA);
-      b->row_mins_u16(leaf_cost.data(), child.data(), leaves, fanout, got.data());
+      b->u16.row_mins(leaf_cost.data(), child.data(), leaves, fanout, got.data());
       for (std::size_t i = 0; i < leaves; ++i) {
         std::uint32_t m = child[i * fanout];
         for (std::uint32_t v = 1; v < fanout; ++v)
@@ -1004,11 +1004,11 @@ TEST(BackendKernels, QuantizedRegroupEmitMatchesScalarExactly) {
       std::vector<std::uint32_t> st_want(arena, 0xABABABABu), st_got = st_want;
       std::vector<std::uint16_t> c_want(arena, 0x7777), c_got = c_want;
       std::vector<std::uint32_t> p_want(arena, 0xCDCDCDCDu), p_got = p_want;
-      scalar()->regroup_emit_u16(child_state.data(), child_cost.data(),
+      scalar()->u16.regroup_emit(child_state.data(), child_cost.data(),
                                  leaf_cost.data(), leaf_path.data(), lpe, fanout, k, d,
                                  group_mask, rowbase.data(), st_want.data(),
                                  c_want.data(), p_want.data());
-      b->regroup_emit_u16(child_state.data(), child_cost.data(), leaf_cost.data(),
+      b->u16.regroup_emit(child_state.data(), child_cost.data(), leaf_cost.data(),
                           leaf_path.data(), lpe, fanout, k, d, group_mask,
                           rowbase.data(), st_got.data(), c_got.data(), p_got.data());
       EXPECT_EQ(st_want, st_got) << b->name << " d=" << d;
@@ -1037,27 +1037,25 @@ TEST(BackendKernels, PartitionKeysU32KeepsTheSelectSet) {
   // Set-only contract of the u32 refinement used by the quantized
   // selection: the keep smallest keys land in [0, keep) in some order.
   util::Xoshiro256 prng(125);
-  for (const Backend* b : backend::available()) {
-    for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{4096},
-                          std::size_t{9000}}) {
-      std::vector<std::uint32_t> keys(n);
-      // Clustered costs in the high half, dense candidate ids below —
-      // the shape the quantized beam produces after renormalization.
-      std::uint32_t walk = 40;
-      for (std::size_t i = 0; i < n; ++i) {
-        walk += static_cast<std::uint32_t>(prng.next_u64() % 3u);
-        keys[i] = backend::quant_key(walk % 700u, static_cast<std::uint32_t>(i) & 0xFFFF);
-      }
-      std::vector<std::uint32_t> sorted = keys;
-      std::sort(sorted.begin(), sorted.end());
-      for (std::size_t keep : {std::size_t{1}, n / 2, n - 1}) {
-        if (keep == 0) continue;
-        std::vector<std::uint32_t> work = keys;
-        b->partition_keys_u32(work.data(), n, keep);
-        std::sort(work.begin(), work.begin() + keep);
-        for (std::size_t i = 0; i < keep; ++i)
-          EXPECT_EQ(work[i], sorted[i]) << b->name << " n=" << n << " keep=" << keep;
-      }
+  for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{4096},
+                        std::size_t{9000}}) {
+    std::vector<std::uint32_t> keys(n);
+    // Clustered costs in the high half, dense candidate ids below —
+    // the shape the quantized beam produces after renormalization.
+    std::uint32_t walk = 40;
+    for (std::size_t i = 0; i < n; ++i) {
+      walk += static_cast<std::uint32_t>(prng.next_u64() % 3u);
+      keys[i] = backend::quant_key(walk % 700u, static_cast<std::uint32_t>(i) & 0xFFFF);
+    }
+    std::vector<std::uint32_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t keep : {std::size_t{1}, n / 2, n - 1}) {
+      if (keep == 0) continue;
+      std::vector<std::uint32_t> work = keys;
+      backend::partition_keys(work.data(), n, keep);
+      std::sort(work.begin(), work.begin() + keep);
+      for (std::size_t i = 0; i < keep; ++i)
+        EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
     }
   }
 }
@@ -1068,23 +1066,20 @@ TEST(BackendKernels, SelectKeysU32MatchesFullSortReference) {
   // tie-broken candidate order. Also covers keep >= count (the
   // quantized finalize uses that as its full sort).
   util::Xoshiro256 prng(126);
-  for (const Backend* b : backend::available()) {
-    for (std::size_t n :
-         {std::size_t{1}, std::size_t{37}, std::size_t{512}, std::size_t{5000}}) {
-      std::vector<std::uint32_t> keys(n);
-      for (std::size_t i = 0; i < n; ++i)
-        keys[i] = backend::quant_key(
-            static_cast<std::uint32_t>(prng.next_u64() % 900u),
-            static_cast<std::uint32_t>(i) & 0xFFFF);
-      std::vector<std::uint32_t> sorted = keys;
-      std::sort(sorted.begin(), sorted.end());
-      for (std::size_t keep : {std::size_t{1}, n / 2, n - 1, n, n + 20}) {
-        if (keep == 0) continue;
-        std::vector<std::uint32_t> work = keys;
-        b->select_keys_u32(work.data(), n, keep);
-        for (std::size_t i = 0; i < std::min(keep, n); ++i)
-          EXPECT_EQ(work[i], sorted[i]) << b->name << " n=" << n << " keep=" << keep;
-      }
+  for (std::size_t n :
+       {std::size_t{1}, std::size_t{37}, std::size_t{512}, std::size_t{5000}}) {
+    std::vector<std::uint32_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+      keys[i] = backend::quant_key(static_cast<std::uint32_t>(prng.next_u64() % 900u),
+                                   static_cast<std::uint32_t>(i) & 0xFFFF);
+    std::vector<std::uint32_t> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t keep : {std::size_t{1}, n / 2, n - 1, n, n + 20}) {
+      if (keep == 0) continue;
+      std::vector<std::uint32_t> work = keys;
+      backend::select_keys(work.data(), n, keep);
+      for (std::size_t i = 0; i < std::min(keep, n); ++i)
+        EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
     }
   }
 }

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
 #include <limits>
 
 #include "channel/awgn.h"
 #include "channel/bsc.h"
 #include "channel/rayleigh.h"
+#include "spinal/cost_model.h"
 #include "spinal/encoder.h"
 #include "util/prng.h"
 
@@ -338,6 +341,55 @@ TEST(Decoder, AllHashKindsDecode) {
     SpinalDecoder dec(p);
     feed_awgn(p, enc, dec, 15.0, 2, 90);
     EXPECT_EQ(dec.decode().message, msg) << hash::kind_name(kind);
+  }
+}
+
+TEST(Decoder, NonFiniteSymbolsAreErasures) {
+  // A NaN or infinite sample in y or in the CSI must act exactly like a
+  // punctured symbol: dropped on arrival, so the decode equals that of a
+  // decoder that never saw it — right message, finite cost — on the f32
+  // path and on both quantized grids.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const SymbolId bad{3, 0};  // spine 3, pass 0
+  for (const CostPrecision prec :
+       {CostPrecision::kFloat32, CostPrecision::kU16, CostPrecision::kU8}) {
+    CodeParams p = basic();
+    p.cost_precision = prec;
+    util::Xoshiro256 prng(19);
+    const util::BitVec msg = prng.random_bits(p.n);
+    const SpinalEncoder enc(p, msg);
+    const PuncturingSchedule sched(p);
+
+    SpinalDecoder erased(p);  // never receives the bad symbol
+    for (int sp = 0; sp < 3 * sched.subpasses_per_pass(); ++sp)
+      for (const SymbolId& id : sched.subpass(sp))
+        if (!(id == bad)) erased.add_symbol(id, enc.symbol(id));
+    const DecodeResult want = erased.decode();
+    ASSERT_EQ(want.message, msg);
+
+    for (const float v : {nan, inf, -inf}) {
+      for (const bool in_csi : {false, true}) {
+        SpinalDecoder dec(p);
+        for (int sp = 0; sp < 3 * sched.subpasses_per_pass(); ++sp) {
+          for (const SymbolId& id : sched.subpass(sp)) {
+            if (!(id == bad))
+              dec.add_symbol(id, enc.symbol(id));
+            else if (in_csi)
+              dec.add_symbol(id, enc.symbol(id), {v, v});
+            else
+              dec.add_symbol(id, {v, v});
+          }
+        }
+        const char* where = in_csi ? "csi" : "y";
+        EXPECT_EQ(dec.symbols_received(), erased.symbols_received()) << v << " " << where;
+        EXPECT_EQ(dec.active_precision(), erased.active_precision()) << v << " " << where;
+        const DecodeResult got = dec.decode();
+        EXPECT_EQ(got.message, msg) << v << " " << where;
+        EXPECT_TRUE(std::isfinite(got.path_cost)) << v << " " << where;
+        EXPECT_EQ(got.path_cost, want.path_cost) << v << " " << where;
+      }
+    }
   }
 }
 
