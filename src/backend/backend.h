@@ -33,8 +33,8 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <type_traits>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "hash/spine_hash.h"
@@ -451,7 +451,10 @@ void partition_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
 
 /// Reorders keys so the keep smallest occupy [0, keep) in ascending
 /// order (the kept *set* and its *order* are deterministic; the tail
-/// order is unspecified). Precondition: keep <= count.
+/// order is unspecified). With keep >= count the u64 overload leaves
+/// the keys untouched (no pruning: candidate order is the search's
+/// contract), while the u32 overload sorts them all (the U16Lane
+/// finalize's full sort, see U16Lane::kSortSmallSide).
 void select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
 void select_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
 
