@@ -106,25 +106,30 @@ struct LaneBuffers {
 /// candidate *keys* only for bound survivors, where the retired
 /// materialize-then-select contract wrote the full B·2^k cost and key
 /// arrays every level.
+///
+/// Member order is a cache decision: every buffer a d=1 level touches
+/// comes first, ahead of the f32 lane's buffers, so a small decode
+/// reads as few vector headers' cache lines as it can. A batched
+/// service decode runs each block in its own cold sub-workspace, where
+/// those header lines are misses.
 struct SearchWorkspace {
   std::vector<std::uint32_t> leaf_state, leaf_path, next_state, next_path;
   std::vector<std::int32_t> entry_arena, next_entry_arena;
   std::vector<ArenaNode> arena;
-
-  // ---- Streamed pipeline ----
-  // Child states (d=1) and surviving group rows (d>1) land in
-  // candidate-indexed buffers so the writeback needs no bookkeeping
-  // beyond the candidate index in each survivor key's low word.
-  std::vector<std::uint32_t> child_state;  ///< d=1: whole level; d>1: one block
-  std::vector<std::uint32_t> surv_state;   ///< d>1 leaf rows, candidate-indexed
-  std::vector<std::uint32_t> surv_path;    ///< d>1 leaf rows, candidate-indexed
-  std::vector<std::int32_t> group_rowbase;  ///< d>1: group -> arena rows, -1 pruned
+  /// Streamed pipeline: child states (d=1: whole level; d>1: one block)
+  /// land in a candidate-indexed buffer, so the writeback needs no
+  /// bookkeeping beyond the candidate index in each survivor key.
+  std::vector<std::uint32_t> child_state;
 
   // One buffer set per cost lane. A decode only touches its own lane's
   // set, so the f32 path's steady-state footprint is unchanged by the
   // quantized one.
   LaneBuffers<F32Lane> f32;
   LaneBuffers<U16Lane> u16;
+
+  // ---- d>1 streamed regroup: surviving group rows, candidate-indexed ----
+  std::vector<std::uint32_t> surv_state, surv_path;
+  std::vector<std::int32_t> group_rowbase;  ///< group -> arena rows, -1 pruned
 
   template <class Lane>
   LaneBuffers<Lane>& lane() noexcept {
