@@ -405,10 +405,9 @@ struct Backend {
                                        std::uint32_t* out_states,
                                        std::uint32_t* out_keys);
 
-  /// The search's prune and regroup kernels, once per cost lane. Both
-  /// tables come from one template instantiated per lane (see
-  /// LaneKernels and the *_t lane drivers in scalar_kernels.h /
-  /// simd_kernels.h).
+  /// The search's prune and regroup kernels, once per cost lane: each
+  /// backend fills both from one set of lane templates
+  /// (lane_kernels_t in expand.h).
   LaneKernels<F32Lane> f32;
   LaneKernels<U16Lane> u16;
 

@@ -57,7 +57,6 @@
 // overloads of its batched contract (see QuantizedSearchEnv).
 
 #include <algorithm>
-#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <limits>

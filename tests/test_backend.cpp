@@ -878,7 +878,7 @@ TEST(BackendKernels, QuantizedD1PruneMatchesBruteForce) {
 
 TEST(BackendKernels, QuantizedExpandPruneMatchesSplitPipeline) {
   // The fused integer streaming kernel must append exactly the keys of
-  // awgn_expand_all_u16 + d1_prune_u16, for every backend x hash kind
+  // awgn_expand_all_u16 + u16.d1_prune, for every backend x hash kind
   // x bound tightness — including bounds tight enough to trip the
   // min_rest row-skip and partial-floor sharpenings, which may only
   // ever skip work, never change the survivor set.
@@ -972,7 +972,7 @@ TEST(BackendKernels, QuantizedRowMinsMatchBruteForce) {
 }
 
 TEST(BackendKernels, QuantizedRegroupEmitMatchesScalarExactly) {
-  // The u16 twin of RegroupEmitMatchesScalarExactly: same move/order
+  // The U16Lane case of RegroupEmitMatchesScalarExactly: same move/order
   // contract, saturating finalized costs, untouched pruned rows.
   util::Xoshiro256 prng(124);
   for (const Backend* b : backend::available()) {
