@@ -49,16 +49,94 @@ struct DecodeService::SessionState {
   SessionReport* report = nullptr;  ///< this session's reports_ entry
   std::size_t id = 0;               ///< session id: its index in reports_
   long symbols_seen = 0;            ///< feed-telemetry watermark
-  /// Interned batch_key() tag (kNoTag: never batched). Set once at
-  /// admission, immutable after — jobs carry it into the queue, which
-  /// also routes on it (same-tag jobs colocate on one shard).
-  std::int32_t batch_tag = ShardedJobQueue<QueueJob>::kNoTag;
 };
 
 /// A reusable home for one in-flight session (engaged from admission to
 /// retirement, empty while on the free list).
 struct DecodeService::Slot {
   std::optional<SessionState> state;
+};
+
+// The two kinds of unit step() advances. Each maps the step's phases onto
+// its unit: feed returns the channel symbols streamed (-1 when the unit
+// ended instead), record applies one attempt's candidate and says
+// whether the unit finished, keep decides whether it is reposted, and
+// finish ends a unit whose step failed. release() closes the step's
+// accounting.
+
+/// An admitted session: feed = MessageRun::feed_to_attempt, record =
+/// MessageRun::record_attempt, and a finished run retires its slot.
+struct DecodeService::SessionKind {
+  sim::DecodeTarget& target(const QueueJob& j) {
+    return *j.slot->state->session;
+  }
+
+  long feed(const QueueJob& j) {
+    SessionState& s = *j.slot->state;
+    if (!s.run.feed_to_attempt()) {  // budget exhausted -> failed run
+      finish(j, nullptr);
+      return -1;
+    }
+    const long symbols = s.run.result().symbols;
+    const long fed = symbols - s.symbols_seen;
+    s.symbols_seen = symbols;
+    return fed;
+  }
+
+  bool record(const QueueJob& j, const std::optional<util::BitVec>& candidate,
+              double micros, bool reduced, bool full_retry) {
+    SessionState& s = *j.slot->state;
+    s.report->decode_micros += micros;
+    if (reduced) ++s.report->reduced_effort_attempts;
+    if (full_retry) ++s.report->full_effort_retries;
+    s.run.record_attempt(candidate);
+    return s.run.finished();
+  }
+
+  bool keep(const QueueJob& j, bool finished) {
+    if (finished) finish(j, nullptr);
+    return !finished;
+  }
+
+  void finish(const QueueJob& j, std::exception_ptr err) {
+    svc.retire(&scope, *j.slot, err);
+    retired.push_back(j.slot);
+  }
+
+  void release() {
+    svc.release_slots(retired);
+    retired.clear();
+  }
+
+  DecodeService& svc;
+  WorkerScope& scope;
+  std::vector<Slot*>& retired;  ///< the worker's scratch, empty between steps
+};
+
+/// A posted BlockUnit: nothing to feed, and the owner's completion
+/// decides between repost and settling; a settled unit frees its
+/// external-work slot.
+struct DecodeService::BlockKind {
+  sim::DecodeTarget& target(const QueueJob& j) { return *j.block; }
+  long feed(const QueueJob&) { return 0; }
+  bool record(const QueueJob& j, const std::optional<util::BitVec>& candidate,
+              double, bool, bool) {
+    return j.block->record_attempt(candidate);
+  }
+  bool keep(const QueueJob& j, bool) {
+    if (j.block->complete()) return true;
+    ++settled;
+    return false;
+  }
+  void finish(const QueueJob& j, std::exception_ptr err) {
+    j.block->abandon();
+    svc.note_error(err);
+    ++settled;
+  }
+  void release() { svc.release_ext(settled); }
+
+  DecodeService& svc;
+  std::size_t settled = 0;
 };
 
 std::uint64_t DecodeService::now_ns() const noexcept {
@@ -82,10 +160,11 @@ DecodeService::DecodeService(const RuntimeOptions& opt)
                   : nullptr),
       // Sized so pushes from inside workers can never block: session
       // jobs in the queue are bounded by the admission cap (one job per
-      // session exists at a time) and external tasks by kExtTaskCap, so
-      // occupancy stays strictly below capacity and the queue's
-      // blocking-push path is only ever exercised by misuse, not by the
-      // service itself. Backpressure lives at admission instead.
+      // session exists at a time) and posted tasks and blocks by
+      // kExtTaskCap (one job per posted block), so occupancy stays
+      // strictly below capacity and the queue's blocking-push path is
+      // only ever exercised by misuse, not by the service itself.
+      // Backpressure lives at admission instead.
       //
       // Deterministic mode drains through a single ordered shard: with
       // one shard the sharded queue degenerates to exactly the
@@ -181,11 +260,16 @@ void DecodeService::worker_loop(Worker& w) {
                          cinfo.shard);
     }
     w.telemetry.record_jobs(batch.size());
-    // A multi-entry claim is same-tag by construction, and session tags
-    // never collide with task tags (task hints intern under a "task/"
-    // codec prefix) — so every claim is homogeneous.
+    // A multi-entry claim is same-tag by construction, and blocks batch
+    // under keys no session reports (the mux's "spinal.link" codec), so
+    // every claim holds one kind of unit; tasks are untagged and never
+    // share a claim.
     if (head.slot) {
-      step_sessions(scope, batch, claim_ns);
+      SessionKind kind{*this, scope, w.retired};
+      step(kind, scope, batch, claim_ns);
+    } else if (head.block) {
+      BlockKind kind{*this};
+      step(kind, scope, batch, claim_ns);
     } else {
       for (QueueJob& j : batch) j.task(scope);
       if (w.trace)
@@ -279,7 +363,7 @@ std::size_t DecodeService::admit(SessionSpec spec, int reserved) {
   std::size_t id;
   {
     std::lock_guard lock(state_m_);
-    s.batch_tag = job.tag = intern_tag_locked(bkey);
+    job.tag = intern_tag_locked(bkey);
     s.id = id = reports_.size();
     s.report = &reports_.emplace_back();
     submitted_.fetch_add(1);  // under the lock: tracks reports_.size()
@@ -321,79 +405,67 @@ DecodeService::Slot& DecodeService::acquire_slot() {
   return *slots_.emplace_back(std::make_unique<Slot>());
 }
 
-void DecodeService::step_sessions(WorkerScope& scope,
-                                  const std::vector<QueueJob>& claim,
-                                  std::uint64_t claim_ns) {
+template <class Kind>
+void DecodeService::step(Kind& kind, WorkerScope& scope,
+                         const std::vector<QueueJob>& claim,
+                         std::uint64_t claim_ns) {
   Worker& w = *scope.w_;
   TraceBuffer* const tb = w.trace;
-  std::vector<Slot*>& live = w.live;
-  std::vector<Slot*>& retired = w.retired;
+  std::vector<const QueueJob*>& live = w.live;
   live.clear();
-  retired.clear();
 
-  // Phase 1 — stream each session to its attempt point individually
-  // (feeds are per-session work; only the decode attempt batches). The
-  // accounting batches too: one feed-telemetry record and one deferred
-  // slot release cover the whole claim.
+  // Phase 1 — stream each unit to its attempt point individually (feeds
+  // are per-unit work; only the decode attempt batches). The accounting
+  // batches too: one feed-telemetry record and one deferred release
+  // cover the whole claim.
   long fed = 0;
   for (const QueueJob& j : claim) {
-    SessionState& s = *j.slot->state;
     try {
-      if (!s.run.feed_to_attempt()) {  // budget exhausted -> failed run
-        retire(&scope, *j.slot);
-        retired.push_back(j.slot);
-        continue;
-      }
-      const long symbols = s.run.result().symbols;
-      fed += symbols - s.symbols_seen;
-      s.symbols_seen = symbols;
-      live.push_back(j.slot);
+      const long symbols = kind.feed(j);
+      if (symbols < 0) continue;
+      fed += symbols;
+      live.push_back(&j);
     } catch (...) {
-      retire(&scope, *j.slot, std::current_exception());
-      retired.push_back(j.slot);
+      kind.finish(j, std::current_exception());
     }
   }
   if (fed > 0) scope.telemetry().record_feed(fed);
   if (live.empty()) {
-    release_slots(retired);
+    kind.release();
     return;
   }
 
-  // Phase 2 — one fused decode attempt over every live session. Equal
+  // Phase 2 — one fused decode attempt over every live unit. Equal
   // batch tags mean equal specs where it matters (profile, workspace
   // key), so the claim shares one effort pick, one workspace resolve
   // and one latency clock pair — exactly the per-job overhead the
   // batching exists to amortize.
-  SessionState& lead = *live.front()->state;
-  const std::int32_t tag = lead.batch_tag;
-  const sim::EffortProfile profile = lead.session->effort_profile();
+  sim::DecodeTarget& lead = kind.target(*live.front());
+  const std::int32_t tag = live.front()->tag;
+  const sim::EffortProfile profile = lead.effort_profile();
   const int effort = scope.pick_effort(profile);
   const bool reduced = effort > 0 && effort < profile.full;
-  sim::CodecWorkspace* ws = scope.workspace(*lead.session);
+  sim::CodecWorkspace* ws = scope.workspace(lead);
 
   const std::size_t n = live.size();
   if (w.candidates.size() < n) w.candidates.resize(n);
   w.decode_jobs.clear();
   for (std::size_t i = 0; i < n; ++i)
-    w.decode_jobs.push_back(
-        {live[i]->state->session.get(), effort, &w.candidates[i]});
+    w.decode_jobs.push_back({&kind.target(*live[i]), effort, &w.candidates[i]});
   // One clock read ends batch-assembly and starts the fused decode.
   const std::uint64_t d0 = now_ns();
   scope.telemetry().record_batch_assembly(
       static_cast<double>(d0 - claim_ns) / 1000.0);
   if (tb) tb->record(TraceKind::kFeed, claim_ns, d0, n);
   try {
-    lead.session->try_decode_batch(ws, w.decode_jobs);
+    lead.try_decode_batch(ws, w.decode_jobs);
   } catch (...) {
-    // A torn batched attempt taints every block in it: which blocks hold
+    // A torn batched attempt taints every unit in it: which ones hold
     // valid candidates is unknowable, so all of them fail loudly rather
     // than any continuing on garbage.
     const std::exception_ptr err = std::current_exception();
-    for (Slot* const slot : live) {
-      retire(&scope, *slot, err);
-      retired.push_back(slot);
-    }
-    release_slots(retired);
+    for (const QueueJob* j : live) kind.finish(*j, err);
+    kind.release();
     return;
   }
   const std::uint64_t d1 = now_ns();
@@ -409,59 +481,49 @@ void DecodeService::step_sessions(WorkerScope& scope,
   if (tb)
     tb->record(TraceKind::kDecode, d0, d1, n, static_cast<std::uint64_t>(effort));
 
-  // Phase 3 — per-session accounting and continuation (latency
-  // attributed evenly across the claim). The still-running sessions are
-  // collected and reposted as one queue transaction at the end: paying
-  // a lock + notify per continuation would hand back a large slice of
-  // the overhead the batch just saved.
+  // Phase 3 — per-unit accounting and continuation (latency attributed
+  // evenly across the claim). The units that go on are collected and
+  // reposted as one queue transaction at the end: paying a lock +
+  // notify per continuation would hand back a large slice of the
+  // overhead the batch just saved.
   w.repost.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    Slot* const slot = live[i];
-    SessionState& s = *slot->state;
+    const QueueJob& j = *live[i];
     try {
-      s.report->decode_micros += per;
-      if (reduced) ++s.report->reduced_effort_attempts;
-      s.run.record_attempt(w.candidates[i]);
+      bool finished = kind.record(j, w.candidates[i], per, reduced, false);
 
       // A shrunk attempt that failed gets one full-effort retry on the
       // same symbols when the queue has drained: compute is free when
       // idle, channel symbols never are.
-      if (!s.run.finished() && reduced && opt_.adapt.retry_full_when_idle &&
+      if (!finished && reduced && opt_.adapt.retry_full_when_idle &&
           scope.idle()) {
         const std::uint64_t r0 = now_ns();
         const std::optional<util::BitVec> cand =
-            s.session->try_decode_with(ws, 0);
+            kind.target(j).try_decode_with(ws, 0);
         const std::uint64_t r1 = now_ns();
         const double us = static_cast<double>(r1 - r0) / 1000.0;
         scope.telemetry().record_attempt(us, false, true, ws == nullptr);
         scope.telemetry().record_decode_service(us);
         tag_stats_.lane(tag).record_attempts(1, us);
         if (tb) tb->record(TraceKind::kDecode, r0, r1, 1, 0);
-        s.report->decode_micros += us;
-        ++s.report->full_effort_retries;
-        s.run.record_attempt(cand);
+        finished = kind.record(j, cand, us, false, true);
       }
-
-      if (s.run.finished()) {
-        retire(&scope, *slot);
-        retired.push_back(slot);
-        continue;
-      }
+      if (!kind.keep(j, finished)) continue;
     } catch (...) {
-      retire(&scope, *slot, std::current_exception());
-      retired.push_back(slot);
+      kind.finish(j, std::current_exception());
       continue;
     }
     QueueJob job;
-    job.slot = slot;
+    job.slot = j.slot;
+    job.block = j.block;
     job.tag = tag;
     w.repost.push_back(std::move(job));
   }
-  // All sessions in the claim carry the same interned tag, so one
-  // shared tag covers the repost — onto this worker's own shard, where
-  // the session's state is hot in this core's cache and the next claim
-  // finds the whole run contiguous at the head. One enqueue timestamp
-  // covers the lot (queue-wait is head-attributed at the claim anyway).
+  // All units in the claim carry the same interned tag, so one shared
+  // tag covers the repost — onto this worker's own shard, where the
+  // units' state is hot in this core's cache and the next claim finds
+  // the whole run contiguous at the head. One enqueue timestamp covers
+  // the lot (queue-wait is head-attributed at the claim anyway).
   if (!w.repost.empty()) {
     const std::uint64_t p0 = now_ns();
     for (QueueJob& job : w.repost) job.enqueue_ns = p0;
@@ -470,22 +532,16 @@ void DecodeService::step_sessions(WorkerScope& scope,
     } else {
       // Closed queue: see the refused-admission path in admit().
       const std::exception_ptr err = queue_closed_error();
-      for (const QueueJob& job : w.repost) {
-        retire(&scope, *job.slot, err);
-        retired.push_back(job.slot);
-      }
+      for (const QueueJob& job : w.repost) kind.finish(job, err);
     }
   }
-  release_slots(retired);
+  kind.release();
 }
 
 void DecodeService::retire(WorkerScope* scope, Slot& slot,
                            std::exception_ptr err) {
   std::optional<SessionState>& st = slot.state;
-  if (err) {
-    std::lock_guard lock(state_m_);
-    if (!first_error_) first_error_ = err;
-  }
+  if (err) note_error(err);
   SessionReport& r = *st->report;
   r.run = st->run.result();
   if (err) r.run.success = false;
@@ -532,11 +588,20 @@ void DecodeService::release_slots(std::span<Slot* const> slots) {
     else
       cv_admit_.notify_one();
   }
+  notify_if_quiet();
+}
+
+void DecodeService::notify_if_quiet() {
   if (done_waiters_.load() > 0 && completed_.load() == submitted_.load() &&
       ext_pending_.load() == 0) {
     std::lock_guard lock(state_m_);
     cv_done_.notify_all();
   }
+}
+
+void DecodeService::note_error(std::exception_ptr err) {
+  std::lock_guard lock(state_m_);
+  if (!first_error_) first_error_ = err;
 }
 
 std::vector<SessionReport> DecodeService::drain() {
@@ -571,25 +636,32 @@ TelemetrySnapshot DecodeService::telemetry() const {
 int DecodeService::peak_in_flight() const { return peak_in_flight_.load(); }
 
 void DecodeService::post(Task task) {
-  post_impl(std::move(task), ShardedJobQueue<QueueJob>::kNoTag);
+  QueueJob job;
+  job.task = [this, t = std::move(task)](WorkerScope& scope) {
+    try {
+      t(scope);
+    } catch (...) {
+      note_error(std::current_exception());
+    }
+    release_ext(1);
+  };
+  push_external(std::move(job));
 }
 
-void DecodeService::post(Task task, const sim::WorkspaceKey& aggregate_hint) {
-  std::int32_t tag = ShardedJobQueue<QueueJob>::kNoTag;
-  if (aggregate_hint.valid() && opt_.batch.max_batch > 1) {
+void DecodeService::post(BlockUnit& block) {
+  const sim::WorkspaceKey key = block.batch_key();
+  QueueJob job;
+  job.block = &block;
+  {
     std::lock_guard lock(state_m_);
-    // The "task/" codec prefix keeps hinted tasks in a tag space
-    // disjoint from session batch keys, so a batched dequeue can never
-    // mix tasks into a session batch.
-    tag = intern_tag_locked(
-        WorkspaceKey{"task/" + aggregate_hint.codec, aggregate_hint.params});
+    job.tag = intern_tag_locked(key);
   }
-  post_impl(std::move(task), tag);
+  push_external(std::move(job));
 }
 
-void DecodeService::post_impl(Task task, std::int32_t tag) {
+void DecodeService::push_external(QueueJob job) {
   // Same lock-free-reserve / waiter-gated-sleep shape as session
-  // admission, against the external-task cap.
+  // admission, against the external-work cap.
   auto try_reserve_ext = [&] {
     std::size_t cur = ext_pending_.load();
     while (cur < kExtTaskCap) {
@@ -603,61 +675,42 @@ void DecodeService::post_impl(Task task, std::int32_t tag) {
     cv_ext_.wait(lock, [&] { return try_reserve_ext(); });
     --ext_waiters_;
   }
-  QueueJob job;
-  job.tag = tag;
   job.enqueue_ns = now_ns();
+  const std::int32_t tag = job.tag;
   if (tracer_)
     tracer_->thread_buffer()->instant(
         TraceKind::kCrossShard, job.enqueue_ns, 0,
         tag < 0 ? 0
                 : static_cast<std::uint32_t>(tag) %
                       static_cast<std::uint32_t>(queue_.shards()));
-  job.task = [this, t = std::move(task)](WorkerScope& scope) {
-    try {
-      t(scope);
-    } catch (...) {
-      std::lock_guard lock(state_m_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    ext_pending_.fetch_sub(1);
-    // Waiter-gated notifies under state_m_: see release_slots.
-    if (ext_waiters_.load() > 0) {
-      std::lock_guard lock(state_m_);
-      cv_ext_.notify_one();
-    }
-    if (done_waiters_.load() > 0 && completed_.load() == submitted_.load() &&
-        ext_pending_.load() == 0) {
-      std::lock_guard lock(state_m_);
-      cv_done_.notify_all();
-    }
-  };
+  BlockUnit* const block = job.block;
   if (queue_.push(std::move(job), tag)) return;
-  // Closed queue: the task will never run — undo the pending count so
-  // drain()/teardown don't wait on it, and surface the loss.
-  {
-    std::lock_guard lock(state_m_);
-    if (!first_error_)
-      first_error_ = std::make_exception_ptr(std::runtime_error(
-          "DecodeService: job queue closed with task pending"));
-  }
-  ext_pending_.fetch_sub(1);
+  // Closed queue: the work will never run — settle the block, undo the
+  // pending count so drain()/teardown don't wait on it, and surface the
+  // loss.
+  if (block) block->abandon();
+  note_error(std::make_exception_ptr(std::runtime_error(
+      "DecodeService: job queue closed with task pending")));
+  release_ext(1);
+}
+
+void DecodeService::release_ext(std::size_t n) {
+  if (n == 0) return;
+  ext_pending_.fetch_sub(n);
+  // Waiter-gated notifies under state_m_: see release_slots.
   if (ext_waiters_.load() > 0) {
     std::lock_guard lock(state_m_);
-    cv_ext_.notify_one();
+    cv_ext_.notify_all();
   }
-  if (done_waiters_.load() > 0 && completed_.load() == submitted_.load() &&
-      ext_pending_.load() == 0) {
-    std::lock_guard lock(state_m_);
-    cv_done_.notify_all();
-  }
+  notify_if_quiet();
 }
 
 sim::CodecWorkspace* DecodeService::WorkerScope::workspace(
-    const sim::RatelessSession& session) {
-  const WorkspaceKey key = session.workspace_key();
+    const sim::DecodeTarget& target) {
+  const WorkspaceKey key = target.workspace_key();
   if (!key.valid()) return nullptr;
   std::unique_ptr<sim::CodecWorkspace>& slot = w_->pinned[key];
-  if (!slot) slot = session.make_workspace();
+  if (!slot) slot = target.make_workspace();
   return slot.get();
 }
 
@@ -667,20 +720,6 @@ int DecodeService::WorkerScope::pick_effort(
   const int e = runtime::pick_effort(svc_->opt_.adapt, profile.full,
                                      profile.floor, queue_depth());
   return e >= profile.full ? 0 : e;
-}
-
-sim::SpinalWorkspace& DecodeService::WorkerScope::spinal_pinned(
-    const CodeParams& params) {
-  std::unique_ptr<sim::CodecWorkspace>& slot =
-      w_->pinned[sim::spinal_workspace_key(params)];
-  if (!slot) slot = std::make_unique<sim::SpinalWorkspace>();
-  // Safe: the "spinal" codec tag is only ever pinned with SpinalWorkspace
-  // (the spinal sessions' make_workspace and this factory agree).
-  return static_cast<sim::SpinalWorkspace&>(*slot);
-}
-
-int DecodeService::WorkerScope::pick_beam(const CodeParams& params) const {
-  return pick_effort(sim::EffortProfile{params.B, std::min(16, params.B)});
 }
 
 }  // namespace spinal::runtime

@@ -56,9 +56,13 @@
 // sequential run_message loop at any worker count, the same guarantee
 // the Monte-Carlo TrialRunner gives the experiment sweeps.
 //
-// The service also executes generic decode-plane tasks (post()) — the
-// link-symbol SessionMux (session_mux.h) schedules its per-block decode
-// attempts through the same queue, workers and workspace pools.
+// The link-symbol SessionMux (session_mux.h) posts its per-block decode
+// attempts as BlockUnits, which the service steps on the sessions' path:
+// the same claims, effort policy, pinned workspaces, fused
+// try_decode_batch, idle full-effort retry, repost and telemetry. Only
+// the feed (a no-op for a block) and the completion (the mux's) differ
+// by kind. Plain post(Task) runs a closure on a worker — callers use it
+// to park a worker behind a gate.
 
 #include <atomic>
 #include <chrono>
@@ -80,9 +84,28 @@
 #include "runtime/runtime.h"
 #include "runtime/telemetry.h"
 #include "runtime/trace.h"
-#include "sim/spinal_workspace.h"
+#include "sim/session.h"
 
 namespace spinal::runtime {
+
+/// A decode unit owned outside the service: one of SessionMux's code
+/// blocks. DecodeService::post() steps it like a session under its own
+/// batch_key(); its feed is a no-op (the owner ingests symbols), and
+/// between attempts the owner decides whether it goes on.
+class BlockUnit : public sim::DecodeTarget {
+ public:
+  /// Applies one attempt's candidate; true when it decoded the block.
+  /// Runs twice in a step whose shrunk attempt failed and got the idle
+  /// full-effort retry.
+  virtual bool record_attempt(
+      const std::optional<util::BitVec>& candidate) = 0;
+  /// Ends the unit's step: true reposts it for another attempt now,
+  /// false settles it, after which the service no longer touches it.
+  virtual bool complete() = 0;
+  /// Settles the unit without another attempt (its decode threw, or
+  /// the queue refused it).
+  virtual void abandon() noexcept = 0;
+};
 
 struct RuntimeOptions {
   int workers = 0;        ///< worker threads; 0 = sim::bench_threads()
@@ -122,12 +145,12 @@ struct RuntimeOptions {
 class DecodeService {
  public:
   class WorkerScope;
-  /// A decode-plane task: runs on some worker with access to its pinned
-  /// workspace pool via the scope. Must not block on queue capacity.
+  /// A closure run on some worker (post(Task)). Must not block on queue
+  /// capacity.
   using Task = std::function<void(WorkerScope&)>;
 
   explicit DecodeService(const RuntimeOptions& opt = {});
-  /// Waits for all submitted sessions and posted tasks, then joins.
+  /// Waits for all submitted sessions and posted work, then joins.
   ~DecodeService();
 
   DecodeService(const DecodeService&) = delete;
@@ -145,7 +168,7 @@ class DecodeService {
   /// Non-blocking admission probe; std::nullopt when at capacity.
   std::optional<std::size_t> try_submit(SessionSpec spec);
 
-  /// Waits for every submitted session (and posted task) to finish and
+  /// Waits for every submitted session (and posted work) to finish and
   /// returns all reports so far, ordered by session id — the ordered
   /// completion drain. Callable repeatedly; the service stays usable.
   std::vector<SessionReport> drain();
@@ -165,28 +188,32 @@ class DecodeService {
   /// admission-control contract in tests).
   int peak_in_flight() const;
 
-  /// Enqueues a generic decode-plane task. Blocks while the external
-  /// task admission cap is reached (so posted floods cannot starve the
-  /// workers' self-reposting session jobs of queue capacity).
+  /// Posted work — tasks and block units alike — is admitted against
+  /// one external-work cap (kExtTaskCap outstanding), and post() blocks
+  /// while it is reached, so posted floods cannot starve the workers'
+  /// self-reposting session jobs of queue capacity.
+  ///
+  /// Enqueues @p task, run once on some worker.
   void post(Task task);
 
-  /// post() with a batch-aggregation hint: tasks posted under equal
-  /// (valid) hints may be claimed by one dequeue and run back-to-back on
-  /// one worker — same workspace, hot caches — instead of each paying a
-  /// queue hop. Hinted tasks never aggregate with session jobs.
-  void post(Task task, const sim::WorkspaceKey& aggregate_hint);
+  /// Enqueues one decode attempt for @p block, stepped like a session
+  /// and batched with the queued units that share its batch_key(). The
+  /// unit holds its external-work slot until it settles (complete()
+  /// returns false, or abandon()); the caller keeps it alive until then.
+  void post(BlockUnit& block);
 
  private:
   struct Slot;
-  /// One queue entry: a session step (slot != nullptr; the Task is
-  /// empty) or an external task. A session step points at the session's
-  /// slot, whose address is stable, so a worker reaches the session
-  /// without a lock. Jobs carry their interned tag and enqueue timestamp
-  /// so the claim can attribute queue-wait per tag without a state
-  /// lookup.
+  /// One queue entry: a session step (slot != nullptr), a block step
+  /// (block != nullptr) or a posted task. A session step points at the
+  /// session's slot, whose address is stable, so a worker reaches the
+  /// session without a lock. Jobs carry their interned tag and enqueue
+  /// timestamp so the claim can attribute queue-wait per tag without a
+  /// state lookup.
   struct QueueJob {
     Task task;
     Slot* slot = nullptr;
+    BlockUnit* block = nullptr;
     std::int32_t tag = -1;          ///< == ShardedJobQueue kNoTag
     std::uint64_t enqueue_ns = 0;   ///< now_ns() at push
   };
@@ -199,21 +226,26 @@ class DecodeService {
     std::thread thread;
     // Step scratch, reused across claims so a step allocates nothing
     // once these reach the worker's high-water claim size.
-    std::vector<Slot*> live, retired;
+    std::vector<const QueueJob*> live;
+    std::vector<Slot*> retired;
     std::vector<std::optional<util::BitVec>> candidates;
     std::vector<sim::BatchDecodeJob> decode_jobs;
     std::vector<QueueJob> repost;
   };
   struct SessionState;
+  struct SessionKind;
+  struct BlockKind;
 
   void worker_loop(Worker& w);
-  /// Advances every session of one claim (a batch of one included):
-  /// feeds each to its attempt point, runs one fused decode attempt over
-  /// the live ones and reposts the unfinished as one queue transaction.
+  /// Advances every unit of one claim (a batch of one included) — all
+  /// sessions or all blocks, as @p kind says: feeds each to its attempt
+  /// point, runs one fused decode attempt over the live ones, records
+  /// each outcome and reposts the unfinished as one queue transaction.
   /// @p claim_ns: now_ns() when the claim landed (start of the
   /// batch-assembly stage).
-  void step_sessions(WorkerScope& scope, const std::vector<QueueJob>& claim,
-                     std::uint64_t claim_ns);
+  template <class Kind>
+  void step(Kind& kind, WorkerScope& scope, const std::vector<QueueJob>& claim,
+            std::uint64_t claim_ns);
   /// Admits @p spec into a free slot under an admission reservation
   /// already taken (@p reserved: the post-reservation in-flight count)
   /// and enqueues its first job; returns the session id.
@@ -235,7 +267,15 @@ class DecodeService {
   /// admission reservations and counts them completed (in that order,
   /// so a reservation always finds a slot).
   void release_slots(std::span<Slot* const> slots);
-  void post_impl(Task task, std::int32_t tag);
+  /// Reserves an external-work slot (blocking at kExtTaskCap) and
+  /// enqueues @p job under it.
+  void push_external(QueueJob job);
+  /// Releases @p n external-work slots.
+  void release_ext(std::size_t n);
+  /// Wakes drain() and the destructor once nothing is left in flight.
+  void notify_if_quiet();
+  /// Keeps @p err as the error drain() rethrows, unless one is pending.
+  void note_error(std::exception_ptr err);
   /// CAS-reserves one admission against max_in_flight_; lock-free.
   /// Returns the post-reservation in-flight count, or -1 at capacity.
   int try_reserve_admission();
@@ -281,7 +321,7 @@ class DecodeService {
 
   mutable std::mutex state_m_;
   std::condition_variable cv_admit_;  ///< in_flight_ dropped below the cap
-  std::condition_variable cv_done_;   ///< a session or external task finished
+  std::condition_variable cv_done_;   ///< a session or posted work finished
   std::condition_variable cv_ext_;    ///< ext_pending_ dropped below its cap
   /// The report log, indexed by session id: appended under state_m_ at
   /// admission, written in place by the session's worker (deque
@@ -307,20 +347,21 @@ struct DecodeServiceTestHook {
   }
 };
 
-/// Worker-side view handed to every task: the pinned per-WorkspaceKey
-/// decode scratch plus the load signals the adaptive policy reads.
+/// Worker-side view handed to every step and task: the pinned
+/// per-WorkspaceKey decode scratch plus the load signals the adaptive
+/// policy reads.
 class DecodeService::WorkerScope {
  public:
-  /// The worker's pinned workspace for @p session's workspace_key()
-  /// (created on first use via the session's factory, reused —
-  /// allocation-free in steady state — across all sessions with equal
-  /// keys). Returns nullptr when the session reports no key or no
+  /// The worker's pinned workspace for @p target's workspace_key()
+  /// (created on first use via the target's factory, reused —
+  /// allocation-free in steady state — across all targets with equal
+  /// keys). Returns nullptr when the target reports no key or no
   /// factory: the attempt then runs unpinned, which the caller records.
-  sim::CodecWorkspace* workspace(const sim::RatelessSession& session);
+  sim::CodecWorkspace* workspace(const sim::DecodeTarget& target);
 
   /// Effort for an attempt under the current load (0 = configured
   /// effort: deterministic mode, adaptation disabled, idle queue, or a
-  /// session without a knob).
+  /// target without a knob).
   int pick_effort(const sim::EffortProfile& profile) const;
 
   std::size_t queue_depth() const { return svc_->queue_.depth(); }
@@ -329,22 +370,9 @@ class DecodeService::WorkerScope {
   }
   WorkerTelemetry& telemetry() { return w_->telemetry; }
 
-  // Spinal-typed conveniences for the link-layer mux, which schedules
-  // raw per-block SpinalDecoder attempts (no RatelessSession) and knows
-  // its codec. Pinned in the same pool under spinal_workspace_key.
-  detail::DecodeWorkspace& workspace(const CodeParams& params) {
-    return spinal_pinned(params).ws;
-  }
-  DecodeResult& out_scratch(const CodeParams& params) {
-    return spinal_pinned(params).out;
-  }
-  /// Beam width for a spinal attempt (0 = configured width).
-  int pick_beam(const CodeParams& params) const;
-
  private:
   friend class DecodeService;
   WorkerScope(DecodeService* svc, Worker* w) : svc_(svc), w_(w) {}
-  sim::SpinalWorkspace& spinal_pinned(const CodeParams& params);
 
   DecodeService* svc_;
   Worker* w_;

@@ -1,20 +1,62 @@
 #include "runtime/session_mux.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 namespace spinal::runtime {
 
-namespace {
-
-double elapsed_micros(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+SessionMux::Sess::Sess(SessionMux* mux, SessionId sid, const CodeParams& p,
+                       int blocks_n, int first_attempt)
+    : id(sid), params(p), receiver(p, blocks_n),
+      blocks(static_cast<std::size_t>(blocks_n)) {
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    blocks[b].mux = mux;
+    blocks[b].sess = this;
+    blocks[b].index = static_cast<int>(b);
+    blocks[b].next_attempt = first_attempt;
+  }
 }
 
-}  // namespace
+const CodeParams& SessionMux::Block::spinal_params() const {
+  return sess->params;
+}
+
+bool SessionMux::Block::record_attempt(
+    const std::optional<util::BitVec>& candidate) {
+  std::lock_guard lock(mux->m_);
+  LinkReceiver& rx = sess->receiver;
+  if (candidate && rx.complete_block(index, *candidate))
+    mux->acks_.push_back({sess->id, rx.current_ack()});
+  return rx.block_decoded(index);
+}
+
+bool SessionMux::Block::complete() {
+  // The block's completion: apply the symbols that arrived mid-decode
+  // (stale by definition if the block decoded), then attempt again now
+  // if it is still undecoded and its store grew — or the buffered
+  // symbols would never get their attempt (the sender may already have
+  // paused for good) — else settle it.
+  std::lock_guard lock(mux->m_);
+  LinkReceiver& rx = sess->receiver;
+  const bool grew = !pending.empty();
+  if (rx.block_decoded(index)) {
+    mux->stale_ += pending.size();
+  } else {
+    for (const auto& [sym, csi] : pending) rx.receive(sym, csi);
+  }
+  pending.clear();
+  if (grew && !rx.block_decoded(index)) {
+    decoder = &rx.claim_block(index);
+    return true;
+  }
+  mux->settle_locked(*this);
+  return false;
+}
+
+void SessionMux::Block::abandon() noexcept {
+  std::lock_guard lock(mux->m_);
+  mux->settle_locked(*this);
+}
 
 SessionMux::SessionMux(DecodeService& service, const Options& opt)
     : service_(&service), opt_(opt) {
@@ -39,8 +81,9 @@ SessionMux::SessionId SessionMux::open(const CodeParams& params, int block_count
   if (block_count < 1)
     throw std::invalid_argument("SessionMux::open: block_count must be >= 1");
   std::lock_guard lock(m_);
-  sessions_.push_back(
-      std::make_unique<Sess>(params, block_count, opt_.attempt.attempt_every));
+  sessions_.push_back(std::make_unique<Sess>(this, sessions_.size(), params,
+                                             block_count,
+                                             opt_.attempt.attempt_every));
   return sessions_.size() - 1;
 }
 
@@ -64,23 +107,20 @@ void SessionMux::ingest(SessionId id, const LinkSymbol& symbol,
 
 void SessionMux::pause_point(SessionId id) {
   // Claims are taken under the lock, but the posts happen outside it:
-  // DecodeService::post() can block on the external-task admission cap,
-  // and that cap only drains when workers finish mux tasks — which
-  // requires this mutex in on_complete. Posting under the lock would
-  // deadlock the whole service at sustained overload.
-  std::vector<std::pair<int, const SpinalDecoder*>> claimed;
-  CodeParams params;
+  // DecodeService::post() can block on the external-work cap, and that
+  // cap only drains when blocks settle — which requires this mutex in
+  // Block::complete. Posting under the lock would deadlock the whole
+  // service at sustained overload.
+  std::vector<Block*> claimed;
   {
     std::lock_guard lock(m_);
     Sess& s = at(id);
-    params = s.params;
-    for (int b = 0; b < static_cast<int>(s.blocks.size()); ++b) {
-      Block& blk = s.blocks[static_cast<std::size_t>(b)];
+    for (Block& blk : s.blocks) {
       if (!blk.got_symbols) continue;
       blk.got_symbols = false;
       ++blk.fed_bursts;
-      if (blk.outstanding || s.receiver.block_decoded(b)) continue;
-      if (!s.receiver.block_dirty(b)) continue;
+      if (blk.outstanding || s.receiver.block_decoded(blk.index)) continue;
+      if (!s.receiver.block_dirty(blk.index)) continue;
       if (blk.fed_bursts < blk.next_attempt) continue;
       // Same schedule as the engine: linear floor + geometric back-off.
       blk.next_attempt =
@@ -88,94 +128,19 @@ void SessionMux::pause_point(SessionId id) {
                    static_cast<int>(blk.fed_bursts * opt_.attempt.attempt_growth));
       blk.outstanding = true;
       ++outstanding_;
-      // The decoder reference stays valid: LinkReceiver's decoder array
-      // is sized at construction and Sess is pinned behind a unique_ptr.
-      claimed.emplace_back(b, &s.receiver.claim_block(b));
+      blk.decoder = &s.receiver.claim_block(blk.index);
+      claimed.push_back(&blk);
     }
   }
-  for (const auto& [block, dec] : claimed) post_attempt(id, block, dec, params);
+  for (Block* blk : claimed) service_->post(*blk);
 }
 
-void SessionMux::post_attempt(SessionId id, int block, const SpinalDecoder* dec,
-                              const CodeParams& params) {
-  // Aggregate-hinted post: attempts for blocks sharing CodeParams may be
-  // claimed together and run back-to-back on one worker (same pinned
-  // workspace, hot kernel state) instead of each paying a queue hop.
-  service_->post(
-      [this, id, block, dec, params](DecodeService::WorkerScope& scope) {
-        // Decode until the symbol store stops changing under us: symbols
-        // that arrive mid-decode were part of the window the attempt
-        // policy already charged for, so a failed attempt re-runs
-        // immediately once they are applied (on_complete re-claims and
-        // returns the store).
-        const SpinalDecoder* d = dec;
-        try {
-          while (d != nullptr) {
-            DecodeResult& out = scope.out_scratch(params);
-            const int beam = scope.pick_beam(params);
-            const auto t0 = std::chrono::steady_clock::now();
-            d->decode_with(scope.workspace(params), out, beam);
-            scope.telemetry().record_attempt(
-                elapsed_micros(t0), beam > 0 && beam < params.B, false);
-            d = on_complete(scope, id, block, out.message);
-          }
-        } catch (...) {
-          abandon_block(id, block);  // keep outstanding_ consistent so
-          throw;                     // wait_idle()/~SessionMux cannot hang;
-        }                            // the service records the exception
-      },
-      sim::spinal_workspace_key(params));
-}
-
-const SpinalDecoder* SessionMux::on_complete(DecodeService::WorkerScope& scope,
-                                             SessionId id, int block,
-                                             const util::BitVec& candidate) {
-  std::uint64_t stale_here = 0;
-  const SpinalDecoder* next = nullptr;
-  {
-    std::lock_guard lock(m_);
-    Sess& s = at(id);
-    Block& blk = s.blocks[static_cast<std::size_t>(block)];
-    if (s.receiver.complete_block(block, candidate))
-      acks_.push_back({id, s.receiver.current_ack()});
-    // Apply the symbols that arrived mid-decode; if the block just
-    // decoded they are stale by definition.
-    bool applied = false;
-    for (const auto& [sym, csi] : blk.pending) {
-      if (s.receiver.block_decoded(sym.block)) {
-        ++stale_here;
-        continue;
-      }
-      s.receiver.receive(sym, csi);
-      applied = true;
-    }
-    blk.pending.clear();
-    stale_ += stale_here;
-    if (applied && !s.receiver.block_decoded(block)) {
-      // Still undecoded and the store grew: retry in the same task, or
-      // the buffered symbols would never get their attempt (the sender
-      // may already have paused for good).
-      next = &s.receiver.claim_block(block);
-    } else {
-      blk.outstanding = false;
-      --outstanding_;
-      // Notify under the lock: wait_idle() (and through it ~SessionMux)
-      // may destroy the condvar as soon as it can observe
-      // outstanding_ == 0, which it cannot do before we release the
-      // mutex.
-      cv_idle_.notify_all();
-    }
-  }
-  if (stale_here > 0) scope.telemetry().record_stale_symbols(stale_here);
-  return next;
-}
-
-void SessionMux::abandon_block(SessionId id, int block) {
-  std::lock_guard lock(m_);
-  Sess& s = at(id);
-  Block& blk = s.blocks[static_cast<std::size_t>(block)];
+void SessionMux::settle_locked(Block& blk) {
   blk.outstanding = false;
   --outstanding_;
+  // Notify under the lock: wait_idle() (and through it ~SessionMux) may
+  // destroy the condvar as soon as it can observe outstanding_ == 0,
+  // which it cannot do before we release the mutex.
   cv_idle_.notify_all();
 }
 

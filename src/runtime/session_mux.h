@@ -2,18 +2,26 @@
 // SessionMux: the link-layer face of the decode runtime (§6). Ingests
 // tagged LinkSymbol streams for many concurrent datagram sessions,
 // applies the engine's attempt/back-off policy per code block at burst
-// pause points, offloads the decode attempts to the DecodeService
-// worker pool (claim_block/complete_block, the LinkReceiver's
-// non-blocking entry points), and emits ACK-bitmap feedback events as
-// blocks decode.
+// pause points, and emits ACK-bitmap feedback events as blocks decode.
 //
-// Control-plane calls (open/ingest/pause_point/poll_acks) are
-// non-blocking and may come from any thread; one mux-wide mutex guards
-// the session table, and decode attempts never run under it. While a
-// block's decode attempt is in flight its newly arriving symbols are
-// buffered and applied at completion (the symbol store is being read on
-// a worker thread), exactly the receive-while-decoding overlap a
-// half-duplex radio sees between a pause point and its ACK.
+// Each code block is a BlockUnit (decode_service.h): pause_point claims
+// its symbol store (LinkReceiver::claim_block) and posts it, and the
+// DecodeService steps it exactly like a session — batched with the
+// other queued blocks of equal CodeParams under the "spinal.link" batch
+// key, at the service's effort policy, with the sessions' telemetry and
+// trace spans. The block's completion hands the candidate back
+// (LinkReceiver::complete_block) and either settles the block or
+// reposts it.
+//
+// Control-plane calls (open/ingest/poll_acks) never block and may come
+// from any thread; one mux-wide mutex guards the session table, and
+// decode attempts never run under it. pause_point blocks only while the
+// service already holds its cap of posted work (kExtTaskCap block
+// attempts outstanding) and waits for one to settle. While a block's
+// decode attempt is in flight its newly arriving symbols are buffered
+// and applied at completion (the symbol store is being read on a worker
+// thread), exactly the receive-while-decoding overlap a half-duplex
+// radio sees between a pause point and its ACK.
 
 #include <complex>
 #include <condition_variable>
@@ -26,6 +34,7 @@
 
 #include "runtime/decode_service.h"
 #include "sim/engine.h"
+#include "sim/spinal_workspace.h"
 #include "spinal/link.h"
 
 namespace spinal::runtime {
@@ -49,7 +58,8 @@ class SessionMux {
 
   /// @p service must outlive the mux.
   explicit SessionMux(DecodeService& service, const Options& opt = {});
-  /// Waits for in-flight decode attempts (their tasks reference the mux).
+  /// Waits for in-flight decode attempts (the service steps the mux's
+  /// blocks).
   ~SessionMux();
 
   SessionMux(const SessionMux&) = delete;
@@ -65,8 +75,8 @@ class SessionMux {
               std::complex<float> csi = {1.0f, 0.0f});
 
   /// Marks a burst boundary (the half-duplex pause, §6): every block
-  /// that received symbols and whose attempt policy fires gets a decode
-  /// job on the worker pool — at most one in flight per block.
+  /// that received symbols and whose attempt policy fires is posted to
+  /// the service for a decode attempt — at most one in flight per block.
   void pause_point(SessionId id);
 
   /// Drains pending feedback events (one per newly decoded block).
@@ -87,36 +97,47 @@ class SessionMux {
   std::uint64_t stale_symbols() const;
 
  private:
-  struct Block {
+  struct Sess;
+  /// One code block of a session, and the unit the service steps for
+  /// its decode attempts. Its address is stable (Sess is pinned behind a
+  /// unique_ptr and sizes its block array once).
+  struct Block final : sim::SpinalTarget<BlockUnit, SpinalDecoder> {
+    Block() = default;
+    Block(const Block&) = delete;
+    Block& operator=(const Block&) = delete;
+
+    bool record_attempt(const std::optional<util::BitVec>& candidate) override;
+    bool complete() override;
+    void abandon() noexcept override;
+    const CodeParams& spinal_params() const override;
+    const SpinalDecoder& spinal_decoder() const override { return *decoder; }
+    const char* batch_flavor() const override { return "spinal.link"; }
+
+    SessionMux* mux = nullptr;
+    Sess* sess = nullptr;
+    int index = 0;
     int fed_bursts = 0;        ///< symbol-carrying bursts so far
-    int next_attempt;          ///< fed_bursts threshold for the next attempt
+    int next_attempt = 0;      ///< fed_bursts threshold for the next attempt
     bool got_symbols = false;  ///< since the last pause point
-    bool outstanding = false;  ///< decode job in flight
+    bool outstanding = false;  ///< decode attempt in flight
+    /// The claimed symbol store while outstanding (stable: the
+    /// receiver sizes its decoder array once).
+    const SpinalDecoder* decoder = nullptr;
     /// Symbols that arrived while a decode was in flight.
     std::vector<std::pair<LinkSymbol, std::complex<float>>> pending;
   };
   struct Sess {
-    Sess(const CodeParams& p, int blocks_n, int first_attempt)
-        : params(p), receiver(p, blocks_n),
-          blocks(static_cast<std::size_t>(blocks_n)) {
-      for (Block& b : blocks) b.next_attempt = first_attempt;
-    }
+    Sess(SessionMux* mux, SessionId id, const CodeParams& p, int blocks_n,
+         int first_attempt);
+    SessionId id;
     CodeParams params;
     LinkReceiver receiver;
     std::vector<Block> blocks;
   };
 
-  void post_attempt(SessionId id, int block, const SpinalDecoder* dec,
-                    const CodeParams& params);
-  /// Applies one attempt's outcome; returns the re-claimed symbol store
-  /// when the attempt must re-run (symbols arrived mid-decode and the
-  /// block is still undecoded), nullptr when the block is settled.
-  const SpinalDecoder* on_complete(DecodeService::WorkerScope& scope,
-                                   SessionId id, int block,
-                                   const util::BitVec& candidate);
-  /// Releases a block whose decode task died mid-flight (exception),
-  /// keeping outstanding_ consistent so wait_idle() cannot hang.
-  void abandon_block(SessionId id, int block);
+  /// Ends a block's attempt (outstanding_ drops; wait_idle may wake).
+  /// Caller holds m_.
+  void settle_locked(Block& blk);
   Sess& at(SessionId id);
   const Sess& at(SessionId id) const;
 

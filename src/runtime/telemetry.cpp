@@ -12,7 +12,6 @@ void Counters::merge(const Counters& o) noexcept {
   sessions_completed += o.sessions_completed;
   sessions_failed += o.sessions_failed;
   bits_decoded += o.bits_decoded;
-  stale_symbols += o.stale_symbols;
 }
 
 void StageTelemetry::merge(const StageTelemetry& o) noexcept {
@@ -65,7 +64,6 @@ void WorkerTelemetry::merge_into(TelemetrySnapshot& out) const {
   c.sessions_completed = c_.sessions_completed.load(std::memory_order_relaxed);
   c.sessions_failed = c_.sessions_failed.load(std::memory_order_relaxed);
   c.bits_decoded = c_.bits_decoded.load(std::memory_order_relaxed);
-  c.stale_symbols = c_.stale_symbols.load(std::memory_order_relaxed);
   out.counters.merge(c);
   out.decode_latency_us.merge(latency_us_.snapshot());
   out.stages.queue_wait_us.merge(queue_wait_us_.snapshot());

@@ -39,7 +39,6 @@ struct Counters {
   std::uint64_t sessions_completed = 0;  ///< decoded successfully
   std::uint64_t sessions_failed = 0;     ///< hit the give-up bound
   std::uint64_t bits_decoded = 0;        ///< message bits of successful sessions
-  std::uint64_t stale_symbols = 0;       ///< mux: symbols for already-ACKed blocks
 
   void merge(const Counters& o) noexcept;
 };
@@ -117,9 +116,6 @@ class WorkerTelemetry {
   void record_attempts(std::uint64_t n, double micros, bool reduced_effort,
                        bool unpinned) noexcept;
   void record_session_done(bool success, int message_bits) noexcept;
-  void record_stale_symbols(std::uint64_t n) noexcept {
-    c_.stale_symbols.fetch_add(n, std::memory_order_relaxed);
-  }
 
   /// Stage decomposition (see StageTelemetry for attribution rules).
   void record_queue_wait(double micros, std::uint64_t jobs) noexcept {
@@ -145,7 +141,6 @@ class WorkerTelemetry {
     std::atomic<std::uint64_t> sessions_completed{0};
     std::atomic<std::uint64_t> sessions_failed{0};
     std::atomic<std::uint64_t> bits_decoded{0};
-    std::atomic<std::uint64_t> stale_symbols{0};
   };
 
   AtomicCounters c_;

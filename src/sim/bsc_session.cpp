@@ -33,32 +33,6 @@ std::optional<util::BitVec> BscSession::try_decode() {
   return decoder_.decode().message;
 }
 
-std::optional<util::BitVec> BscSession::try_decode_with(CodecWorkspace* ws,
-                                                        int effort) {
-  auto* sw = static_cast<SpinalWorkspace*>(ws);
-  if (sw == nullptr) return try_decode();
-  decoder_.decode_with(sw->ws, sw->out, effort);
-  return sw->out.message;
-}
-
-void BscSession::try_decode_batch(CodecWorkspace* ws,
-                                  std::span<BatchDecodeJob> jobs) {
-  auto* sw = static_cast<SpinalWorkspace*>(ws);
-  if (sw == nullptr || jobs.size() < 2) {
-    RatelessSession::try_decode_batch(ws, jobs);
-    return;
-  }
-  if (sw->batch_out.size() < jobs.size()) sw->batch_out.resize(jobs.size());
-  std::vector<BscSpinalDecoder::BlockJob> blocks(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    auto* peer = static_cast<BscSession*>(jobs[i].session);
-    blocks[i] = {&peer->decoder_, &sw->batch_out[i], jobs[i].effort};
-  }
-  BscSpinalDecoder::decode_batch_with(sw->ws, blocks);
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    *jobs[i].candidate = sw->batch_out[i].message;
-}
-
 int BscSession::max_chunks() const {
   return params_.max_passes * schedule_.subpasses_per_pass();
 }

@@ -18,7 +18,9 @@
 
 namespace spinal::sim {
 
-class BscSession : public RatelessSession {
+/// Decodes through SpinalTarget under the "spinal.bsc" batch key (it
+/// shares SpinalSession's workspace key, never its batches).
+class BscSession : public SpinalTarget<RatelessSession, BscSpinalDecoder> {
  public:
   explicit BscSession(const CodeParams& params);
 
@@ -28,30 +30,15 @@ class BscSession : public RatelessSession {
   void receive_chunk(std::span<const std::complex<float>> y,
                      std::span<const std::complex<float>> csi) override;
   std::optional<util::BitVec> try_decode() override;
-  /// Effort = beam width. A null @p ws falls back to try_decode().
-  std::optional<util::BitVec> try_decode_with(CodecWorkspace* ws,
-                                              int effort) override;
-  /// Multi-session decode via BscSpinalDecoder::decode_batch_with (see
-  /// SpinalSession::try_decode_batch).
-  void try_decode_batch(CodecWorkspace* ws,
-                        std::span<BatchDecodeJob> jobs) override;
-  WorkspaceKey workspace_key() const override {
-    return spinal_workspace_key(params_);
-  }
-  WorkspaceKey batch_key() const override {
-    return spinal_batch_key(params_, "spinal.bsc");
-  }
-  std::unique_ptr<CodecWorkspace> make_workspace() const override {
-    return std::make_unique<SpinalWorkspace>();
-  }
-  EffortProfile effort_profile() const override {
-    return {params_.B, std::min(16, params_.B)};
-  }
   int max_chunks() const override;
 
   const CodeParams& params() const noexcept { return params_; }
 
  private:
+  const CodeParams& spinal_params() const override { return params_; }
+  const BscSpinalDecoder& spinal_decoder() const override { return decoder_; }
+  const char* batch_flavor() const override { return "spinal.bsc"; }
+
   CodeParams params_;
   PuncturingSchedule schedule_;
   std::unique_ptr<BscSpinalEncoder> encoder_;

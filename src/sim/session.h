@@ -58,21 +58,72 @@ struct EffortProfile {
   int floor = 1;
 };
 
-class RatelessSession;
+class DecodeTarget;
 
-/// One session's slot in a cross-session batched decode attempt
-/// (try_decode_batch): the session to decode, the effort to run it at
-/// (same semantics as try_decode_with) and where to write its candidate.
+/// One target's slot in a cross-target batched decode attempt
+/// (try_decode_batch): the target to decode (a session, or one of the
+/// link-layer mux's code blocks), the effort to run it at (same
+/// semantics as try_decode_with) and where to write its candidate.
 struct BatchDecodeJob {
-  RatelessSession* session = nullptr;
+  DecodeTarget* session = nullptr;
   int effort = 0;
   std::optional<util::BitVec>* candidate = nullptr;
 };
 
-class RatelessSession {
+/// The decode-facing half of a session: everything the decode runtime
+/// needs to run an attempt, batch it with its peers and pin its scratch.
+/// Every RatelessSession is one; the runtime's SessionMux code blocks
+/// (runtime/session_mux.h) are the other kind, stepped on the same path.
+class DecodeTarget {
  public:
-  virtual ~RatelessSession() = default;
+  virtual ~DecodeTarget() = default;
 
+  /// Runs one decode attempt with caller-owned pinned scratch @p ws — a
+  /// workspace built by make_workspace() of any target with an equal
+  /// workspace_key(), or nullptr when none is pinned — at @p effort
+  /// (<= 0: the configured full effort). With effort <= 0 the candidate
+  /// is bit-identical regardless of @p ws, which is what
+  /// deterministic-mode runtime/sequential equivalence rests on.
+  virtual std::optional<util::BitVec> try_decode_with(CodecWorkspace* ws,
+                                                      int effort) = 0;
+
+  /// Runs one decode attempt for every job in @p jobs in a single
+  /// batched pass over @p ws. The runtime only forms batches whose
+  /// targets all report this target's (equal, valid) batch_key(), and
+  /// always dispatches on jobs.front().session; each job's candidate
+  /// must be bit-identical to the same-effort try_decode_with call run
+  /// alone. The default runs the jobs sequentially, so codecs without a
+  /// multi-block decode entry point get batching as a no-op.
+  virtual void try_decode_batch(CodecWorkspace* ws,
+                                std::span<BatchDecodeJob> jobs) {
+    for (BatchDecodeJob& j : jobs)
+      *j.candidate = j.session->try_decode_with(ws, j.effort);
+  }
+
+  /// The key under which the runtime aggregates this target's decode
+  /// jobs into batched attempts (try_decode_batch). Must be at least as
+  /// fine as workspace_key() — targets with equal batch keys must be
+  /// safely batchable together, which can require distinguishing codecs
+  /// that deliberately share workspace layouts. Invalid (default) key:
+  /// this target's jobs are never batched.
+  virtual WorkspaceKey batch_key() const { return {}; }
+
+  /// The key under which the runtime pins this target's workspace; an
+  /// invalid (default) key means attempts run unpinned.
+  virtual WorkspaceKey workspace_key() const { return {}; }
+
+  /// Builds a fresh workspace matching workspace_key(); nullptr when
+  /// the target has none.
+  virtual std::unique_ptr<CodecWorkspace> make_workspace() const {
+    return nullptr;
+  }
+
+  /// The effort knob this target's decoder exposes (full == 0: none).
+  virtual EffortProfile effort_profile() const { return {}; }
+};
+
+class RatelessSession : public DecodeTarget {
+ public:
   /// Message length in bits this session encodes per run.
   virtual int message_bits() const = 0;
 
@@ -96,53 +147,14 @@ class RatelessSession {
   /// message, playing the role of the link-layer CRC).
   virtual std::optional<util::BitVec> try_decode() = 0;
 
-  /// Runtime-worker form of try_decode(): runs the attempt with
-  /// caller-owned pinned scratch @p ws — a workspace built by
-  /// make_workspace() of any session with an equal workspace_key(), or
-  /// nullptr when none is pinned — at @p effort (<= 0: the configured
-  /// full effort). With effort <= 0 the candidate is bit-identical to
-  /// try_decode() regardless of @p ws, which is what deterministic-mode
-  /// runtime/sequential equivalence rests on. The default ignores both
-  /// and delegates, for sessions with neither a pinnable workspace nor
-  /// an effort knob.
-  virtual std::optional<util::BitVec> try_decode_with(CodecWorkspace* /*ws*/,
-                                                      int /*effort*/) {
+  /// Runtime-worker form of try_decode() (see DecodeTarget): with
+  /// effort <= 0 the candidate is bit-identical to try_decode(). The
+  /// default ignores both arguments and delegates, for sessions with
+  /// neither a pinnable workspace nor an effort knob.
+  std::optional<util::BitVec> try_decode_with(CodecWorkspace* /*ws*/,
+                                              int /*effort*/) override {
     return try_decode();
   }
-
-  /// Runs one decode attempt for every job in @p jobs in a single
-  /// batched pass over @p ws. The runtime only forms batches whose
-  /// sessions all report this session's (equal, valid) batch_key(), and
-  /// always dispatches on jobs.front().session; each job's candidate
-  /// must be bit-identical to the same-effort try_decode_with call run
-  /// alone. The default runs the jobs sequentially, so codecs without a
-  /// multi-block decode entry point get batching as a no-op.
-  virtual void try_decode_batch(CodecWorkspace* ws,
-                                std::span<BatchDecodeJob> jobs) {
-    for (BatchDecodeJob& j : jobs)
-      *j.candidate = j.session->try_decode_with(ws, j.effort);
-  }
-
-  /// The key under which the runtime aggregates this session's decode
-  /// jobs into batched attempts (try_decode_batch). Must be at least as
-  /// fine as workspace_key() — sessions with equal batch keys must be
-  /// safely batchable together, which can require distinguishing codecs
-  /// that deliberately share workspace layouts. Invalid (default) key:
-  /// this session's jobs are never batched.
-  virtual WorkspaceKey batch_key() const { return {}; }
-
-  /// The key under which the runtime pins this session's workspace; an
-  /// invalid (default) key means attempts run unpinned.
-  virtual WorkspaceKey workspace_key() const { return {}; }
-
-  /// Builds a fresh workspace matching workspace_key(); nullptr when
-  /// the session has none.
-  virtual std::unique_ptr<CodecWorkspace> make_workspace() const {
-    return nullptr;
-  }
-
-  /// The effort knob this session's decoder exposes (full == 0: none).
-  virtual EffortProfile effort_profile() const { return {}; }
 
   /// Upper bound on chunks before the sender gives up on the message.
   virtual int max_chunks() const = 0;

@@ -53,34 +53,6 @@ std::optional<util::BitVec> SpinalSession::try_decode() {
   return decoder_.decode().message;
 }
 
-std::optional<util::BitVec> SpinalSession::try_decode_with(CodecWorkspace* ws,
-                                                           int effort) {
-  auto* sw = static_cast<SpinalWorkspace*>(ws);
-  if (sw == nullptr) return try_decode();
-  decoder_.decode_with(sw->ws, sw->out, effort);
-  return sw->out.message;
-}
-
-void SpinalSession::try_decode_batch(CodecWorkspace* ws,
-                                     std::span<BatchDecodeJob> jobs) {
-  auto* sw = static_cast<SpinalWorkspace*>(ws);
-  if (sw == nullptr || jobs.size() < 2) {
-    RatelessSession::try_decode_batch(ws, jobs);
-    return;
-  }
-  if (sw->batch_out.size() < jobs.size()) sw->batch_out.resize(jobs.size());
-  std::vector<SpinalDecoder::BlockJob> blocks(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // Equal batch keys guarantee every job's session is a SpinalSession
-    // (the same contract try_decode_with's workspace downcast rests on).
-    auto* peer = static_cast<SpinalSession*>(jobs[i].session);
-    blocks[i] = {&peer->decoder_, &sw->batch_out[i], jobs[i].effort};
-  }
-  SpinalDecoder::decode_batch_with(sw->ws, blocks);
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    *jobs[i].candidate = sw->batch_out[i].message;
-}
-
 int SpinalSession::max_chunks() const {
   const int subpasses = params_.max_passes * schedule_.subpasses_per_pass();
   if (symbols_per_chunk_ <= 0) return subpasses;

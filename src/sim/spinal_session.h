@@ -15,7 +15,9 @@
 
 namespace spinal::sim {
 
-class SpinalSession : public RatelessSession {
+/// Decodes through SpinalTarget: effort = beam width, batches fused by
+/// SpinalDecoder::decode_batch_with under the "spinal.awgn" batch key.
+class SpinalSession : public SpinalTarget<RatelessSession, SpinalDecoder> {
  public:
   /// @param symbols_per_chunk 0 = one chunk per subpass (default);
   ///        otherwise chunks carry at most this many symbols.
@@ -27,32 +29,15 @@ class SpinalSession : public RatelessSession {
   void receive_chunk(std::span<const std::complex<float>> y,
                      std::span<const std::complex<float>> csi) override;
   std::optional<util::BitVec> try_decode() override;
-  /// Effort = beam width. A null @p ws falls back to try_decode() (the
-  /// decoder's internal workspace, configured width).
-  std::optional<util::BitVec> try_decode_with(CodecWorkspace* ws,
-                                              int effort) override;
-  /// Level-synchronous multi-session decode via
-  /// SpinalDecoder::decode_batch_with; bit-identical per job to the solo
-  /// try_decode_with path.
-  void try_decode_batch(CodecWorkspace* ws,
-                        std::span<BatchDecodeJob> jobs) override;
-  WorkspaceKey workspace_key() const override {
-    return spinal_workspace_key(params_);
-  }
-  WorkspaceKey batch_key() const override {
-    return spinal_batch_key(params_, "spinal.awgn");
-  }
-  std::unique_ptr<CodecWorkspace> make_workspace() const override {
-    return std::make_unique<SpinalWorkspace>();
-  }
-  EffortProfile effort_profile() const override {
-    return {params_.B, std::min(16, params_.B)};
-  }
   int max_chunks() const override;
 
   const CodeParams& params() const noexcept { return params_; }
 
  private:
+  const CodeParams& spinal_params() const override { return params_; }
+  const SpinalDecoder& spinal_decoder() const override { return decoder_; }
+  const char* batch_flavor() const override { return "spinal.awgn"; }
+
   CodeParams params_;
   int symbols_per_chunk_;
   PuncturingSchedule schedule_;

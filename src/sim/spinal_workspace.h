@@ -1,13 +1,20 @@
 #pragma once
-// The concrete CodecWorkspace of every spinal-decoder-backed session
-// (AWGN/fading SpinalSession, BscSession, and the link-layer mux's raw
-// block decodes): the beam-search DecodeWorkspace plus a DecodeResult
-// scratch, pinned together per worker so steady-state attempts stay
-// allocation-free. All spinal sessions key their workspaces under
-// codec "spinal" with every CodeParams field serialized into the params
-// string — equal keys guarantee interchangeable workspace layouts.
+// The concrete CodecWorkspace of every spinal-decoder-backed decode
+// target (AWGN/fading SpinalSession, BscSession, and the link-layer
+// mux's code blocks): the beam-search DecodeWorkspace plus a
+// DecodeResult scratch, pinned together per worker so steady-state
+// attempts stay allocation-free. All spinal targets key their
+// workspaces under codec "spinal" with every CodeParams field
+// serialized into the params string — equal keys guarantee
+// interchangeable workspace layouts — and decode through the one
+// SpinalTarget implementation below.
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sim/session.h"
 #include "spinal/cost_model.h"
@@ -24,7 +31,7 @@ struct SpinalWorkspace final : CodecWorkspace {
   std::vector<DecodeResult> batch_out;
 };
 
-/// The WorkspaceKey all spinal sessions (and the mux) pin under.
+/// The WorkspaceKey all spinal decode targets pin under.
 inline WorkspaceKey spinal_workspace_key(const CodeParams& p) {
   std::string s;
   s.reserve(128);
@@ -67,5 +74,63 @@ inline WorkspaceKey spinal_batch_key(const CodeParams& p, const char* flavor) {
   key.codec = flavor;
   return key;
 }
+
+/// The DecodeTarget half every spinal-decoder-backed target shares:
+/// solo attempts in the pinned SpinalWorkspace (or, with none pinned,
+/// in the decoder's own scratch at the configured width), one fused
+/// Decoder::decode_batch_with per batch, bit-identical per block to the
+/// solo attempt, the spinal keys, and the beam width as effort knob.
+/// @p Base is DecodeTarget or a subclass (RatelessSession, BlockUnit).
+template <class Base, class Decoder>
+class SpinalTarget : public Base {
+ public:
+  std::optional<util::BitVec> try_decode_with(CodecWorkspace* ws,
+                                              int effort) override {
+    auto* sw = static_cast<SpinalWorkspace*>(ws);
+    if (sw == nullptr) return spinal_decoder().decode().message;
+    spinal_decoder().decode_with(sw->ws, sw->out, effort);
+    return sw->out.message;
+  }
+
+  void try_decode_batch(CodecWorkspace* ws,
+                        std::span<BatchDecodeJob> jobs) override {
+    auto* sw = static_cast<SpinalWorkspace*>(ws);
+    if (sw == nullptr || jobs.size() < 2) {
+      DecodeTarget::try_decode_batch(ws, jobs);
+      return;
+    }
+    if (sw->batch_out.size() < jobs.size()) sw->batch_out.resize(jobs.size());
+    std::vector<typename Decoder::BlockJob> blocks(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      // Equal batch keys guarantee every job's target is of this type
+      // (the same contract try_decode_with's workspace downcast rests on).
+      const auto& peer = static_cast<const SpinalTarget&>(*jobs[i].session);
+      blocks[i] = {&peer.spinal_decoder(), &sw->batch_out[i], jobs[i].effort};
+    }
+    Decoder::decode_batch_with(sw->ws, blocks);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      *jobs[i].candidate = sw->batch_out[i].message;
+  }
+
+  WorkspaceKey batch_key() const override {
+    return spinal_batch_key(spinal_params(), batch_flavor());
+  }
+  WorkspaceKey workspace_key() const override {
+    return spinal_workspace_key(spinal_params());
+  }
+  std::unique_ptr<CodecWorkspace> make_workspace() const override {
+    return std::make_unique<SpinalWorkspace>();
+  }
+  EffortProfile effort_profile() const override {
+    return {spinal_params().B, std::min(16, spinal_params().B)};
+  }
+
+ protected:
+  virtual const CodeParams& spinal_params() const = 0;
+  /// The decoder holding the target's received symbols.
+  virtual const Decoder& spinal_decoder() const = 0;
+  /// Refines the batch key ("spinal.awgn", "spinal.bsc", ...).
+  virtual const char* batch_flavor() const = 0;
+};
 
 }  // namespace spinal::sim

@@ -83,6 +83,10 @@ TEST(Decoder, LowSnrManyPassesDecodes) {
 }
 
 TEST(Decoder, MatchesExhaustiveMlOnTinyCode) {
+  // Asserts f32-exact results.
+  if (resolve_cost_precision(CostPrecision::kFloat32) !=
+      CostPrecision::kFloat32)
+    GTEST_SKIP() << "SPINAL_COST_PRECISION override replaces f32";
   // With d = n/k and B >= 2^k the bubble decoder explores the full tree:
   // its answer must equal brute-force ML over all 2^n messages.
   CodeParams p;
@@ -175,6 +179,10 @@ TEST(Decoder, KNotDividingNDeepBubbleDecodes) {
 }
 
 TEST(Decoder, PuncturedPrefixDecodesAtHighSnr) {
+  // Asserts f32-exact results.
+  if (resolve_cost_precision(CostPrecision::kFloat32) !=
+      CostPrecision::kFloat32)
+    GTEST_SKIP() << "SPINAL_COST_PRECISION override replaces f32";
   // Half an 8-way pass at high SNR should decode: every other spine
   // value observed, the rest bridged by the beam (the >k bits/symbol
   // regime of §5). Runs of >log_2k(B) consecutive unobserved spine

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "channel/awgn.h"
+#include "spinal/cost_model.h"
 #include "util/prng.h"
 
 namespace spinal {
@@ -171,6 +172,10 @@ TEST(Link, FeedbackForAlreadyAckedBlockIsIdempotent) {
 }
 
 TEST(Link, MuxEntryPointsClaimAndComplete) {
+  // Asserts f32-exact results.
+  if (resolve_cost_precision(CostPrecision::kFloat32) !=
+      CostPrecision::kFloat32)
+    GTEST_SKIP() << "SPINAL_COST_PRECISION override replaces f32";
   // The non-blocking receiver surface the runtime's SessionMux drives:
   // claim a dirty block, decode it with caller scratch, report back.
   const CodeParams p = link_params();

@@ -5,16 +5,19 @@
 // adaptive-effort correctness under load, admission-control
 // backpressure, slot recycling (session memory bounded by the admission
 // cap across many drain rounds), telemetry consistency (including the
-// unpinned-decode counter), and the link-symbol SessionMux. These suites (plus
+// unpinned-decode counter), and the link-symbol SessionMux (against the
+// inline link loop, and on the sessions' step path). These suites (plus
 // test_experiment) also run under the ThreadSanitizer CI lane.
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -1047,6 +1050,110 @@ TEST(SessionMux, SymbolsBufferedMidDecodeGetTheirAttempt) {
   ASSERT_TRUE(out.has_value());
   out->resize(datagram.size());
   EXPECT_EQ(*out, datagram);
+}
+
+/// Per-link outcome of a link run: the fields both drivers must agree on.
+struct LinkOutcome {
+  bool done = false;
+  long symbols_sent = 0;
+  std::optional<std::vector<std::uint8_t>> datagram;
+  bool operator==(const LinkOutcome&) const = default;
+};
+
+/// The inline reference: LinkSender -> AWGN -> LinkReceiver::make_ack.
+LinkOutcome sequential_link(const CodeParams& p,
+                            const std::vector<std::uint8_t>& datagram,
+                            double snr_db, std::uint64_t seed) {
+  LinkSender sender(p, datagram);
+  LinkReceiver receiver(p, sender.block_count());
+  channel::AwgnChannel channel(snr_db, seed);
+  while (!sender.done() && !sender.gave_up()) {
+    for (LinkSymbol s : sender.next_burst()) {
+      s.value = channel.transmit(s.value);
+      receiver.receive(s);
+    }
+    sender.handle_ack(receiver.make_ack());
+  }
+  return {sender.done(), sender.symbols_sent(), receiver.datagram()};
+}
+
+TEST(SessionMux, LockStepMatchesSequentialLinkLoop) {
+  // Eight links in lock-step frames — every link sends a burst and
+  // pauses, then all wait for their ACKs — through a 3-worker
+  // deterministic service with batching on: each link's outcome must
+  // equal the inline decode loop's, batched or not.
+  constexpr std::size_t kLinks = 8;
+  constexpr double kSnrDb = 8.0;
+  const CodeParams p = link_params();
+  RuntimeOptions opt = det_opts(3);
+  opt.batch.max_batch = 16;
+  DecodeService service(opt);
+  SessionMux mux(service);
+
+  std::vector<std::vector<std::uint8_t>> datagrams;
+  std::vector<LinkSender> senders;
+  std::vector<channel::AwgnChannel> channels;
+  std::vector<SessionMux::SessionId> ids;
+  for (std::size_t s = 0; s < kLinks; ++s) {
+    datagrams.push_back(random_datagram(30 + 15 * s, 500 + s));
+    senders.emplace_back(p, datagrams.back());
+    channels.emplace_back(kSnrDb, 600 + s);
+    ids.push_back(mux.open(p, senders.back().block_count()));
+  }
+  for (bool open = true; open;) {
+    open = false;
+    for (std::size_t s = 0; s < kLinks; ++s) {
+      if (senders[s].done() || senders[s].gave_up()) continue;
+      open = true;
+      for (LinkSymbol sym : senders[s].next_burst()) {
+        sym.value = channels[s].transmit(sym.value);
+        mux.ingest(ids[s], sym);
+      }
+      mux.pause_point(ids[s]);
+    }
+    mux.wait_idle();
+    for (std::size_t s = 0; s < kLinks; ++s)
+      senders[s].handle_ack(mux.current_ack(ids[s]));
+  }
+  for (std::size_t s = 0; s < kLinks; ++s) {
+    const LinkOutcome got{senders[s].done(), senders[s].symbols_sent(),
+                          mux.datagram(ids[s])};
+    EXPECT_TRUE(got.done) << s;
+    EXPECT_EQ(got, sequential_link(p, datagrams[s], kSnrDb, 600 + s)) << s;
+  }
+}
+
+TEST(SessionMux, AttemptsRideTheStepPath) {
+  // Mux block attempts are stepped like sessions: claimed and batched,
+  // timed by the stage telemetry, counted in their own tag lane and
+  // traced as decode spans.
+  RuntimeOptions opt = basic_opts(2);
+  opt.trace.enabled = true;
+  DecodeService service(opt);
+  SessionMux mux(service);
+  const CodeParams p = link_params();
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    const auto datagram = random_datagram(60, 40 + s);
+    ASSERT_TRUE(mux.done(drive_datagram(mux, p, datagram, 12.0, 50 + s)));
+  }
+
+  const TelemetrySnapshot snap = service.telemetry();
+  EXPECT_GT(snap.counters.decode_attempts, 0u);
+  EXPECT_GT(snap.stages.batch_assembly_us.count(), 0u);
+  EXPECT_EQ(snap.decode_latency_us.count(), snap.counters.decode_attempts);
+  ASSERT_EQ(snap.tags.size(), 1u);
+  EXPECT_EQ(snap.tags[0].label.rfind("spinal.link/", 0), 0u)
+      << snap.tags[0].label;
+  EXPECT_EQ(snap.tags[0].attempts, snap.counters.decode_attempts);
+
+#if SPINAL_RUNTIME_TRACE
+  ASSERT_NE(service.tracer(), nullptr);
+  std::ostringstream os;
+  service.tracer()->export_json(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"name\": \"decode\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\": \"task\""), std::string::npos);
+#endif
 }
 
 TEST(SessionMux, BadIdsThrow) {
