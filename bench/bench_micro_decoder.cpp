@@ -8,7 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "backend/backend.h"
 #include "channel/awgn.h"
@@ -30,20 +33,27 @@ CodeParams make_params(int n, int k, int B, int d) {
   return p;
 }
 
-/// Feeds @p passes unpunctured passes of noisy symbols into @p dec.
-void feed_awgn(const CodeParams& p, SpinalDecoder& dec, int passes,
-               bool with_csi = false) {
+/// Feeds the first @p subpasses subpasses of noisy symbols into @p dec.
+void feed_awgn_subpasses(const CodeParams& p, SpinalDecoder& dec, int subpasses,
+                         bool with_csi = false) {
   util::Xoshiro256 prng(7);
   const SpinalEncoder enc(p, prng.random_bits(p.n));
   channel::AwgnChannel ch(10.0, 11);
   const PuncturingSchedule sched(p);
-  for (int sp = 0; sp < passes * sched.subpasses_per_pass(); ++sp)
+  for (int sp = 0; sp < subpasses; ++sp)
     for (const SymbolId& id : sched.subpass(sp)) {
       if (with_csi)
         dec.add_symbol(id, ch.transmit(enc.symbol(id)), {0.9f, 0.3f});
       else
         dec.add_symbol(id, ch.transmit(enc.symbol(id)));
     }
+}
+
+/// Feeds @p passes whole passes of noisy symbols into @p dec.
+void feed_awgn(const CodeParams& p, SpinalDecoder& dec, int passes,
+               bool with_csi = false) {
+  feed_awgn_subpasses(p, dec, passes * PuncturingSchedule(p).subpasses_per_pass(),
+                      with_csi);
 }
 
 void feed_bsc(const CodeParams& p, BscSpinalDecoder& dec, int passes) {
@@ -78,6 +88,81 @@ BENCHMARK(BM_DecodeAwgn)
     ->Args({256, 4, 256, 2, 2})   // d=2 at the reference geometry
     ->Args({256, 4, 256, 1, 8})   // symbol-heavy (8 passes)
     ->ArgNames({"n", "k", "B", "d", "passes"});
+
+/// A punctured attempt at the link geometry (n=256, k=4, B=64): after
+/// 4 of a pass's 8 subpasses, half the spine values have no symbol
+/// yet, so half the levels cost only hashing and selection — the shape
+/// of most attempts a rateless receiver makes. args: n, k, B,
+/// subpasses.
+void BM_DecodeAwgnPunctured(benchmark::State& state) {
+  const CodeParams p =
+      make_params(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
+                  static_cast<int>(state.range(2)), 1);
+  SpinalDecoder dec(p);
+  feed_awgn_subpasses(p, dec, static_cast<int>(state.range(3)));
+  for (auto _ : state) {
+    auto r = dec.decode();
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * p.n);
+}
+BENCHMARK(BM_DecodeAwgnPunctured)
+    ->Args({256, 4, 64, 4})
+    ->ArgNames({"n", "k", "B", "subpasses"});
+
+/// Survivor keys shaped like one pruned decode level, in candidate
+/// order: costs rise with the parent's rank (beams are cost-sorted)
+/// plus a per-child metric spread, so the keys are clustered and
+/// nearly sorted, as the selection sees them.
+template <class Key>
+std::vector<Key> level_keys(std::size_t n) {
+  util::Xoshiro256 prng(9);
+  std::vector<Key> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cost = 20.0 + 0.05 * static_cast<double>(i / 16) + 4.0 * prng.next_double();
+    const auto cand = static_cast<std::uint32_t>(i);
+    if constexpr (sizeof(Key) == 8)
+      keys[i] = backend::F32Lane::key(static_cast<float>(cost), cand);
+    else
+      keys[i] = backend::U16Lane::key(static_cast<std::uint32_t>(cost * 32.0), cand);
+  }
+  return keys;
+}
+
+/// One B-of-N select (backend::select_keys) per iteration, over a
+/// fresh copy of the keys (the copy is timed too: a few hundred keys).
+/// args: n, keep, key bits (64: F32Lane keys, 32: U16Lane keys). The
+/// shapes are the measured per-level calls of the three benchmark
+/// workloads: 2 of 23 (B=2 BSC fleet), 64 of ~355 (the B=64 link) and
+/// 256 of ~520 (the B=256 reference geometry).
+template <class Key>
+void select_keys_bench(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto keep = static_cast<std::size_t>(state.range(1));
+  const std::vector<Key> keys = level_keys<Key>(n);
+  std::vector<Key> work(n);
+  for (auto _ : state) {
+    std::copy(keys.begin(), keys.end(), work.begin());
+    backend::select_keys(work.data(), n, keep);
+    benchmark::DoNotOptimize(work.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+void BM_SelectKeys(benchmark::State& state) {
+  if (state.range(2) == 64)
+    select_keys_bench<std::uint64_t>(state);
+  else
+    select_keys_bench<std::uint32_t>(state);
+}
+BENCHMARK(BM_SelectKeys)
+    ->Args({23, 2, 64})
+    ->Args({355, 64, 64})
+    ->Args({520, 256, 64})
+    ->Args({23, 2, 32})
+    ->Args({355, 64, 32})
+    ->Args({520, 256, 32})
+    ->ArgNames({"n", "keep", "bits"});
 
 /// The quantized narrow-metric path (spinal/cost_model.h) at the
 /// tracked reference geometry. args: precision (1 = u16, 2 = u8),

@@ -173,8 +173,8 @@ struct BscLevel {
 // kernels are one pipeline, instantiated once per path-metric width.
 // A lane traits type carries every difference as a compile-time fact:
 // the cost and key words, the key pack/unpack, plain vs saturating
-// add, per-level renormalization, the bound-refinement cadence, the
-// per-level cost floor and the final-select sort policy.
+// add, per-level renormalization, the bound-refinement cadence and the
+// per-level cost floor.
 
 /// The f32 path metric (the golden reference): float costs and u64
 /// keys monotone_key(cost) << 32 | candidate.
@@ -189,8 +189,6 @@ struct F32Lane {
   static constexpr int kRefine = 2;
   static constexpr bool kRenormalize = false;
   static constexpr bool kLevelFloor = false;
-  /// Final select: plain std::sort when every survivor is kept.
-  static constexpr bool kSortSmallSide = true;
 
   static cost_t add(cost_t a, cost_t b) noexcept { return a + b; }
   static key_t key(cost_t cost, std::uint32_t cand) noexcept {
@@ -225,9 +223,6 @@ struct U16Lane {
   /// Every child of a leaf costs at least leaf + the level's summed
   /// per-symbol row minima, so sorted leaves cut off before hashing.
   static constexpr bool kLevelFloor = true;
-  /// Final select: the u32 radix select with keep == count is itself a
-  /// full sort, and beats introsort on clustered integer keys.
-  static constexpr bool kSortSmallSide = false;
 
   static std::uint32_t add(std::uint32_t a, std::uint32_t b) noexcept {
     return quant_sat_add(a, b);
@@ -428,32 +423,52 @@ struct Backend {
 };
 
 // --- Packed-key B-of-N selection --------------------------------------
-// One copy for every backend, compiled in a baseline TU (backend.cpp).
-// The keys order exactly like the (cost, candidate index) comparator;
-// the radix partition fixes the kept *set*, sorting the kept prefix
-// fixes its *order* — hence arena layout and every equal-cost tie-break
-// downstream — identically on every stdlib and backend. The u32
-// overloads take U16Lane keys, whose full value already orders as
-// (cost, candidate), so that select needs no tie-run fixup.
+// One copy for every backend, compiled in a baseline TU (backend.cpp),
+// and one template for both key widths: F32Lane's u64 keys
+// (monotone cost << 32 | candidate) and U16Lane's u32 keys
+// (cost << 16 | candidate). Either key orders exactly like the
+// (cost, candidate index) comparator, and keys are unique, so the
+// kept *set* is nth_element's and the sorted prefix is a full sort's:
+// the arena layout and every equal-cost tie-break downstream come out
+// identically on every stdlib and backend.
+//
+// The cost of a call follows its keys, not fixed per-round overheads:
+//   - select: a range-adaptive bucket select. One min/max pass, then
+//     rounds of at most 256 buckets sized to the ambiguous block's own
+//     key range and length (about two keys per bucket), each resolved
+//     by one forward three-way scatter. Blocks of a couple dozen keys
+//     finish by insertion sort.
+//   - sort: a stable LSD radix sort over the cost word, with digits of
+//     about log2(n) bits spanning the block's cost range (no pass at
+//     all when every cost is equal), then a fix of the equal-cost runs
+//     by the full key. Short or already ascending blocks skip the
+//     passes.
+// All scratch lives on the stack (4096 keys); wider inputs fall back to
+// std::nth_element / std::sort.
 
 /// keys[i] = monotone_key(costs[i]) << 32 | i — the F32Lane keys of a
 /// whole cost array.
 void build_keys(const float* costs, std::size_t count, std::uint64_t* keys);
 
 /// Moves the keep smallest keys into [0, keep) in *unspecified* order
-/// (the kept set is deterministic; no order inside or outside it is).
+/// (the kept set is deterministic; its order is not). What is left past
+/// keep is unspecified too: the select overwrites keys it has ruled out.
 /// The streaming search's mid-level bound refinements run this over
 /// the survivor buffer: the keep-th-best bound needs the set, never
 /// the order, and the final select re-sorts anyway.
 void partition_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
 void partition_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
 
+/// Sorts keys[0, count) ascending: the search's final select when it
+/// keeps every survivor.
+void sort_keys(std::uint64_t* keys, std::size_t count);
+void sort_keys(std::uint32_t* keys, std::size_t count);
+
 /// Reorders keys so the keep smallest occupy [0, keep) in ascending
-/// order (the kept *set* and its *order* are deterministic; the tail
-/// order is unspecified). With keep >= count the u64 overload leaves
-/// the keys untouched (no pruning: candidate order is the search's
-/// contract), while the u32 overload sorts them all (the U16Lane
-/// finalize's full sort, see U16Lane::kSortSmallSide).
+/// order (the kept *set* and its *order* are deterministic; the keys
+/// past keep are unspecified, as for partition_keys). With keep >= count the u64 overload leaves
+/// the keys untouched (no pruning: candidate order is the reference
+/// search's contract), while the u32 overload sorts them all.
 void select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
 void select_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
 

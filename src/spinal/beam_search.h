@@ -283,9 +283,9 @@ class BeamSearch {
  private:
   /// Children per expansion block: small enough that a block's states,
   /// costs and kernel scratch stay cache-resident across the per-symbol
-  /// metric sweeps, large enough to amortize the kernel dispatch. Also
-  /// the survivor-compaction granularity at the default B=256: the
-  /// first block seeds the pruning bound.
+  /// metric sweeps, large enough to amortize the kernel dispatch. A
+  /// pruning d=1 level's first block is its bound seed instead, sized
+  /// to keep candidates.
   static constexpr int kBlockChildren = 512;
 
   /// Calls @p f with the cursor's cost lane: U16Lane when the search
@@ -409,13 +409,10 @@ class BeamSearch {
   static void finalize_keys(LaneBuffers<Lane>& lw, std::size_t sc, int keep,
                             int cand_total) {
     if (keep >= cand_total) return;  // no pruning: candidate order is the contract
-    if constexpr (Lane::kSortSmallSide) {
-      if (static_cast<std::size_t>(keep) >= sc) {
-        std::sort(lw.keys.begin(), lw.keys.begin() + static_cast<std::ptrdiff_t>(sc));
-        return;
-      }
-    }
-    backend::select_keys(lw.keys.data(), sc, std::min(static_cast<std::size_t>(keep), sc));
+    if (static_cast<std::size_t>(keep) >= sc)
+      backend::sort_keys(lw.keys.data(), sc);
+    else
+      backend::select_keys(lw.keys.data(), sc, static_cast<std::size_t>(keep));
   }
 
   /// Tightens the online pruning bound to the keep-th best survivor key
@@ -492,18 +489,22 @@ class BeamSearch {
     // every candidate survives (+ slack for SIMD compress stores).
     lw.keys.resize(static_cast<std::size_t>(cand_total) + 8);
 
-    // The admissible key floor of every child under a parent of cost
-    // c. Lanes with a level floor add the level's summed per-symbol
-    // row minima, so the sorted-prefix cutoffs below skip whole leaves
-    // *before hashing them* — the spine-hash chains are the latency
-    // wall, so rows gated here are the cheapest rows of all.
+    // The admissible key floor of every candidate at index >= cand
+    // under a parent of cost c. Lanes with a level floor add the
+    // level's summed per-symbol row minima, so the sorted-prefix
+    // cutoffs below skip whole leaves *before hashing them* — the
+    // spine-hash chains are the latency wall, so rows gated here are
+    // the cheapest rows of all. The index word makes the floor cut on
+    // exact cost ties too: sorted parents ascend in (cost, index), and
+    // a later parent's candidates carry higher indices.
     std::uint32_t lvl_floor = 0;
     if constexpr (Lane::kLevelFloor) lvl_floor = env.level_floor(e);
-    const auto floor_key = [&](cost_t c) -> key_t {
+    const auto floor_key = [&](cost_t c, std::size_t cand) -> key_t {
+      const auto ci = static_cast<std::uint32_t>(cand);
       if constexpr (Lane::kLevelFloor)
-        return Lane::key(Lane::add(c, lvl_floor), 0);
+        return Lane::key(Lane::add(c, lvl_floor), ci);
       else
-        return Lane::key(c, 0);
+        return Lane::key(c, ci);
     };
 
     if (d == 1) {
@@ -512,26 +513,33 @@ class BeamSearch {
       // through the fused finalize+prune kernel. States land in a
       // level-wide candidate-indexed buffer (the writeback reads them
       // by key); costs only ever exist one block at a time.
-      // The first full block doubles as the bound seed: it covers the
-      // children of the best parents (sorted beams lead with them),
-      // and the refinement right after it — at the default geometry,
-      // a 2B-survivor select — puts the bound close to its final
-      // value before the bulk of the level streams through.
-      const std::size_t block_leaves =
-          std::max<std::size_t>(1, kBlockChildren / static_cast<std::size_t>(fanout));
+      // A pruning level first expands just the ceil(keep / fanout)
+      // leaves that hold keep candidates, as a seed block of its own:
+      // the largest of those keys is an admissible bound — at least
+      // keep candidates sit at or below it — set without any select.
+      // Sorted beams lead with their best parents, so the seed bound
+      // is already close. On a level with no received symbols every
+      // child costs its parent, so the sorted-leaf cutoff ends the
+      // level right after the seed.
+      const std::size_t fan = static_cast<std::size_t>(fanout);
+      const std::size_t block_leaves = std::max<std::size_t>(1, kBlockChildren / fan);
+      const bool prune = keep < cand_total;
+      const std::size_t seed_leaves = (static_cast<std::size_t>(keep) + fan - 1) / fan;
       ws.child_state.resize(static_cast<std::size_t>(cand_total));
       if constexpr (!FusedPruneSearchEnv<Env, Lane>)
-        lw.child_cost.resize(block_leaves * static_cast<std::size_t>(fanout));
+        lw.child_cost.resize(std::max(block_leaves, seed_leaves) * fan);
 
       std::size_t L = 0;
       while (L < total_leaves) {
-        std::size_t end = std::min(total_leaves, L + block_leaves);
+        std::size_t end =
+            std::min(total_leaves, L + (prune && L == 0 ? seed_leaves : block_leaves));
         if (leaves_sorted) {
-          // Ascending parent costs: every candidate of a leaf costs at
-          // least its floor, so the first leaf past the bound ends the
-          // level (and back-trimming skips a partial tail block).
-          if (floor_key(lw.leaf_cost[L]) > bound_key) break;
-          while (end > L + 1 && floor_key(lw.leaf_cost[end - 1]) > bound_key) --end;
+          // Ascending parents: every candidate of a leaf keys at least
+          // its floor, so the first leaf past the bound ends the level
+          // (and back-trimming skips a partial tail block).
+          if (floor_key(lw.leaf_cost[L], L * fan) > bound_key) break;
+          while (end > L + 1 && floor_key(lw.leaf_cost[end - 1], (end - 1) * fan) > bound_key)
+            --end;
         }
         const std::size_t nblk = end - L;
         if constexpr (FusedPruneSearchEnv<Env, Lane>) {
@@ -550,7 +558,11 @@ class BeamSearch {
                               lw.keys.data() + sc);
         }
         L = end;
-        if (sc >= trigger && L < total_leaves) tighten<Lane>(lw, keep, sc, bound_key);
+        if (L == total_leaves) break;
+        if (prune && bound_key == Lane::kKeepAll)
+          bound_key = *std::max_element(lw.keys.data(), lw.keys.data() + sc);  // the seed
+        else if (sc >= trigger)
+          tighten<Lane>(lw, keep, sc, bound_key);
       }
 
       finalize_keys<Lane>(lw, sc, keep, cand_total);
@@ -607,7 +619,7 @@ class BeamSearch {
             cost_t emin = lc[0];
             for (int l = 1; l < lpe; ++l)
               if (lc[l] < emin) emin = lc[l];
-            if (floor_key(emin) > bound_key) {
+            if (floor_key(emin, static_cast<std::size_t>(en0 + ok) * group_count) > bound_key) {
               cutoff = true;
               break;
             }

@@ -207,9 +207,14 @@ LatencyHistogram AtomicLatencyHistogram::snapshot() const noexcept {
         bins_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
   const std::uint64_t min_b = min_bits_.load(std::memory_order_relaxed);
   const std::uint64_t max_b = max_bits_.load(std::memory_order_relaxed);
+  // add_n bumps a bin before it records min and max, so a snapshot can
+  // catch counts whose value range is not recorded yet (an unset max
+  // reads below any min). Report such a snapshot as empty: every
+  // quantile of a non-empty one then lies inside a recorded range.
+  if (min_b == kEmptyMin || max_b < min_b) return LatencyHistogram{};
   return LatencyHistogram::from_bins(
       bins.data(), sum_.load(std::memory_order_relaxed),
-      min_b == kEmptyMin ? 0.0 : bits_double(min_b), bits_double(max_b));
+      bits_double(min_b), bits_double(max_b));
 }
 
 }  // namespace spinal::util

@@ -441,6 +441,119 @@ TEST(BackendKernels, AwgnExpandPruneMatchesSplitPipeline) {
   }
 }
 
+/// Selection inputs beyond the clustered walks: the shapes a decode
+/// level produces, plus sizes on both sides of every size threshold
+/// the select and sort pick their strategy by (24 keys: insertion
+/// finish; 512 and 2048: bucket-count caps; 4096: stack scratch). Each
+/// shape comes as keep points to try, in candidate order and, for the
+/// tie-heavy shapes, shuffled (the tie fix-ups must not rely on
+/// candidate order).
+struct SelectShape {
+  std::string label;
+  std::vector<float> costs;  ///< candidate i costs costs[i]
+  std::vector<std::size_t> keeps;
+  bool shuffle = false;
+};
+
+std::vector<SelectShape> select_shapes(util::Xoshiro256& prng) {
+  std::vector<SelectShape> shapes;
+  const auto uniform = [&](std::size_t n, float scale) {
+    std::vector<float> c(n);
+    for (auto& x : c) x = static_cast<float>(prng.next_double()) * scale;
+    return c;
+  };
+  // Tiny blocks: the B=2 beam selects 2 of a couple dozen.
+  for (std::size_t n : {1u, 2u, 3u, 5u, 16u, 23u, 24u, 25u, 31u, 32u})
+    shapes.push_back({"tiny" + std::to_string(n), uniform(n, 4.0f), {1, 2}});
+  // All-equal costs: a level with no received symbols.
+  for (std::size_t n : {16u, 64u, 300u, 1024u}) {
+    for (bool shuffle : {false, true})
+      shapes.push_back({"equal" + std::to_string(n), std::vector<float>(n, 3.5f),
+                        {1, 2, n / 4, n - 1},
+                        shuffle});
+  }
+  // Integer-valued costs (BSC Hamming metrics): ties straddle every
+  // keep boundary.
+  for (std::size_t n : {100u, 520u, 1000u}) {
+    std::vector<float> c(n);
+    for (auto& x : c) x = std::floor(static_cast<float>(prng.next_double()) * 12.0f);
+    for (bool shuffle : {false, true})
+      shapes.push_back({"hamming" + std::to_string(n), c, {2, 64, n / 2, n - 1}, shuffle});
+  }
+  // Two far-apart cost values: one bucket holds half the block, or
+  // more keys than the stack scratch.
+  for (std::size_t n : {600u, 6000u}) {
+    std::vector<float> c(n);
+    for (auto& x : c) x = (prng.next_u64() % 16 < (n > 4096 ? 1u : 8u)) ? 1000.0f : 1.0f;
+    for (bool shuffle : {false, true})
+      shapes.push_back({"bimodal" + std::to_string(n), c, {2, n / 2, n - 1}, shuffle});
+  }
+  // Clustered walks at the size thresholds.
+  for (std::size_t n : {511u, 512u, 513u, 1023u, 1024u, 2047u, 2048u, 2049u, 4095u,
+                        4096u, 4097u, 8192u}) {
+    std::vector<float> c(n);
+    float walk = 10.0f;
+    for (auto& x : c) {
+      walk += static_cast<float>(prng.next_double()) * 0.05f;
+      x = walk + static_cast<float>(prng.next_double()) * 3.0f;
+    }
+    shapes.push_back({"walk" + std::to_string(n), c, {1, 256, n / 2, n - 1}});
+  }
+  return shapes;
+}
+
+/// The shape's keys in its candidate order, shuffled on request.
+template <class Key, class MakeKey>
+std::vector<Key> shape_keys(const SelectShape& shape, util::Xoshiro256& prng,
+                            MakeKey make_key) {
+  std::vector<Key> keys(shape.costs.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    keys[i] = make_key(shape.costs[i], static_cast<std::uint32_t>(i));
+  if (shape.shuffle)
+    for (std::size_t i = keys.size(); i > 1; --i)
+      std::swap(keys[i - 1], keys[prng.next_u64() % i]);
+  return keys;
+}
+
+std::uint64_t f32_key(float cost, std::uint32_t cand) {
+  return backend::F32Lane::key(cost, cand);
+}
+
+/// U16Lane keys carry integer costs: the float shapes scale onto the
+/// u16 grid (walk shapes keep their fractional spread at x16).
+std::uint32_t u16_key(float cost, std::uint32_t cand) {
+  return backend::quant_key(static_cast<std::uint32_t>(cost * 16.0f) & 0xFFFF, cand & 0xFFFF);
+}
+
+/// partition_keys keeps exactly the keep smallest keys (as a set).
+template <class Key>
+void expect_partition_set(const std::vector<Key>& keys, std::size_t keep,
+                          const std::string& label) {
+  std::vector<Key> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<Key> work = keys;
+  backend::partition_keys(work.data(), work.size(), keep);
+  const std::size_t kept = std::min(keep, keys.size());
+  std::sort(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(kept));
+  EXPECT_TRUE(std::equal(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(kept),
+                         sorted.begin()))
+      << label << " n=" << keys.size() << " keep=" << keep;
+}
+
+/// select_keys keeps the full sort's prefix, in order.
+template <class Key>
+void expect_select_prefix(const std::vector<Key>& keys, std::size_t keep,
+                          const std::string& label) {
+  std::vector<Key> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<Key> work = keys;
+  backend::select_keys(work.data(), work.size(), keep);
+  const std::size_t kept = std::min(keep, keys.size());
+  EXPECT_TRUE(std::equal(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(kept),
+                         sorted.begin()))
+      << label << " n=" << keys.size() << " keep=" << keep;
+}
+
 TEST(BackendKernels, PartitionKeysKeepsTheSelectSet) {
   // The set-only refinement half of the selection contract: the keep
   // smallest keys land in [0, keep) in some order — exactly the
@@ -465,6 +578,11 @@ TEST(BackendKernels, PartitionKeysKeepsTheSelectSet) {
       for (std::size_t i = 0; i < keep; ++i)
         EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
     }
+  }
+  for (const SelectShape& shape : select_shapes(prng)) {
+    const auto keys = shape_keys<std::uint64_t>(shape, prng, f32_key);
+    for (std::size_t keep : shape.keeps)
+      if (keep > 0) expect_partition_set(keys, keep, shape.label);
   }
 }
 
@@ -730,6 +848,11 @@ TEST(BackendKernels, SelectKeysMatchesFullSortReference) {
       }
       EXPECT_TRUE(ok) << "n=" << n << " keep=" << keep;
     }
+  }
+  for (const SelectShape& shape : select_shapes(prng)) {
+    const auto keys = shape_keys<std::uint64_t>(shape, prng, f32_key);
+    for (std::size_t keep : shape.keeps)
+      if (keep > 0 && keep < keys.size()) expect_select_prefix(keys, keep, shape.label);
   }
 }
 
@@ -1058,6 +1181,24 @@ TEST(BackendKernels, PartitionKeysU32KeepsTheSelectSet) {
         EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
     }
   }
+  for (const SelectShape& shape : select_shapes(prng)) {
+    const auto keys = shape_keys<std::uint32_t>(shape, prng, u16_key);
+    for (std::size_t keep : shape.keeps)
+      if (keep > 0) expect_partition_set(keys, keep, shape.label);
+  }
+  // Long equal-cost runs: integer costs that step every 50-200
+  // candidates, as a renormalized quantized level produces.
+  for (bool shuffle : {false, true}) {
+    SelectShape runs{"runs", {}, {1, 2, 100, 999, 2000, 2999}, shuffle};
+    float cost = 0.0f;
+    while (runs.costs.size() < 3000) {
+      runs.costs.insert(runs.costs.end(), 50 + prng.next_u64() % 151, cost);
+      cost += 1.0f;
+    }
+    runs.costs.resize(3000);
+    const auto keys = shape_keys<std::uint32_t>(runs, prng, u16_key);
+    for (std::size_t keep : runs.keeps) expect_partition_set(keys, keep, runs.label);
+  }
 }
 
 TEST(BackendKernels, SelectKeysU32MatchesFullSortReference) {
@@ -1081,6 +1222,23 @@ TEST(BackendKernels, SelectKeysU32MatchesFullSortReference) {
       for (std::size_t i = 0; i < std::min(keep, n); ++i)
         EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
     }
+  }
+  for (const SelectShape& shape : select_shapes(prng)) {
+    const auto keys = shape_keys<std::uint32_t>(shape, prng, u16_key);
+    for (std::size_t keep : shape.keeps)
+      if (keep > 0) expect_select_prefix(keys, keep, shape.label);
+    expect_select_prefix(keys, keys.size(), shape.label + " (full sort)");
+  }
+  for (bool shuffle : {false, true}) {
+    SelectShape runs{"runs", {}, {1, 2, 100, 999, 2000, 2999, 3000}, shuffle};
+    float cost = 0.0f;
+    while (runs.costs.size() < 3000) {
+      runs.costs.insert(runs.costs.end(), 50 + prng.next_u64() % 151, cost);
+      cost += 1.0f;
+    }
+    runs.costs.resize(3000);
+    const auto keys = shape_keys<std::uint32_t>(runs, prng, u16_key);
+    for (std::size_t keep : runs.keeps) expect_select_prefix(keys, keep, runs.label);
   }
 }
 

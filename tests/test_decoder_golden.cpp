@@ -194,6 +194,60 @@ TEST_P(GoldenAllKinds, PuncturedPrefixMatchesScalarReference) {
   expect_identical(dec, "awgn-punctured");
 }
 
+TEST_P(GoldenAllKinds, BscPuncturedPrefixMatchesScalarReference) {
+  const ScopedBackend scoped(backend_name());
+  // Half a pass of the BSC metric, checked at every attempt point: most
+  // spine values have no coded bit yet, so most levels have no received
+  // symbol (every child costs its parent) and integer costs tie across
+  // the whole beam.
+  CodeParams p = base_params(kind());
+  p.B = 64;
+  p.c = 1;
+  util::Xoshiro256 prng(34);
+  const BscSpinalEncoder enc(p, prng.random_bits(p.n));
+  BscSpinalDecoder dec(p);
+  channel::BscChannel ch(0.02, 134);
+  const PuncturingSchedule sched(p);
+  for (int sp = 0; sp < sched.subpasses_per_pass() / 2; ++sp) {
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+    expect_identical(dec, ("bsc-punctured sp=" + std::to_string(sp)).c_str());
+  }
+}
+
+TEST_P(GoldenAllKinds, TinyBeamMatchesScalarReference) {
+  const ScopedBackend scoped(backend_name());
+  // B=2, the beam of many-small-session fleets: each level keeps two of
+  // a few dozen candidates. Checked at every attempt point of two BSC
+  // block lengths and of a punctured AWGN block.
+  for (int n : {8, 64}) {
+    CodeParams p = base_params(kind());
+    p.n = n;
+    p.B = 2;
+    p.c = 1;
+    util::Xoshiro256 prng(35);
+    const BscSpinalEncoder enc(p, prng.random_bits(p.n));
+    BscSpinalDecoder dec(p);
+    channel::BscChannel ch(0.02, 135);
+    const PuncturingSchedule sched(p);
+    for (int sp = 0; sp < 4 * sched.subpasses_per_pass(); ++sp) {
+      for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+      expect_identical(dec, ("bsc-b2 n=" + std::to_string(n) + " sp=" + std::to_string(sp)).c_str());
+    }
+  }
+  CodeParams p = base_params(kind());
+  p.B = 2;
+  util::Xoshiro256 prng(36);
+  const SpinalEncoder enc(p, prng.random_bits(p.n));
+  SpinalDecoder dec(p);
+  channel::AwgnChannel ch(10.0, 136);
+  const PuncturingSchedule sched(p);
+  for (int sp = 0; sp < 2 * sched.subpasses_per_pass(); ++sp) {
+    for (const SymbolId& id : sched.subpass(sp))
+      dec.add_symbol(id, ch.transmit(enc.symbol(id)));
+    expect_identical(dec, ("awgn-b2 sp=" + std::to_string(sp)).c_str());
+  }
+}
+
 TEST_P(GoldenAllKinds, BubbleD2MatchesScalarReference) {
   const ScopedBackend scoped(backend_name());
   // d=2: the streamed multi-leaf path — vectorized regroup_emit rows,
@@ -322,8 +376,10 @@ INSTANTIATE_TEST_SUITE_P(
              "_d" + std::to_string(std::get<1>(info.param));
     });
 
-TEST_P(QuantGolden, QuantizedDecodeBitIdenticalAcrossBackends) {
-  const auto [prec, d] = GetParam();
+/// Decodes the first @p subpasses received subpasses on every backend
+/// in precision @p prec and depth @p d; each must match the scalar
+/// backend bit for bit.
+void expect_quant_backends_agree(CostPrecision prec, int d, int subpasses) {
   CodeParams p = base_params(hash::Kind::kOneAtATime);
   p.d = d;
   p.cost_precision = prec;
@@ -332,7 +388,7 @@ TEST_P(QuantGolden, QuantizedDecodeBitIdenticalAcrossBackends) {
   channel::AwgnChannel ch(6.0, 141);  // marginal SNR: near-ties on the line
   const PuncturingSchedule sched(p);
   std::vector<std::pair<SymbolId, std::complex<float>>> rx;
-  for (int sp = 0; sp < 3 * sched.subpasses_per_pass(); ++sp)
+  for (int sp = 0; sp < subpasses; ++sp)
     for (const SymbolId& id : sched.subpass(sp))
       rx.emplace_back(id, ch.transmit(enc.symbol(id)));
 
@@ -349,9 +405,28 @@ TEST_P(QuantGolden, QuantizedDecodeBitIdenticalAcrossBackends) {
   for (const backend::Backend* b : backend::available()) {
     if (std::string_view(b->name) == "scalar") continue;
     const DecodeResult got = decode_on(b->name);
-    EXPECT_EQ(got.message, want.message) << b->name << " d=" << d;
-    EXPECT_EQ(got.path_cost, want.path_cost) << b->name << " d=" << d;  // exact bits
+    EXPECT_EQ(got.message, want.message)
+        << b->name << " d=" << d << " subpasses=" << subpasses;
+    EXPECT_EQ(got.path_cost, want.path_cost)  // exact bits
+        << b->name << " d=" << d << " subpasses=" << subpasses;
   }
+}
+
+/// Subpasses per pass at the matrix's geometry.
+int quant_subpasses() {
+  return PuncturingSchedule(base_params(hash::Kind::kOneAtATime)).subpasses_per_pass();
+}
+
+TEST_P(QuantGolden, QuantizedDecodeBitIdenticalAcrossBackends) {
+  const auto [prec, d] = GetParam();
+  expect_quant_backends_agree(prec, d, 3 * quant_subpasses());
+}
+
+TEST_P(QuantGolden, HalfPassBitIdenticalAcrossBackends) {
+  // Half a pass: most levels have no received symbol, so each child
+  // costs its parent and renormalized integer costs tie beam-wide.
+  const auto [prec, d] = GetParam();
+  expect_quant_backends_agree(prec, d, quant_subpasses() / 2);
 }
 
 // ---- Pinned quantized decisions. QuantGolden only compares backends
