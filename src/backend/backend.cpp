@@ -31,8 +31,8 @@ namespace {
 
 /// Stack scratch of every selection routine, in keys; no heap.
 constexpr std::size_t kScratch = 4096;
-/// Blocks this short skip the bucket rounds and radix passes: an
-/// insertion sort touches fewer words than one histogram would.
+/// Blocks this short skip the bucket passes: an insertion sort touches
+/// fewer words than one histogram would.
 constexpr std::size_t kInsertion = 24;
 
 template <class Key>
@@ -80,6 +80,8 @@ void min_max(const Key* a, std::size_t n, Key& mn, Key& mx) {
   mx = std::max(mx0, mx1);
 }
 
+/// Sorts a[0, n): by insertion when short, else by std::sort unless it
+/// is already ascending.
 template <class Key>
 void sort_run(Key* a, std::size_t n) {
   if (n <= kInsertion)
@@ -91,8 +93,8 @@ void sort_run(Key* a, std::size_t n) {
 /// Range-adaptive bucket select (see partition_keys). Each round
 /// splits the ambiguous block [lo, hi) — the one that straddles the
 /// keep boundary — into at most 256 buckets spanning the block's own
-/// [min, max] key range, with about one bucket per two keys, so a
-/// round's counters never outnumber its keys. One forward scatter then
+/// [min, max] key range, with two to four keys per bucket, so a round's
+/// counters never outnumber its keys. One forward scatter then
 /// resolves the threshold bucket T: keys below T compact in place (the
 /// write cursor never passes the read index), keys in T spill to stack
 /// scratch and come back right behind them as the next block (their
@@ -154,16 +156,23 @@ void partition_impl(Key* keys, std::size_t count, std::size_t keep) {
   }
 }
 
+/// Range-adaptive bucket sort (see sort_keys): one counting pass
+/// scatters the keys into n to 2n buckets spanning their [min, max]
+/// range, and an insertion pass over the full keys finishes the job —
+/// keys never cross a bucket boundary, and buckets hold a key or two,
+/// so that pass is about one comparison per key. It also orders the
+/// equal-cost runs (one bucket each) by candidate index. A bucket too
+/// wide for insertion is sorted on its own.
 template <class Key>
 void sort_impl(Key* keys, std::size_t n) {
   if (n <= kInsertion || n > kScratch) {
     sort_run(keys, n);
     return;
   }
-  if (std::is_sorted(keys, keys + n)) return;
+  if (std::is_sorted(keys, keys + n)) return;  // a zero-symbol level's kept set
   Key mn, mx;
   min_max(keys, n, mn, mx);
-  constexpr int kMaxLg = 12;
+  constexpr int kMaxLg = 12;  // 4096 buckets: the scratch size
   const int lg = std::min(kMaxLg, static_cast<int>(std::bit_width(n)));
   const int shift = std::max(0, static_cast<int>(std::bit_width(mx - mn)) - lg);
   const std::size_t buckets = static_cast<std::size_t>((mx - mn) >> shift) + 1;

@@ -435,14 +435,14 @@ struct Backend {
 // The cost of a call follows its keys, not fixed per-round overheads:
 //   - select: a range-adaptive bucket select. One min/max pass, then
 //     rounds of at most 256 buckets sized to the ambiguous block's own
-//     key range and length (about two keys per bucket), each resolved
-//     by one forward three-way scatter. Blocks of a couple dozen keys
-//     finish by insertion sort.
-//   - sort: a stable LSD radix sort over the cost word, with digits of
-//     about log2(n) bits spanning the block's cost range (no pass at
-//     all when every cost is equal), then a fix of the equal-cost runs
-//     by the full key. Short or already ascending blocks skip the
-//     passes.
+//     key range and length (two to four keys per bucket), each
+//     resolved by one forward three-way scatter. Blocks of a couple
+//     dozen keys finish by insertion.
+//   - sort: one counting pass into n to 2n buckets over the block's own
+//     key range, then an insertion pass over the full keys: buckets
+//     hold a key or two, and equal costs share a bucket, so the
+//     insertion pass also orders every equal-cost run by candidate.
+//     Short or already ascending blocks skip the counting pass.
 // All scratch lives on the stack (4096 keys); wider inputs fall back to
 // std::nth_element / std::sort.
 

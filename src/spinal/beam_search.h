@@ -27,13 +27,20 @@
 //
 //   - leaves are expanded in blocks (a few hundred children at a
 //     time), never into a monolithic [leaf][fanout] candidate buffer;
-//   - an online pruning threshold — the running B-th-best candidate
-//     bound, tightened by block-local radix refinements of a small
-//     survivor set — discards losing children as each block's costs
-//     come out of the kernel, without writing them anywhere;
-//   - because kept beams are cost-sorted, whole trailing leaf blocks
-//     (d=1) or entries (d>1) are skipped outright once the parent cost
-//     alone exceeds the bound; and
+//   - an online pruning threshold — an upper bound on the B-th-best
+//     candidate key — discards losing children as each block's costs
+//     come out of the kernel, without writing them anywhere. At d=1 a
+//     pruning level seeds it without any select: its first block is
+//     just the ceil(B / 2^k) leaves that hold B candidates, and the
+//     largest of their keys is admissible (B candidates sit at or
+//     below it). Bucket selects over the small survivor set then
+//     tighten it block by block;
+//   - because kept beams are sorted by (cost, index), whole trailing
+//     leaf blocks (d=1) or entries (d>1) are skipped outright once
+//     their key floor — parent cost, plus the first candidate index
+//     so that exact cost ties cut too — exceeds the bound. A level
+//     with no received symbols (every child costs its parent) thus
+//     ends right after its seed block; and
 //   - at d>1 the regroup runs as a backend kernel over whole child
 //     rows (every child of a leaf shares its root group), replacing
 //     the old scalar scatter.
@@ -52,8 +59,7 @@
 // The streamed pipeline is written once and instantiated per *cost
 // lane* (backend::F32Lane, backend::U16Lane): the lane traits carry the
 // cost and key words, key pack/unpack, plain vs saturating add,
-// renormalization, refinement cadence, per-level floor and final sort
-// policy. An Env opts into the U16Lane by also providing lane
+// renormalization, refinement cadence and per-level floor. An Env opts into the U16Lane by also providing lane
 // overloads of its batched contract (see QuantizedSearchEnv).
 
 #include <algorithm>

@@ -12,10 +12,10 @@
 //     u16:  S = 2^4 = 16,  cap = 65535  (per-dimension and combined)
 //     u8:   S = 2^3 = 8,   cap = 255    (coarser grid, 8-bit clamp)
 //   The u16 scale is deliberately modest: after per-level
-//   renormalization a level's surviving cost spread then fits a single
-//   byte of the packed (cost << 16 | candidate) selection key, which
-//   is what bounds the radix select/partition pass count — at S = 2^6
-//   the spread spilled into a second key byte and the selection phases
+//   renormalization a level's surviving cost spread stays within a
+//   byte of the packed (cost << 16 | candidate) selection key. With
+//   the byte-radix select this scale was chosen under, S = 2^6 spilled
+//   the spread into a second key byte and the selection phases
 //   measurably outweighed the finer grid's (unmeasurable) BLER gain.
 //   Per received symbol the decoder pre-tabulates the combined
 //   re+im metric over all 2^(2c) constellation index pairs, so the hot

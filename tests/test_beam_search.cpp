@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "backend/backend.h"
@@ -244,6 +245,61 @@ TEST(BeamSearch, StreamedPipelineMatchesReferencePath) {
     }
   }
   backend::force(original);
+}
+
+/// SyntheticEnv with the shapes a punctured, integer-metric decode
+/// gives a level: spine positions whose index is a multiple of three
+/// received nothing (every node costs 0, so each child costs exactly
+/// its parent), the rest charge small integers that tie beam-wide.
+struct PuncturedTieEnv : SyntheticEnv {
+  float node_cost(int spine_idx, std::uint32_t state) const noexcept {
+    if (spine_idx % 3 == 0) return 0.0f;
+    return static_cast<float>(SyntheticEnv::node_cost(spine_idx, state) < 0.5f ? 0 : 1 + (state & 3));
+  }
+};
+
+struct BatchedPuncturedTieEnv : PuncturedTieEnv {
+  void expand_all(int spine_idx, const std::uint32_t* states, std::size_t count,
+                  int fanout, std::uint32_t* out_states, float* out_costs) const {
+    for (std::size_t i = 0; i < count; ++i)
+      for (int v = 0; v < fanout; ++v) {
+        const std::uint32_t st = child(states[i], static_cast<std::uint32_t>(v));
+        out_states[i * fanout + v] = st;
+        out_costs[i * fanout + v] = node_cost(spine_idx, st);
+      }
+  }
+};
+
+TEST(BeamSearch, StreamedBeamMatchesReferenceOnZeroSymbolLevelsAndTies) {
+  // The seeded bound and the sorted-leaf cutoff end zero-cost levels
+  // early and cut on exact ties; pruning must stay admissible there.
+  // The oracle is the whole final beam of the materialize-then-select
+  // reference: states and costs, in kept order (a candidate lost at any
+  // level would change them).
+  util::Xoshiro256 prng(78);
+  for (int trial = 0; trial < 16; ++trial) {
+    for (int d = 1; d <= 2; ++d) {
+      for (int k : {2, 4}) {
+        for (int B : {1, 2, 3, 4, 16, 64}) {
+          CodeParams p = params_for(9, k, B, d);
+        p.s0 = static_cast<std::uint32_t>(prng.next_u64());
+          const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
+          SearchWorkspace ref_ws, got_ws;
+          SearchResult ref, got;
+          BeamSearch<PuncturedTieEnv>().run(PuncturedTieEnv{{salt}}, p, ref_ws, ref);
+          BeamSearch<BatchedPuncturedTieEnv>().run(BatchedPuncturedTieEnv{{{salt}}}, p,
+                                                   got_ws, got);
+          const std::string where = "trial=" + std::to_string(trial) + " d=" +
+                                    std::to_string(d) + " k=" + std::to_string(k) +
+                                    " B=" + std::to_string(B);
+          EXPECT_EQ(got.chunks, ref.chunks) << where;
+          EXPECT_EQ(got.best_cost, ref.best_cost) << where;
+          EXPECT_EQ(got_ws.leaf_state, ref_ws.leaf_state) << where;
+          EXPECT_EQ(got_ws.f32.leaf_cost, ref_ws.f32.leaf_cost) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(BeamSearch, DepthCappedToSpineLength) {
