@@ -114,8 +114,10 @@ void partition_impl(Key* keys, std::size_t count, std::size_t keep) {
       return;
     }
     // Power-of-two bucket width: bucket(max) = range >> shift < 2^lg,
-    // and min and max (distinct: keys are unique) land in different
-    // buckets, so every round shrinks the block.
+    // and min and max land in different buckets, so every round
+    // shrinks the block — as long as they differ, which unique keys
+    // guarantee.
+    if (mn == mx) return;
     const int lg = std::min(8, static_cast<int>(std::bit_width(n)) - 2);
     const int shift = std::max(0, static_cast<int>(std::bit_width(mx - mn)) - lg);
     const std::size_t buckets = static_cast<std::size_t>((mx - mn) >> shift) + 1;

@@ -59,8 +59,9 @@
 // The streamed pipeline is written once and instantiated per *cost
 // lane* (backend::F32Lane, backend::U16Lane): the lane traits carry the
 // cost and key words, key pack/unpack, plain vs saturating add,
-// renormalization, refinement cadence and per-level floor. An Env opts into the U16Lane by also providing lane
-// overloads of its batched contract (see QuantizedSearchEnv).
+// renormalization, refinement cadence and per-level floor. An Env
+// opts into the U16Lane by also providing lane overloads of its
+// batched contract (see QuantizedSearchEnv).
 
 #include <algorithm>
 #include <concepts>
@@ -523,10 +524,11 @@ class BeamSearch {
       // leaves that hold keep candidates, as a seed block of its own:
       // the largest of those keys is an admissible bound — at least
       // keep candidates sit at or below it — set without any select.
-      // Sorted beams lead with their best parents, so the seed bound
-      // is already close. On a level with no received symbols every
-      // child costs its parent, so the sorted-leaf cutoff ends the
-      // level right after the seed.
+      // On a level with received symbols that bound is loose (it is
+      // the worst child of the best parents), and the refinement after
+      // the next full block does the tightening. On a level with none,
+      // every child costs its parent, so the seed holds the kept set
+      // and the sorted-leaf cutoff ends the level right after it.
       const std::size_t fan = static_cast<std::size_t>(fanout);
       const std::size_t block_leaves = std::max<std::size_t>(1, kBlockChildren / fan);
       const bool prune = keep < cand_total;

@@ -217,36 +217,6 @@ struct BatchedSyntheticEnv : SyntheticEnv {
   }
 };
 
-TEST(BeamSearch, StreamedPipelineMatchesReferencePath) {
-  // Across depths, beam widths, chunk sizes and every kernel backend
-  // (the streamed path routes its prune/regroup/selection through the
-  // active table): identical chunks and exact-bit costs.
-  const char* const original = backend::active().name;
-  util::Xoshiro256 prng(77);
-  for (int d = 1; d <= 3; ++d) {
-    for (int k : {2, 3}) {
-      for (int B : {4, 16, 64}) {
-        const int chunks = 10;
-        CodeParams p = params_for(chunks, k, B, d);
-        p.s0 = static_cast<std::uint32_t>(prng.next_u64());
-        const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
-        const SearchResult ref =
-            BeamSearch<SyntheticEnv>().run(SyntheticEnv{salt}, p);
-        for (const backend::Backend* b : backend::available()) {
-          ASSERT_TRUE(backend::force(b->name));
-          const SearchResult got =
-              BeamSearch<BatchedSyntheticEnv>().run(BatchedSyntheticEnv{{salt}}, p);
-          EXPECT_EQ(got.chunks, ref.chunks)
-              << "backend=" << b->name << " d=" << d << " k=" << k << " B=" << B;
-          EXPECT_EQ(got.best_cost, ref.best_cost)
-              << "backend=" << b->name << " d=" << d << " k=" << k << " B=" << B;
-        }
-      }
-    }
-  }
-  backend::force(original);
-}
-
 /// SyntheticEnv with the shapes a punctured, integer-metric decode
 /// gives a level: spine positions whose index is a multiple of three
 /// received nothing (every node costs 0, so each child costs exactly
@@ -254,7 +224,9 @@ TEST(BeamSearch, StreamedPipelineMatchesReferencePath) {
 struct PuncturedTieEnv : SyntheticEnv {
   float node_cost(int spine_idx, std::uint32_t state) const noexcept {
     if (spine_idx % 3 == 0) return 0.0f;
-    return static_cast<float>(SyntheticEnv::node_cost(spine_idx, state) < 0.5f ? 0 : 1 + (state & 3));
+    return SyntheticEnv::node_cost(spine_idx, state) < 0.5f
+               ? 0.0f
+               : static_cast<float>(1 + (state & 3));
   }
 };
 
@@ -270,36 +242,67 @@ struct BatchedPuncturedTieEnv : PuncturedTieEnv {
   }
 };
 
-TEST(BeamSearch, StreamedBeamMatchesReferenceOnZeroSymbolLevelsAndTies) {
-  // The seeded bound and the sorted-leaf cutoff end zero-cost levels
-  // early and cut on exact ties; pruning must stay admissible there.
-  // The oracle is the whole final beam of the materialize-then-select
-  // reference: states and costs, in kept order (a candidate lost at any
-  // level would change them).
-  util::Xoshiro256 prng(78);
+/// One search down the reference path (RefEnv) and down the streamed
+/// pipeline (BatchedEnv, same costs) on every kernel backend (the
+/// streamed path routes its prune/regroup/selection through the active
+/// table): identical chunks, exact-bit costs and the same final beam —
+/// states and costs in kept order, which a candidate lost at any level
+/// would change.
+template <class RefEnv, class BatchedEnv>
+void expect_streamed_matches_reference(const CodeParams& p, std::uint32_t salt,
+                                       const std::string& where) {
+  RefEnv ref_env{};
+  ref_env.salt = salt;
+  BatchedEnv env{};
+  env.salt = salt;
+  SearchWorkspace ref_ws;
+  SearchResult ref;
+  BeamSearch<RefEnv>().run(ref_env, p, ref_ws, ref);
+  for (const backend::Backend* b : backend::available()) {
+    ASSERT_TRUE(backend::force(b->name));
+    SearchWorkspace ws;
+    SearchResult got;
+    BeamSearch<BatchedEnv>().run(env, p, ws, got);
+    EXPECT_EQ(got.chunks, ref.chunks) << where << " backend=" << b->name;
+    EXPECT_EQ(got.best_cost, ref.best_cost) << where << " backend=" << b->name;
+    EXPECT_EQ(ws.leaf_state, ref_ws.leaf_state) << where << " backend=" << b->name;
+    EXPECT_EQ(ws.f32.leaf_cost, ref_ws.f32.leaf_cost) << where << " backend=" << b->name;
+  }
+}
+
+TEST(BeamSearch, StreamedPipelineMatchesReferencePath) {
+  // Across depths, beam widths and chunk sizes, with continuous costs
+  // and then with zero-symbol levels and exact integer ties (where the
+  // seeded bound and the sorted-leaf cutoff end levels early and cut
+  // on ties; pruning must stay admissible there).
+  const char* const original = backend::active().name;
+  util::Xoshiro256 prng(77);
+  for (int d = 1; d <= 3; ++d) {
+    for (int k : {2, 3}) {
+      for (int B : {4, 16, 64}) {
+        CodeParams p = params_for(10, k, B, d);
+        p.s0 = static_cast<std::uint32_t>(prng.next_u64());
+        expect_streamed_matches_reference<SyntheticEnv, BatchedSyntheticEnv>(
+            p, static_cast<std::uint32_t>(prng.next_u64()),
+            "d=" + std::to_string(d) + " k=" + std::to_string(k) + " B=" + std::to_string(B));
+      }
+    }
+  }
   for (int trial = 0; trial < 16; ++trial) {
     for (int d = 1; d <= 2; ++d) {
       for (int k : {2, 4}) {
         for (int B : {1, 2, 3, 4, 16, 64}) {
           CodeParams p = params_for(9, k, B, d);
-        p.s0 = static_cast<std::uint32_t>(prng.next_u64());
-          const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
-          SearchWorkspace ref_ws, got_ws;
-          SearchResult ref, got;
-          BeamSearch<PuncturedTieEnv>().run(PuncturedTieEnv{{salt}}, p, ref_ws, ref);
-          BeamSearch<BatchedPuncturedTieEnv>().run(BatchedPuncturedTieEnv{{{salt}}}, p,
-                                                   got_ws, got);
-          const std::string where = "trial=" + std::to_string(trial) + " d=" +
-                                    std::to_string(d) + " k=" + std::to_string(k) +
-                                    " B=" + std::to_string(B);
-          EXPECT_EQ(got.chunks, ref.chunks) << where;
-          EXPECT_EQ(got.best_cost, ref.best_cost) << where;
-          EXPECT_EQ(got_ws.leaf_state, ref_ws.leaf_state) << where;
-          EXPECT_EQ(got_ws.f32.leaf_cost, ref_ws.f32.leaf_cost) << where;
+          p.s0 = static_cast<std::uint32_t>(prng.next_u64());
+          expect_streamed_matches_reference<PuncturedTieEnv, BatchedPuncturedTieEnv>(
+              p, static_cast<std::uint32_t>(prng.next_u64()),
+              "ties trial=" + std::to_string(trial) + " d=" + std::to_string(d) +
+                  " k=" + std::to_string(k) + " B=" + std::to_string(B));
         }
       }
     }
   }
+  backend::force(original);
 }
 
 TEST(BeamSearch, DepthCappedToSpineLength) {
