@@ -466,9 +466,10 @@ void sort_keys(std::uint32_t* keys, std::size_t count);
 
 /// Reorders keys so the keep smallest occupy [0, keep) in ascending
 /// order (the kept *set* and its *order* are deterministic; the keys
-/// past keep are unspecified, as for partition_keys). With keep >= count the u64 overload leaves
-/// the keys untouched (no pruning: candidate order is the reference
-/// search's contract), while the u32 overload sorts them all.
+/// past keep are unspecified, as for partition_keys). With keep >=
+/// count the u64 overload leaves the keys untouched (no pruning:
+/// candidate order is the reference search's contract), while the u32
+/// overload sorts them all.
 void select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
 void select_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
 

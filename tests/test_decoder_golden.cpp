@@ -180,28 +180,24 @@ TEST_P(GoldenAllKinds, AwgnCsiFixedPointMatchesScalarReference) {
 TEST_P(GoldenAllKinds, PuncturedPrefixMatchesScalarReference) {
   const ScopedBackend scoped(backend_name());
   // Half a pass: some spine values have zero received symbols, so the
-  // batched kernel's empty-spine early-out is on the decode path.
+  // batched kernel's empty-spine early-out is on the decode path, and
+  // those levels end right after their seed block (every child costs
+  // its parent).
   CodeParams p = base_params(kind());
   p.B = 64;
-  util::Xoshiro256 prng(25);
-  const SpinalEncoder enc(p, prng.random_bits(p.n));
-  SpinalDecoder dec(p);
-  channel::AwgnChannel ch(20.0, 125);
-  const PuncturingSchedule sched(p);
-  for (int sp = 0; sp < 4; ++sp)
-    for (const SymbolId& id : sched.subpass(sp))
-      dec.add_symbol(id, ch.transmit(enc.symbol(id)));
-  expect_identical(dec, "awgn-punctured");
-}
-
-TEST_P(GoldenAllKinds, BscPuncturedPrefixMatchesScalarReference) {
-  const ScopedBackend scoped(backend_name());
-  // Half a pass of the BSC metric, checked at every attempt point: most
-  // spine values have no coded bit yet, so most levels have no received
-  // symbol (every child costs its parent) and integer costs tie across
-  // the whole beam.
-  CodeParams p = base_params(kind());
-  p.B = 64;
+  {
+    util::Xoshiro256 prng(25);
+    const SpinalEncoder enc(p, prng.random_bits(p.n));
+    SpinalDecoder dec(p);
+    channel::AwgnChannel ch(20.0, 125);
+    const PuncturingSchedule sched(p);
+    for (int sp = 0; sp < 4; ++sp)
+      for (const SymbolId& id : sched.subpass(sp))
+        dec.add_symbol(id, ch.transmit(enc.symbol(id)));
+    expect_identical(dec, "awgn-punctured");
+  }
+  // The BSC metric over the same half pass, at every attempt point:
+  // integer costs also tie across the whole beam.
   p.c = 1;
   util::Xoshiro256 prng(34);
   const BscSpinalEncoder enc(p, prng.random_bits(p.n));
@@ -376,57 +372,43 @@ INSTANTIATE_TEST_SUITE_P(
              "_d" + std::to_string(std::get<1>(info.param));
     });
 
-/// Decodes the first @p subpasses received subpasses on every backend
-/// in precision @p prec and depth @p d; each must match the scalar
-/// backend bit for bit.
-void expect_quant_backends_agree(CostPrecision prec, int d, int subpasses) {
+TEST_P(QuantGolden, QuantizedDecodeBitIdenticalAcrossBackends) {
+  const auto [prec, d] = GetParam();
   CodeParams p = base_params(hash::Kind::kOneAtATime);
   p.d = d;
   p.cost_precision = prec;
-  util::Xoshiro256 prng(41);
-  const SpinalEncoder enc(p, prng.random_bits(p.n));
-  channel::AwgnChannel ch(6.0, 141);  // marginal SNR: near-ties on the line
   const PuncturingSchedule sched(p);
-  std::vector<std::pair<SymbolId, std::complex<float>>> rx;
-  for (int sp = 0; sp < subpasses; ++sp)
-    for (const SymbolId& id : sched.subpass(sp))
-      rx.emplace_back(id, ch.transmit(enc.symbol(id)));
+  // Three passes, and half of one: then most levels have no received
+  // symbol, so each child costs its parent and renormalized integer
+  // costs tie beam-wide.
+  for (int subpasses : {3 * sched.subpasses_per_pass(), sched.subpasses_per_pass() / 2}) {
+    util::Xoshiro256 prng(41);
+    const SpinalEncoder enc(p, prng.random_bits(p.n));
+    channel::AwgnChannel ch(6.0, 141);  // marginal SNR: near-ties on the line
+    std::vector<std::pair<SymbolId, std::complex<float>>> rx;
+    for (int sp = 0; sp < subpasses; ++sp)
+      for (const SymbolId& id : sched.subpass(sp))
+        rx.emplace_back(id, ch.transmit(enc.symbol(id)));
 
-  auto decode_on = [&](const char* backend_name) {
-    const ScopedBackend scoped(backend_name);
-    SpinalDecoder dec(p);
-    for (const auto& [id, y] : rx) dec.add_symbol(id, y);
-    // Really engaged (modulo the env override, which wins by design).
-    EXPECT_EQ(dec.active_precision(), resolve_cost_precision(prec)) << backend_name;
-    return dec.decode();
-  };
+    auto decode_on = [&](const char* backend_name) {
+      const ScopedBackend scoped(backend_name);
+      SpinalDecoder dec(p);
+      for (const auto& [id, y] : rx) dec.add_symbol(id, y);
+      // Really engaged (modulo the env override, which wins by design).
+      EXPECT_EQ(dec.active_precision(), resolve_cost_precision(prec)) << backend_name;
+      return dec.decode();
+    };
 
-  const DecodeResult want = decode_on("scalar");
-  for (const backend::Backend* b : backend::available()) {
-    if (std::string_view(b->name) == "scalar") continue;
-    const DecodeResult got = decode_on(b->name);
-    EXPECT_EQ(got.message, want.message)
-        << b->name << " d=" << d << " subpasses=" << subpasses;
-    EXPECT_EQ(got.path_cost, want.path_cost)  // exact bits
-        << b->name << " d=" << d << " subpasses=" << subpasses;
+    const DecodeResult want = decode_on("scalar");
+    for (const backend::Backend* b : backend::available()) {
+      if (std::string_view(b->name) == "scalar") continue;
+      const DecodeResult got = decode_on(b->name);
+      EXPECT_EQ(got.message, want.message)
+          << b->name << " d=" << d << " subpasses=" << subpasses;
+      EXPECT_EQ(got.path_cost, want.path_cost)  // exact bits
+          << b->name << " d=" << d << " subpasses=" << subpasses;
+    }
   }
-}
-
-/// Subpasses per pass at the matrix's geometry.
-int quant_subpasses() {
-  return PuncturingSchedule(base_params(hash::Kind::kOneAtATime)).subpasses_per_pass();
-}
-
-TEST_P(QuantGolden, QuantizedDecodeBitIdenticalAcrossBackends) {
-  const auto [prec, d] = GetParam();
-  expect_quant_backends_agree(prec, d, 3 * quant_subpasses());
-}
-
-TEST_P(QuantGolden, HalfPassBitIdenticalAcrossBackends) {
-  // Half a pass: most levels have no received symbol, so each child
-  // costs its parent and renormalized integer costs tie beam-wide.
-  const auto [prec, d] = GetParam();
-  expect_quant_backends_agree(prec, d, quant_subpasses() / 2);
 }
 
 // ---- Pinned quantized decisions. QuantGolden only compares backends
