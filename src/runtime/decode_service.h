@@ -11,7 +11,7 @@
 //                 worker's own shard) until done
 //
 // Each session runs as a self-contained state machine (sim::MessageRun):
-// one job streams channel symbols until the engine's attempt policy
+// one job streams channel symbols until the engine's attempt schedule
 // fires, performs the decode attempt on the worker's pinned workspace
 // (sessions without one — today Raptor and Strider — run unpinned,
 // which telemetry counts), and reposts itself until the message decodes

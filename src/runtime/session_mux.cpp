@@ -1,19 +1,17 @@
 #include "runtime/session_mux.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace spinal::runtime {
 
 SessionMux::Sess::Sess(SessionMux* mux, SessionId sid, const CodeParams& p,
-                       int blocks_n, int first_attempt)
-    : id(sid), params(p), receiver(p, blocks_n),
+                       int blocks_n, const AttemptSchedule& schedule)
+    : id(sid), params(p), receiver(p, blocks_n, schedule),
       blocks(static_cast<std::size_t>(blocks_n)) {
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     blocks[b].mux = mux;
     blocks[b].sess = this;
     blocks[b].index = static_cast<int>(b);
-    blocks[b].next_attempt = first_attempt;
   }
 }
 
@@ -21,41 +19,38 @@ const CodeParams& SessionMux::Block::spinal_params() const {
   return sess->params;
 }
 
+void SessionMux::Block::attempt_result(const DecodeResult& r, bool full) {
+  // On the decoding worker, before record_attempt on the same thread.
+  path_cost = full ? std::optional<double>(r.path_cost) : std::nullopt;
+}
+
 bool SessionMux::Block::record_attempt(
     const std::optional<util::BitVec>& candidate) {
   std::lock_guard lock(mux->m_);
   LinkReceiver& rx = sess->receiver;
-  if (candidate && rx.complete_block(index, *candidate))
+  if (candidate && rx.complete_block(index, *candidate, path_cost))
     mux->acks_.push_back({sess->id, rx.current_ack()});
   return rx.block_decoded(index);
 }
 
 bool SessionMux::Block::complete() {
-  // The block's completion: apply the symbols that arrived mid-decode
-  // (stale by definition if the block decoded), then attempt again now
-  // if it is still undecoded and its store grew — or the buffered
-  // symbols would never get their attempt (the sender may already have
-  // paused for good) — else settle it.
+  // Releasing the claim applies the symbols that arrived mid-decode;
+  // when the schedule makes their attempt due now (the sender may have
+  // paused for good), the block goes straight back on the service.
   std::lock_guard lock(mux->m_);
   LinkReceiver& rx = sess->receiver;
-  const bool grew = !pending.empty();
-  if (rx.block_decoded(index)) {
-    mux->stale_ += pending.size();
-  } else {
-    for (const auto& [sym, csi] : pending) rx.receive(sym, csi);
-  }
-  pending.clear();
-  if (grew && !rx.block_decoded(index)) {
+  if (rx.release_block(index)) {
     decoder = &rx.claim_block(index);
     return true;
   }
-  mux->settle_locked(*this);
+  mux->settle_locked();
   return false;
 }
 
 void SessionMux::Block::abandon() noexcept {
   std::lock_guard lock(mux->m_);
-  mux->settle_locked(*this);
+  sess->receiver.release_block(index);
+  mux->settle_locked();
 }
 
 SessionMux::SessionMux(DecodeService& service, const Options& opt)
@@ -82,27 +77,14 @@ SessionMux::SessionId SessionMux::open(const CodeParams& params, int block_count
     throw std::invalid_argument("SessionMux::open: block_count must be >= 1");
   std::lock_guard lock(m_);
   sessions_.push_back(std::make_unique<Sess>(this, sessions_.size(), params,
-                                             block_count,
-                                             opt_.attempt.attempt_every));
+                                             block_count, opt_.attempt.schedule()));
   return sessions_.size() - 1;
 }
 
 void SessionMux::ingest(SessionId id, const LinkSymbol& symbol,
                         std::complex<float> csi) {
   std::lock_guard lock(m_);
-  Sess& s = at(id);
-  if (symbol.block < 0 || symbol.block >= static_cast<int>(s.blocks.size()))
-    throw std::out_of_range("SessionMux::ingest: bad block index");
-  if (s.receiver.block_decoded(symbol.block)) {
-    ++stale_;
-    return;
-  }
-  Block& blk = s.blocks[static_cast<std::size_t>(symbol.block)];
-  if (blk.outstanding)
-    blk.pending.emplace_back(symbol, csi);  // store is on a worker thread
-  else
-    s.receiver.receive(symbol, csi);
-  blk.got_symbols = true;
+  at(id).receiver.receive(symbol, csi);
 }
 
 void SessionMux::pause_point(SessionId id) {
@@ -115,28 +97,17 @@ void SessionMux::pause_point(SessionId id) {
   {
     std::lock_guard lock(m_);
     Sess& s = at(id);
-    for (Block& blk : s.blocks) {
-      if (!blk.got_symbols) continue;
-      blk.got_symbols = false;
-      ++blk.fed_bursts;
-      if (blk.outstanding || s.receiver.block_decoded(blk.index)) continue;
-      if (!s.receiver.block_dirty(blk.index)) continue;
-      if (blk.fed_bursts < blk.next_attempt) continue;
-      // Same schedule as the engine: linear floor + geometric back-off.
-      blk.next_attempt =
-          std::max(blk.fed_bursts + opt_.attempt.attempt_every,
-                   static_cast<int>(blk.fed_bursts * opt_.attempt.attempt_growth));
-      blk.outstanding = true;
+    for (int b : s.receiver.pause()) {
+      Block& blk = s.blocks[static_cast<std::size_t>(b)];
+      blk.decoder = &s.receiver.claim_block(b);
       ++outstanding_;
-      blk.decoder = &s.receiver.claim_block(blk.index);
       claimed.push_back(&blk);
     }
   }
   for (Block* blk : claimed) service_->post(*blk);
 }
 
-void SessionMux::settle_locked(Block& blk) {
-  blk.outstanding = false;
+void SessionMux::settle_locked() {
   --outstanding_;
   // Notify under the lock: wait_idle() (and through it ~SessionMux) may
   // destroy the condvar as soon as it can observe outstanding_ == 0,
@@ -171,9 +142,21 @@ void SessionMux::wait_idle() {
   cv_idle_.wait(lock, [&] { return outstanding_ == 0; });
 }
 
+double SessionMux::noise_estimate(SessionId id) const {
+  std::lock_guard lock(m_);
+  return at(id).receiver.noise_estimate();
+}
+
+std::int64_t SessionMux::attempts(SessionId id) const {
+  std::lock_guard lock(m_);
+  return at(id).receiver.attempts();
+}
+
 std::uint64_t SessionMux::stale_symbols() const {
   std::lock_guard lock(m_);
-  return stale_;
+  std::uint64_t stale = 0;
+  for (const auto& s : sessions_) stale += s->receiver.stale_symbols();
+  return stale;
 }
 
 }  // namespace spinal::runtime

@@ -1,27 +1,39 @@
 #pragma once
 // SessionMux: the link-layer face of the decode runtime (§6). Ingests
 // tagged LinkSymbol streams for many concurrent datagram sessions,
-// applies the engine's attempt/back-off policy per code block at burst
-// pause points, and emits ACK-bitmap feedback events as blocks decode.
+// decides per code block at burst pause points whether to attempt a
+// decode, and emits ACK-bitmap feedback events as blocks decode.
 //
-// Each code block is a BlockUnit (decode_service.h): pause_point claims
+// The decisions are the link's own: each session is a LinkReceiver, and
+// pause_point runs its pause() — the same AttemptSchedule per block
+// (linear floor, geometric back-off, capacity gate; see
+// spinal/attempt_schedule.h) that the inline LinkReceiver::make_ack
+// loop runs, so a lock-step mux and that loop make the same attempts by
+// construction. The gate's noise estimate is per link: the median of
+// path_cost / N over the link's blocks, from each block's latest
+// full-effort attempt (a shrunk beam reads high and never updates it),
+// snapshotted at the pause point before any of its attempts.
+//
+// Each due block is a BlockUnit (decode_service.h): pause_point claims
 // its symbol store (LinkReceiver::claim_block) and posts it, and the
 // DecodeService steps it exactly like a session — batched with the
 // other queued blocks of equal CodeParams under the "spinal.link" batch
 // key, at the service's effort policy, with the sessions' telemetry and
-// trace spans. The block's completion hands the candidate back
-// (LinkReceiver::complete_block) and either settles the block or
-// reposts it.
+// trace spans. The block's completion hands the candidate and its path
+// cost back (LinkReceiver::complete_block) and releases the claim.
 //
 // Control-plane calls (open/ingest/poll_acks) never block and may come
 // from any thread; one mux-wide mutex guards the session table, and
 // decode attempts never run under it. pause_point blocks only while the
 // service already holds its cap of posted work (kExtTaskCap block
 // attempts outstanding) and waits for one to settle. While a block's
-// decode attempt is in flight its newly arriving symbols are buffered
-// and applied at completion (the symbol store is being read on a worker
-// thread), exactly the receive-while-decoding overlap a half-duplex
-// radio sees between a pause point and its ACK.
+// decode attempt is in flight its receiver buffers newly arriving
+// symbols and applies them at release (the symbol store is being read
+// on a worker thread), exactly the receive-while-decoding overlap a
+// half-duplex radio sees between a pause point and its ACK. If the
+// schedule makes those symbols' attempt due at release, the block is
+// reposted at once rather than waiting for a pause point the sender may
+// never send.
 
 #include <complex>
 #include <condition_variable>
@@ -47,7 +59,8 @@ class SessionMux {
     /// Per-block attempt schedule, in units of symbol-carrying bursts
     /// (the mux's analogue of the engine's non-empty chunks): attempt
     /// after every attempt_every such bursts, backed off geometrically
-    /// by attempt_growth. Validated at construction.
+    /// by attempt_growth, and gated on capacity. Validated at
+    /// construction.
     sim::EngineOptions attempt;
   };
 
@@ -75,8 +88,9 @@ class SessionMux {
               std::complex<float> csi = {1.0f, 0.0f});
 
   /// Marks a burst boundary (the half-duplex pause, §6): every block
-  /// that received symbols and whose attempt policy fires is posted to
-  /// the service for a decode attempt — at most one in flight per block.
+  /// that received symbols and whose attempt schedule fires is posted
+  /// to the service for a decode attempt — at most one in flight per
+  /// block.
   void pause_point(SessionId id);
 
   /// Drains pending feedback events (one per newly decoded block).
@@ -94,7 +108,15 @@ class SessionMux {
   /// path; pair with poll_acks in lock-step drivers and tests).
   void wait_idle();
 
+  /// Symbols dropped because their block had already decoded.
   std::uint64_t stale_symbols() const;
+
+  /// The link's noise estimate, which gates its blocks' attempts
+  /// (LinkReceiver::noise_estimate; 0: none yet).
+  double noise_estimate(SessionId id) const;
+
+  /// Decode attempts completed for the link's blocks so far.
+  std::int64_t attempts(SessionId id) const;
 
  private:
   struct Sess;
@@ -112,23 +134,20 @@ class SessionMux {
     const CodeParams& spinal_params() const override;
     const SpinalDecoder& spinal_decoder() const override { return *decoder; }
     const char* batch_flavor() const override { return "spinal.link"; }
+    void attempt_result(const DecodeResult& r, bool full) override;
 
     SessionMux* mux = nullptr;
     Sess* sess = nullptr;
     int index = 0;
-    int fed_bursts = 0;        ///< symbol-carrying bursts so far
-    int next_attempt = 0;      ///< fed_bursts threshold for the next attempt
-    bool got_symbols = false;  ///< since the last pause point
-    bool outstanding = false;  ///< decode attempt in flight
-    /// The claimed symbol store while outstanding (stable: the
-    /// receiver sizes its decoder array once).
+    /// The claimed symbol store while an attempt is in flight (stable:
+    /// the receiver sizes its decoder array once).
     const SpinalDecoder* decoder = nullptr;
-    /// Symbols that arrived while a decode was in flight.
-    std::vector<std::pair<LinkSymbol, std::complex<float>>> pending;
+    /// The last attempt's path cost, when it ran at full effort.
+    std::optional<double> path_cost;
   };
   struct Sess {
     Sess(SessionMux* mux, SessionId id, const CodeParams& p, int blocks_n,
-         int first_attempt);
+         const AttemptSchedule& schedule);
     SessionId id;
     CodeParams params;
     LinkReceiver receiver;
@@ -137,7 +156,7 @@ class SessionMux {
 
   /// Ends a block's attempt (outstanding_ drops; wait_idle may wake).
   /// Caller holds m_.
-  void settle_locked(Block& blk);
+  void settle_locked();
   Sess& at(SessionId id);
   const Sess& at(SessionId id) const;
 
@@ -149,7 +168,6 @@ class SessionMux {
   std::vector<std::unique_ptr<Sess>> sessions_;
   std::vector<AckEvent> acks_;
   int outstanding_ = 0;
-  std::uint64_t stale_ = 0;
 };
 
 }  // namespace spinal::runtime

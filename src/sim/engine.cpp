@@ -1,20 +1,28 @@
 #include "sim/engine.h"
 
-#include <algorithm>
-#include <stdexcept>
-#include <string>
+#include "util/math.h"
 
 namespace spinal::sim {
+namespace {
 
-void EngineOptions::validate() const {
-  if (attempt_every < 1)
-    throw std::invalid_argument(
-        "EngineOptions: attempt_every must be >= 1 (got " +
-        std::to_string(attempt_every) + "); smaller values stall the attempt schedule");
-  if (attempt_growth < 1.0)
-    throw std::invalid_argument(
-        "EngineOptions: attempt_growth must be >= 1.0 (got " +
-        std::to_string(attempt_growth) + "); smaller values shrink the attempt schedule");
+/// The capacity gate of a run over @p channel (0 = ungated: Rayleigh).
+std::int64_t capacity_gate(const ChannelSim& channel, int n) {
+  switch (channel.kind()) {
+    case ChannelKind::kAwgn:
+      return AttemptSchedule::awgn_gate(n, util::db_to_lin(channel.snr_db()));
+    case ChannelKind::kBsc:
+      return AttemptSchedule::bsc_gate(n, channel.noise_variance());
+    default:
+      return 0;
+  }
+}
+
+}  // namespace
+
+void EngineOptions::validate() const { schedule(); }
+
+AttemptSchedule EngineOptions::schedule() const {
+  return AttemptSchedule(attempt_every, attempt_growth);
 }
 
 MessageRun::MessageRun(RatelessSession& session, ChannelSim& channel,
@@ -22,10 +30,9 @@ MessageRun::MessageRun(RatelessSession& session, ChannelSim& channel,
     : session_(&session),
       channel_(&channel),
       message_(&message),
-      opt_(opt),
-      limit_(session.max_chunks()),
-      next_attempt_(opt.attempt_every) {
-  opt_.validate();
+      schedule_(opt.schedule()),
+      gate_(capacity_gate(channel, static_cast<int>(message.size()))),
+      limit_(session.max_chunks()) {
   session_->start(message);
   session_->set_noise_hint(channel_->noise_variance());
 }
@@ -44,9 +51,7 @@ bool MessageRun::feed_to_attempt() {
     result_.symbols += static_cast<long>(x.size());
     ++nonempty_;
 
-    if (nonempty_ < next_attempt_) continue;
-    next_attempt_ = std::max(nonempty_ + opt_.attempt_every,
-                             static_cast<int>(nonempty_ * opt_.attempt_growth));
+    if (!schedule_.due(nonempty_, result_.symbols, gate_)) continue;
     ++result_.attempts;
     return true;
   }

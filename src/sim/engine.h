@@ -14,6 +14,24 @@
 //     likes (src/runtime/decode_service.h). Because run_message is
 //     itself written over MessageRun, a deterministic runtime drive is
 //     bit-identical to the sequential loop by construction.
+//
+// When to attempt is one AttemptSchedule (spinal/attempt_schedule.h),
+// stepped once per non-empty chunk: the linear floor attempt_every, the
+// geometric back-off attempt_growth, and a capacity gate. The gate makes
+// no attempt while the N symbols received cannot carry the n message
+// bits: it waits for N C + 4 sqrt(N V) + 16 >= n, with C and V the
+// capacity and dispersion per symbol of the run's channel, computed
+// once per run (AWGN: log2(1 + SNR) at the channel's SNR, under the
+// repo's unit-power convention, awgn.h; BSC: 1 - H(p)). The sqrt term
+// is the normal-approximation converse (Polyanskiy, Poor and Verdu,
+// 2010) at z = 4; the 16 bits of slack keep the odds that a skipped
+// attempt would have succeeded below the CRC-16's own 2^-16 false-accept
+// rate, so the gate never fires for n <= 16. Spinal codes run close to
+// capacity ("De-randomizing Shannon"), so below n / C every attempt is
+// wasted compute. The constants are fixed, not options. Rayleigh runs
+// are not gated. The gate only removes attempts and never changes a
+// decode; it applies to every codec alike, so the baseline comparisons
+// stay fair.
 
 #include <cstdint>
 #include <optional>
@@ -21,6 +39,7 @@
 
 #include "sim/channel_sim.h"
 #include "sim/session.h"
+#include "spinal/attempt_schedule.h"
 
 namespace spinal::sim {
 
@@ -42,11 +61,15 @@ struct EngineOptions {
   double attempt_growth = 1.0;
 
   /// Throws std::invalid_argument unless attempt_every >= 1 and
-  /// attempt_growth >= 1.0. Out-of-range values would silently stall
-  /// the attempt schedule (attempt_every <= 0 makes next_attempt never
-  /// advance past the current chunk count; attempt_growth < 1 would
-  /// shrink it), so every engine entry point validates up front.
+  /// attempt_growth is finite and >= 1.0. Out-of-range values would
+  /// silently stall the attempt schedule (attempt_every <= 0 makes the
+  /// next attempt never advance past the current chunk count;
+  /// attempt_growth < 1 would shrink it, and a NaN or infinite one
+  /// would overflow it), so every engine entry point validates up front.
   void validate() const;
+
+  /// A fresh schedule with these settings (validates, like validate()).
+  AttemptSchedule schedule() const;
 };
 
 /// One message's streaming state machine, advanced cooperatively:
@@ -57,11 +80,12 @@ struct EngineOptions {
 ///   use(run.result());
 ///
 /// feed_to_attempt() streams chunks through the channel into the session
-/// until the attempt policy fires; the caller then performs the decode
-/// attempt however it likes (inline, or on a pool worker with pooled
-/// scratch via RatelessSession::try_decode_with) and reports the
-/// candidate back. Holds references only — the caller owns session,
-/// channel and message and must keep them alive for the run's lifetime.
+/// until the attempt schedule fires (gate included); the caller then
+/// performs the decode attempt however it likes (inline, or on a pool
+/// worker with pooled scratch via RatelessSession::try_decode_with) and
+/// reports the candidate back. Holds references only — the caller owns
+/// session, channel and message and must keep them alive for the run's
+/// lifetime.
 class MessageRun {
  public:
   /// Starts the run (validates @p opt, then session.start + noise hint).
@@ -89,14 +113,14 @@ class MessageRun {
   RatelessSession* session_;
   ChannelSim* channel_;
   const util::BitVec* message_;
-  EngineOptions opt_;
+  AttemptSchedule schedule_;  ///< steps = non-empty chunks
+  std::int64_t gate_;         ///< capacity gate, computed once per run
 
   RunResult result_;
   std::vector<std::complex<float>> csi_;
   int limit_;
   int chunk_ = 0;
   int nonempty_ = 0;
-  int next_attempt_;
   bool done_ = false;
 };
 

@@ -87,8 +87,13 @@ class SpinalTarget : public Base {
   std::optional<util::BitVec> try_decode_with(CodecWorkspace* ws,
                                               int effort) override {
     auto* sw = static_cast<SpinalWorkspace*>(ws);
-    if (sw == nullptr) return spinal_decoder().decode().message;
+    if (sw == nullptr) {
+      DecodeResult r = spinal_decoder().decode();
+      attempt_result(r, true);
+      return std::move(r.message);
+    }
     spinal_decoder().decode_with(sw->ws, sw->out, effort);
+    attempt_result(sw->out, full_effort(effort));
     return sw->out.message;
   }
 
@@ -108,8 +113,11 @@ class SpinalTarget : public Base {
       blocks[i] = {&peer.spinal_decoder(), &sw->batch_out[i], jobs[i].effort};
     }
     Decoder::decode_batch_with(sw->ws, blocks);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      auto& peer = static_cast<SpinalTarget&>(*jobs[i].session);
+      peer.attempt_result(sw->batch_out[i], full_effort(jobs[i].effort));
       *jobs[i].candidate = sw->batch_out[i].message;
+    }
   }
 
   WorkspaceKey batch_key() const override {
@@ -131,6 +139,15 @@ class SpinalTarget : public Base {
   virtual const Decoder& spinal_decoder() const = 0;
   /// Refines the batch key ("spinal.awgn", "spinal.bsc", ...).
   virtual const char* batch_flavor() const = 0;
+  /// Sees each attempt's whole result, path cost included, on the
+  /// decoding thread; @p full is false for a shrunk beam. The mux's
+  /// code blocks feed it to their link's noise estimate.
+  virtual void attempt_result(const DecodeResult& /*r*/, bool /*full*/) {}
+
+ private:
+  bool full_effort(int effort) const {
+    return effort <= 0 || effort >= spinal_params().B;
+  }
 };
 
 }  // namespace spinal::sim

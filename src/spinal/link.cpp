@@ -1,5 +1,7 @@
 #include "spinal/link.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace spinal {
@@ -70,41 +72,65 @@ void LinkSender::handle_ack(const AckBitmap& ack) {
 
 // ----------------------------------------------------------- receiver
 
-LinkReceiver::LinkReceiver(const CodeParams& params, int block_count)
+LinkReceiver::LinkReceiver(const CodeParams& params, int block_count,
+                           const AttemptSchedule& schedule)
     : params_(params) {
   decoders_.reserve(block_count);
   for (int b = 0; b < block_count; ++b) decoders_.emplace_back(params_);
-  decoded_.assign(block_count, false);
-  blocks_.resize(block_count);
-  dirty_.assign(block_count, false);
+  blocks_.assign(static_cast<std::size_t>(block_count), Block(schedule));
 }
 
-void LinkReceiver::receive(const LinkSymbol& symbol, std::complex<float> csi) {
-  if (symbol.block < 0 || symbol.block >= static_cast<int>(decoders_.size()))
-    throw std::out_of_range("LinkReceiver::receive: bad block index");
-  if (decoded_[symbol.block]) return;  // already ACKed; stale symbol
-  decoders_[symbol.block].add_symbol(symbol.id, symbol.value, csi);
-  dirty_[symbol.block] = true;
+bool LinkReceiver::receive(const LinkSymbol& symbol, std::complex<float> csi) {
+  check_block(symbol.block);
+  Block& blk = blocks_[symbol.block];
+  if (blk.decoded) {  // already ACKed; stale symbol
+    ++stale_;
+    return false;
+  }
+  fading_ = fading_ || csi != std::complex<float>{1.0f, 0.0f};
+  blk.fresh = true;
+  if (blk.claimed) {
+    blk.pending.emplace_back(symbol, csi);
+  } else {
+    decoders_[symbol.block].add_symbol(symbol.id, symbol.value, csi);
+    blk.dirty = true;
+  }
+  return true;
 }
 
 AckBitmap LinkReceiver::make_ack() {
-  for (std::size_t b = 0; b < decoders_.size(); ++b) {
-    if (decoded_[b] || !dirty_[b]) continue;
-    dirty_[b] = false;
-    decoders_[b].decode_into(scratch_);
-    if (util::crc16_check(scratch_.message)) {
-      decoded_[b] = true;
-      blocks_[b] = scratch_.message;
-    }
+  for (int b : pause()) {
+    claim_block(b).decode_into(scratch_);
+    complete_block(b, scratch_.message, scratch_.path_cost);
+    release_block(b);
   }
-  AckBitmap ack;
-  ack.decoded.assign(decoded_.begin(), decoded_.end());
-  return ack;
+  return current_ack();
+}
+
+std::span<const int> LinkReceiver::pause() {
+  const double snr = params_.power / noise_estimate();
+  gate_ = fading_ ? 0 : AttemptSchedule::awgn_gate(params_.n, snr);
+  due_.clear();
+  for (int b = 0; b < static_cast<int>(blocks_.size()); ++b)
+    if (blocks_[b].fresh && attempt_due(b)) due_.push_back(b);
+  return due_;
+}
+
+bool LinkReceiver::attempt_due(int b) {
+  Block& blk = blocks_[b];
+  if (blk.fresh) {
+    blk.fresh = false;
+    ++blk.bursts;
+  }
+  if (blk.decoded || blk.claimed || !blk.dirty) return false;
+  const auto symbols = static_cast<std::int64_t>(decoders_[b].symbols_received());
+  return blk.schedule.due(blk.bursts, symbols, gate_);
 }
 
 AckBitmap LinkReceiver::current_ack() const {
   AckBitmap ack;
-  ack.decoded.assign(decoded_.begin(), decoded_.end());
+  ack.decoded.reserve(blocks_.size());
+  for (const Block& blk : blocks_) ack.decoded.push_back(blk.decoded);
   return ack;
 }
 
@@ -115,38 +141,71 @@ void LinkReceiver::check_block(int b) const {
 
 bool LinkReceiver::block_decoded(int b) const {
   check_block(b);
-  return decoded_[b];
+  return blocks_[b].decoded;
 }
 
 bool LinkReceiver::block_dirty(int b) const {
   check_block(b);
-  return dirty_[b] && !decoded_[b];
+  return blocks_[b].dirty && !blocks_[b].decoded;
 }
 
 const SpinalDecoder& LinkReceiver::claim_block(int b) {
   check_block(b);
-  dirty_[b] = false;
+  blocks_[b].dirty = false;
+  blocks_[b].claimed = true;
   return decoders_[b];
 }
 
-bool LinkReceiver::complete_block(int b, const util::BitVec& candidate) {
+bool LinkReceiver::complete_block(int b, const util::BitVec& candidate,
+                                  std::optional<double> path_cost) {
   check_block(b);
-  if (decoded_[b]) return false;  // stale completion; block already ACKed
+  ++attempts_;
+  Block& blk = blocks_[b];
+  if (blk.decoded) return false;  // stale completion; block already ACKed
+  const std::size_t symbols = decoders_[b].symbols_received();
+  if (path_cost && symbols > 0) blk.noise = *path_cost / static_cast<double>(symbols);
   if (!util::crc16_check(candidate)) return false;
-  decoded_[b] = true;
-  blocks_[b] = candidate;
+  blk.decoded = true;
+  blk.message = candidate;
   return true;
 }
 
+bool LinkReceiver::release_block(int b) {
+  check_block(b);
+  Block& blk = blocks_[b];
+  blk.claimed = false;
+  if (blk.pending.empty()) return false;
+  if (blk.decoded) {
+    stale_ += blk.pending.size();
+  } else {
+    for (const auto& [sym, csi] : blk.pending)
+      decoders_[b].add_symbol(sym.id, sym.value, csi);
+    blk.dirty = true;
+  }
+  blk.pending.clear();
+  return attempt_due(b);
+}
+
+double LinkReceiver::noise_estimate() const {
+  noise_.clear();
+  for (const Block& blk : blocks_)
+    if (!std::isnan(blk.noise)) noise_.push_back(blk.noise);
+  if (noise_.empty()) return 0.0;
+  // The lower median: with an even count, the smaller middle sample.
+  const auto mid = noise_.begin() + static_cast<std::ptrdiff_t>((noise_.size() - 1) / 2);
+  std::nth_element(noise_.begin(), mid, noise_.end());
+  return *mid;
+}
+
 std::optional<std::vector<std::uint8_t>> LinkReceiver::datagram() const {
-  for (bool d : decoded_)
-    if (!d) return std::nullopt;
+  for (const Block& blk : blocks_)
+    if (!blk.decoded) return std::nullopt;
 
   util::BitVec all(0);
-  for (const util::BitVec& block : blocks_) {
-    const std::size_t payload = block.size() - 16;
+  for (const Block& blk : blocks_) {
+    const std::size_t payload = blk.message.size() - 16;
     for (std::size_t i = 0; i < payload; ++i)
-      all.append_bits(1, block.get(i) ? 1u : 0u);
+      all.append_bits(1, blk.message.get(i) ? 1u : 0u);
   }
   // Zero-padding of the final payload survives here; the caller trims
   // to the datagram length carried in the (out-of-band) header.

@@ -12,9 +12,13 @@
 // multiplicatively while blocks remain undecoded.
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "spinal/attempt_schedule.h"
 #include "spinal/decoder.h"
 #include "spinal/encoder.h"
 #include "spinal/framing.h"
@@ -66,26 +70,51 @@ class LinkSender {
   bool gave_up_ = false;
 };
 
-/// Receiver half: accumulates symbols per block, attempts decodes, and
-/// issues ACK bitmaps at pause points.
+/// Receiver half: accumulates symbols per block, decides at each pause
+/// point which blocks to attempt, and issues ACK bitmaps.
+///
+/// Every block follows one AttemptSchedule (spinal/attempt_schedule.h),
+/// stepped once per symbol-carrying burst. Its capacity gate comes from
+/// a decision-directed noise estimate kept per link: the median over
+/// the link's blocks of path_cost / N from each block's latest
+/// full-effort attempt. A failed search below capacity fits the noise
+/// and reads low, which only loosens the gate; the median keeps one
+/// corrupted block from raising it. The gate is snapshotted by pause(),
+/// before any of that pause's attempts, so the inline make_ack() loop
+/// and SessionMux (which drives pause/claim/complete/release) decide
+/// alike. Links that received fading CSI are not gated.
 class LinkReceiver {
  public:
-  LinkReceiver(const CodeParams& params, int block_count);
+  /// @p schedule is every block's attempt schedule, in bursts; the
+  /// default attempts at every burst.
+  LinkReceiver(const CodeParams& params, int block_count,
+               const AttemptSchedule& schedule = AttemptSchedule());
 
-  /// Ingests one received symbol (optionally with fading CSI).
-  void receive(const LinkSymbol& symbol,
-               std::complex<float> csi = {1.0f, 0.0f});
+  /// Ingests one received symbol (optionally with fading CSI). Returns
+  /// false when the symbol is stale (its block already decoded) and was
+  /// dropped. A symbol for a claimed block is buffered until
+  /// release_block().
+  bool receive(const LinkSymbol& symbol, std::complex<float> csi = {1.0f, 0.0f});
 
-  /// Runs decode attempts on still-undecoded blocks and returns the
-  /// current ACK bitmap (§6: "the ACK contains one bit per code block").
+  /// A pause point with inline decodes: pause(), then attempt every due
+  /// block through claim/complete/release — so it is scheduled and
+  /// gated exactly like SessionMux. Returns the current ACK bitmap (§6:
+  /// "the ACK contains one bit per code block").
   AckBitmap make_ack();
+
+  /// The pause point (§6) every driver runs: snapshots the capacity
+  /// gate from noise_estimate(), counts a burst for each block that
+  /// received symbols since the last one, and returns the blocks whose
+  /// attempt is due now (valid until the next pause). A claimed block's
+  /// check is deferred to release_block().
+  std::span<const int> pause();
 
   // ---- Non-blocking, mux-driven entry points ----------------------
   // The decode runtime (runtime/session_mux.h) offloads attempts to a
   // worker pool instead of running them inline in make_ack(): claim a
-  // dirty block's symbol store, decode it on any thread with caller
-  // scratch (SpinalDecoder::decode_with), then report the candidate
-  // back. None of these calls block or decode.
+  // due block's symbol store, decode it on any thread with caller
+  // scratch (SpinalDecoder::decode_with), report the candidate back,
+  // then release the block. None of these calls block or decode.
 
   /// The bitmap as decoded so far, without attempting anything.
   AckBitmap current_ack() const;
@@ -97,30 +126,70 @@ class LinkReceiver {
   bool block_dirty(int b) const;
 
   /// Claims block @p b for an external decode attempt: clears its dirty
-  /// flag and returns its symbol-store decoder. Until the claim is
-  /// resolved via complete_block(), the caller must not receive() more
-  /// symbols into this block (the decoder's symbol store is being read
-  /// on another thread — the mux buffers arrivals meanwhile).
+  /// flag and returns its symbol-store decoder. Until release_block(),
+  /// symbols received for the block are buffered (the store may be
+  /// read on another thread).
   const SpinalDecoder& claim_block(int b);
 
   /// Reports an external decode candidate for block @p b. Returns true
   /// when the candidate passes its CRC and the block transitions to
   /// decoded; false for CRC failures or a block that already decoded
   /// (a stale completion — ignored, the §6 feedback edge case).
-  bool complete_block(int b, const util::BitVec& candidate);
+  /// @p path_cost is the attempt's DecodeResult::path_cost; pass it for
+  /// full-effort attempts only (a narrower beam reads high), and it
+  /// becomes the block's sample of the noise estimate.
+  bool complete_block(int b, const util::BitVec& candidate,
+                      std::optional<double> path_cost = std::nullopt);
+
+  /// Ends a claim: applies the symbols buffered meanwhile (dropped as
+  /// stale if the block decoded). Returns true when they make an attempt
+  /// due now — the check a pause passed during the claim deferred, or
+  /// one for the buffered burst itself, since a sender that paused for
+  /// good never triggers another pause() — in which case the caller
+  /// claims the block again.
+  bool release_block(int b);
+
+  /// The link's noise variance estimate sigma^2 (0: none yet).
+  double noise_estimate() const;
+
+  /// Symbols dropped because their block had already decoded.
+  std::uint64_t stale_symbols() const noexcept { return stale_; }
+
+  /// Decode attempts reported so far (complete_block calls).
+  std::int64_t attempts() const noexcept { return attempts_; }
 
   /// Reassembles the datagram once every block's CRC passes.
   std::optional<std::vector<std::uint8_t>> datagram() const;
 
  private:
+  struct Block {
+    explicit Block(const AttemptSchedule& s) : schedule(s) {}
+    AttemptSchedule schedule;
+    int bursts = 0;        ///< schedule steps so far
+    bool decoded = false;
+    bool dirty = false;    ///< symbols since the last attempt (or claim)
+    bool fresh = false;    ///< symbols since the last burst was counted
+    bool claimed = false;  ///< store on loan (claim_block .. release_block)
+    /// path_cost / N of the latest full-effort attempt; NaN: none yet.
+    double noise = std::numeric_limits<double>::quiet_NaN();
+    util::BitVec message;
+    std::vector<std::pair<LinkSymbol, std::complex<float>>> pending;
+  };
+
   void check_block(int b) const;
+  /// One schedule check for block @p b at the current gate.
+  bool attempt_due(int b);
 
   CodeParams params_;
   std::vector<SpinalDecoder> decoders_;
-  std::vector<bool> decoded_;
-  std::vector<util::BitVec> blocks_;
-  std::vector<bool> dirty_;  // block got new symbols since last attempt
-  DecodeResult scratch_;     // recycled across decode attempts (no allocs)
+  std::vector<Block> blocks_;
+  std::vector<int> due_;              // pause()'s result
+  mutable std::vector<double> noise_;  // noise_estimate() scratch
+  std::int64_t gate_ = 0;             // capacity gate of the current pause
+  bool fading_ = false;               // CSI received: never gated
+  std::uint64_t stale_ = 0;
+  std::int64_t attempts_ = 0;
+  DecodeResult scratch_;  // recycled across decode attempts (no allocs)
 };
 
 }  // namespace spinal

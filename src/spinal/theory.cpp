@@ -1,6 +1,7 @@
 #include "spinal/theory.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/math.h"
 
@@ -32,6 +33,28 @@ int recommended_c(double snr_db, double epsilon) {
   int c = 1;
   while (c < 24 && 3.0 * (1.0 + snr) * std::pow(2.0, -c) > epsilon) ++c;
   return c;
+}
+
+std::int64_t min_attempt_symbols(int n, double C, double V) {
+  constexpr double kZ = 4.0, kSlack = 16.0;
+  const double need = n - kSlack;
+  if (need <= 0.0) return 0;
+  const auto reaches = [&](double N) { return N * C + kZ * std::sqrt(N * V) >= need; };
+  // Solve C x^2 + z sqrt(V) x - need = 0 for x = sqrt(N), then settle
+  // the rounding by direct evaluation of the bound.
+  const double b = kZ * std::sqrt(V);
+  double x;
+  if (C > 0.0)
+    x = (std::sqrt(b * b + 4.0 * C * need) - b) / (2.0 * C);
+  else if (b > 0.0)
+    x = need / b;
+  else
+    x = std::numeric_limits<double>::infinity();
+  if (!(x * x < 1e18)) return std::numeric_limits<std::int64_t>::max();
+  auto N = static_cast<std::int64_t>(std::ceil(x * x));
+  while (N > 0 && reaches(static_cast<double>(N - 1))) --N;
+  while (!reaches(static_cast<double>(N))) ++N;
+  return N;
 }
 
 }  // namespace spinal::theory

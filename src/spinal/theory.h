@@ -9,6 +9,8 @@
 // c-bit draw per dimension, so the per-complex-symbol forms double both
 // the capacity and the penalty.
 
+#include <cstdint>
+
 namespace spinal::theory {
 
 /// Shaping loss of the uniform constellation: (1/2) log2(pi e / 6)
@@ -32,5 +34,16 @@ int theorem1_min_passes(int k, int c, double snr_db);
 /// c large enough that the 3(1+SNR)2^-c quantisation term stays below
 /// @p epsilon bits at @p snr_db — the Omega(log(1+SNR)) rule of §4.6.
 int recommended_c(double snr_db, double epsilon = 0.25);
+
+/// The rateless receiver's capacity gate: the fewest received symbols N
+/// with N C + 4 sqrt(N V) + 16 >= @p n, for a channel of capacity @p C
+/// and dispersion @p V per symbol (bits, bits^2). Below it no decoder
+/// recovers n bits except by luck: 4 sqrt(N V) is the normal-
+/// approximation converse (Polyanskiy, Poor and Verdu, 2010) at z = 4,
+/// and the 16 bits of slack keep the odds that a skipped attempt would
+/// have succeeded under the CRC-16's own 2^-16 false-accept rate. 0 for
+/// every n <= 16; INT64_MAX when C and V are both 0 (nothing gets
+/// through).
+std::int64_t min_attempt_symbols(int n, double C, double V);
 
 }  // namespace spinal::theory

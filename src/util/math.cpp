@@ -10,6 +10,12 @@ double awgn_capacity_real(double snr_linear) noexcept {
   return 0.5 * std::log2(1.0 + snr_linear);
 }
 
+double awgn_dispersion(double snr_linear) noexcept {
+  const double log2e = 1.0 / std::log(2.0);
+  const double s = snr_linear;
+  return s * (s + 2.0) / ((s + 1.0) * (s + 1.0)) * log2e * log2e;
+}
+
 double awgn_snr_for_rate(double rate_bits_per_symbol) noexcept {
   return std::exp2(rate_bits_per_symbol) - 1.0;
 }
@@ -26,6 +32,12 @@ double binary_entropy(double p) noexcept {
 }
 
 double bsc_capacity(double p) noexcept { return 1.0 - binary_entropy(p); }
+
+double bsc_dispersion(double p) noexcept {
+  if (p <= 0.0 || p >= 1.0) return 0.0;
+  const double llr = std::log2((1.0 - p) / p);
+  return p * (1.0 - p) * llr * llr;
+}
 
 double phi(double x) noexcept { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 

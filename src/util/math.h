@@ -20,6 +20,12 @@ double awgn_capacity(double snr_linear) noexcept;
 /// Capacity of the real AWGN channel per real symbol: 0.5*log2(1+SNR).
 double awgn_capacity_real(double snr_linear) noexcept;
 
+/// Channel dispersion of the complex AWGN channel in bits^2 per
+/// (complex) symbol: V = SNR (SNR + 2) / (SNR + 1)^2 * log2(e)^2, twice
+/// the real channel's (Polyanskiy, Poor and Verdu, 2010). With C it sets
+/// the normal approximation n ~ N C - sqrt(N V) Q^-1(eps).
+double awgn_dispersion(double snr_linear) noexcept;
+
 /// SNR (linear) at which the complex AWGN capacity equals @p rate
 /// bits/symbol: the inverse of awgn_capacity.
 double awgn_snr_for_rate(double rate_bits_per_symbol) noexcept;
@@ -36,6 +42,10 @@ double binary_entropy(double p) noexcept;
 /// Capacity of the binary symmetric channel with crossover @p p:
 /// 1 - H(p) bits per channel use.
 double bsc_capacity(double p) noexcept;
+
+/// Channel dispersion of the binary symmetric channel in bits^2 per
+/// channel use: V = p (1 - p) log2((1 - p) / p)^2; 0 at p = 0, 1/2, 1.
+double bsc_dispersion(double p) noexcept;
 
 /// Standard normal CDF Φ(x).
 double phi(double x) noexcept;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
+
+#include "ldpc/ldpc_session.h"
 #include "sim/bsc_session.h"
 #include "sim/experiment.h"
 #include "sim/spinal_session.h"
@@ -129,6 +136,22 @@ TEST(Engine, RejectsInvalidOptions) {
   EngineOptions bad_growth;
   bad_growth.attempt_growth = 0.99;
   EXPECT_THROW(run_message(session, channel, msg, bad_growth), std::invalid_argument);
+  // NaN compares false against every bound, and an infinite growth
+  // overflows the next attempt's step: both are rejected too.
+  EngineOptions nan_growth;
+  nan_growth.attempt_growth = std::nan("");
+  EXPECT_THROW(run_message(session, channel, msg, nan_growth), std::invalid_argument);
+  EngineOptions inf_growth;
+  inf_growth.attempt_growth = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(run_message(session, channel, msg, inf_growth), std::invalid_argument);
+
+  // A finite but huge growth is valid: the back-off clamps instead of
+  // overflowing, so after its first attempt the run makes no other.
+  EngineOptions huge_growth;
+  huge_growth.attempt_growth = 1e300;
+  const RunResult huge = run_message(session, channel, msg, huge_growth);
+  EXPECT_EQ(huge.attempts, 1);
+  EXPECT_TRUE(huge.success || huge.chunks == session.max_chunks());
 
   EngineOptions ok;
   ok.attempt_every = 2;
@@ -162,6 +185,151 @@ TEST(Engine, MessageRunStepperMatchesRunMessage) {
   EXPECT_EQ(direct.symbols, run.result().symbols);
   EXPECT_EQ(direct.chunks, run.result().chunks);
   EXPECT_EQ(direct.attempts, run.result().attempts);
+}
+
+/// The engine's loop before the capacity gate: stream every chunk and
+/// attempt a decode at every @p every-th non-empty one.
+RunResult ungated_run(RatelessSession& session, ChannelSim& channel,
+                      const util::BitVec& message, int every) {
+  RunResult r;
+  session.start(message);
+  session.set_noise_hint(channel.noise_variance());
+  std::vector<std::complex<float>> csi;
+  int nonempty = 0;
+  for (int chunk = 0; chunk < session.max_chunks(); ++chunk) {
+    std::vector<std::complex<float>> x = session.next_chunk();
+    ++r.chunks;
+    if (x.empty()) continue;
+    csi.clear();
+    channel.transmit(x, csi);
+    session.receive_chunk(x, csi);
+    r.symbols += static_cast<long>(x.size());
+    if (++nonempty % every != 0) continue;
+    ++r.attempts;
+    const std::optional<util::BitVec> candidate = session.try_decode();
+    if (candidate && *candidate == message) {
+      r.success = true;
+      break;
+    }
+  }
+  return r;
+}
+
+/// One run of the gate's safety grid.
+struct GateCase {
+  std::string label;
+  std::function<std::unique_ptr<RatelessSession>()> make_session;
+  std::function<ChannelSim()> make_channel;
+  int message_bits = 0;
+  int every = 1;
+  bool gated = true;  ///< false: Rayleigh or n <= 16, where the gate never fires
+};
+
+TEST(Engine, CapacityGateNeverDelaysADecode) {
+  // The capacity gate only removes attempts that cannot succeed: every
+  // run must succeed with exactly the symbols of the ungated loop, and
+  // never attempt more often.
+  std::vector<GateCase> cases;
+  std::uint64_t seed = 1000;
+  const auto spinal_case = [&](double snr_db, double crossover, int n, int B,
+                               CostPrecision prec, int every) {
+    CodeParams p;
+    p.n = n;
+    p.B = B;
+    p.cost_precision = prec;
+    p.max_passes = 48;
+    const bool bsc = crossover > 0.0;
+    if (bsc) p.c = 1;
+    const std::uint64_t s = ++seed;
+    GateCase g;
+    g.label = (bsc ? "bsc p=" + std::to_string(crossover)
+                   : "awgn " + std::to_string(snr_db) + " dB") +
+              " n=" + std::to_string(n) + " B=" + std::to_string(B) +
+              " prec=" + std::to_string(static_cast<int>(prec)) +
+              " every=" + std::to_string(every);
+    g.make_session = [p, bsc]() -> std::unique_ptr<RatelessSession> {
+      if (bsc) return std::make_unique<BscSession>(p);
+      return std::make_unique<SpinalSession>(p);
+    };
+    g.make_channel = [bsc, snr_db, crossover, s] {
+      return bsc ? ChannelSim::bsc(crossover, s)
+                 : ChannelSim(ChannelKind::kAwgn, snr_db, 1, s);
+    };
+    g.message_bits = n;
+    g.every = every;
+    cases.push_back(std::move(g));
+  };
+  for (int every : {1, 4})
+    for (int n : {64, 256})
+      for (int B : {16, 64, 256})
+        for (CostPrecision prec :
+             {CostPrecision::kFloat32, CostPrecision::kU16, CostPrecision::kU8}) {
+          for (double snr_db : {0.0, 5.0, 10.0, 20.0})
+            spinal_case(snr_db, 0.0, n, B, prec, every);
+          for (double crossover : {0.02, 0.1})
+            spinal_case(0.0, crossover, n, B, prec, every);
+        }
+
+  // Where the gate never fires: Rayleigh fading, and n <= 16.
+  for (ChannelKind kind : {ChannelKind::kRayleighCsi, ChannelKind::kRayleighNoCsi}) {
+    const std::uint64_t s = ++seed;
+    GateCase g;
+    g.label = "rayleigh " + std::to_string(static_cast<int>(kind));
+    g.make_session = [] { return std::make_unique<SpinalSession>(fast_params()); };
+    g.make_channel = [kind, s] { return ChannelSim(kind, 10.0, 10, s); };
+    g.message_bits = fast_params().n;
+    g.gated = false;
+    cases.push_back(std::move(g));
+  }
+  for (int n : {8, 16}) {
+    CodeParams p = fast_params();
+    p.n = n;
+    const std::uint64_t s = ++seed;
+    GateCase g;
+    g.label = "n=" + std::to_string(n);
+    g.make_session = [p] { return std::make_unique<SpinalSession>(p); };
+    g.make_channel = [s] { return ChannelSim(ChannelKind::kAwgn, 0.0, 1, s); };
+    g.message_bits = n;
+    g.gated = false;
+    cases.push_back(std::move(g));
+  }
+
+  // One baseline codec: LDPC rounds through the same gate.
+  {
+    ldpc::LdpcSessionConfig cfg;
+    cfg.bp_iterations = 20;
+    const auto ctx = ldpc::LdpcSession::make_context(cfg);
+    const std::uint64_t s = ++seed;
+    GateCase g;
+    g.label = "ldpc 5 dB";
+    g.make_session = [cfg, ctx] { return std::make_unique<ldpc::LdpcSession>(cfg, ctx); };
+    g.make_channel = [s] { return ChannelSim(ChannelKind::kAwgn, 5.0, 1, s); };
+    g.message_bits = ctx->encoder.info_bits();
+    cases.push_back(std::move(g));
+  }
+
+  int fewer = 0;
+  for (const GateCase& g : cases) {
+    util::Xoshiro256 prng(++seed);
+    const util::BitVec msg = prng.random_bits(static_cast<std::size_t>(g.message_bits));
+    EngineOptions opt;
+    opt.attempt_every = g.every;
+    const auto s1 = g.make_session();
+    ChannelSim ch1 = g.make_channel();
+    const RunResult gated = run_message(*s1, ch1, msg, opt);
+    const auto s2 = g.make_session();
+    ChannelSim ch2 = g.make_channel();
+    const RunResult ungated = ungated_run(*s2, ch2, msg, g.every);
+
+    EXPECT_EQ(gated.success, ungated.success) << g.label;
+    EXPECT_EQ(gated.symbols, ungated.symbols) << g.label;
+    EXPECT_LE(gated.attempts, ungated.attempts) << g.label;
+    if (!g.gated) {
+      EXPECT_EQ(gated.attempts, ungated.attempts) << g.label;
+    }
+    fewer += gated.attempts < ungated.attempts;
+  }
+  EXPECT_GT(fewer, 0);  // the gate fired somewhere: the test is not vacuous
 }
 
 TEST(Engine, BscSessionDecodesThroughEngine) {

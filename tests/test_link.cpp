@@ -232,5 +232,93 @@ TEST(Link, DecodeWithBeamOverrideStillPassesCrc) {
   EXPECT_TRUE(util::crc16_check(out.message));
 }
 
+TEST(Link, GateSurvivesOneCorruptedBlock) {
+  // One far-off symbol in block 0 blows up that block's path cost per
+  // symbol. The link's noise estimate is a median over its blocks, so
+  // the gate must stay as loose as the noise allows: every other block
+  // ACKs at the same burst as in a loop that never gates.
+  const CodeParams p = link_params();
+  const auto datagram = random_datagram(256, 21);
+  constexpr double kSnrDb = 10.0;
+  struct Run {
+    std::vector<int> acked_at;  ///< burst of each block's ACK; -1: never
+    double noise = 0;
+    std::int64_t attempts = 0;
+  };
+  const auto run = [&](bool gated) {
+    LinkSender sender(p, datagram);
+    const int blocks = sender.block_count();
+    LinkReceiver rx(p, blocks);
+    // A channel per block: its noise does not depend on the other
+    // blocks' ACKs, so both loops feed every block the same symbols.
+    std::vector<channel::AwgnChannel> channels;
+    for (int b = 0; b < blocks; ++b)
+      channels.emplace_back(kSnrDb, 300 + static_cast<std::uint64_t>(b));
+    Run r;
+    r.acked_at.assign(static_cast<std::size_t>(blocks), -1);
+    bool corrupted = false;
+    DecodeResult out;
+    for (int burst = 0; !sender.done() && !sender.gave_up(); ++burst) {
+      for (LinkSymbol s : sender.next_burst()) {
+        s.value = channels[static_cast<std::size_t>(s.block)].transmit(s.value);
+        if (s.block == 0 && !corrupted) {
+          s.value = {3000.0f, 3000.0f};
+          corrupted = true;
+        }
+        rx.receive(s);
+      }
+      if (gated) {
+        rx.make_ack();
+      } else {
+        // No path cost reported: no estimate, so no gate.
+        for (int b = 0; b < blocks; ++b) {
+          if (!rx.block_dirty(b)) continue;
+          rx.claim_block(b).decode_into(out);
+          rx.complete_block(b, out.message);
+          rx.release_block(b);
+        }
+      }
+      const AckBitmap ack = rx.current_ack();
+      for (int b = 0; b < blocks; ++b)
+        if (ack.decoded[b] && r.acked_at[b] < 0) r.acked_at[b] = burst;
+      sender.handle_ack(ack);
+    }
+    r.noise = rx.noise_estimate();
+    r.attempts = rx.attempts();
+    return r;
+  };
+  const Run gated = run(true);
+  const Run ungated = run(false);
+  ASSERT_EQ(gated.acked_at.size(), 9u);
+  for (std::size_t b = 1; b < gated.acked_at.size(); ++b) {
+    EXPECT_GE(gated.acked_at[b], 0) << b;
+    EXPECT_EQ(gated.acked_at[b], ungated.acked_at[b]) << b;
+  }
+  // The estimate sits near sigma^2 = 0.1, not near block 0's cost.
+  EXPECT_GT(gated.noise, 0.0);
+  EXPECT_LT(gated.noise, 0.2);
+  EXPECT_EQ(ungated.noise, 0.0);
+  EXPECT_LT(gated.attempts, ungated.attempts);  // the gate fired
+}
+
+TEST(Link, ClaimedBlockBuffersUntilRelease) {
+  // Symbols for a claimed block wait for release_block(), which then
+  // says whether they make an attempt due.
+  const CodeParams p = link_params();
+  LinkSender sender(p, random_datagram(20, 22));  // one block
+  LinkReceiver rx(p, 1);
+  for (const LinkSymbol& s : sender.next_burst()) rx.receive(s);
+  ASSERT_EQ(rx.pause().size(), 1u);
+  const SpinalDecoder& dec = rx.claim_block(0);
+  const std::size_t before = dec.symbols_received();
+  for (const LinkSymbol& s : sender.next_burst()) EXPECT_TRUE(rx.receive(s));
+  EXPECT_EQ(dec.symbols_received(), before);  // buffered, store untouched
+  EXPECT_TRUE(rx.pause().empty());             // claimed: check deferred
+  EXPECT_TRUE(rx.release_block(0));            // the deferred attempt is due
+  EXPECT_GT(dec.symbols_received(), before);
+  EXPECT_TRUE(rx.block_dirty(0));
+  EXPECT_FALSE(rx.release_block(0));  // nothing buffered
+}
+
 }  // namespace
 }  // namespace spinal

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace spinal::util {
 namespace {
 
@@ -52,6 +54,27 @@ TEST(Math, BscCapacity) {
   EXPECT_DOUBLE_EQ(bsc_capacity(0.0), 1.0);
   EXPECT_DOUBLE_EQ(bsc_capacity(0.5), 0.0);
   EXPECT_NEAR(bsc_capacity(0.11), 0.5, 1e-4);
+}
+
+TEST(Math, AwgnDispersionClosedForm) {
+  // V = SNR (SNR + 2) / (SNR + 1)^2 log2(e)^2 per complex symbol.
+  const double log2e_sq = 1.0 / (std::log(2.0) * std::log(2.0));
+  EXPECT_DOUBLE_EQ(awgn_dispersion(0.0), 0.0);
+  EXPECT_NEAR(awgn_dispersion(1.0), 0.75 * log2e_sq, 1e-12);
+  EXPECT_NEAR(awgn_dispersion(10.0), 120.0 / 121.0 * log2e_sq, 1e-12);
+  // It saturates at log2(e)^2 as SNR grows.
+  EXPECT_NEAR(awgn_dispersion(1e9), log2e_sq, 1e-8);
+  EXPECT_LT(awgn_dispersion(1e3), log2e_sq);
+}
+
+TEST(Math, BscDispersionClosedForm) {
+  // V = p (1 - p) log2((1 - p) / p)^2, symmetric in p <-> 1 - p.
+  EXPECT_DOUBLE_EQ(bsc_dispersion(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(bsc_dispersion(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(bsc_dispersion(0.5), 0.0);
+  EXPECT_NEAR(bsc_dispersion(0.02), 0.02 * 0.98 * std::pow(std::log2(49.0), 2), 1e-12);
+  EXPECT_NEAR(bsc_dispersion(0.11), bsc_dispersion(0.89), 1e-12);
+  EXPECT_NEAR(bsc_dispersion(0.2), 0.16 * 4.0, 1e-12);  // log2(0.8/0.2) = 2
 }
 
 TEST(Math, PhiKnownValues) {

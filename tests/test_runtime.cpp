@@ -1057,6 +1057,7 @@ struct LinkOutcome {
   bool done = false;
   long symbols_sent = 0;
   std::optional<std::vector<std::uint8_t>> datagram;
+  std::int64_t attempts = 0;
   bool operator==(const LinkOutcome&) const = default;
 };
 
@@ -1074,53 +1075,108 @@ LinkOutcome sequential_link(const CodeParams& p,
     }
     sender.handle_ack(receiver.make_ack());
   }
-  return {sender.done(), sender.symbols_sent(), receiver.datagram()};
+  return {sender.done(), sender.symbols_sent(), receiver.datagram(),
+          receiver.attempts()};
 }
 
 TEST(SessionMux, LockStepMatchesSequentialLinkLoop) {
   // Eight links in lock-step frames — every link sends a burst and
   // pauses, then all wait for their ACKs — through a 3-worker
-  // deterministic service with batching on: each link's outcome must
-  // equal the inline decode loop's, batched or not.
+  // deterministic service with batching on: each link's outcome,
+  // decode attempts included, must equal the inline decode loop's,
+  // batched or not. At 5 and 10 dB the capacity gate skips attempts,
+  // and both drivers must skip the same ones.
   constexpr std::size_t kLinks = 8;
-  constexpr double kSnrDb = 8.0;
   const CodeParams p = link_params();
-  RuntimeOptions opt = det_opts(3);
-  opt.batch.max_batch = 16;
-  DecodeService service(opt);
-  SessionMux mux(service);
+  for (double snr_db : {5.0, 8.0, 10.0}) {
+    RuntimeOptions opt = det_opts(3);
+    opt.batch.max_batch = 16;
+    DecodeService service(opt);
+    SessionMux mux(service);
 
-  std::vector<std::vector<std::uint8_t>> datagrams;
-  std::vector<LinkSender> senders;
-  std::vector<channel::AwgnChannel> channels;
-  std::vector<SessionMux::SessionId> ids;
-  for (std::size_t s = 0; s < kLinks; ++s) {
-    datagrams.push_back(random_datagram(30 + 15 * s, 500 + s));
-    senders.emplace_back(p, datagrams.back());
-    channels.emplace_back(kSnrDb, 600 + s);
-    ids.push_back(mux.open(p, senders.back().block_count()));
-  }
-  for (bool open = true; open;) {
-    open = false;
+    std::vector<std::vector<std::uint8_t>> datagrams;
+    std::vector<LinkSender> senders;
+    std::vector<channel::AwgnChannel> channels;
+    std::vector<SessionMux::SessionId> ids;
     for (std::size_t s = 0; s < kLinks; ++s) {
-      if (senders[s].done() || senders[s].gave_up()) continue;
-      open = true;
-      for (LinkSymbol sym : senders[s].next_burst()) {
-        sym.value = channels[s].transmit(sym.value);
-        mux.ingest(ids[s], sym);
-      }
-      mux.pause_point(ids[s]);
+      datagrams.push_back(random_datagram(30 + 15 * s, 500 + s));
+      senders.emplace_back(p, datagrams.back());
+      channels.emplace_back(snr_db, 600 + s);
+      ids.push_back(mux.open(p, senders.back().block_count()));
     }
+    for (bool open = true; open;) {
+      open = false;
+      for (std::size_t s = 0; s < kLinks; ++s) {
+        if (senders[s].done() || senders[s].gave_up()) continue;
+        open = true;
+        for (LinkSymbol sym : senders[s].next_burst()) {
+          sym.value = channels[s].transmit(sym.value);
+          mux.ingest(ids[s], sym);
+        }
+        mux.pause_point(ids[s]);
+      }
+      mux.wait_idle();
+      for (std::size_t s = 0; s < kLinks; ++s)
+        senders[s].handle_ack(mux.current_ack(ids[s]));
+    }
+    for (std::size_t s = 0; s < kLinks; ++s) {
+      const LinkOutcome got{senders[s].done(), senders[s].symbols_sent(),
+                            mux.datagram(ids[s]), mux.attempts(ids[s])};
+      EXPECT_TRUE(got.done) << snr_db << " dB, link " << s;
+      EXPECT_EQ(got, sequential_link(p, datagrams[s], snr_db, 600 + s))
+          << snr_db << " dB, link " << s;
+    }
+  }
+}
+
+TEST(SessionMux, ReducedEffortAttemptsLeaveTheNoiseEstimate) {
+  // A shrunk beam's path cost reads high, so only full-effort attempts
+  // feed a link's noise estimate. With load adaptation on and a deep
+  // queue, the probe link's one attempt runs shrunk: its estimate must
+  // stay unset, where the same attempt at full effort sets it.
+  const CodeParams p = link_params();
+  const auto run = [&](bool adapt) {
+    RuntimeOptions opt = basic_opts(1);
+    opt.batch.max_batch = 1;
+    opt.adapt.enabled = adapt;
+    opt.adapt.depth_per_halving = 1;
+    opt.adapt.retry_full_when_idle = false;
+    DecodeService service(opt);
+    SessionMux mux(service);
+    LinkSender probe(p, random_datagram(20, 31));    // one block
+    LinkSender filler(p, random_datagram(240, 32));  // nine blocks
+    const auto probe_id = mux.open(p, probe.block_count());
+    const auto filler_id = mux.open(p, filler.block_count());
+    channel::AwgnChannel ch_probe(10.0, 33), ch_filler(10.0, 34);
+    for (int burst = 0; burst < 16; ++burst) {
+      for (LinkSymbol s : probe.next_burst()) {
+        s.value = ch_probe.transmit(s.value);
+        mux.ingest(probe_id, s);
+      }
+      for (LinkSymbol s : filler.next_burst()) {
+        s.value = ch_filler.transmit(s.value);
+        mux.ingest(filler_id, s);
+      }
+    }
+    // Park the only worker so the filler's attempts queue up behind the
+    // probe's: the probe's attempt then sees a deep queue.
+    std::promise<void> release;
+    std::shared_future<void> gate(release.get_future());
+    service.post([gate](DecodeService::WorkerScope&) { gate.wait(); });
+    mux.pause_point(probe_id);
+    mux.pause_point(filler_id);
+    release.set_value();
     mux.wait_idle();
-    for (std::size_t s = 0; s < kLinks; ++s)
-      senders[s].handle_ack(mux.current_ack(ids[s]));
-  }
-  for (std::size_t s = 0; s < kLinks; ++s) {
-    const LinkOutcome got{senders[s].done(), senders[s].symbols_sent(),
-                          mux.datagram(ids[s])};
-    EXPECT_TRUE(got.done) << s;
-    EXPECT_EQ(got, sequential_link(p, datagrams[s], kSnrDb, 600 + s)) << s;
-  }
+    EXPECT_EQ(mux.attempts(probe_id), 1);
+    return std::pair{mux.noise_estimate(probe_id),
+                     service.telemetry().counters.reduced_effort_attempts};
+  };
+  const auto [shrunk_noise, shrunk_attempts] = run(true);
+  const auto [full_noise, full_attempts] = run(false);
+  EXPECT_GE(shrunk_attempts, 1u);
+  EXPECT_EQ(shrunk_noise, 0.0);
+  EXPECT_EQ(full_attempts, 0u);
+  EXPECT_GT(full_noise, 0.0);
 }
 
 TEST(SessionMux, AttemptsRideTheStepPath) {

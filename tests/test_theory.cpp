@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "util/math.h"
 
 namespace spinal::theory {
@@ -82,6 +86,36 @@ TEST(Theory, RecommendedCGrowsLogarithmically) {
   // 35 dB needs roughly log2(3*3163/0.25) ~ 15-16 bits; 0 dB a handful.
   EXPECT_GE(c0, 3);
   EXPECT_LE(c35, 17);
+}
+
+TEST(Theory, MinAttemptSymbolsPinned) {
+  // N C + 4 sqrt(N V) + 16 >= n at its smallest N, for n = 256.
+  const auto awgn = [](int n, double snr_db) {
+    const double snr = util::db_to_lin(snr_db);
+    return min_attempt_symbols(n, util::awgn_capacity(snr), util::awgn_dispersion(snr));
+  };
+  EXPECT_EQ(awgn(256, 10.0), 57);
+  EXPECT_EQ(awgn(256, 0.0), 175);
+  const double p = 0.02;
+  EXPECT_EQ(min_attempt_symbols(256, util::bsc_capacity(p), util::bsc_dispersion(p)), 225);
+  // The 16 bits of slack: the gate never fires for n <= 16.
+  for (int n = 0; n <= 16; ++n) {
+    EXPECT_EQ(awgn(n, 0.0), 0) << n;
+    EXPECT_EQ(min_attempt_symbols(n, 0.0, 0.0), 0) << n;
+  }
+  EXPECT_GT(awgn(17, 0.0), 0);
+  // It is the smallest such N: one symbol fewer falls short.
+  for (double snr_db : {-5.0, 0.0, 5.0, 10.0, 20.0}) {
+    const double snr = util::db_to_lin(snr_db);
+    const double C = util::awgn_capacity(snr), V = util::awgn_dispersion(snr);
+    const auto N = static_cast<double>(min_attempt_symbols(256, C, V));
+    EXPECT_GE(N * C + 4.0 * std::sqrt(N * V) + 16.0, 256.0) << snr_db;
+    EXPECT_LT((N - 1) * C + 4.0 * std::sqrt((N - 1) * V) + 16.0, 256.0)
+        << snr_db;
+  }
+  // A channel that carries nothing never opens the gate.
+  EXPECT_EQ(min_attempt_symbols(256, util::bsc_capacity(0.5), util::bsc_dispersion(0.5)),
+            std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(Theory, PaperC6Choice) {
