@@ -29,9 +29,10 @@
 // rate, so the gate never fires for n <= 16. Spinal codes run close to
 // capacity ("De-randomizing Shannon"), so below n / C every attempt is
 // wasted compute. The constants are fixed, not options. Rayleigh runs
-// are not gated. The gate only removes attempts and never changes a
-// decode; it applies to every codec alike, so the baseline comparisons
-// stay fair.
+// are not gated. A gated step still moves the back-off as the ungated
+// attempt there would, so at any attempt_growth the gate only removes
+// attempts from the ungated schedule and never changes a decode; it
+// applies to every codec alike, so the baseline comparisons stay fair.
 
 #include <cstdint>
 #include <optional>

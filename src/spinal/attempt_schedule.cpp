@@ -24,17 +24,13 @@ AttemptSchedule::AttemptSchedule(int every, double growth)
 
 bool AttemptSchedule::due(int step, std::int64_t symbols, std::int64_t gate) {
   if (step < next_) return false;
-  if (symbols < gate) {
-    next_ = static_cast<std::int64_t>(step) + every_;
-    return false;
-  }
   // Steps are ints, so any product past INT_MAX means "never": clamp
   // there before the cast (a growth like 1e300 would overflow it).
   constexpr double kNever = 2147483648.0;
   const double grown = std::min(step * growth_, kNever);
   next_ = std::max(static_cast<std::int64_t>(step) + every_,
                    static_cast<std::int64_t>(grown));
-  return true;
+  return symbols >= gate;
 }
 
 std::int64_t AttemptSchedule::awgn_gate(int n, double snr) {

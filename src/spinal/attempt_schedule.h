@@ -9,9 +9,11 @@
 //     max(s + every, s * growth) (growth 1 = the linear floor alone);
 //   - a capacity gate: no attempt while the symbols received cannot
 //     carry the message (theory::min_attempt_symbols). A gated step
-//     neither counts as an attempt nor advances the back-off; the next
-//     due step is then the linear floor's, so with growth 1 the gate
-//     only ever removes attempts from the ungated schedule.
+//     does not count as an attempt, but moves the back-off exactly as
+//     the ungated attempt there would, so the gated attempts are always
+//     a subset of the ungated schedule's (for a fixed gate, a suffix of
+//     it) at any growth: the gate can drop an attempt but never move one
+//     to another step.
 
 #include <cstdint>
 
@@ -26,8 +28,9 @@ class AttemptSchedule {
 
   /// Asked once per step: @p step counts the steps so far (1-based),
   /// @p symbols the symbols received, @p gate the fewest symbols an
-  /// attempt needs (0: ungated). True when an attempt is due now, in
-  /// which case the back-off advances past @p step.
+  /// attempt needs (0: ungated). True when an attempt is due now. When
+  /// the ungated schedule is due at @p step, the back-off advances past
+  /// it whether or not the gate holds the attempt back.
   bool due(int step, std::int64_t symbols, std::int64_t gate);
 
   /// The gate for an n-bit message over complex AWGN at linear SNR
