@@ -34,6 +34,15 @@ constexpr std::size_t kScratch = 4096;
 /// Blocks this short skip the bucket passes: an insertion sort touches
 /// fewer words than one histogram would.
 constexpr std::size_t kInsertion = 24;
+/// So do blocks of up to kSmallKeepBlock keys that keep at most
+/// kSmallKeep (a B <= 4 beam): the insertion select's sorted prefix
+/// stays that short, so it is one compare per key.
+constexpr std::size_t kSmallKeep = 4;
+constexpr std::size_t kSmallKeepBlock = 256;
+
+bool by_insertion(std::size_t n, std::size_t need) {
+  return n <= kInsertion || (need <= kSmallKeep && n <= kSmallKeepBlock);
+}
 
 template <class Key>
 void insertion_sort(Key* a, std::size_t n) {
@@ -98,10 +107,15 @@ void sort_run(Key* a, std::size_t n) {
 /// resolves the threshold bucket T: keys below T compact in place (the
 /// write cursor never passes the read index), keys in T spill to stack
 /// scratch and come back right behind them as the next block (their
-/// min and max taken on the way), keys above T are dropped.
+/// min and max taken on the way), keys above T are dropped. Short
+/// blocks, and blocks that keep only a few keys, finish by insertion.
 template <class Key>
 void partition_impl(Key* keys, std::size_t count, std::size_t keep) {
   if (keep == 0 || keep >= count) return;
+  if (by_insertion(count, keep)) {
+    insertion_select(keys, count, keep);
+    return;
+  }
   Key mn, mx;
   min_max(keys, count, mn, mx);
   Key eq[kScratch];
@@ -109,7 +123,7 @@ void partition_impl(Key* keys, std::size_t count, std::size_t keep) {
   std::size_t need = keep;         // how many of [lo, hi) are kept
   while (need > 0 && need < hi - lo) {
     const std::size_t n = hi - lo;
-    if (n <= kInsertion) {
+    if (by_insertion(n, need)) {
       insertion_select(keys + lo, n, need);
       return;
     }

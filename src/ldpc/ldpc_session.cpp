@@ -74,12 +74,4 @@ std::optional<util::BitVec> LdpcSession::try_decode_with(
   return decode_attempt(effort, lw != nullptr ? lw->work : own_work_);
 }
 
-sim::WorkspaceKey LdpcSession::workspace_key() const {
-  std::string params = "wifi648;rate=";
-  params += rate_name(config_.rate);
-  params += ";seed=";
-  params += std::to_string(config_.matrix_seed);
-  return sim::WorkspaceKey{"ldpc", std::move(params)};
-}
-
 }  // namespace spinal::ldpc

@@ -80,7 +80,10 @@ class LdpcSession : public sim::RatelessSession {
   /// bit-identical either way.
   std::optional<util::BitVec> try_decode_with(sim::CodecWorkspace* ws,
                                               int effort) override;
-  sim::WorkspaceKey workspace_key() const override;
+  /// Keyed by what sizes the BP scratch: the rate and matrix seed.
+  sim::WorkspaceKey workspace_key() const override {
+    return sim::WorkspaceKey::of(sim::KeyCodec::kLdpc, config_.rate, config_.matrix_seed);
+  }
   std::unique_ptr<sim::CodecWorkspace> make_workspace() const override {
     return std::make_unique<LdpcWorkspace>();
   }

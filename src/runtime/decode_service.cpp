@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "runtime/affinity.h"
@@ -283,10 +284,15 @@ std::int32_t DecodeService::intern_tag_locked(const sim::WorkspaceKey& key) {
   if (!key.valid()) return ShardedJobQueue<QueueJob>::kNoTag;
   const auto [it, inserted] =
       batch_tags_.try_emplace(key, static_cast<std::int32_t>(batch_tags_.size()));
-  if (inserted)
-    tag_stats_.register_tag(it->second, key.params.empty()
-                                            ? key.codec
-                                            : key.codec + "/" + key.params);
+  if (inserted) {
+    // "codec/w0;w1;..." up to the last nonzero word, rendered once.
+    std::size_t n = key.words.size();
+    while (n > 0 && key.words[n - 1] == 0) --n;
+    std::string label = sim::codec_name(key.codec);
+    for (std::size_t i = 0; i < n; ++i)
+      label += (i == 0 ? "/" : ";") + std::to_string(key.words[i]);
+    tag_stats_.register_tag(it->second, std::move(label));
+  }
   return it->second;
 }
 

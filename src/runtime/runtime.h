@@ -60,8 +60,8 @@ struct SessionReport {
 /// seed and engine options). decode_micros is not measured here.
 SessionReport run_sequential(const SessionSpec& spec);
 
-/// The workspace-pool key: sim::WorkspaceKey, the codec-tagged
-/// (codec, serialized params) pair every session reports. Distinct keys
+/// The workspace-pool key: sim::WorkspaceKey, the codec-tagged value
+/// (codec, packed parameter words) every session reports. Distinct keys
 /// (heterogeneous links, different codecs) get distinct pinned
 /// workspaces, so steady-state decodes stay allocation-free per key.
 using WorkspaceKey = sim::WorkspaceKey;

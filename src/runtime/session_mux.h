@@ -133,7 +133,7 @@ class SessionMux {
     void abandon() noexcept override;
     const CodeParams& spinal_params() const override;
     const SpinalDecoder& spinal_decoder() const override { return *decoder; }
-    const char* batch_flavor() const override { return "spinal.link"; }
+    sim::KeyCodec batch_flavor() const override { return sim::KeyCodec::kSpinalLink; }
     void attempt_result(const DecodeResult& r, bool full) override;
 
     SessionMux* mux = nullptr;

@@ -8,14 +8,16 @@ BscSession::BscSession(const CodeParams& params)
 }
 
 void BscSession::start(const util::BitVec& message) {
-  encoder_ = std::make_unique<BscSpinalEncoder>(params_, message);
+  encoder_.emplace(params_, message);
   decoder_.reset();
   subpass_ = 0;
   chunk_ids_.clear();
 }
 
 std::vector<std::complex<float>> BscSession::next_chunk() {
-  chunk_ids_ = schedule_.subpass(subpass_++);
+  chunk_ids_.clear();
+  chunk_ids_.reserve(static_cast<std::size_t>(schedule_.max_subpass_symbols()));
+  schedule_.subpass(subpass_++, chunk_ids_);
   std::vector<std::complex<float>> out;
   out.reserve(chunk_ids_.size());
   for (const SymbolId& id : chunk_ids_)

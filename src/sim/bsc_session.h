@@ -8,7 +8,7 @@
 // AWGN/fading sessions, with one chunk per puncturing subpass.
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
 #include "sim/session.h"
 #include "sim/spinal_workspace.h"
@@ -18,7 +18,7 @@
 
 namespace spinal::sim {
 
-/// Decodes through SpinalTarget under the "spinal.bsc" batch key (it
+/// Decodes through SpinalTarget under the kSpinalBsc batch key (it
 /// shares SpinalSession's workspace key, never its batches).
 class BscSession : public SpinalTarget<RatelessSession, BscSpinalDecoder> {
  public:
@@ -37,11 +37,11 @@ class BscSession : public SpinalTarget<RatelessSession, BscSpinalDecoder> {
  private:
   const CodeParams& spinal_params() const override { return params_; }
   const BscSpinalDecoder& spinal_decoder() const override { return decoder_; }
-  const char* batch_flavor() const override { return "spinal.bsc"; }
+  KeyCodec batch_flavor() const override { return KeyCodec::kSpinalBsc; }
 
   CodeParams params_;
   PuncturingSchedule schedule_;
-  std::unique_ptr<BscSpinalEncoder> encoder_;
+  std::optional<BscSpinalEncoder> encoder_;
   BscSpinalDecoder decoder_;
 
   int subpass_ = 0;

@@ -4,44 +4,43 @@
 
 namespace spinal::sim {
 
-ChannelSim::ChannelSim(ChannelKind kind, double snr_db, int coherence,
-                       std::uint64_t seed)
-    : kind_(kind), snr_db_(snr_db) {
-  if (kind == ChannelKind::kAwgn) {
-    awgn_ = std::make_unique<channel::AwgnChannel>(snr_db, seed);
-  } else if (kind == ChannelKind::kBsc) {
+ChannelSim::Model ChannelSim::make_model(ChannelKind kind, double snr_db,
+                                         int coherence, std::uint64_t seed) {
+  if (kind == ChannelKind::kAwgn) return channel::AwgnChannel(snr_db, seed);
+  if (kind == ChannelKind::kBsc)
     throw std::invalid_argument(
         "ChannelSim: kBsc takes a crossover probability, not an SNR — "
         "construct it with ChannelSim::bsc(crossover, seed)");
-  } else {
-    rayleigh_ = std::make_unique<channel::RayleighChannel>(snr_db, coherence, seed);
-  }
+  return channel::RayleighChannel(snr_db, coherence, seed);
 }
 
+ChannelSim::ChannelSim(ChannelKind kind, double snr_db, int coherence,
+                       std::uint64_t seed)
+    : ChannelSim(kind, snr_db, make_model(kind, snr_db, coherence, seed)) {}
+
 ChannelSim ChannelSim::bsc(double crossover, std::uint64_t seed) {
-  ChannelSim sim;
-  sim.kind_ = ChannelKind::kBsc;
-  sim.bsc_ = std::make_unique<channel::BscChannel>(crossover, seed);
-  return sim;
+  return ChannelSim(ChannelKind::kBsc, 0.0, channel::BscChannel(crossover, seed));
 }
 
 double ChannelSim::noise_variance() const noexcept {
-  if (bsc_) return bsc_->crossover();
-  return awgn_ ? awgn_->noise_variance() : rayleigh_->noise_variance();
+  if (const auto* bsc = std::get_if<channel::BscChannel>(&model_)) return bsc->crossover();
+  if (const auto* awgn = std::get_if<channel::AwgnChannel>(&model_))
+    return awgn->noise_variance();
+  return std::get_if<channel::RayleighChannel>(&model_)->noise_variance();
 }
 
 void ChannelSim::transmit(std::span<std::complex<float>> x,
                           std::vector<std::complex<float>>& csi_out) {
   switch (kind_) {
     case ChannelKind::kAwgn:
-      awgn_->apply(x);
+      std::get_if<channel::AwgnChannel>(&model_)->apply(x);
       break;
     case ChannelKind::kRayleighCsi:
-      rayleigh_->apply(x, csi_out);
+      std::get_if<channel::RayleighChannel>(&model_)->apply(x, csi_out);
       break;
     case ChannelKind::kRayleighNoCsi: {
       scratch_csi_.clear();
-      rayleigh_->apply(x, scratch_csi_);
+      std::get_if<channel::RayleighChannel>(&model_)->apply(x, scratch_csi_);
       // Hand back only the phase: the decoder stays carrier-coherent
       // but must treat the amplitude as if the channel were AWGN.
       for (const auto& h : scratch_csi_) {
@@ -50,12 +49,14 @@ void ChannelSim::transmit(std::span<std::complex<float>> x,
       }
       break;
     }
-    case ChannelKind::kBsc:
+    case ChannelKind::kBsc: {
+      channel::BscChannel& bsc = *std::get_if<channel::BscChannel>(&model_);
       for (auto& v : x) {
         const std::uint8_t bit = v.real() >= 0.5f ? 1 : 0;
-        v = {static_cast<float>(bsc_->transmit(bit)), 0.0f};
+        v = {static_cast<float>(bsc.transmit(bit)), 0.0f};
       }
       break;
+    }
   }
 }
 

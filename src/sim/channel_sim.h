@@ -1,12 +1,13 @@
 #pragma once
-// Channel front-end for the execution engine: wraps the AWGN and
-// Rayleigh models behind one transmit() call and controls whether the
+// Channel front-end for the execution engine: wraps the AWGN, Rayleigh
+// and BSC models behind one transmit() call and controls whether the
 // receiver is given channel-state information (Fig 8-4 vs Fig 8-5).
 
 #include <complex>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "channel/awgn.h"
@@ -56,13 +57,18 @@ class ChannelSim {
                 std::vector<std::complex<float>>& csi_out);
 
  private:
-  ChannelSim() = default;  // bsc() factory
+  /// The model, held inline: a channel costs its session no allocation.
+  using Model = std::variant<channel::AwgnChannel, channel::RayleighChannel,
+                             channel::BscChannel>;
 
-  ChannelKind kind_ = ChannelKind::kAwgn;
-  double snr_db_ = 0.0;
-  std::unique_ptr<channel::AwgnChannel> awgn_;
-  std::unique_ptr<channel::RayleighChannel> rayleigh_;
-  std::unique_ptr<channel::BscChannel> bsc_;
+  ChannelSim(ChannelKind kind, double snr_db, Model model)
+      : kind_(kind), snr_db_(snr_db), model_(std::move(model)) {}
+  static Model make_model(ChannelKind kind, double snr_db, int coherence,
+                          std::uint64_t seed);
+
+  ChannelKind kind_;
+  double snr_db_;
+  Model model_;
   std::vector<std::complex<float>> scratch_csi_;
 };
 

@@ -13,11 +13,14 @@
 // budget for Turbo/Strider — that the load-adaptive policy trades for
 // compute under overload (the Fig 8-6 knob, generalized).
 
+#include <array>
+#include <bit>
 #include <complex>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/bitvec.h"
@@ -34,18 +37,60 @@ class CodecWorkspace {
   virtual ~CodecWorkspace() = default;
 };
 
-/// Codec-tagged key under which the runtime pins workspaces. `codec`
-/// names the family ("spinal", "ldpc", ...); `params` serializes every
-/// parameter the workspace layout depends on, so distinct parameter
-/// sets (heterogeneous links) never share scratch. A default-constructed
+/// The codec family a WorkspaceKey belongs to, refined for batch keys
+/// by flavor: spinal AWGN sessions, BSC sessions and the link-layer
+/// mux's code blocks share the kSpinal workspace key but batch apart.
+enum class KeyCodec : std::uint8_t {
+  kNone,  ///< no pinnable workspace (the invalid key)
+  kSpinal,
+  kSpinalAwgn,
+  kSpinalBsc,
+  kSpinalLink,
+  kLdpc,
+};
+
+/// The family's label ("spinal.bsc", ...), the codec half of the
+/// runtime's per-tag telemetry label.
+constexpr const char* codec_name(KeyCodec codec) noexcept {
+  constexpr const char* kNames[] = {"none",       "spinal",      "spinal.awgn",
+                                    "spinal.bsc", "spinal.link", "ldpc"};
+  return kNames[static_cast<int>(codec)];
+}
+
+/// Codec-tagged key under which the runtime pins workspaces (and, as
+/// batch_key(), aggregates batches): a plain value, compared as one.
+/// `codec` names the family; `words` pack every parameter the
+/// workspace layout depends on, one field per word (integers and enums
+/// widened, doubles by their bit pattern, unused words zero), so
+/// distinct parameter sets (heterogeneous links) never share scratch
+/// and nearly equal doubles never collide. A default-constructed
 /// (invalid) key means the session has no pinnable workspace — its
 /// decode attempts run unpinned, which the runtime's telemetry counts.
+/// Keys are totally ordered (std::map keys) and cheap to copy.
 struct WorkspaceKey {
-  std::string codec;
-  std::string params;
+  static constexpr std::size_t kWords = 16;
 
-  bool valid() const noexcept { return !codec.empty(); }
+  KeyCodec codec = KeyCodec::kNone;
+  std::array<std::uint64_t, kWords> words{};
+
+  /// The key of @p codec over @p fields, one word each.
+  template <class... Fields>
+  static constexpr WorkspaceKey of(KeyCodec codec, Fields... fields) {
+    static_assert(sizeof...(Fields) <= kWords, "WorkspaceKey: too many fields");
+    return {codec, {word(fields)...}};
+  }
+
+  bool valid() const noexcept { return codec != KeyCodec::kNone; }
   auto operator<=>(const WorkspaceKey&) const = default;
+
+ private:
+  template <class T>
+  static constexpr std::uint64_t word(T v) noexcept {
+    if constexpr (std::is_floating_point_v<T>)
+      return std::bit_cast<std::uint64_t>(static_cast<double>(v));
+    else
+      return static_cast<std::uint64_t>(v);
+  }
 };
 
 /// The session's compute/accuracy knob: `full` is the configured effort

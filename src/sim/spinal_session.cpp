@@ -11,7 +11,7 @@ SpinalSession::SpinalSession(const CodeParams& params, int symbols_per_chunk)
 }
 
 void SpinalSession::start(const util::BitVec& message) {
-  encoder_ = std::make_unique<SpinalEncoder>(params_, message);
+  encoder_.emplace(params_, message);
   decoder_.reset();
   subpass_ = 0;
   queue_.clear();
@@ -21,7 +21,9 @@ void SpinalSession::start(const util::BitVec& message) {
 
 std::vector<std::complex<float>> SpinalSession::next_chunk() {
   if (queue_pos_ >= queue_.size()) {
-    queue_ = schedule_.subpass(subpass_++);
+    queue_.clear();
+    queue_.reserve(static_cast<std::size_t>(schedule_.max_subpass_symbols()));
+    schedule_.subpass(subpass_++, queue_);
     queue_pos_ = 0;
   }
   chunk_ids_.clear();
@@ -31,6 +33,7 @@ std::vector<std::complex<float>> SpinalSession::next_chunk() {
           ? std::min<std::size_t>(symbols_per_chunk_, queue_.size() - queue_pos_)
           : queue_.size() - queue_pos_;
   out.reserve(take);
+  chunk_ids_.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
     const SymbolId id = queue_[queue_pos_++];
     chunk_ids_.push_back(id);

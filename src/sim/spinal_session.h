@@ -5,7 +5,7 @@
 // (Fig 8-10/8-11's aggressive schedule).
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
 #include "sim/session.h"
 #include "sim/spinal_workspace.h"
@@ -16,7 +16,7 @@
 namespace spinal::sim {
 
 /// Decodes through SpinalTarget: effort = beam width, batches fused by
-/// SpinalDecoder::decode_batch_with under the "spinal.awgn" batch key.
+/// SpinalDecoder::decode_batch_with under the kSpinalAwgn batch key.
 class SpinalSession : public SpinalTarget<RatelessSession, SpinalDecoder> {
  public:
   /// @param symbols_per_chunk 0 = one chunk per subpass (default);
@@ -36,12 +36,12 @@ class SpinalSession : public SpinalTarget<RatelessSession, SpinalDecoder> {
  private:
   const CodeParams& spinal_params() const override { return params_; }
   const SpinalDecoder& spinal_decoder() const override { return decoder_; }
-  const char* batch_flavor() const override { return "spinal.awgn"; }
+  KeyCodec batch_flavor() const override { return KeyCodec::kSpinalAwgn; }
 
   CodeParams params_;
   int symbols_per_chunk_;
   PuncturingSchedule schedule_;
-  std::unique_ptr<SpinalEncoder> encoder_;
+  std::optional<SpinalEncoder> encoder_;
   SpinalDecoder decoder_;
 
   int subpass_ = 0;

@@ -4,16 +4,16 @@
 // mux's code blocks): the beam-search DecodeWorkspace plus a
 // DecodeResult scratch, pinned together per worker so steady-state
 // attempts stay allocation-free. All spinal targets key their
-// workspaces under codec "spinal" with every CodeParams field
-// serialized into the params string — equal keys guarantee
-// interchangeable workspace layouts — and decode through the one
-// SpinalTarget implementation below.
+// workspaces under KeyCodec::kSpinal with every CodeParams field packed
+// into the key's words — equal keys guarantee interchangeable workspace
+// layouts — and decode through the one SpinalTarget implementation
+// below.
 
 #include <algorithm>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/session.h"
@@ -26,50 +26,32 @@ namespace spinal::sim {
 struct SpinalWorkspace final : CodecWorkspace {
   detail::DecodeWorkspace ws;
   DecodeResult out;
-  /// Per-block result slots of batched decodes (try_decode_batch);
-  /// sized to the batch, reused across batches.
+  /// Per-block result slots and block lists of batched decodes
+  /// (try_decode_batch; one list per decoder type, since AWGN and BSC
+  /// targets share this workspace): sized to the batch, reused across
+  /// batches, so a warmed workspace batches without allocating.
   std::vector<DecodeResult> batch_out;
+  std::tuple<std::vector<SpinalDecoder::BlockJob>, std::vector<BscSpinalDecoder::BlockJob>>
+      blocks;
 };
 
-/// The WorkspaceKey all spinal decode targets pin under.
+/// The WorkspaceKey all spinal decode targets pin under: every
+/// CodeParams field, the precision resolved (narrow-metric decodes size
+/// quantized search buffers the f32 path never touches, so distinct
+/// precisions must not share a workspace).
 inline WorkspaceKey spinal_workspace_key(const CodeParams& p) {
-  std::string s;
-  s.reserve(128);
-  const auto add_i = [&s](long long v) {
-    s += std::to_string(v);
-    s += ';';
-  };
-  const auto add_d = [&s](double v) {
-    s += std::to_string(v);
-    s += ';';
-  };
-  add_i(p.n);
-  add_i(p.k);
-  add_i(p.c);
-  add_i(p.B);
-  add_i(p.d);
-  add_i(p.tail_symbols);
-  add_i(p.puncture_ways);
-  add_i(static_cast<int>(p.map));
-  add_i(static_cast<int>(p.hash_kind));
-  add_d(p.beta);
-  add_d(p.power);
-  add_i(p.salt);
-  add_i(p.s0);
-  add_i(p.max_passes);
-  add_i(p.fixed_point_frac_bits);
-  // Narrow-metric decodes size quantized search buffers the f32 path
-  // never touches — distinct precisions must not share a workspace.
-  add_i(static_cast<int>(resolve_cost_precision(p.cost_precision)));
-  return WorkspaceKey{"spinal", std::move(s)};
+  return WorkspaceKey::of(KeyCodec::kSpinal, p.n, p.k, p.c, p.B, p.d, p.tail_symbols,
+                          p.puncture_ways, p.map, p.hash_kind, p.beta, p.power, p.salt,
+                          p.s0, p.max_passes, p.fixed_point_frac_bits,
+                          resolve_cost_precision(p.cost_precision));
 }
 
-/// Batch-aggregation key of a spinal session: the workspace key refined
-/// by channel flavor ("spinal.awgn" / "spinal.bsc"). AWGN and BSC
+/// Batch-aggregation key of a spinal target: the workspace key refined
+/// by flavor (kSpinalAwgn / kSpinalBsc / kSpinalLink). AWGN and BSC
 /// sessions deliberately share spinal_workspace_key so a worker pins one
 /// scratch for both, but their BlockJob types differ — batches must not
 /// mix them.
-inline WorkspaceKey spinal_batch_key(const CodeParams& p, const char* flavor) {
+inline WorkspaceKey spinal_batch_key(const CodeParams& p, KeyCodec flavor) {
   WorkspaceKey key = spinal_workspace_key(p);
   key.codec = flavor;
   return key;
@@ -105,7 +87,8 @@ class SpinalTarget : public Base {
       return;
     }
     if (sw->batch_out.size() < jobs.size()) sw->batch_out.resize(jobs.size());
-    std::vector<typename Decoder::BlockJob> blocks(jobs.size());
+    auto& blocks = std::get<std::vector<typename Decoder::BlockJob>>(sw->blocks);
+    blocks.resize(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       // Equal batch keys guarantee every job's target is of this type
       // (the same contract try_decode_with's workspace downcast rests on).
@@ -137,8 +120,8 @@ class SpinalTarget : public Base {
   virtual const CodeParams& spinal_params() const = 0;
   /// The decoder holding the target's received symbols.
   virtual const Decoder& spinal_decoder() const = 0;
-  /// Refines the batch key ("spinal.awgn", "spinal.bsc", ...).
-  virtual const char* batch_flavor() const = 0;
+  /// Refines the batch key (KeyCodec::kSpinalAwgn, kSpinalBsc, ...).
+  virtual KeyCodec batch_flavor() const = 0;
   /// Sees each attempt's whole result, path cost included, on the
   /// decoding thread; @p full is false for a shrunk beam. The mux's
   /// code blocks feed it to their link's noise estimate.

@@ -307,40 +307,39 @@ struct detail::DecodeDriver {
       return;
     }
     while (ws.batch.size() < jobs.size())
-      ws.batch.push_back(std::make_unique<DecodeWorkspace>());
+      ws.batch.push_back({std::make_unique<DecodeWorkspace>(), {}, {}});
 
-    // Per-block search state. The block count is small (a service batch),
-    // so these little control arrays are the only per-call allocations;
-    // all decode-sized scratch lives in the reused sub-workspaces.
+    // Per-block search state lives in the reused batch slots; the Env is
+    // a view over the slot's sub-workspace, rebuilt where it is used.
     using Env = decltype(std::declval<const Decoder&>().batch_env(ws));
     const BeamSearch<Env> search;
-    std::vector<Env> envs;
-    envs.reserve(jobs.size());
-    std::vector<CodeParams> ps(jobs.size());
-    std::vector<SearchCursor> curs(jobs.size());
     int max_steps = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const Decoder& dec = *jobs[i].decoder;
-      DecodeWorkspace& bws = *ws.batch[i];
-      dec.flatten_soa(bws);
-      ps[i] = dec.params_;
-      if (jobs[i].beam_width > 0 && jobs[i].beam_width < ps[i].B)
-        ps[i].B = jobs[i].beam_width;
-      envs.push_back(dec.batch_env(bws));
-      search.begin(envs[i], ps[i], bws.search, curs[i]);
-      max_steps = std::max(max_steps, BeamSearch<Env>::steps(ps[i]));
+      DecodeWorkspace::BatchSlot& b = ws.batch[i];
+      dec.flatten_soa(*b.ws);
+      b.params = dec.params_;
+      if (jobs[i].beam_width > 0 && jobs[i].beam_width < b.params.B)
+        b.params.B = jobs[i].beam_width;
+      search.begin(dec.batch_env(*b.ws), b.params, b.ws->search, b.cursor);
+      max_steps = std::max(max_steps, BeamSearch<Env>::steps(b.params));
     }
     // Level-synchronous interleave: at step t every live block advances
     // one level back-to-back, so the expand/prune kernel family sweeps
     // sum(B_i) lanes' worth of work per level while each block's
     // selection stays per-block exact (its own workspace + cursor).
     for (int t = 0; t < max_steps; ++t)
-      for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (t < BeamSearch<Env>::steps(ps[i]))
-          search.step(envs[i], ps[i], ws.batch[i]->search, curs[i], t);
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        DecodeWorkspace::BatchSlot& b = ws.batch[i];
+        if (t < BeamSearch<Env>::steps(b.params))
+          search.step(jobs[i].decoder->batch_env(*b.ws), b.params, b.ws->search,
+                      b.cursor, t);
+      }
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      DecodeWorkspace& bws = *ws.batch[i];
-      search.end(envs[i], ps[i], bws.search, curs[i], bws.result);
+      DecodeWorkspace::BatchSlot& b = ws.batch[i];
+      DecodeWorkspace& bws = *b.ws;
+      search.end(jobs[i].decoder->batch_env(bws), b.params, bws.search, b.cursor,
+                 bws.result);
       chunks_to_message_into(jobs[i].decoder->params_, bws.result.chunks,
                              jobs[i].out->message);
       jobs[i].out->path_cost = bws.result.best_cost;

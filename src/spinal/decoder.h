@@ -78,13 +78,19 @@ struct DecodeWorkspace {
   /// baseline code, before each kernel call.
   backend::ExpandScratch expand;
 
-  /// Per-block sub-workspaces of the cross-session batch decode entry
-  /// (decode_batch_with): slot i carries block i's search scratch and
-  /// SoA symbol image. Grown on demand and reused across batches, so a
-  /// pinned workspace stays allocation-free once it has served its
-  /// high-water batch size. Empty for workspaces that only ever decode
-  /// one block at a time.
-  std::vector<std::unique_ptr<DecodeWorkspace>> batch;
+  /// Block i's slot in the cross-session batch decode entry
+  /// (decode_batch_with): its sub-workspace (search scratch and SoA
+  /// symbol image), the params it runs at and its search cursor.
+  struct BatchSlot {
+    std::unique_ptr<DecodeWorkspace> ws;
+    CodeParams params;
+    SearchCursor cursor;
+  };
+  /// Grown on demand and reused across batches, so a pinned workspace
+  /// stays allocation-free once it has served its high-water batch
+  /// size. Empty for workspaces that only ever decode one block at a
+  /// time.
+  std::vector<BatchSlot> batch;
 };
 
 /// The decode_with / decode_batch_with driver both decoders share

@@ -11,10 +11,9 @@ SpinalEncoder::SpinalEncoder(const CodeParams& params, const util::BitVec& messa
 
 void SpinalEncoder::encode_subpass(int sp, std::vector<SymbolId>& ids_out,
                                    std::vector<std::complex<float>>& out) const {
-  for (const SymbolId& id : schedule_.subpass(sp)) {
-    ids_out.push_back(id);
-    out.push_back(symbol(id));
-  }
+  const std::size_t first = ids_out.size();
+  schedule_.subpass(sp, ids_out);
+  for (std::size_t i = first; i < ids_out.size(); ++i) out.push_back(symbol(ids_out[i]));
 }
 
 BscSpinalEncoder::BscSpinalEncoder(const CodeParams& params, const util::BitVec& message)
@@ -25,10 +24,9 @@ BscSpinalEncoder::BscSpinalEncoder(const CodeParams& params, const util::BitVec&
 
 void BscSpinalEncoder::encode_subpass(int sp, std::vector<SymbolId>& ids_out,
                                       std::vector<std::uint8_t>& out) const {
-  for (const SymbolId& id : schedule_.subpass(sp)) {
-    ids_out.push_back(id);
-    out.push_back(bit(id));
-  }
+  const std::size_t first = ids_out.size();
+  schedule_.subpass(sp, ids_out);
+  for (std::size_t i = first; i < ids_out.size(); ++i) out.push_back(bit(ids_out[i]));
 }
 
 }  // namespace spinal

@@ -48,6 +48,7 @@ LinkSender::LinkSender(const CodeParams& params,
 
 std::vector<LinkSymbol> LinkSender::next_burst() {
   std::vector<LinkSymbol> burst;
+  burst.reserve(encoders_.size() * static_cast<std::size_t>(schedule_.max_subpass_symbols()));
   const int limit = params_.max_passes * schedule_.subpasses_per_pass();
   for (int b = 0; b < block_count(); ++b) {
     if (ack_.decoded[b]) continue;
@@ -55,8 +56,9 @@ std::vector<LinkSymbol> LinkSender::next_burst() {
       gave_up_ = true;
       continue;
     }
-    for (const SymbolId& id : schedule_.subpass(next_subpass_[b]))
-      burst.push_back({b, id, encoders_[b].symbol(id)});
+    ids_.clear();
+    schedule_.subpass(next_subpass_[b], ids_);
+    for (const SymbolId& id : ids_) burst.push_back({b, id, encoders_[b].symbol(id)});
     ++next_subpass_[b];
   }
   symbols_sent_ += static_cast<long>(burst.size());

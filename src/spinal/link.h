@@ -65,6 +65,7 @@ class LinkSender {
   std::vector<SpinalEncoder> encoders_;
   std::vector<int> next_subpass_;
   PuncturingSchedule schedule_;
+  std::vector<SymbolId> ids_;  ///< one block's subpass, reused per burst
   AckBitmap ack_;
   long symbols_sent_ = 0;
   bool gave_up_ = false;

@@ -54,13 +54,10 @@ std::vector<int> PuncturingSchedule::strided_order(int ways) {
   return order;
 }
 
-std::vector<SymbolId> PuncturingSchedule::subpass(int sp) const {
+void PuncturingSchedule::subpass(int sp, std::vector<SymbolId>& out) const {
   const int pass = sp / ways_;
   const int sub = sp % ways_;
   const int residue = order_[sub];
-
-  std::vector<SymbolId> out;
-  out.reserve(static_cast<std::size_t>(spine_len_ / ways_ + 1 + tail_));
 
   for (int i = residue; i < spine_len_; i += ways_) {
     // Every spine value except the last emits one symbol per pass, so
@@ -79,18 +76,13 @@ std::vector<SymbolId> PuncturingSchedule::subpass(int sp) const {
     for (int t = 0; t < tail_; ++t)
       out.push_back({last, pass * (1 + tail_) + 1 + t});
   }
-  return out;
 }
 
 std::vector<SymbolId> PuncturingSchedule::prefix(int count) const {
   std::vector<SymbolId> out;
   out.reserve(static_cast<std::size_t>(count));
-  for (int sp = 0; static_cast<int>(out.size()) < count; ++sp) {
-    for (const SymbolId& id : subpass(sp)) {
-      out.push_back(id);
-      if (static_cast<int>(out.size()) == count) break;
-    }
-  }
+  for (int sp = 0; static_cast<int>(out.size()) < count; ++sp) subpass(sp, out);
+  out.resize(static_cast<std::size_t>(count));
   return out;
 }
 

@@ -37,11 +37,22 @@ class PuncturingSchedule {
 
   int subpasses_per_pass() const noexcept { return ways_; }
   int symbols_per_pass() const noexcept { return spine_len_ + tail_; }
+  /// A bound on the symbols of any one subpass: a sender sizes its
+  /// reused subpass buffer by it.
+  int max_subpass_symbols() const noexcept { return (spine_len_ + ways_ - 1) / ways_ + tail_; }
 
-  /// The symbols of global subpass @p sp (sp >= 0, unbounded: subpass
-  /// sp belongs to pass sp / ways). May be empty when the spine is
-  /// shorter than the stride.
-  std::vector<SymbolId> subpass(int sp) const;
+  /// Appends the symbols of global subpass @p sp (sp >= 0, unbounded:
+  /// subpass sp belongs to pass sp / ways) to @p out, caller-owned
+  /// storage a sender reuses so its steady state never allocates. May
+  /// append nothing when the spine is shorter than the stride.
+  void subpass(int sp, std::vector<SymbolId>& out) const;
+
+  /// The symbols of subpass @p sp as a fresh vector (tests, one-shot use).
+  std::vector<SymbolId> subpass(int sp) const {
+    std::vector<SymbolId> out;
+    subpass(sp, out);
+    return out;
+  }
 
   /// Flattened prefix of the schedule: the first @p count symbols in
   /// transmission order (for tests and the fixed-rate variant).

@@ -443,8 +443,9 @@ TEST(BackendKernels, AwgnExpandPruneMatchesSplitPipeline) {
 
 /// Selection inputs beyond the clustered walks: the shapes a decode
 /// level produces, plus sizes on both sides of every size threshold
-/// the select and sort pick their strategy by (24 keys: insertion
-/// finish; 512 and 2048: bucket-count caps; 4096: stack scratch). Each
+/// the select and sort pick their strategy by (24 keys, and 256 keys
+/// at keep <= 4: insertion finish; 512 and 2048: bucket-count caps;
+/// 4096: stack scratch). Each
 /// shape comes as keep points to try, in candidate order and, for the
 /// tie-heavy shapes, shuffled (the tie fix-ups must not rely on
 /// candidate order).
@@ -465,6 +466,16 @@ std::vector<SelectShape> select_shapes(util::Xoshiro256& prng) {
   // Tiny blocks: the B=2 beam selects 2 of a couple dozen.
   for (std::size_t n : {1u, 2u, 3u, 5u, 16u, 23u, 24u, 25u, 31u, 32u})
     shapes.push_back({"tiny" + std::to_string(n), uniform(n, 4.0f), {1, 2}});
+  // Small keeps (a B <= 4 beam) over blocks around the 256-key reach
+  // of the insertion select, uniform and with ties straddling the keep
+  // boundary.
+  for (std::size_t n : {25u, 64u, 255u, 256u, 257u}) {
+    shapes.push_back({"smallkeep" + std::to_string(n), uniform(n, 4.0f), {1, 2, 3, 4}});
+    std::vector<float> c(n);
+    for (auto& x : c) x = std::floor(static_cast<float>(prng.next_double()) * 3.0f);
+    for (bool shuffle : {false, true})
+      shapes.push_back({"smallkeep_ties" + std::to_string(n), c, {1, 2, 3, 4}, shuffle});
+  }
   // All-equal costs: a level with no received symbols.
   for (std::size_t n : {16u, 64u, 300u, 1024u}) {
     for (bool shuffle : {false, true})

@@ -5,6 +5,10 @@
 // scratch, so switching backends must not regress workspace reuse) —
 // and a decoder allocates its private workspace only on its first
 // decode_into(), never when it only decodes in a caller's workspace.
+// The session layer keeps the same discipline: a session's feed
+// allocates only the chunk vector next_chunk() returns (plus amortized
+// symbol-store growth), and a batched attempt on a warmed pinned
+// workspace allocates nothing.
 //
 // Global operator new/delete are replaced with counting versions in this
 // test binary only; the counter is read around the steady-state loop.
@@ -13,7 +17,9 @@
 // memory safety instead; this lane checks allocation discipline).
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include <gtest/gtest.h>
@@ -21,6 +27,10 @@
 #include "backend/backend.h"
 #include "channel/awgn.h"
 #include "channel/bsc.h"
+#include "sim/bsc_session.h"
+#include "sim/channel_sim.h"
+#include "sim/engine.h"
+#include "sim/spinal_session.h"
 #include "spinal/decoder.h"
 #include "spinal/encoder.h"
 #include "spinal/link.h"
@@ -55,10 +65,12 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined into a caller next to a new-expression, the
+// free() would trip GCC's mismatched-new-delete check.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace spinal {
 namespace {
@@ -248,6 +260,161 @@ TEST(DecoderAlloc, MoreSymbolsThenDecodeReusesCapacity) {
     const long n = allocations_during([&] { dec.decode_into(out); });
     EXPECT_EQ(n, 0) << "pass " << pass;
   }
+}
+
+/// Forwards every call to @p inner and checks the feed's allocations:
+/// once the first @p warm_chunks chunks have sized the session's
+/// buffers, next_chunk() may allocate only the vector it returns
+/// (nothing for an empty chunk); receive_chunk() allocations are
+/// tallied for the caller.
+class CountingSession final : public sim::RatelessSession {
+ public:
+  CountingSession(sim::RatelessSession& inner, int warm_chunks)
+      : inner_(inner), warm_chunks_(warm_chunks) {}
+
+  long receive_allocations = 0;
+
+  int message_bits() const override { return inner_.message_bits(); }
+  void start(const util::BitVec& message) override { inner_.start(message); }
+  std::vector<std::complex<float>> next_chunk() override {
+    std::vector<std::complex<float>> x;
+    const long n = allocations_during([&] { x = inner_.next_chunk(); });
+    if (++chunks_ > warm_chunks_) {
+      EXPECT_LE(n, x.empty() ? 0 : 1) << "next_chunk allocated beyond its chunk";
+    }
+    return x;
+  }
+  void receive_chunk(std::span<const std::complex<float>> y,
+                     std::span<const std::complex<float>> csi) override {
+    receive_allocations += allocations_during([&] { inner_.receive_chunk(y, csi); });
+  }
+  std::optional<util::BitVec> try_decode() override { return inner_.try_decode(); }
+  std::optional<util::BitVec> try_decode_with(sim::CodecWorkspace* ws,
+                                              int effort) override {
+    return inner_.try_decode_with(ws, effort);
+  }
+  int max_chunks() const override { return inner_.max_chunks(); }
+
+ private:
+  sim::RatelessSession& inner_;
+  int warm_chunks_;
+  int chunks_ = 0;
+};
+
+/// Streams messages through @p session with MessageRun, attempting in a
+/// pinned workspace at every due chunk but accepting no candidate, so
+/// every message runs the same max_passes passes. After the first pass,
+/// next_chunk allocates only its chunk. The first message may grow the
+/// decoder's per-spine stores (amortized: a few doublings per spine,
+/// never one per symbol); every later message reuses them and its
+/// receive_chunk calls allocate nothing.
+void expect_allocation_free_feed(sim::RatelessSession& session, sim::ChannelSim& channel,
+                                 const CodeParams& p, int stores_per_spine) {
+  const PuncturingSchedule sched(p);
+  CountingSession counting(session, sched.subpasses_per_pass());
+  const std::unique_ptr<sim::CodecWorkspace> ws = session.make_workspace();
+  ASSERT_NE(ws, nullptr);
+  util::Xoshiro256 prng(47);
+  for (int m = 0; m < 4; ++m) {
+    const util::BitVec message = prng.random_bits(static_cast<std::size_t>(p.n));
+    counting.receive_allocations = 0;
+    sim::MessageRun run(counting, channel, message);
+    while (run.feed_to_attempt()) run.record_attempt(std::nullopt);
+    EXPECT_EQ(run.result().chunks, session.max_chunks());
+    (void)session.try_decode_with(ws.get(), 0);
+    const long symbols = run.result().symbols;
+    if (m == 0) {
+      // A store's first allocation plus one per doubling.
+      const long growths = 1 + std::bit_width(static_cast<unsigned long>(symbols));
+      EXPECT_LE(counting.receive_allocations, stores_per_spine * p.spine_length() * growths)
+          << "receive_chunk grew its stores per symbol";
+    } else {
+      EXPECT_EQ(counting.receive_allocations, 0) << "message " << m;
+    }
+  }
+  // The schedule appends into caller storage: nothing once it is sized.
+  std::vector<SymbolId> ids;
+  ids.reserve(static_cast<std::size_t>(sched.max_subpass_symbols()));
+  const long n = allocations_during([&] {
+    for (int sp = 0; sp < 4 * sched.subpasses_per_pass(); ++sp) {
+      ids.clear();
+      sched.subpass(sp, ids);
+    }
+  });
+  EXPECT_EQ(n, 0);
+}
+
+TEST(DecoderAlloc, SessionFeedAllocatesOnlyTheReturnedChunk) {
+  SPINAL_SKIP_UNDER_ASAN();
+  // The fleet's tiny BSC sessions (n = 4 and 8, c = 1, B = 2, p = 0.02)
+  // and an AWGN session, whose quantized lanes keep two more per-spine
+  // stores (metric rows and row minima).
+  for (int n : {4, 8}) {
+    CodeParams p;
+    p.n = n;
+    p.c = 1;
+    p.B = 2;
+    p.max_passes = 8;
+    sim::BscSession s(p);
+    sim::ChannelSim ch = sim::ChannelSim::bsc(0.02, 147);
+    expect_allocation_free_feed(s, ch, p, 1);
+  }
+  CodeParams p;
+  p.n = 64;
+  p.B = 16;
+  p.max_passes = 4;
+  sim::SpinalSession s(p);
+  sim::ChannelSim ch(sim::ChannelKind::kAwgn, 10.0, 1, 148);
+  expect_allocation_free_feed(s, ch, p, 3);
+}
+
+/// Feeds @p count sessions built by @p make for two passes, then checks
+/// that a batched attempt over all of them on a warmed pinned workspace
+/// allocates nothing, under every backend.
+template <class Make>
+void expect_allocation_free_batch(const CodeParams& p, int count, Make make) {
+  std::vector<std::unique_ptr<sim::RatelessSession>> sessions;
+  std::vector<sim::ChannelSim> channels;
+  std::vector<util::BitVec> messages;
+  std::vector<sim::MessageRun> runs;
+  sessions.reserve(count);
+  channels.reserve(count);
+  messages.reserve(count);
+  runs.reserve(count);
+  util::Xoshiro256 prng(49);
+  for (int i = 0; i < count; ++i) {
+    sessions.push_back(make());
+    channels.push_back(sim::ChannelSim::bsc(0.02, 150 + i));
+    if (p.c > 1) channels.back() = sim::ChannelSim(sim::ChannelKind::kAwgn, 8.0, 1, 150 + i);
+    messages.push_back(prng.random_bits(static_cast<std::size_t>(p.n)));
+    runs.emplace_back(*sessions.back(), channels.back(), messages.back());
+    for (int c = 0; c < 2 * PuncturingSchedule(p).subpasses_per_pass(); ++c)
+      if (runs.back().feed_to_attempt()) runs.back().record_attempt(std::nullopt);
+  }
+  const std::unique_ptr<sim::CodecWorkspace> ws = sessions[0]->make_workspace();
+  std::vector<std::optional<util::BitVec>> candidates(count);
+  std::vector<sim::BatchDecodeJob> jobs;
+  for (int i = 0; i < count; ++i) jobs.push_back({sessions[i].get(), 0, &candidates[i]});
+  for_each_backend([&](const char* name) {
+    sessions[0]->try_decode_batch(ws.get(), jobs);  // warm this backend's scratch
+    const long n = allocations_during([&] { sessions[0]->try_decode_batch(ws.get(), jobs); });
+    EXPECT_EQ(n, 0) << "batched attempt allocated, backend=" << name;
+    for (const auto& c : candidates) EXPECT_TRUE(c.has_value()) << name;
+  });
+}
+
+TEST(DecoderAlloc, WarmBatchedAttemptIsAllocationFree) {
+  SPINAL_SKIP_UNDER_ASAN();
+  CodeParams p;
+  p.n = 8;
+  p.c = 1;
+  p.B = 2;
+  for (int count : {2, 5})
+    expect_allocation_free_batch(p, count, [&] { return std::make_unique<sim::BscSession>(p); });
+  CodeParams q;
+  q.n = 64;
+  q.B = 16;
+  expect_allocation_free_batch(q, 3, [&] { return std::make_unique<sim::SpinalSession>(q); });
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 namespace spinal {
 namespace {
@@ -141,6 +143,25 @@ TEST(Schedule, SymbolsPerPassMatchesParams) {
     EXPECT_EQ(count, static_cast<std::size_t>(64 + tail));
     EXPECT_EQ(s.symbols_per_pass(), 64 + tail);
   }
+}
+
+TEST(Schedule, SubpassAppendsWithinTheBound) {
+  // The buffer form appends to caller storage (the value form wraps
+  // it), and no subpass outgrows max_subpass_symbols().
+  for (int n : {4, 8, 60, 256})
+    for (int ways : {1, 2, 4, 8})
+      for (int tail : {0, 2}) {
+        const PuncturingSchedule s(params_with(n, 4, ways, tail));
+        std::vector<SymbolId> buf{{-1, -1}};
+        for (int sp = 0; sp < 2 * ways; ++sp) {
+          const auto ids = s.subpass(sp);
+          EXPECT_LE(ids.size(), static_cast<std::size_t>(s.max_subpass_symbols()));
+          buf.resize(1);
+          s.subpass(sp, buf);
+          ASSERT_EQ(buf.size(), ids.size() + 1);
+          EXPECT_TRUE(std::equal(ids.begin(), ids.end(), buf.begin() + 1));
+        }
+      }
 }
 
 TEST(Schedule, PrefixFlattensInOrder) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ldpc/ldpc_session.h"
 #include "raptor/raptor_session.h"
 #include "sim/bsc_session.h"
 #include "sim/engine.h"
@@ -186,6 +187,55 @@ TEST(Sessions, TryDecodeWithExternalWorkspaceMatchesTryDecode) {
   util::Xoshiro256 prng2(15);
   rs.start(prng2.random_bits(cfg.info_bits));
   EXPECT_FALSE(rs.try_decode_with(nullptr, 0).has_value());
+}
+
+TEST(Sessions, WorkspaceKeysAreExactValues) {
+  // Keys compare every parameter exactly: nearly equal doubles (which a
+  // six-decimal rendering would round together) get distinct keys, and
+  // each flavor, precision and LDPC parameter separates keys.
+  CodeParams p;
+  p.n = 64;
+  const auto ws_key = [](const CodeParams& q) { return SpinalSession(q).workspace_key(); };
+  EXPECT_EQ(ws_key(p), ws_key(p));
+  CodeParams q = p;
+  q.beta = 2.0000001;
+  EXPECT_NE(ws_key(p), ws_key(q));
+  q = p;
+  q.power = 1.0000001;
+  EXPECT_NE(ws_key(p), ws_key(q));
+
+  // AWGN and BSC sessions share scratch but never a batch.
+  CodeParams b = p;
+  b.c = 1;
+  const SpinalSession awgn(b);
+  const BscSession bsc(b);
+  EXPECT_EQ(awgn.workspace_key(), bsc.workspace_key());
+  EXPECT_NE(awgn.batch_key(), bsc.batch_key());
+  EXPECT_NE(awgn.batch_key(), awgn.workspace_key());
+  const WorkspaceKey link = spinal_batch_key(b, KeyCodec::kSpinalLink);
+  EXPECT_NE(link, awgn.batch_key());
+  EXPECT_NE(link, bsc.batch_key());
+
+  // Precision is keyed as resolved (SPINAL_COST_PRECISION included).
+  q = p;
+  q.cost_precision = CostPrecision::kU16;
+  EXPECT_EQ(ws_key(p) == ws_key(q),
+            resolve_cost_precision(p.cost_precision) ==
+                resolve_cost_precision(q.cost_precision));
+
+  ldpc::LdpcSessionConfig l;
+  const WorkspaceKey ldpc_key = ldpc::LdpcSession(l).workspace_key();
+  EXPECT_TRUE(ldpc_key.valid());
+  EXPECT_EQ(ldpc_key, ldpc::LdpcSession(l).workspace_key());
+  ldpc::LdpcSessionConfig l2 = l;
+  l2.rate = ldpc::Rate::kThreeQuarters;
+  EXPECT_NE(ldpc_key, ldpc::LdpcSession(l2).workspace_key());
+  l2 = l;
+  l2.matrix_seed = l.matrix_seed + 1;
+  EXPECT_NE(ldpc_key, ldpc::LdpcSession(l2).workspace_key());
+
+  EXPECT_FALSE(WorkspaceKey{}.valid());
+  EXPECT_TRUE(ws_key(p).valid());
 }
 
 TEST(Sessions, BscChunksFollowTheSchedule) {
