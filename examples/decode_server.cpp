@@ -99,79 +99,6 @@ SessionSpec make_spec(int i) {
   return spec;
 }
 
-std::string label_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Mirrors a live TelemetrySnapshot into the metrics registry — the
-/// refresh hook the PeriodicSampler runs before every slice and the
-/// final export runs once at the end.
-void mirror_telemetry(util::metrics::Registry& reg, const DecodeService& svc) {
-  const TelemetrySnapshot snap = svc.telemetry();
-  const auto set = [&](const char* name, const char* help, std::uint64_t v) {
-    reg.counter(name, help).set(static_cast<double>(v));
-  };
-  set("spinal_jobs_total", "Queue pops executed", snap.counters.jobs);
-  set("spinal_symbols_fed_total", "Channel symbols streamed",
-      snap.counters.symbols_fed);
-  set("spinal_decode_attempts_total", "Decode invocations incl. retries",
-      snap.counters.decode_attempts);
-  set("spinal_reduced_effort_attempts_total", "Attempts shrunk by load",
-      snap.counters.reduced_effort_attempts);
-  set("spinal_full_effort_retries_total", "Idle full-effort retries",
-      snap.counters.full_effort_retries);
-  set("spinal_unpinned_decodes_total", "Attempts without a pinned workspace",
-      snap.counters.unpinned_decodes);
-  set("spinal_sessions_completed_total", "Sessions decoded successfully",
-      snap.counters.sessions_completed);
-  set("spinal_sessions_failed_total", "Sessions that hit the give-up bound",
-      snap.counters.sessions_failed);
-  set("spinal_bits_decoded_total", "Message bits of successful sessions",
-      snap.counters.bits_decoded);
-  set("spinal_queue_steals_total", "Batches claimed off sibling shards",
-      snap.queue.steals);
-  set("spinal_queue_stolen_jobs_total", "Jobs inside stolen batches",
-      snap.queue.stolen_jobs);
-  set("spinal_queue_cross_shard_submits_total",
-      "Pushes landing off the pusher's shard", snap.queue.cross_shard_submits);
-
-  reg.gauge("spinal_queue_depth", "Total queued jobs")
-      .set(static_cast<double>(svc.queue_depth()));
-  reg.gauge("spinal_workers_pinned", "Workers with a successful core pin")
-      .set(snap.workers_pinned);
-  for (std::size_t s = 0; s < snap.queue.shard_depths.size(); ++s)
-    reg.gauge("spinal_shard_depth", "Per-shard queue depth",
-              "shard=\"" + std::to_string(s) + "\"")
-        .set(static_cast<double>(snap.queue.shard_depths[s]));
-
-  reg.histogram("spinal_decode_latency_us", "Per-attempt decode latency")
-      .assign(snap.decode_latency_us);
-  reg.histogram("spinal_stage_queue_wait_us", "Stage: enqueue to claim")
-      .assign(snap.stages.queue_wait_us);
-  reg.histogram("spinal_stage_batch_assembly_us",
-                "Stage: claim to decode dispatch")
-      .assign(snap.stages.batch_assembly_us);
-  reg.histogram("spinal_stage_decode_service_us", "Stage: fused decode span")
-      .assign(snap.stages.decode_service_us);
-  for (const TagTelemetry& t : snap.tags) {
-    const std::string label = "tag=\"" + label_escape(t.label) + "\"";
-    reg.counter("spinal_tag_jobs_total", "Jobs claimed under this tag", label)
-        .set(static_cast<double>(t.jobs));
-    reg.counter("spinal_tag_attempts_total", "Attempts under this tag", label)
-        .set(static_cast<double>(t.attempts));
-    reg.histogram("spinal_tag_queue_wait_us", "Per-tag queue wait", label)
-        .assign(t.queue_wait_us);
-    reg.histogram("spinal_tag_decode_service_us", "Per-tag decode service",
-                  label)
-        .assign(t.decode_service_us);
-  }
-}
-
 void print_summary(const DecodeService& service,
                    const std::vector<SessionReport>& reports, double wall) {
   // Per-profile outcome table (reports may cover fewer sessions than
@@ -223,9 +150,9 @@ void print_summary(const DecodeService& service,
   stage("decode-service", snap.stages.decode_service_us);
   for (const TagTelemetry& t : snap.tags)
     std::printf("  tag %-32s %8llu jobs %8llu attempts  service p95 %8.1f us\n",
-                t.label.c_str(), static_cast<unsigned long long>(t.jobs),
-                static_cast<unsigned long long>(t.attempts),
-                t.decode_service_us.quantile(0.95));
+                t.label.c_str(), static_cast<unsigned long long>(t.counters.jobs),
+                static_cast<unsigned long long>(t.counters.decode_attempts),
+                t.decode_latency_us.quantile(0.95));
   std::printf("adaptive effort: %llu reduced attempts, %llu full-effort idle "
               "retries, %llu unpinned decodes, peak in-flight %d\n",
               static_cast<unsigned long long>(snap.counters.reduced_effort_attempts),
@@ -304,7 +231,7 @@ int main(int argc, char** argv) {
   if (metrics_interval_ms > 0)
     sampler = std::make_unique<util::metrics::PeriodicSampler>(
         registry, std::chrono::milliseconds(metrics_interval_ms),
-        [&] { mirror_telemetry(registry, service); });
+        [&] { export_metrics(service.telemetry(), registry); });
 
   std::signal(SIGINT, on_sigint);
   const auto t0 = std::chrono::steady_clock::now();
@@ -333,7 +260,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!metrics_out.empty()) {
-    mirror_telemetry(registry, service);  // final values, post-drain
+    export_metrics(service.telemetry(), registry);  // final values, post-drain
     std::ofstream f(metrics_out);
     if (f) {
       f << "{\"metrics\": " << registry.json() << ", \"slices\": "

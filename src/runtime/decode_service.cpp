@@ -100,7 +100,7 @@ struct DecodeService::SessionKind {
   }
 
   void finish(const QueueJob& j, std::exception_ptr err) {
-    svc.retire(&scope, *j.slot, err);
+    svc.retire(&rec, *j.slot, err);
     retired.push_back(j.slot);
   }
 
@@ -110,7 +110,7 @@ struct DecodeService::SessionKind {
   }
 
   DecodeService& svc;
-  WorkerScope& scope;
+  StageRecorder& rec;
   std::vector<Slot*>& retired;  ///< the worker's scratch, empty between steps
 };
 
@@ -242,35 +242,27 @@ void DecodeService::worker_loop(Worker& w) {
     // per job. claim_ns then anchors the batch-assembly stage.
     const std::uint64_t claim_ns = now_ns();
     const QueueJob& head = batch.front();
-    const double wait_us =
-        static_cast<double>(claim_ns - head.enqueue_ns) / 1000.0;
-    w.telemetry.record_queue_wait(wait_us, batch.size());
-    tag_stats_.lane(head.tag).record_queue_wait(wait_us, batch.size());
-    if (w.trace) {
-      // The claim span doubles as the worker's idle/occupancy signal:
-      // it covers everything since the last job finished, including the
-      // blocking wait inside pop_batch.
+    // A multi-entry claim is same-tag by construction, so one lane
+    // takes every record of the claim.
+    StageRecorder rec{tag_stats_.lane(head.tag), w.trace};
+    // The claim span doubles as the worker's idle/occupancy signal: it
+    // covers everything since the last job finished, including the
+    // blocking wait inside pop_batch.
+    if (w.trace)
       w.trace->record(TraceKind::kClaim, idle_since, claim_ns, batch.size(),
                       cinfo.shard);
-      w.trace->record(TraceKind::kQueueWait, head.enqueue_ns, claim_ns,
-                      batch.size(),
-                      static_cast<std::uint64_t>(
-                          head.tag < 0 ? 0 : static_cast<std::uint32_t>(head.tag)));
-      if (cinfo.stolen)
-        w.trace->instant(TraceKind::kSteal, claim_ns, batch.size(),
-                         cinfo.shard);
-    }
-    w.telemetry.record_jobs(batch.size());
-    // A multi-entry claim is same-tag by construction, and blocks batch
-    // under keys no session reports (the mux's "spinal.link" codec), so
-    // every claim holds one kind of unit; tasks are untagged and never
-    // share a claim.
+    rec.queue_wait(head.enqueue_ns, claim_ns, batch.size(), head.tag);
+    if (w.trace && cinfo.stolen)
+      w.trace->instant(TraceKind::kSteal, claim_ns, batch.size(), cinfo.shard);
+    // Blocks batch under keys no session reports (the mux's
+    // "spinal.link" codec), so every claim holds one kind of unit; tasks
+    // are untagged and never share a claim.
     if (head.slot) {
-      SessionKind kind{*this, scope, w.retired};
-      step(kind, scope, batch, claim_ns);
+      SessionKind kind{*this, rec, w.retired};
+      step(kind, scope, rec, batch, claim_ns);
     } else if (head.block) {
       BlockKind kind{*this};
-      step(kind, scope, batch, claim_ns);
+      step(kind, scope, rec, batch, claim_ns);
     } else {
       for (QueueJob& j : batch) j.task(scope);
       if (w.trace)
@@ -412,18 +404,17 @@ DecodeService::Slot& DecodeService::acquire_slot() {
 }
 
 template <class Kind>
-void DecodeService::step(Kind& kind, WorkerScope& scope,
+void DecodeService::step(Kind& kind, WorkerScope& scope, StageRecorder& rec,
                          const std::vector<QueueJob>& claim,
                          std::uint64_t claim_ns) {
   Worker& w = *scope.w_;
-  TraceBuffer* const tb = w.trace;
   std::vector<const QueueJob*>& live = w.live;
   live.clear();
 
   // Phase 1 — stream each unit to its attempt point individually (feeds
   // are per-unit work; only the decode attempt batches). The accounting
-  // batches too: one feed-telemetry record and one deferred release
-  // cover the whole claim.
+  // batches too: the batch-assembly record counts the claim's symbols,
+  // and one deferred release covers the whole claim.
   long fed = 0;
   for (const QueueJob& j : claim) {
     try {
@@ -435,8 +426,7 @@ void DecodeService::step(Kind& kind, WorkerScope& scope,
       kind.finish(j, std::current_exception());
     }
   }
-  if (fed > 0) scope.telemetry().record_feed(fed);
-  if (live.empty()) {
+  if (live.empty()) {  // fed == 0: only live units count their feed
     kind.release();
     return;
   }
@@ -460,9 +450,7 @@ void DecodeService::step(Kind& kind, WorkerScope& scope,
     w.decode_jobs.push_back({&kind.target(*live[i]), effort, &w.candidates[i]});
   // One clock read ends batch-assembly and starts the fused decode.
   const std::uint64_t d0 = now_ns();
-  scope.telemetry().record_batch_assembly(
-      static_cast<double>(d0 - claim_ns) / 1000.0);
-  if (tb) tb->record(TraceKind::kFeed, claim_ns, d0, n);
+  rec.batch_assembly(claim_ns, d0, n, static_cast<std::uint64_t>(fed));
   try {
     lead.try_decode_batch(ws, w.decode_jobs);
   } catch (...) {
@@ -476,16 +464,7 @@ void DecodeService::step(Kind& kind, WorkerScope& scope,
   }
   const std::uint64_t d1 = now_ns();
   const double per =
-      (static_cast<double>(d1 - d0) / 1000.0) / static_cast<double>(n);
-  scope.telemetry().record_attempts(n, per, reduced, ws == nullptr);
-  // The stage view keeps the fused span whole (one service event per
-  // claim); the per-attempt split stays in decode_latency_us and the
-  // per-tag lane, whose counts track attempts.
-  scope.telemetry().record_decode_service(static_cast<double>(d1 - d0) /
-                                          1000.0);
-  tag_stats_.lane(tag).record_attempts(n, per);
-  if (tb)
-    tb->record(TraceKind::kDecode, d0, d1, n, static_cast<std::uint64_t>(effort));
+      rec.decode(d0, d1, n, effort, reduced, false, ws == nullptr);
 
   // Phase 3 — per-unit accounting and continuation (latency attributed
   // evenly across the claim). The units that go on are collected and
@@ -506,12 +485,8 @@ void DecodeService::step(Kind& kind, WorkerScope& scope,
         const std::uint64_t r0 = now_ns();
         const std::optional<util::BitVec> cand =
             kind.target(j).try_decode_with(ws, 0);
-        const std::uint64_t r1 = now_ns();
-        const double us = static_cast<double>(r1 - r0) / 1000.0;
-        scope.telemetry().record_attempt(us, false, true, ws == nullptr);
-        scope.telemetry().record_decode_service(us);
-        tag_stats_.lane(tag).record_attempts(1, us);
-        if (tb) tb->record(TraceKind::kDecode, r0, r1, 1, 0);
+        const double us =
+            rec.decode(r0, now_ns(), 1, 0, false, true, ws == nullptr);
         finished = kind.record(j, cand, us, false, true);
       }
       if (!kind.keep(j, finished)) continue;
@@ -534,7 +509,8 @@ void DecodeService::step(Kind& kind, WorkerScope& scope,
     const std::uint64_t p0 = now_ns();
     for (QueueJob& job : w.repost) job.enqueue_ns = p0;
     if (queue_.push_many(w.repost, tag, w.index)) {
-      if (tb) tb->record(TraceKind::kRepost, p0, now_ns(), w.repost.size());
+      if (rec.tb)
+        rec.tb->record(TraceKind::kRepost, p0, now_ns(), w.repost.size());
     } else {
       // Closed queue: see the refused-admission path in admit().
       const std::exception_ptr err = queue_closed_error();
@@ -544,7 +520,7 @@ void DecodeService::step(Kind& kind, WorkerScope& scope,
   kind.release();
 }
 
-void DecodeService::retire(WorkerScope* scope, Slot& slot,
+void DecodeService::retire(StageRecorder* rec, Slot& slot,
                            std::exception_ptr err) {
   std::optional<SessionState>& st = slot.state;
   if (err) note_error(err);
@@ -552,15 +528,17 @@ void DecodeService::retire(WorkerScope* scope, Slot& slot,
   r.run = st->run.result();
   if (err) r.run.success = false;
   r.message_bits = st->session->message_bits();
-  if (scope) {
+  if (rec) {
     // Symbols streamed after the last attempt (the give-up tail) have
     // not hit the feed counter yet.
-    scope->telemetry().record_feed(r.run.symbols - st->symbols_seen);
-    scope->telemetry().record_session_done(r.run.success, r.message_bits);
+    rec->session_done(
+        static_cast<std::uint64_t>(r.run.symbols - st->symbols_seen),
+        r.run.success, r.message_bits);
     // The instant lands before the slot's release, which can wake
     // drain() — after which the caller may export the trace.
-    if (TraceBuffer* tb = scope->w_->trace)
-      tb->instant(TraceKind::kComplete, now_ns(), st->id, r.run.success ? 1 : 0);
+    if (rec->tb)
+      rec->tb->instant(TraceKind::kComplete, now_ns(), st->id,
+                       r.run.success ? 1 : 0);
   }
   // Release everything the session held (spec, decoder symbol stores,
   // channel RNGs) now rather than at drain: only the report outlives
@@ -626,8 +604,7 @@ std::vector<SessionReport> DecodeService::drain() {
 
 TelemetrySnapshot DecodeService::telemetry() const {
   TelemetrySnapshot snap;
-  for (const auto& w : workers_) w->telemetry.merge_into(snap);
-  tag_stats_.snapshot_into(snap.tags);
+  tag_stats_.snapshot_into(snap);
   const ShardedQueueStats qs = queue_.stats();
   snap.queue.steals = qs.steals;
   snap.queue.stolen_jobs = qs.stolen_jobs;

@@ -173,9 +173,9 @@ class DecodeService {
   /// completion drain. Callable repeatedly; the service stays usable.
   std::vector<SessionReport> drain();
 
-  /// Merged per-worker counters, decode-latency histogram, stage
-  /// decomposition and per-tag breakdown. Callable concurrently with
-  /// running work (lock-free recording; relaxed reads, exact once
+  /// Counters, decode-latency histogram and stage decomposition per
+  /// batch tag, with their merge as the totals. Callable concurrently
+  /// with running work (lock-free recording; relaxed reads, exact once
   /// quiesced).
   TelemetrySnapshot telemetry() const;
 
@@ -221,7 +221,6 @@ class DecodeService {
   struct Worker {
     int index = 0;  ///< dense worker id: queue consumer id + pin slot
     std::map<WorkspaceKey, std::unique_ptr<sim::CodecWorkspace>> pinned;
-    WorkerTelemetry telemetry;
     TraceBuffer* trace = nullptr;  ///< the worker's trace timeline (or null)
     std::thread thread;
     // Step scratch, reused across claims so a step allocates nothing
@@ -241,11 +240,11 @@ class DecodeService {
   /// sessions or all blocks, as @p kind says: feeds each to its attempt
   /// point, runs one fused decode attempt over the live ones, records
   /// each outcome and reposts the unfinished as one queue transaction.
-  /// @p claim_ns: now_ns() when the claim landed (start of the
-  /// batch-assembly stage).
+  /// @p rec: the claim's stage recorder. @p claim_ns: now_ns() when the
+  /// claim landed (start of the batch-assembly stage).
   template <class Kind>
-  void step(Kind& kind, WorkerScope& scope, const std::vector<QueueJob>& claim,
-            std::uint64_t claim_ns);
+  void step(Kind& kind, WorkerScope& scope, StageRecorder& rec,
+            const std::vector<QueueJob>& claim, std::uint64_t claim_ns);
   /// Admits @p spec into a free slot under an admission reservation
   /// already taken (@p reserved: the post-reservation in-flight count)
   /// and enqueues its first job; returns the session id.
@@ -255,13 +254,14 @@ class DecodeService {
   /// max_in_flight_.
   Slot& acquire_slot();
   /// Ends the run in @p slot: writes its final report, records the
-  /// completion (telemetry and trace, when @p scope is a worker's) and
-  /// destroys the session state — the moment the session is done. A
-  /// non-null @p err becomes the drain() error and marks the report
-  /// failed explicitly (a throwing step may have left the MessageRun
-  /// mid-feed, so its success flag is not re-derived from the torn run).
+  /// completion (into @p rec's lane and trace, when a worker's claim
+  /// retires it) and destroys the session state — the moment the
+  /// session is done. A non-null @p err becomes the drain() error and
+  /// marks the report failed explicitly (a throwing step may have left
+  /// the MessageRun mid-feed, so its success flag is not re-derived
+  /// from the torn run).
   /// The slot itself is recycled by a later release_slots().
-  void retire(WorkerScope* scope, Slot& slot,
+  void retire(StageRecorder* rec, Slot& slot,
               std::exception_ptr err = nullptr);
   /// Returns retired slots to the free list, then releases their
   /// admission reservations and counts them completed (in that order,
@@ -368,7 +368,6 @@ class DecodeService::WorkerScope {
   bool idle() const {
     return svc_->queue_.depth() <= svc_->opt_.adapt.idle_depth;
   }
-  WorkerTelemetry& telemetry() { return w_->telemetry; }
 
  private:
   friend class DecodeService;

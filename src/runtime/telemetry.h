@@ -1,17 +1,22 @@
 #pragma once
 // Runtime telemetry: throughput counters, decode-latency histograms and
 // a stage-level latency decomposition (queue-wait / batch-assembly /
-// decode-service, overall and per interned batch tag), all with
-// p50/p95/p99 via util::LatencyHistogram's fixed log-spaced bins.
+// decode-service), all with p50/p95/p99 via util::LatencyHistogram's
+// fixed log-spaced bins.
 //
-// Each worker records into its own WorkerTelemetry; per-tag stats live
-// in a shared TagStatsRegistry whose lanes are published once at intern
-// time. Every record path is lock-free — plain relaxed atomics and
-// util::AtomicLatencyHistogram — so a live snapshot (merge_into /
-// snapshot_into) is race-free under TSan without a single hot-path
-// mutex. Snapshots merge the per-worker histograms, which the fixed bin
-// layout makes a plain elementwise add; counters read relaxed, so a
-// live snapshot is a consistent-enough view (exact once quiesced).
+// One store: every value lives in the TagStats lane of the interned
+// batch tag whose claim produced it (a claim is single-tag by
+// construction). The snapshot's totals are the merge of the lanes, so
+// the per-tag breakdown partitions them exactly. Lanes are published
+// once at intern time and recorded into lock-free — relaxed atomics and
+// util::AtomicLatencyHistogram — by whichever worker serves the tag, so
+// a live snapshot is race-free under TSan without a hot-path mutex
+// (a consistent-enough view, exact once quiesced).
+//
+// One recording point per stage: StageRecorder takes a stage's clock
+// pair and updates the stage's histogram, its counters and its trace
+// span in one call; with SPINAL_RUNTIME_TRACE=0 the span write compiles
+// away and only the histogram and counter updates remain.
 
 #include <array>
 #include <atomic>
@@ -21,24 +26,38 @@
 #include <string>
 #include <vector>
 
+#include "runtime/trace.h"
 #include "util/stats.h"
+
+namespace spinal::util::metrics {
+class Registry;
+}  // namespace spinal::util::metrics
 
 namespace spinal::runtime {
 
+/// The counter table: (field, help) per row. Generates the fields of
+/// Counters, the lane's atomic storage, the merge, the relaxed snapshot
+/// load and the exported spinal_<field>_total family.
+///
+/// unpinned_decodes counts attempts that ran without a worker-pinned
+/// workspace (the session reports no WorkspaceKey — Raptor/Strider
+/// allocate inside the decode), so the pinning gap per codec stays
+/// measurable until each codec pins its scratch.
+#define SPINAL_RUNTIME_COUNTERS(X)                                   \
+  X(jobs, "Queue pops executed")                                     \
+  X(symbols_fed, "Channel symbols streamed")                         \
+  X(decode_attempts, "Decode invocations incl. retries")             \
+  X(reduced_effort_attempts, "Attempts shrunk by load")              \
+  X(full_effort_retries, "Idle full-effort retries")                 \
+  X(unpinned_decodes, "Attempts without a pinned workspace")         \
+  X(sessions_completed, "Sessions decoded successfully")             \
+  X(sessions_failed, "Sessions that hit the give-up bound")          \
+  X(bits_decoded, "Message bits of successful sessions")
+
 struct Counters {
-  std::uint64_t jobs = 0;                     ///< queue pops executed
-  std::uint64_t symbols_fed = 0;              ///< channel symbols streamed
-  std::uint64_t decode_attempts = 0;          ///< decode invocations (incl. retries)
-  std::uint64_t reduced_effort_attempts = 0;  ///< attempts shrunk by load
-  std::uint64_t full_effort_retries = 0;      ///< idle retries of failed shrunk attempts
-  /// Attempts that ran without a worker-pinned workspace (the session
-  /// reports no WorkspaceKey — Raptor/Strider allocate inside the
-  /// decode). Visible in snapshots so the pinning gap per codec is
-  /// measurable until each codec pins its scratch.
-  std::uint64_t unpinned_decodes = 0;
-  std::uint64_t sessions_completed = 0;  ///< decoded successfully
-  std::uint64_t sessions_failed = 0;     ///< hit the give-up bound
-  std::uint64_t bits_decoded = 0;        ///< message bits of successful sessions
+#define SPINAL_COUNTER_FIELD(name, help) std::uint64_t name = 0;
+  SPINAL_RUNTIME_COUNTERS(SPINAL_COUNTER_FIELD)
+#undef SPINAL_COUNTER_FIELD
 
   void merge(const Counters& o) noexcept;
 };
@@ -51,26 +70,29 @@ struct Counters {
 ///                  without paying a clock read per enqueue.
 ///   batch_assembly claim -> decode dispatch: regrouping the claim,
 ///                  per-session symbol feeds, workspace resolve. One
-///                  record per claim.
+///                  record per claim that reaches a decode.
 ///   decode_service the decode attempt itself. One record per (fused)
 ///                  attempt span — the per-attempt view stays in
-///                  TelemetrySnapshot::decode_latency_us.
+///                  decode_latency_us.
 struct StageTelemetry {
   util::LatencyHistogram queue_wait_us;
   util::LatencyHistogram batch_assembly_us;
   util::LatencyHistogram decode_service_us;
-
-  void merge(const StageTelemetry& o) noexcept;
 };
 
-/// Stage latencies broken down by one interned batch tag (one
-/// WorkspaceKey, i.e. one codec + parameter set).
-struct TagTelemetry {
-  std::string label;           ///< "codec/params" (or "untagged"/"overflow")
-  std::uint64_t jobs = 0;      ///< jobs claimed under this tag
-  std::uint64_t attempts = 0;  ///< decode attempts attributed to it
-  util::LatencyHistogram queue_wait_us;      ///< per-job (batch-attributed)
-  util::LatencyHistogram decode_service_us;  ///< per-attempt (batch split evenly)
+/// What one tag lane holds — and, merged over every lane, the totals.
+struct LaneTelemetry {
+  Counters counters;
+  util::LatencyHistogram decode_latency_us;  ///< per-attempt decode latency
+  StageTelemetry stages;                     ///< stage decomposition
+
+  void merge(const LaneTelemetry& o) noexcept;
+};
+
+/// One interned batch tag's lane (one WorkspaceKey, i.e. one codec +
+/// parameter set).
+struct TagTelemetry : LaneTelemetry {
+  std::string label;  ///< "codec/params" (or "untagged"/"overflow")
 };
 
 /// Sharded-queue view: where jobs sit and how they moved between
@@ -85,86 +107,93 @@ struct QueueTelemetry {
                                           ///< submits + off-home worker pushes)
 };
 
-/// Aggregate view across workers.
-struct TelemetrySnapshot {
-  Counters counters;
-  util::LatencyHistogram decode_latency_us;  ///< per-attempt decode latency
-  StageTelemetry stages;                     ///< stage decomposition, all tags
-  std::vector<TagTelemetry> tags;            ///< per-batch-tag breakdown
-  QueueTelemetry queue;                      ///< sharded job-queue state
+/// The service-wide view: the lanes' merge plus the per-lane breakdown.
+struct TelemetrySnapshot : LaneTelemetry {
+  std::vector<TagTelemetry> tags;  ///< per-batch-tag breakdown
+  QueueTelemetry queue;            ///< sharded job-queue state
   int workers_pinned = 0;  ///< workers whose core-affinity pin succeeded
 };
 
-/// One per worker; all-atomic so the owning worker records lock-free
-/// and a live snapshot reads race-free (relaxed loads — counts may be
-/// an instruction apart, exact once quiesced).
-class WorkerTelemetry {
- public:
-  void record_job() noexcept { record_jobs(1); }
-  /// @p n jobs popped as one batch.
-  void record_jobs(std::uint64_t n) noexcept {
-    c_.jobs.fetch_add(n, std::memory_order_relaxed);
-  }
-  void record_feed(long symbols) noexcept {
-    c_.symbols_fed.fetch_add(static_cast<std::uint64_t>(symbols),
-                             std::memory_order_relaxed);
-  }
-  void record_attempt(double micros, bool reduced_effort, bool full_retry,
-                      bool unpinned = false) noexcept;
-  /// @p n batched attempts sharing one latency attribution (the fused
-  /// decode's wall time split evenly): one histogram update.
-  void record_attempts(std::uint64_t n, double micros, bool reduced_effort,
-                       bool unpinned) noexcept;
-  void record_session_done(bool success, int message_bits) noexcept;
-
-  /// Stage decomposition (see StageTelemetry for attribution rules).
-  void record_queue_wait(double micros, std::uint64_t jobs) noexcept {
-    queue_wait_us_.add_n(micros, jobs);
-  }
-  void record_batch_assembly(double micros) noexcept {
-    batch_assembly_us_.add(micros);
-  }
-  void record_decode_service(double micros) noexcept {
-    decode_service_us_.add(micros);
-  }
-
-  void merge_into(TelemetrySnapshot& out) const;
-
- private:
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> jobs{0};
-    std::atomic<std::uint64_t> symbols_fed{0};
-    std::atomic<std::uint64_t> decode_attempts{0};
-    std::atomic<std::uint64_t> reduced_effort_attempts{0};
-    std::atomic<std::uint64_t> full_effort_retries{0};
-    std::atomic<std::uint64_t> unpinned_decodes{0};
-    std::atomic<std::uint64_t> sessions_completed{0};
-    std::atomic<std::uint64_t> sessions_failed{0};
-    std::atomic<std::uint64_t> bits_decoded{0};
-  };
-
-  AtomicCounters c_;
-  util::AtomicLatencyHistogram latency_us_;
-  util::AtomicLatencyHistogram queue_wait_us_;
-  util::AtomicLatencyHistogram batch_assembly_us_;
-  util::AtomicLatencyHistogram decode_service_us_;
-};
-
-/// Per-tag stage stats lane; recorded into by whichever worker serves
-/// the tag's jobs (multi-writer, hence fully atomic).
+/// Per-tag store; recorded into by whichever worker serves the tag's
+/// jobs (multi-writer, hence fully atomic).
 struct TagStats {
-  std::atomic<std::uint64_t> jobs{0};
-  std::atomic<std::uint64_t> attempts{0};
+#define SPINAL_COUNTER_ATOMIC(name, help) std::atomic<std::uint64_t> name{0};
+  SPINAL_RUNTIME_COUNTERS(SPINAL_COUNTER_ATOMIC)
+#undef SPINAL_COUNTER_ATOMIC
+  util::AtomicLatencyHistogram decode_latency_us;
   util::AtomicLatencyHistogram queue_wait_us;
+  util::AtomicLatencyHistogram batch_assembly_us;
   util::AtomicLatencyHistogram decode_service_us;
 
-  void record_queue_wait(double micros, std::uint64_t n) noexcept {
-    jobs.fetch_add(n, std::memory_order_relaxed);
-    queue_wait_us.add_n(micros, n);
+  /// Relaxed loads of every field.
+  LaneTelemetry load() const;
+};
+
+/// The one recording point per runtime stage for one claim: its tag's
+/// lane (resolved once per claim) and the worker's trace timeline (null
+/// when not tracing). Each stage call takes the stage's clock pair.
+struct StageRecorder {
+  TagStats& lane;
+  TraceBuffer* tb;
+
+  /// enqueue -> claim of @p jobs claimed together (head-attributed).
+  void queue_wait(std::uint64_t enqueue_ns, std::uint64_t claim_ns,
+                  std::uint64_t jobs, std::int32_t tag) noexcept {
+    add(lane.jobs, jobs);
+    lane.queue_wait_us.add_n(us(enqueue_ns, claim_ns), jobs);
+    if (tb)
+      tb->record(TraceKind::kQueueWait, enqueue_ns, claim_ns, jobs,
+                 tag < 0 ? 0 : static_cast<std::uint32_t>(tag));
   }
-  void record_attempts(std::uint64_t n, double micros) noexcept {
-    attempts.fetch_add(n, std::memory_order_relaxed);
-    decode_service_us.add_n(micros, n);
+
+  /// claim -> decode dispatch of @p units, which streamed @p symbols.
+  void batch_assembly(std::uint64_t claim_ns, std::uint64_t d0,
+                      std::uint64_t units, std::uint64_t symbols) noexcept {
+    add(lane.symbols_fed, symbols);
+    lane.batch_assembly_us.add(us(claim_ns, d0));
+    if (tb) tb->record(TraceKind::kFeed, claim_ns, d0, units);
+  }
+
+  /// One (fused) decode span over @p n attempts: the stage keeps the
+  /// span whole (one decode-service record), decode_latency_us splits
+  /// its wall time evenly over the attempts. Returns that per-attempt
+  /// share (us).
+  double decode(std::uint64_t d0, std::uint64_t d1, std::uint64_t n,
+                int effort, bool reduced, bool full_retry,
+                bool unpinned) noexcept {
+    const double span = us(d0, d1);
+    const double per = span / static_cast<double>(n);
+    add(lane.decode_attempts, n);
+    if (reduced) add(lane.reduced_effort_attempts, n);
+    if (full_retry) add(lane.full_effort_retries, n);
+    if (unpinned) add(lane.unpinned_decodes, n);
+    lane.decode_latency_us.add_n(per, n);
+    lane.decode_service_us.add(span);
+    if (tb)
+      tb->record(TraceKind::kDecode, d0, d1, n,
+                 static_cast<std::uint64_t>(effort));
+    return per;
+  }
+
+  /// A session's end: the symbols streamed since its last attempt (the
+  /// give-up tail) and its outcome.
+  void session_done(std::uint64_t tail_symbols, bool success,
+                    int message_bits) noexcept {
+    add(lane.symbols_fed, tail_symbols);
+    if (success) {
+      add(lane.sessions_completed, 1);
+      add(lane.bits_decoded, static_cast<std::uint64_t>(message_bits));
+    } else {
+      add(lane.sessions_failed, 1);
+    }
+  }
+
+ private:
+  static double us(std::uint64_t t0, std::uint64_t t1) noexcept {
+    return static_cast<double>(t1 - t0) / 1000.0;
+  }
+  static void add(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
+    if (n) c.fetch_add(n, std::memory_order_relaxed);
   }
 };
 
@@ -191,21 +220,31 @@ class TagStatsRegistry {
     return s ? *s : overflow_;
   }
 
-  /// Appends a TagTelemetry per active lane (jobs or attempts > 0).
-  void snapshot_into(std::vector<TagTelemetry>& out) const;
+  /// Merges every lane into @p out's totals and appends a TagTelemetry
+  /// per active lane (one that claimed jobs).
+  void snapshot_into(TelemetrySnapshot& out) const;
 
  private:
   struct Entry {
     std::string label;
     TagStats stats;
   };
-  static void append_lane(std::vector<TagTelemetry>& out,
-                          const std::string& label, const TagStats& s);
+  static void append_lane(TelemetrySnapshot& out, const std::string& label,
+                          const TagStats& s);
 
   std::array<std::atomic<TagStats*>, kMaxTracked> lanes_{};
   TagStats untagged_, overflow_;
   mutable std::mutex m_;  ///< guards owned_ (registration + snapshot only)
   std::vector<std::unique_ptr<Entry>> owned_;
 };
+
+/// Writes @p snap into @p reg as the spinal_* families: one
+/// spinal_<counter>_total per counter-table row, the queue counters and
+/// gauges, the decode-latency and stage summaries, and per-tag jobs,
+/// attempts, queue-wait and per-attempt decode latency. Get-or-create
+/// throughout, so a PeriodicSampler's refresh hook can call it on every
+/// tick.
+void export_metrics(const TelemetrySnapshot& snap,
+                    util::metrics::Registry& reg);
 
 }  // namespace spinal::runtime

@@ -1,5 +1,7 @@
 #include "util/metrics.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -30,10 +32,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// The shortest text that reads back as exactly @p v; integer values
+/// (counters, counts) print every digit rather than an exponent.
 std::string fmt(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
+  const bool integer = v == std::trunc(v) && std::fabs(v) < 1e17;
+  const std::to_chars_result r =
+      integer ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed)
+              : std::to_chars(buf, buf + sizeof buf, v);
+  return {buf, r.ptr};
 }
 
 std::string qualified(const std::string& name, const std::string& labels) {

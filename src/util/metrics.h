@@ -3,12 +3,14 @@
 // counter / gauge / histogram handles registered once, updated from hot
 // or refresh paths, and exposed as Prometheus text or JSON. The
 // registry is the seam between "the runtime measured something"
-// (runtime/telemetry.h) and "an operator can scrape it": the decode
-// server mirrors each TelemetrySnapshot into handles here and a
-// PeriodicSampler turns the stream into time-sliced snapshots (per-
-// interval counter deltas), so overload transients — the adaptive-
+// (runtime/telemetry.h) and "an operator can scrape it":
+// runtime::export_metrics writes a TelemetrySnapshot into handles here
+// (any service can call it; the decode server passes it to its sampler)
+// and a PeriodicSampler turns the stream into time-sliced snapshots
+// (per-interval counter deltas), so overload transients — the adaptive-
 // effort valve kicking in, a shard backing up — are visible instead of
-// averaged away over a whole run.
+// averaged away over a whole run. Values print as the shortest text
+// that reads back exactly, so counters keep every digit.
 //
 // Concurrency: handle updates are lock-free (atomics; histograms record
 // through util::AtomicLatencyHistogram). Registration and exposition

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -33,6 +34,7 @@
 #include "spinal/link.h"
 #include "strider/strider_session.h"
 #include "turbo/turbo_session.h"
+#include "util/metrics.h"
 #include "util/prng.h"
 
 namespace spinal::runtime {
@@ -121,6 +123,31 @@ SessionSpec make_spec(int i) {
     }
   }
   return spec;
+}
+
+/// The tag lanes are the only telemetry store: every counter of the
+/// table and every histogram's count in the totals is the sum over
+/// snap.tags.
+void expect_lanes_partition_totals(const TelemetrySnapshot& snap) {
+  Counters sum;
+  std::uint64_t latency = 0, queue_wait = 0, assembly = 0, service = 0;
+  for (const TagTelemetry& t : snap.tags) {
+#define SPINAL_TEST_SUM(name, help) sum.name += t.counters.name;
+    SPINAL_RUNTIME_COUNTERS(SPINAL_TEST_SUM)
+#undef SPINAL_TEST_SUM
+    latency += t.decode_latency_us.count();
+    queue_wait += t.stages.queue_wait_us.count();
+    assembly += t.stages.batch_assembly_us.count();
+    service += t.stages.decode_service_us.count();
+  }
+#define SPINAL_TEST_EQ(name, help) \
+  EXPECT_EQ(sum.name, snap.counters.name) << #name;
+  SPINAL_RUNTIME_COUNTERS(SPINAL_TEST_EQ)
+#undef SPINAL_TEST_EQ
+  EXPECT_EQ(latency, snap.decode_latency_us.count());
+  EXPECT_EQ(queue_wait, snap.stages.queue_wait_us.count());
+  EXPECT_EQ(assembly, snap.stages.batch_assembly_us.count());
+  EXPECT_EQ(service, snap.stages.decode_service_us.count());
 }
 
 // -------------------------------------------------- deterministic mode
@@ -653,15 +680,97 @@ TEST(Runtime, PerTagTelemetryBreaksDownByCodec) {
   bool saw_bsc = false;
   for (const TagTelemetry& tag : snap.tags) {
     EXPECT_FALSE(tag.label.empty());
-    EXPECT_EQ(tag.queue_wait_us.count(), tag.jobs);
-    EXPECT_EQ(tag.decode_service_us.count(), tag.attempts);
-    jobs += tag.jobs;
-    attempts += tag.attempts;
+    EXPECT_EQ(tag.stages.queue_wait_us.count(), tag.counters.jobs);
+    EXPECT_EQ(tag.decode_latency_us.count(), tag.counters.decode_attempts);
+    jobs += tag.counters.jobs;
+    attempts += tag.counters.decode_attempts;
     if (tag.label.find("bsc") != std::string::npos) saw_bsc = true;
   }
   EXPECT_TRUE(saw_bsc);
   EXPECT_EQ(jobs, snap.counters.jobs);
   EXPECT_EQ(attempts, snap.counters.decode_attempts);
+  expect_lanes_partition_totals(snap);
+}
+
+TEST(Runtime, ExportMetricsTracksALiveService) {
+  // The library exporter runs on a sampler thread against a live
+  // service; after the drain the registry holds exactly the spinal_*
+  // schema, each counter equal to its snapshot field.
+  RuntimeOptions opt;
+  opt.workers = 2;
+  opt.shards = 4;
+  opt.batch.max_batch = 8;
+  DecodeService service(opt);
+  util::metrics::Registry reg;
+  util::metrics::PeriodicSampler sampler(
+      reg, std::chrono::milliseconds(1),
+      [&] { export_metrics(service.telemetry(), reg); });
+  for (int i = 0; i < 24; ++i) service.submit(make_spec(i));
+  service.drain();
+  sampler.stop();  // its final refresh exports the quiesced service
+
+  using util::metrics::Kind;
+  const std::map<std::string, Kind> schema = {
+      {"spinal_jobs_total", Kind::kCounter},
+      {"spinal_symbols_fed_total", Kind::kCounter},
+      {"spinal_decode_attempts_total", Kind::kCounter},
+      {"spinal_reduced_effort_attempts_total", Kind::kCounter},
+      {"spinal_full_effort_retries_total", Kind::kCounter},
+      {"spinal_unpinned_decodes_total", Kind::kCounter},
+      {"spinal_sessions_completed_total", Kind::kCounter},
+      {"spinal_sessions_failed_total", Kind::kCounter},
+      {"spinal_bits_decoded_total", Kind::kCounter},
+      {"spinal_queue_steals_total", Kind::kCounter},
+      {"spinal_queue_stolen_jobs_total", Kind::kCounter},
+      {"spinal_queue_cross_shard_submits_total", Kind::kCounter},
+      {"spinal_tag_jobs_total", Kind::kCounter},
+      {"spinal_tag_attempts_total", Kind::kCounter},
+      {"spinal_queue_depth", Kind::kGauge},
+      {"spinal_workers_pinned", Kind::kGauge},
+      {"spinal_shard_depth", Kind::kGauge},
+      {"spinal_decode_latency_us", Kind::kHistogram},
+      {"spinal_stage_queue_wait_us", Kind::kHistogram},
+      {"spinal_stage_batch_assembly_us", Kind::kHistogram},
+      {"spinal_stage_decode_service_us", Kind::kHistogram},
+      {"spinal_tag_queue_wait_us", Kind::kHistogram},
+      {"spinal_tag_decode_service_us", Kind::kHistogram},
+  };
+  ASSERT_EQ(schema.size(), 23u);
+
+  const TelemetrySnapshot snap = service.telemetry();
+  std::map<std::string, double> counters = {
+#define SPINAL_TEST_EXPECTED(name, help) \
+  {"spinal_" #name "_total", static_cast<double>(snap.counters.name)},
+      SPINAL_RUNTIME_COUNTERS(SPINAL_TEST_EXPECTED)
+#undef SPINAL_TEST_EXPECTED
+      {"spinal_queue_steals_total", static_cast<double>(snap.queue.steals)},
+      {"spinal_queue_stolen_jobs_total",
+       static_cast<double>(snap.queue.stolen_jobs)},
+      {"spinal_queue_cross_shard_submits_total",
+       static_cast<double>(snap.queue.cross_shard_submits)},
+  };
+  for (const TagTelemetry& t : snap.tags) {
+    const std::string label = "{tag=\"" + t.label + "\"}";
+    counters["spinal_tag_jobs_total" + label] =
+        static_cast<double>(t.counters.jobs);
+    counters["spinal_tag_attempts_total" + label] =
+        static_cast<double>(t.counters.decode_attempts);
+  }
+
+  std::map<std::string, Kind> families;
+  std::size_t exported_counters = 0;
+  for (const util::metrics::Sample& s : reg.collect()) {
+    families.emplace(s.name, s.kind);
+    if (s.kind != Kind::kCounter) continue;
+    ++exported_counters;
+    const std::string key =
+        s.labels.empty() ? s.name : s.name + "{" + s.labels + "}";
+    ASSERT_TRUE(counters.count(key)) << key;
+    EXPECT_EQ(s.value, counters.at(key)) << key;
+  }
+  EXPECT_EQ(families, schema);
+  EXPECT_EQ(exported_counters, counters.size());
+  EXPECT_GT(snap.counters.jobs, 0u);
 }
 
 TEST(Runtime, TracerIsOffByDefault) {
@@ -1200,7 +1309,9 @@ TEST(SessionMux, AttemptsRideTheStepPath) {
   ASSERT_EQ(snap.tags.size(), 1u);
   EXPECT_EQ(snap.tags[0].label.rfind("spinal.link/", 0), 0u)
       << snap.tags[0].label;
-  EXPECT_EQ(snap.tags[0].attempts, snap.counters.decode_attempts);
+  EXPECT_EQ(snap.tags[0].counters.decode_attempts,
+            snap.counters.decode_attempts);
+  expect_lanes_partition_totals(snap);
 
 #if SPINAL_RUNTIME_TRACE
   ASSERT_NE(service.tracer(), nullptr);

@@ -304,6 +304,32 @@ TEST(MetricsRegistry, JsonExpositionIsWellFormed) {
   EXPECT_NE(json.find("\"h_us\": {\"count\": 1"), std::string::npos);
 }
 
+TEST(MetricsRegistry, CountersKeepIntegerPrecision) {
+  // A long-running service's totals and a slice's deltas export every
+  // digit, and non-integer values read back exactly.
+  util::metrics::Registry reg;
+  util::metrics::Counter& bits =
+      reg.counter("spinal_bits_decoded_total", "bits");
+  bits.set(12345678.0);
+  reg.gauge("g", "g").set(0.1);
+  EXPECT_NE(reg.prometheus_text().find("spinal_bits_decoded_total 12345678\n"),
+            std::string::npos);
+  const std::string json = reg.json();
+  EXPECT_NE(json.find("\"spinal_bits_decoded_total\": 12345678}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"g\": 0.1}"), std::string::npos) << json;
+
+  // One slice (the interval never elapses; stop() takes the final one).
+  util::metrics::PeriodicSampler sampler(reg, std::chrono::hours(1),
+                                         [&] { bits.inc(1.0); });
+  sampler.stop();
+  EXPECT_NE(sampler.slices_json().find(
+                "\"spinal_bits_decoded_total\": 12345679}"),
+            std::string::npos)
+      << sampler.slices_json();
+}
+
 TEST(PeriodicSampler, SlicesCarryCounterDeltas) {
   util::metrics::Registry reg;
   util::metrics::Counter& jobs = reg.counter("jobs_total", "jobs");
