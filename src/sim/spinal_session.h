@@ -15,8 +15,8 @@
 
 namespace spinal::sim {
 
-/// Decodes through SpinalTarget: effort = beam width, batches fused by
-/// SpinalDecoder::decode_batch_with under the kSpinalAwgn batch key.
+/// Decodes through SpinalTarget: effort = beam width, batched under the
+/// kSpinalAwgn batch key.
 class SpinalSession : public SpinalTarget<RatelessSession, SpinalDecoder> {
  public:
   /// @param symbols_per_chunk 0 = one chunk per subpass (default);

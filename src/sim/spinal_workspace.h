@@ -7,14 +7,13 @@
 // workspaces under KeyCodec::kSpinal with every CodeParams field packed
 // into the key's words — equal keys guarantee interchangeable workspace
 // layouts — and decode through the one SpinalTarget implementation
-// below.
+// below. A batch is the blocks' solo attempts back to back in this one
+// workspace, so its size never scales with the batch.
 
 #include <algorithm>
 #include <memory>
 #include <optional>
 #include <span>
-#include <tuple>
-#include <vector>
 
 #include "sim/session.h"
 #include "spinal/cost_model.h"
@@ -26,13 +25,6 @@ namespace spinal::sim {
 struct SpinalWorkspace final : CodecWorkspace {
   detail::DecodeWorkspace ws;
   DecodeResult out;
-  /// Per-block result slots and block lists of batched decodes
-  /// (try_decode_batch; one list per decoder type, since AWGN and BSC
-  /// targets share this workspace): sized to the batch, reused across
-  /// batches, so a warmed workspace batches without allocating.
-  std::vector<DecodeResult> batch_out;
-  std::tuple<std::vector<SpinalDecoder::BlockJob>, std::vector<BscSpinalDecoder::BlockJob>>
-      blocks;
 };
 
 /// The WorkspaceKey all spinal decode targets pin under: every
@@ -49,7 +41,7 @@ inline WorkspaceKey spinal_workspace_key(const CodeParams& p) {
 /// Batch-aggregation key of a spinal target: the workspace key refined
 /// by flavor (kSpinalAwgn / kSpinalBsc / kSpinalLink). AWGN and BSC
 /// sessions deliberately share spinal_workspace_key so a worker pins one
-/// scratch for both, but their BlockJob types differ — batches must not
+/// scratch for both, but their decoder types differ — batches must not
 /// mix them.
 inline WorkspaceKey spinal_batch_key(const CodeParams& p, KeyCodec flavor) {
   WorkspaceKey key = spinal_workspace_key(p);
@@ -59,9 +51,9 @@ inline WorkspaceKey spinal_batch_key(const CodeParams& p, KeyCodec flavor) {
 
 /// The DecodeTarget half every spinal-decoder-backed target shares:
 /// solo attempts in the pinned SpinalWorkspace (or, with none pinned,
-/// in the decoder's own scratch at the configured width), one fused
-/// Decoder::decode_batch_with per batch, bit-identical per block to the
-/// solo attempt, the spinal keys, and the beam width as effort knob.
+/// in the decoder's own scratch at the configured width), a batch as
+/// the jobs' solo attempts back to back in that one workspace, the
+/// spinal keys, and the beam width as effort knob.
 /// @p Base is DecodeTarget or a subclass (RatelessSession, BlockUnit).
 template <class Base, class Decoder>
 class SpinalTarget : public Base {
@@ -74,32 +66,24 @@ class SpinalTarget : public Base {
       attempt_result(r, true);
       return std::move(r.message);
     }
-    spinal_decoder().decode_with(sw->ws, sw->out, effort);
-    attempt_result(sw->out, full_effort(effort));
+    attempt_in(*sw, effort);
     return sw->out.message;
   }
 
   void try_decode_batch(CodecWorkspace* ws,
                         std::span<BatchDecodeJob> jobs) override {
     auto* sw = static_cast<SpinalWorkspace*>(ws);
-    if (sw == nullptr || jobs.size() < 2) {
+    if (sw == nullptr) {
       DecodeTarget::try_decode_batch(ws, jobs);
       return;
     }
-    if (sw->batch_out.size() < jobs.size()) sw->batch_out.resize(jobs.size());
-    auto& blocks = std::get<std::vector<typename Decoder::BlockJob>>(sw->blocks);
-    blocks.resize(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (BatchDecodeJob& j : jobs) {
       // Equal batch keys guarantee every job's target is of this type
       // (the same contract try_decode_with's workspace downcast rests on).
-      const auto& peer = static_cast<const SpinalTarget&>(*jobs[i].session);
-      blocks[i] = {&peer.spinal_decoder(), &sw->batch_out[i], jobs[i].effort};
-    }
-    Decoder::decode_batch_with(sw->ws, blocks);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      auto& peer = static_cast<SpinalTarget&>(*jobs[i].session);
-      peer.attempt_result(sw->batch_out[i], full_effort(jobs[i].effort));
-      *jobs[i].candidate = sw->batch_out[i].message;
+      static_cast<SpinalTarget&>(*j.session).attempt_in(*sw, j.effort);
+      // Assigned into the engaged candidate's storage: a warm batch
+      // allocates nothing.
+      *j.candidate = sw->out.message;
     }
   }
 
@@ -130,6 +114,11 @@ class SpinalTarget : public Base {
  private:
   bool full_effort(int effort) const {
     return effort <= 0 || effort >= spinal_params().B;
+  }
+  /// One attempt into @p sw.out, reported to attempt_result().
+  void attempt_in(SpinalWorkspace& sw, int effort) {
+    spinal_decoder().decode_with(sw.ws, sw.out, effort);
+    attempt_result(sw.out, full_effort(effort));
   }
 };
 

@@ -115,9 +115,9 @@ struct LaneBuffers {
 ///
 /// Member order is a cache decision: every buffer a d=1 level touches
 /// comes first, ahead of the f32 lane's buffers, so a small decode
-/// reads as few vector headers' cache lines as it can. A batched
-/// service decode runs each block in its own cold sub-workspace, where
-/// those header lines are misses.
+/// reads as few vector headers' cache lines as it can. A worker runs
+/// every block of a batch back to back in its one pinned workspace, so
+/// after the first block those header lines are hits.
 struct SearchWorkspace {
   std::vector<std::uint32_t> leaf_state, leaf_path, next_state, next_path;
   std::vector<std::int32_t> entry_arena, next_entry_arena;
@@ -197,27 +197,6 @@ concept QuantizedSearchEnv = requires(const Env& e) {
   { e.quant_scale() } -> std::convertible_to<float>;
 };
 
-/// Cross-level state of one in-flight streamed search, externalized so
-/// a caller can drive several searches level-by-level in lockstep
-/// (SpinalDecoder::decode_batch_with interleaves the blocks of a
-/// cross-session batch this way). BeamSearch::begin initializes it,
-/// each BeamSearch::step advances one level over the same workspace,
-/// BeamSearch::end runs the epilogue. The sequential run() is itself
-/// begin + step loop + end, so any interleaving of independent cursors
-/// executes exactly the sequential per-level code per search —
-/// bit-identity across batch compositions holds by construction, not
-/// just by test.
-struct SearchCursor {
-  const backend::Backend* be = nullptr;
-  int d = 1;                  ///< effective bubble depth, min(p.d, S)
-  int leaves_per_entry = 1;
-  std::uint32_t group_mask = 0;
-  bool use_paths = false;
-  bool leaves_sorted = false;
-  bool quantized = false;     ///< this search runs the U16Lane
-  std::uint64_t offset = 0;   ///< U16Lane renormalization offset
-};
-
 template <class Env>
 class BeamSearch {
  public:
@@ -244,67 +223,26 @@ class BeamSearch {
       run_reference(env, p, ws, out);
   }
 
-  /// Number of step() calls a full streamed search takes.
-  static int steps(const CodeParams& p) noexcept {
-    const int S = p.spine_length();
-    return S - std::min(p.d, S) + 1;
-  }
-
-  /// Starts a streamed search: prologue plus cursor init. Selects the
-  /// cost lane per search (Env::quantized() eligibility), exactly as
-  /// run() would.
-  void begin(const Env& env, const CodeParams& p, SearchWorkspace& ws,
-             SearchCursor& cur) const
-    requires BatchedSearchEnv<Env>
-  {
-    init_cursor(env, p, cur);
-    if constexpr (QuantizedSearchEnv<Env>) cur.quantized = env.quantized();
-    with_lane(cur, [&](auto lane) {
-      build_prologue<decltype(lane)>(env, p, cur.d, ws);
-    });
-    cur.leaves_per_entry = static_cast<int>(ws.leaf_state.size());
-  }
-
-  /// Advances one level (step @p t of steps(p), in order). Steps of
-  /// distinct searches may interleave arbitrarily — each search only
-  /// touches its own workspace and cursor.
-  void step(const Env& env, const CodeParams& p, SearchWorkspace& ws,
-            SearchCursor& cur, int t) const
-    requires BatchedSearchEnv<Env>
-  {
-    with_lane(cur, [&](auto lane) {
-      step_streamed<decltype(lane)>(env, p, ws, cur, t);
-    });
-  }
-
-  /// Epilogue: picks the winning leaf and backtracks into @p out.
-  void end(const Env& env, const CodeParams& p, SearchWorkspace& ws,
-           SearchCursor& cur, SearchResult& out) const
-    requires BatchedSearchEnv<Env>
-  {
-    with_lane(cur, [&](auto lane) {
-      backtrack<decltype(lane)>(env, p, cur, ws, out);
-    });
-  }
-
  private:
+  /// Cross-level state of one search: fixed at its start (depth,
+  /// backend, path tracking) or carried from one level to the next
+  /// (leaf grouping, sort order, renormalization offset).
+  struct SearchCursor {
+    const backend::Backend* be = nullptr;
+    int d = 1;                  ///< effective bubble depth, min(p.d, S)
+    int leaves_per_entry = 1;
+    std::uint32_t group_mask = 0;
+    bool use_paths = false;
+    bool leaves_sorted = false;
+    std::uint64_t offset = 0;   ///< U16Lane renormalization offset
+  };
+
   /// Children per expansion block: small enough that a block's states,
   /// costs and kernel scratch stay cache-resident across the per-symbol
   /// metric sweeps, large enough to amortize the kernel dispatch. A
   /// pruning d=1 level's first block is its bound seed instead, sized
   /// to keep candidates.
   static constexpr int kBlockChildren = 512;
-
-  /// Calls @p f with the cursor's cost lane: U16Lane when the search
-  /// runs quantized, F32Lane otherwise. Envs without the quantized
-  /// contract never instantiate the U16Lane pipeline.
-  template <class F>
-  static void with_lane(const SearchCursor& cur, F&& f) {
-    if constexpr (QuantizedSearchEnv<Env>) {
-      if (cur.quantized) return f(U16Lane{});
-    }
-    f(F32Lane{});
-  }
 
   static void init_cursor(const Env& env, const CodeParams& p, SearchCursor& cur) {
     const int S = p.spine_length();
@@ -442,17 +380,30 @@ class BeamSearch {
   }
 
   /// ---- Streaming expand–prune pipeline (batched Envs) ----
-  /// The cursor API (begin / steps × step / end) driven sequentially;
-  /// the cost-lane dispatch happens inside begin, step and end.
+  /// Runs in the U16Lane when the Env's per-decode eligibility says so
+  /// (Env::quantized()); Envs without the quantized contract never
+  /// instantiate it.
   void run_streamed(const Env& env, const CodeParams& p, SearchWorkspace& ws,
                     SearchResult& out) const
     requires BatchedSearchEnv<Env>
   {
+    if constexpr (QuantizedSearchEnv<Env>) {
+      if (env.quantized()) return run_lane<U16Lane>(env, p, ws, out);
+    }
+    run_lane<F32Lane>(env, p, ws, out);
+  }
+
+  /// Prologue, one step per level t = 0 .. S-d, epilogue.
+  template <class Lane>
+  void run_lane(const Env& env, const CodeParams& p, SearchWorkspace& ws,
+                SearchResult& out) const {
     SearchCursor cur;
-    begin(env, p, ws, cur);
-    const int n = steps(p);
-    for (int t = 0; t < n; ++t) step(env, p, ws, cur, t);
-    end(env, p, ws, cur, out);
+    init_cursor(env, p, cur);
+    build_prologue<Lane>(env, p, cur.d, ws);
+    cur.leaves_per_entry = static_cast<int>(ws.leaf_state.size());
+    for (int t = 0; t <= p.spine_length() - cur.d; ++t)
+      step_streamed<Lane>(env, p, ws, cur, t);
+    backtrack<Lane>(env, p, cur, ws, out);
   }
 
   /// One level of the streamed pipeline in cost lane @p Lane, with the

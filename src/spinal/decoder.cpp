@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "spinal/cost_model.h"
 
@@ -281,9 +280,8 @@ struct AwgnBatchEnv : AwgnEnv {
   }
 };
 
-/// The decode entry points both spinal decoders share: one block
-/// (decode_with) or a level-synchronous batch (decode_batch_with), over
-/// whichever batched Env the decoder builds.
+/// The decode_with body both spinal decoders share, over whichever
+/// batched Env the decoder builds.
 struct detail::DecodeDriver {
   template <class Decoder>
   static void one(const Decoder& dec, DecodeWorkspace& ws, DecodeResult& out,
@@ -297,53 +295,6 @@ struct detail::DecodeDriver {
     search.run(env, p, ws.search, ws.result);
     chunks_to_message_into(dec.params_, ws.result.chunks, out.message);
     out.path_cost = ws.result.best_cost;
-  }
-
-  template <class Decoder>
-  static void batch(DecodeWorkspace& ws, std::span<const typename Decoder::BlockJob> jobs) {
-    if (jobs.empty()) return;
-    if (jobs.size() == 1) {
-      one(*jobs[0].decoder, ws, *jobs[0].out, jobs[0].beam_width);
-      return;
-    }
-    while (ws.batch.size() < jobs.size())
-      ws.batch.push_back({std::make_unique<DecodeWorkspace>(), {}, {}});
-
-    // Per-block search state lives in the reused batch slots; the Env is
-    // a view over the slot's sub-workspace, rebuilt where it is used.
-    using Env = decltype(std::declval<const Decoder&>().batch_env(ws));
-    const BeamSearch<Env> search;
-    int max_steps = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const Decoder& dec = *jobs[i].decoder;
-      DecodeWorkspace::BatchSlot& b = ws.batch[i];
-      dec.flatten_soa(*b.ws);
-      b.params = dec.params_;
-      if (jobs[i].beam_width > 0 && jobs[i].beam_width < b.params.B)
-        b.params.B = jobs[i].beam_width;
-      search.begin(dec.batch_env(*b.ws), b.params, b.ws->search, b.cursor);
-      max_steps = std::max(max_steps, BeamSearch<Env>::steps(b.params));
-    }
-    // Level-synchronous interleave: at step t every live block advances
-    // one level back-to-back, so the expand/prune kernel family sweeps
-    // sum(B_i) lanes' worth of work per level while each block's
-    // selection stays per-block exact (its own workspace + cursor).
-    for (int t = 0; t < max_steps; ++t)
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        DecodeWorkspace::BatchSlot& b = ws.batch[i];
-        if (t < BeamSearch<Env>::steps(b.params))
-          search.step(jobs[i].decoder->batch_env(*b.ws), b.params, b.ws->search,
-                      b.cursor, t);
-      }
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      DecodeWorkspace::BatchSlot& b = ws.batch[i];
-      DecodeWorkspace& bws = *b.ws;
-      search.end(jobs[i].decoder->batch_env(bws), b.params, bws.search, b.cursor,
-                 bws.result);
-      chunks_to_message_into(jobs[i].decoder->params_, bws.result.chunks,
-                             jobs[i].out->message);
-      jobs[i].out->path_cost = bws.result.best_cost;
-    }
   }
 };
 
@@ -500,11 +451,6 @@ void SpinalDecoder::decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
   detail::DecodeDriver::one(*this, ws, out, beam_width);
 }
 
-void SpinalDecoder::decode_batch_with(detail::DecodeWorkspace& ws,
-                                      std::span<const BlockJob> jobs) {
-  detail::DecodeDriver::batch<SpinalDecoder>(ws, jobs);
-}
-
 DecodeResult SpinalDecoder::decode_reference() const {
   const detail::BeamSearch<AwgnEnv> search;
   const AwgnEnv env{*this, any_csi_, fx_scale_};
@@ -633,11 +579,6 @@ BscBatchEnv BscSpinalDecoder::batch_env(detail::DecodeWorkspace& ws) const {
 void BscSpinalDecoder::decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
                                    int beam_width) const {
   detail::DecodeDriver::one(*this, ws, out, beam_width);
-}
-
-void BscSpinalDecoder::decode_batch_with(detail::DecodeWorkspace& ws,
-                                         std::span<const BlockJob> jobs) {
-  detail::DecodeDriver::batch<BscSpinalDecoder>(ws, jobs);
 }
 
 DecodeResult BscSpinalDecoder::decode_reference() const {

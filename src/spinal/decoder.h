@@ -17,9 +17,11 @@
 // run in a private DecodeWorkspace the decoder allocates on its first
 // such call (runtime-served decoders, which always decode in a
 // worker-pinned workspace, never pay for one), so repeated decode
-// attempts are allocation-free after the first. The output is
-// bit-identical to the retained scalar reference (decode_reference())
-// under every backend.
+// attempts are allocation-free after the first. A workspace holds
+// nothing between attempts (the tree is rebuilt each time), so one
+// workspace serves any sequence of blocks, of any geometry, back to
+// back. The output is bit-identical to the retained scalar reference
+// (decode_reference()) under every backend.
 // One decoder instance must not run decode() concurrently from two
 // threads (the workspace is shared); distinct instances are fine.
 
@@ -27,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "backend/backend.h"
@@ -77,24 +78,9 @@ struct DecodeWorkspace {
   /// accumulator, partial-prune survivor indices); sized here, in
   /// baseline code, before each kernel call.
   backend::ExpandScratch expand;
-
-  /// Block i's slot in the cross-session batch decode entry
-  /// (decode_batch_with): its sub-workspace (search scratch and SoA
-  /// symbol image), the params it runs at and its search cursor.
-  struct BatchSlot {
-    std::unique_ptr<DecodeWorkspace> ws;
-    CodeParams params;
-    SearchCursor cursor;
-  };
-  /// Grown on demand and reused across batches, so a pinned workspace
-  /// stays allocation-free once it has served its high-water batch
-  /// size. Empty for workspaces that only ever decode one block at a
-  /// time.
-  std::vector<BatchSlot> batch;
 };
 
-/// The decode_with / decode_batch_with driver both decoders share
-/// (defined in decoder.cpp).
+/// The decode_with body both decoders share (defined in decoder.cpp).
 struct DecodeDriver;
 
 }  // namespace detail
@@ -143,37 +129,14 @@ class SpinalDecoder {
   /// width). This is the decode runtime's entry point: worker threads
   /// pin one workspace per CodeParams and share it across thousands of
   /// sessions, and the load-adaptive policy trades accuracy for compute
-  /// by shrinking the beam under queue pressure (the Fig 8-6 knob).
+  /// by shrinking the beam under queue pressure (the Fig 8-6 knob). A
+  /// batch of blocks is a loop of these calls in one workspace: the
+  /// result never depends on what @p ws decoded before (any decoder,
+  /// beam width, symbol count or cost precision).
   /// Thread-safe for concurrent calls on one decoder with distinct
   /// workspaces as long as no symbols are added concurrently.
   void decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
                    int beam_width = 0) const;
-
-  /// One block of a cross-session batched decode (decode_batch_with):
-  /// the decoder holding the block's received symbols, the result slot,
-  /// and an optional per-block beam override (same semantics as
-  /// decode_with's @p beam_width).
-  struct BlockJob {
-    const SpinalDecoder* decoder = nullptr;
-    DecodeResult* out = nullptr;
-    int beam_width = 0;
-  };
-
-  /// Decodes every block in @p jobs in one pass over @p ws, advancing
-  /// the blocks' beam searches level-synchronously (beam_search.h's
-  /// SearchCursor API) so a worker serving many small-B sessions runs
-  /// the whole batch back-to-back through hot kernel/workspace state
-  /// instead of paying per-block scheduling overhead. Each block's
-  /// result is bit-identical to jobs[i].decoder->decode_with(...) run
-  /// alone — the interleave executes exactly the sequential per-level
-  /// code per block (blocks never share search state; mixed beam
-  /// widths, symbol counts and cost precisions are fine). Blocks decode
-  /// in per-block sub-workspaces (@p ws.batch), so @p ws may serve any
-  /// mix of batched and single-block decodes. Thread-safety matches
-  /// decode_with: no decoder in @p jobs may receive symbols
-  /// concurrently, and @p ws must be caller-owned.
-  static void decode_batch_with(detail::DecodeWorkspace& ws,
-                                std::span<const BlockJob> jobs);
 
   /// The retained scalar reference decode: per-node child() + node_cost()
   /// calls, no batching, no workspace reuse. Exists so the golden
@@ -221,7 +184,7 @@ class SpinalDecoder {
   /// Flattens the AoS symbol store into @p ws's per-spine SoA arrays
   /// and (when the quantized path is eligible) rebuilds the per-level
   /// remaining-cost floors — everything decode_with does before the
-  /// search proper, shared with decode_batch_with.
+  /// search proper.
   void flatten_soa(detail::DecodeWorkspace& ws) const;
   /// Builds the batched search environment over a flattened @p ws.
   AwgnBatchEnv batch_env(detail::DecodeWorkspace& ws) const;
@@ -251,18 +214,6 @@ class BscSpinalDecoder {
   /// Caller-workspace + beam-override form (see SpinalDecoder::decode_with).
   void decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
                    int beam_width = 0) const;
-
-  /// One block of a BSC batched decode (see SpinalDecoder::BlockJob).
-  struct BlockJob {
-    const BscSpinalDecoder* decoder = nullptr;
-    DecodeResult* out = nullptr;
-    int beam_width = 0;
-  };
-
-  /// Level-synchronous multi-block decode (see
-  /// SpinalDecoder::decode_batch_with).
-  static void decode_batch_with(detail::DecodeWorkspace& ws,
-                                std::span<const BlockJob> jobs);
 
   /// Scalar reference decode (see SpinalDecoder::decode_reference).
   DecodeResult decode_reference() const;

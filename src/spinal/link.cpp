@@ -80,10 +80,15 @@ LinkReceiver::LinkReceiver(const CodeParams& params, int block_count,
   decoders_.reserve(block_count);
   for (int b = 0; b < block_count; ++b) decoders_.emplace_back(params_);
   blocks_.assign(static_cast<std::size_t>(block_count), Block(schedule));
+  due_.reserve(static_cast<std::size_t>(block_count));
 }
 
 bool LinkReceiver::receive(const LinkSymbol& symbol, std::complex<float> csi) {
   check_block(symbol.block);
+  // Checked here, not when a claimed block's buffer is applied: a bad
+  // symbol must not reach release_block().
+  if (symbol.id.spine_index < 0 || symbol.id.spine_index >= params_.spine_length())
+    throw std::out_of_range("LinkReceiver::receive: spine index out of range");
   Block& blk = blocks_[symbol.block];
   if (blk.decoded) {  // already ACKed; stale symbol
     ++stale_;
@@ -102,7 +107,7 @@ bool LinkReceiver::receive(const LinkSymbol& symbol, std::complex<float> csi) {
 
 AckBitmap LinkReceiver::make_ack() {
   for (int b : pause()) {
-    claim_block(b).decode_into(scratch_);
+    claim_block(b).decode_with(ws_, scratch_);
     complete_block(b, scratch_.message, scratch_.path_cost);
     release_block(b);
   }

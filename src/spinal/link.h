@@ -94,12 +94,14 @@ class LinkReceiver {
   /// Ingests one received symbol (optionally with fading CSI). Returns
   /// false when the symbol is stale (its block already decoded) and was
   /// dropped. A symbol for a claimed block is buffered until
-  /// release_block().
+  /// release_block(). Throws std::out_of_range, changing nothing, for a
+  /// bad block or spine index.
   bool receive(const LinkSymbol& symbol, std::complex<float> csi = {1.0f, 0.0f});
 
   /// A pause point with inline decodes: pause(), then attempt every due
   /// block through claim/complete/release — so it is scheduled and
-  /// gated exactly like SessionMux. Returns the current ACK bitmap (§6:
+  /// gated exactly like SessionMux. Every block decodes in the one
+  /// receiver-owned workspace. Returns the current ACK bitmap (§6:
   /// "the ACK contains one bit per code block").
   AckBitmap make_ack();
 
@@ -190,7 +192,8 @@ class LinkReceiver {
   bool fading_ = false;               // CSI received: never gated
   std::uint64_t stale_ = 0;
   std::int64_t attempts_ = 0;
-  DecodeResult scratch_;  // recycled across decode attempts (no allocs)
+  detail::DecodeWorkspace ws_;  // make_ack()'s search scratch, all blocks
+  DecodeResult scratch_;        // recycled across decode attempts (no allocs)
 };
 
 }  // namespace spinal

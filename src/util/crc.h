@@ -20,6 +20,7 @@ BitVec crc16_append(const BitVec& payload);
 /// Checks a block produced by crc16_append(); true when the trailing 16
 /// bits match the CRC of the leading bits. Blocks shorter than 16 bits
 /// fail the check; a 16-bit block is an empty payload plus its CRC.
+/// Allocates nothing.
 bool crc16_check(const BitVec& block) noexcept;
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over a bit string. Used

@@ -21,6 +21,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,7 +60,7 @@ std::atomic<long> g_allocations{0};
 std::atomic<long> g_workspace_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (size == sizeof(spinal::detail::DecodeWorkspace))
     g_workspace_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -65,8 +68,9 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-// Kept out of line: inlined into a caller next to a new-expression, the
-// free() would trip GCC's mismatched-new-delete check.
+// Kept out of line, as is operator new: inlined into a caller next to a
+// new-expression, the malloc()/free() would trip GCC's
+// mismatched-new-delete check.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -368,39 +372,114 @@ TEST(DecoderAlloc, SessionFeedAllocatesOnlyTheReturnedChunk) {
   expect_allocation_free_feed(s, ch, p, 3);
 }
 
-/// Feeds @p count sessions built by @p make for two passes, then checks
-/// that a batched attempt over all of them on a warmed pinned workspace
-/// allocates nothing, under every backend.
+/// Builds @p count sessions with @p make and feeds each two passes
+/// (BSC at p = 0.02 for c = 1, AWGN at 8 dB otherwise) without
+/// accepting a candidate, so every session holds symbols to decode.
 template <class Make>
-void expect_allocation_free_batch(const CodeParams& p, int count, Make make) {
+std::vector<std::unique_ptr<sim::RatelessSession>> fed_sessions(const CodeParams& p,
+                                                                int count, Make make) {
   std::vector<std::unique_ptr<sim::RatelessSession>> sessions;
-  std::vector<sim::ChannelSim> channels;
-  std::vector<util::BitVec> messages;
-  std::vector<sim::MessageRun> runs;
-  sessions.reserve(count);
-  channels.reserve(count);
-  messages.reserve(count);
-  runs.reserve(count);
   util::Xoshiro256 prng(49);
   for (int i = 0; i < count; ++i) {
     sessions.push_back(make());
-    channels.push_back(sim::ChannelSim::bsc(0.02, 150 + i));
-    if (p.c > 1) channels.back() = sim::ChannelSim(sim::ChannelKind::kAwgn, 8.0, 1, 150 + i);
-    messages.push_back(prng.random_bits(static_cast<std::size_t>(p.n)));
-    runs.emplace_back(*sessions.back(), channels.back(), messages.back());
+    sim::ChannelSim channel = p.c > 1 ? sim::ChannelSim(sim::ChannelKind::kAwgn, 8.0, 1, 150 + i)
+                                      : sim::ChannelSim::bsc(0.02, 150 + i);
+    const util::BitVec message = prng.random_bits(static_cast<std::size_t>(p.n));
+    sim::MessageRun run(*sessions.back(), channel, message);
     for (int c = 0; c < 2 * PuncturingSchedule(p).subpasses_per_pass(); ++c)
-      if (runs.back().feed_to_attempt()) runs.back().record_attempt(std::nullopt);
+      if (run.feed_to_attempt()) run.record_attempt(std::nullopt);
   }
+  return sessions;
+}
+
+/// Full-effort batch jobs over @p sessions, writing into @p candidates.
+std::vector<sim::BatchDecodeJob> batch_jobs(
+    const std::vector<std::unique_ptr<sim::RatelessSession>>& sessions,
+    std::vector<std::optional<util::BitVec>>& candidates) {
+  std::vector<sim::BatchDecodeJob> jobs;
+  for (std::size_t i = 0; i < sessions.size(); ++i)
+    jobs.push_back({sessions[i].get(), 0, &candidates[i]});
+  return jobs;
+}
+
+/// Checks that a batched attempt over @p count fed sessions built by
+/// @p make allocates nothing on a warmed pinned workspace, under every
+/// backend.
+template <class Make>
+void expect_allocation_free_batch(const CodeParams& p, int count, Make make) {
+  const auto sessions = fed_sessions(p, count, make);
   const std::unique_ptr<sim::CodecWorkspace> ws = sessions[0]->make_workspace();
   std::vector<std::optional<util::BitVec>> candidates(count);
-  std::vector<sim::BatchDecodeJob> jobs;
-  for (int i = 0; i < count; ++i) jobs.push_back({sessions[i].get(), 0, &candidates[i]});
+  std::vector<sim::BatchDecodeJob> jobs = batch_jobs(sessions, candidates);
   for_each_backend([&](const char* name) {
     sessions[0]->try_decode_batch(ws.get(), jobs);  // warm this backend's scratch
     const long n = allocations_during([&] { sessions[0]->try_decode_batch(ws.get(), jobs); });
     EXPECT_EQ(n, 0) << "batched attempt allocated, backend=" << name;
     for (const auto& c : candidates) EXPECT_TRUE(c.has_value()) << name;
   });
+}
+
+/// A batch is its blocks' attempts back to back in the one pinned
+/// workspace, so a workspace warmed by a 2-block batch serves a 12-block
+/// batch of the same geometry without allocating: nothing in it scales
+/// with the batch size.
+template <class Make>
+void expect_wider_batch_allocates_nothing(const CodeParams& p, Make make) {
+  const auto sessions = fed_sessions(p, 12, make);
+  // Engaged candidates, as a runtime's recycled job slots are: an
+  // attempt assigns into their storage.
+  std::vector<std::optional<util::BitVec>> candidates(
+      sessions.size(), util::BitVec(static_cast<std::size_t>(p.n)));
+  std::vector<sim::BatchDecodeJob> jobs = batch_jobs(sessions, candidates);
+  for_each_backend([&](const char* name) {
+    const std::unique_ptr<sim::CodecWorkspace> ws = sessions[0]->make_workspace();
+    sessions[0]->try_decode_batch(ws.get(), std::span(jobs).first(2));
+    const long n = allocations_during([&] { sessions[0]->try_decode_batch(ws.get(), jobs); });
+    EXPECT_EQ(n, 0) << "12-block batch after a 2-block warm-up allocated, backend=" << name;
+  });
+}
+
+TEST(DecoderAlloc, WiderBatchAllocatesNothing) {
+  SPINAL_SKIP_UNDER_ASAN();
+  CodeParams p;
+  p.n = 8;
+  p.c = 1;
+  p.B = 2;
+  expect_wider_batch_allocates_nothing(p, [&] { return std::make_unique<sim::BscSession>(p); });
+  CodeParams q;
+  q.n = 64;
+  q.B = 16;
+  expect_wider_batch_allocates_nothing(q, [&] { return std::make_unique<sim::SpinalSession>(q); });
+}
+
+/// make_ack() decodes every due block in one receiver-owned workspace:
+/// with the same symbols in every block, a pause point with 8 due
+/// blocks allocates no more than one with a single due block.
+TEST(DecoderAlloc, MakeAckSharesOneWorkspaceAcrossBlocks) {
+  SPINAL_SKIP_UNDER_ASAN();
+  CodeParams p;
+  p.n = 256;
+  p.B = 64;
+  const std::vector<std::uint8_t> datagram(30, 0x5a);  // one 240-bit payload
+  LinkSender sender(p, datagram);
+  ASSERT_EQ(sender.block_count(), 1);
+  const std::vector<LinkSymbol> burst = sender.next_burst();
+  const auto allocations_of_ack = [&](int blocks) {
+    LinkReceiver rx(p, blocks);
+    for (int b = 0; b < blocks; ++b)
+      for (LinkSymbol s : burst) {
+        s.block = b;
+        rx.receive(s);
+      }
+    const long n = allocations_during([&] { (void)rx.make_ack(); });
+    EXPECT_EQ(rx.attempts(), blocks);
+    EXPECT_FALSE(rx.block_decoded(0));  // one subpass: every CRC fails
+    return n;
+  };
+  const long one = allocations_of_ack(1);
+  const long eight = allocations_of_ack(8);
+  EXPECT_GT(one, 0);
+  EXPECT_LE(eight, one);
 }
 
 TEST(DecoderAlloc, WarmBatchedAttemptIsAllocationFree) {

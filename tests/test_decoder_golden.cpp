@@ -562,20 +562,20 @@ TEST(QuantGoldenFallback, FloatPrecisionStaysGoldenReference) {
   expect_identical(dec, "f32-golden");
 }
 
-// ---- Cross-block batched decode (decode_batch_with). The contract is
-// per-block bit-identity against the solo decode_with path over every
-// batch composition a runtime worker can form: mixed beam widths, mixed
-// params (n/k/d, hash kind), mixed cost precisions (f32 blocks
-// interleaved with quantized u16 blocks), per-block beam overrides,
-// every backend, every batch size, and one shared workspace reused
-// across successive batches of different sizes and orders — the
-// pinned-workspace usage pattern of DecodeService.
+// ---- Cross-block batches: one shared workspace serving a sequence of
+// blocks back to back, as a runtime worker's pinned workspace serves a
+// batch. The contract is per-block bit-identity against a fresh solo
+// decode_with over every composition a worker can form: mixed beam
+// widths, mixed params (n/k/d, hash kind), mixed cost precisions (f32
+// blocks between quantized u16 blocks), per-block beam overrides, every
+// backend, every batch size, and successive batches of different sizes
+// and orders through the same workspace.
 
 struct BatchBlockSpec {
   CodeParams p;
   int passes;
   std::uint64_t seed;
-  int beam;  // per-block beam override handed to BlockJob
+  int beam;  // per-block beam override handed to decode_with
 };
 
 std::vector<std::unique_ptr<SpinalDecoder>> build_awgn_blocks(
@@ -608,13 +608,13 @@ TEST(BatchGolden, AwgnMixedBatchBitIdenticalToSoloAcrossBackends) {
     p.d = 2;
     specs.push_back({p, 2, 201, 0});
   }
-  {  // quantized u16 block interleaved with the f32 ones
+  {  // quantized u16 block between the f32 ones
     CodeParams p = base_params(hash::Kind::kOneAtATime);
     p.cost_precision = CostPrecision::kU16;
     specs.push_back({p, 3, 202, 0});
   }
-  {  // second quantized block at another width: two independent
-     // renormalization offsets advance through the interleave
+  {  // second quantized block at another width: each block's
+     // renormalization offset starts afresh in the shared workspace
     CodeParams p = base_params(hash::Kind::kOneAtATime);
     p.B = 64;
     p.cost_precision = CostPrecision::kU16;
@@ -638,10 +638,8 @@ TEST(BatchGolden, AwgnMixedBatchBitIdenticalToSoloAcrossBackends) {
     detail::DecodeWorkspace shared;
     for (std::size_t size = 1; size <= specs.size(); ++size) {
       std::vector<DecodeResult> got(size);
-      std::vector<SpinalDecoder::BlockJob> jobs(size);
       for (std::size_t i = 0; i < size; ++i)
-        jobs[i] = {decs[i].get(), &got[i], specs[i].beam};
-      SpinalDecoder::decode_batch_with(shared, jobs);
+        decs[i]->decode_with(shared, got[i], specs[i].beam);
       for (std::size_t i = 0; i < size; ++i) {
         EXPECT_EQ(got[i].message, want[i].message)
             << b->name << " size=" << size << " block=" << i;
@@ -650,15 +648,13 @@ TEST(BatchGolden, AwgnMixedBatchBitIdenticalToSoloAcrossBackends) {
       }
     }
 
-    // Reversed composition through the now-warm shared workspace: block
-    // order and sub-workspace pairing must not matter.
+    // Reversed composition through the now-warm shared workspace: what
+    // the workspace decoded before must not matter.
     std::vector<DecodeResult> got(specs.size());
-    std::vector<SpinalDecoder::BlockJob> jobs(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::size_t j = specs.size() - 1 - i;
-      jobs[i] = {decs[j].get(), &got[i], specs[j].beam};
+      decs[j]->decode_with(shared, got[i], specs[j].beam);
     }
-    SpinalDecoder::decode_batch_with(shared, jobs);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::size_t j = specs.size() - 1 - i;
       EXPECT_EQ(got[i].message, want[j].message) << b->name << " rev block=" << i;
@@ -686,7 +682,7 @@ TEST(BatchGolden, BscMixedBatchBitIdenticalToSoloAcrossBackends) {
     p.n = 32;
     specs.push_back({p, 40, 301});
   }
-  {  // d=2: integer Hamming ties through the interleaved prune
+  {  // d=2: integer Hamming ties through the prune
     CodeParams p = base_params(hash::Kind::kLookup3);
     p.c = 1;
     p.n = 48;
@@ -718,10 +714,7 @@ TEST(BatchGolden, BscMixedBatchBitIdenticalToSoloAcrossBackends) {
     detail::DecodeWorkspace shared;
     for (std::size_t size = 1; size <= specs.size(); ++size) {
       std::vector<DecodeResult> got(size);
-      std::vector<BscSpinalDecoder::BlockJob> jobs(size);
-      for (std::size_t i = 0; i < size; ++i)
-        jobs[i] = {decs[i].get(), &got[i], 0};
-      BscSpinalDecoder::decode_batch_with(shared, jobs);
+      for (std::size_t i = 0; i < size; ++i) decs[i]->decode_with(shared, got[i]);
       for (std::size_t i = 0; i < size; ++i) {
         EXPECT_EQ(got[i].message, want[i].message)
             << b->name << " size=" << size << " block=" << i;
@@ -733,8 +726,8 @@ TEST(BatchGolden, BscMixedBatchBitIdenticalToSoloAcrossBackends) {
 }
 
 TEST(BatchGolden, BatchedDecodeLeavesSoloWorkspaceUsable) {
-  // A workspace that has served batches must still serve plain solo
-  // decode_with calls bit-identically (the runtime mixes both freely on
+  // A workspace that has served a batch must still serve a plain solo
+  // decode_with call bit-identically (the runtime mixes both freely on
   // one pinned workspace).
   const CodeParams p = base_params(hash::Kind::kOneAtATime);
   const auto decs = build_awgn_blocks({{p, 3, 400, 0}, {p, 2, 401, 0}});
@@ -744,9 +737,7 @@ TEST(BatchGolden, BatchedDecodeLeavesSoloWorkspaceUsable) {
   decs[1]->decode_with(solo1, want1);
 
   std::vector<DecodeResult> got(2);
-  const std::vector<SpinalDecoder::BlockJob> jobs = {
-      {decs[0].get(), &got[0], 0}, {decs[1].get(), &got[1], 0}};
-  SpinalDecoder::decode_batch_with(shared, jobs);
+  for (std::size_t i = 0; i < 2; ++i) decs[i]->decode_with(shared, got[i]);
   DecodeResult after;
   decs[1]->decode_with(shared, after);
   EXPECT_EQ(got[0].message, want0.message);

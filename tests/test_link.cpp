@@ -320,5 +320,37 @@ TEST(Link, ClaimedBlockBuffersUntilRelease) {
   EXPECT_FALSE(rx.release_block(0));  // nothing buffered
 }
 
+TEST(Link, ClaimedBlockRejectsBadSymbolAtReceive) {
+  // A symbol whose spine index is out of range is refused at receive(),
+  // changing nothing, whether or not its block is claimed — so it never
+  // reaches the buffer that release_block() applies.
+  const CodeParams p = link_params();
+  LinkSender sender(p, random_datagram(20, 23));  // one block
+  LinkReceiver rx(p, 1);
+  const std::vector<LinkSymbol> first = sender.next_burst();
+  for (const LinkSymbol& s : first) rx.receive(s);
+  const SpinalDecoder& dec = rx.claim_block(0);
+  const std::size_t before = dec.symbols_received();
+
+  LinkSymbol bad = first.front();
+  bad.id.spine_index = p.spine_length();
+  LinkSymbol negative = first.front();
+  negative.id.spine_index = -1;
+  ASSERT_TRUE(rx.receive(first[0]));  // buffered
+  EXPECT_THROW(rx.receive(bad), std::out_of_range);
+  EXPECT_THROW(rx.receive(negative), std::out_of_range);
+  ASSERT_TRUE(rx.receive(first[1]));  // buffered
+  EXPECT_EQ(dec.symbols_received(), before);
+
+  EXPECT_NO_THROW(rx.release_block(0));
+  EXPECT_EQ(dec.symbols_received(), before + 2);  // each buffered symbol once
+  EXPECT_NO_THROW(rx.release_block(0));
+  EXPECT_EQ(dec.symbols_received(), before + 2);
+
+  // Unclaimed: the store is untouched as well.
+  EXPECT_THROW(rx.receive(bad), std::out_of_range);
+  EXPECT_EQ(dec.symbols_received(), before + 2);
+}
+
 }  // namespace
 }  // namespace spinal
