@@ -170,8 +170,8 @@ void BM_ExpandF32Backend(benchmark::State& state, const backend::Backend* b) {
       tsize - 1,               kExpCbits,   rng.data(),  premix.data(),
       nullptr,                 nullptr};
   for (auto _ : state) {
-    b->awgn_expand_all(level, states.data(), kExpLeaves, kExpFanout,
-                       out_states.data(), out_costs.data());
+    b->f32.awgn_expand_all(level, states.data(), kExpLeaves, kExpFanout,
+                           out_states.data(), out_costs.data());
     benchmark::DoNotOptimize(out_costs.data());
   }
   state.SetItemsProcessed(state.iterations() * total);
@@ -199,7 +199,7 @@ void BM_ExpandU16Backend(benchmark::State& state, const backend::Backend* b) {
       qtab.data(),             qstride,    qstride - 1,     min_rest.data(),
       rng.data(),              premix.data(), acc.data(),   nullptr};
   for (auto _ : state) {
-    b->awgn_expand_all_u16(level, states.data(), kExpLeaves, kExpFanout,
+    b->u16.awgn_expand_all(level, states.data(), kExpLeaves, kExpFanout,
                            out_states.data(), out_costs.data());
     benchmark::DoNotOptimize(out_costs.data());
   }

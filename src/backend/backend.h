@@ -17,9 +17,13 @@
 // suite (test_decoder_golden) therefore acts as the conformance oracle
 // for all of them, and test_backend checks the kernels pairwise.
 //
-// The search's prune/regroup kernels exist once per *cost lane*
-// (F32Lane, U16Lane below): each is one template over the lane traits,
-// instantiated per lane into the table's f32 and u16 slots.
+// Table layout: the lane-independent primitives (hashes, the BSC
+// expansion, GF(2) rows) sit in Backend itself; everything whose cost
+// word depends on the path metric sits once per *cost lane* (F32Lane,
+// U16Lane below) in Backend::f32 and Backend::u16 — the fused AWGN
+// expansion and the search's prune/regroup kernels. Each such entry is
+// one template over the lane traits, instantiated per lane
+// (lane_kernels_t in expand.h).
 //
 // Selection: the best available backend is chosen at first use via
 // CPUID (x86) / hwcaps (ARM). The SPINAL_BACKEND environment variable
@@ -137,6 +141,18 @@ struct AwgnLevelQ {
   std::uint32_t* idx_scratch;     ///< partial-cost survivor child indices
 };
 
+/// The admissible cost floors a lane's partial-cost prune adds to a
+/// parent cost (see LaneKernels::awgn_expand_prune): @p row, which
+/// every child of the level costs at least, gates whole rows before any
+/// hashing; @p rest, the floor of the symbols a partial cost has not
+/// swept yet, tightens each lane's partial key. Only the quantized
+/// metric tabulates them (AwgnLevelQ::min_rest[0] and [1]); the f32
+/// lane's kernels never read them.
+struct PruneFloors {
+  std::uint32_t row = 0;
+  std::uint32_t rest = 0;
+};
+
 /// Packs a quantized cost (<= 65535) and candidate index (< 65536 —
 /// the quantized path requires B*2^k <= 65536) into the u32 selection
 /// key of U16Lane (and of the u32 partition_keys/select_keys).
@@ -169,18 +185,21 @@ struct BscLevel {
 };
 
 // --- Cost lanes -------------------------------------------------------
-// The bubble search (spinal/beam_search.h) and its prune/regroup
-// kernels are one pipeline, instantiated once per path-metric width.
-// A lane traits type carries every difference as a compile-time fact:
-// the cost and key words, the key pack/unpack, plain vs saturating
-// add, per-level renormalization, the bound-refinement cadence and the
-// per-level cost floor.
+// The bubble search (spinal/beam_search.h), the fused AWGN expansion
+// and the prune/regroup kernels are one pipeline, instantiated once per
+// path-metric width. A lane traits type carries every difference as a
+// compile-time fact: the cost, accumulator and key words, the key
+// pack/unpack, plain vs saturating add, per-level renormalization, the
+// bound-refinement cadence, the per-level cost floor, and the AWGN
+// level struct its expansion kernels read.
 
 /// The f32 path metric (the golden reference): float costs and u64
 /// keys monotone_key(cost) << 32 | candidate.
 struct F32Lane {
   using cost_t = float;
+  using acc_t = float;  ///< per-child metric accumulator word
   using key_t = std::uint64_t;
+  using Level = AwgnLevel;  ///< the l2 float metric's level inputs
   static constexpr key_t kKeepAll = ~key_t{0};  ///< bound that prunes nothing
   static constexpr cost_t kWorst = std::numeric_limits<float>::infinity();
   /// Refine the bound once the survivor buffer holds kRefine * keep
@@ -209,7 +228,11 @@ struct F32Lane {
 /// results are bit-identical across backends by construction.
 struct U16Lane {
   using cost_t = std::uint16_t;
+  /// Metrics accumulate unclamped in u32 and saturate once (see
+  /// AwgnLevelQ), so survivor compaction reuses the u32 compress stores.
+  using acc_t = std::uint32_t;
   using key_t = std::uint32_t;
+  using Level = AwgnLevelQ;  ///< the pre-tabulated metric rows
   static constexpr key_t kKeepAll = ~key_t{0};
   static constexpr cost_t kWorst = 0xFFFF;
   /// Laxer than F32Lane: each refinement re-scans the kept prefix, and
@@ -221,7 +244,8 @@ struct U16Lane {
   /// the u16 lanes carry a level's spread rather than the path sum.
   static constexpr bool kRenormalize = true;
   /// Every child of a leaf costs at least leaf + the level's summed
-  /// per-symbol row minima, so sorted leaves cut off before hashing.
+  /// per-symbol row minima, so sorted leaves cut off before hashing and
+  /// the fused expansion's partial prune adds PruneFloors.
   static constexpr bool kLevelFloor = true;
 
   static std::uint32_t add(std::uint32_t a, std::uint32_t b) noexcept {
@@ -234,13 +258,24 @@ struct U16Lane {
   static std::uint32_t cand_of(key_t key) noexcept { return key & 0xFFFFu; }
 };
 
-/// One backend's streaming prune and regroup kernels for cost lane
-/// @p Lane. The cost arithmetic is Lane::add (float add, or u16
-/// saturating add), so each entry is the same contract in both lanes.
+/// One backend's cost-lane kernels for lane @p Lane: the fused AWGN
+/// expansion and the search's streaming prune and regroup. The cost
+/// arithmetic is Lane::add (float add, or u16 saturating add), so each
+/// entry is the same contract in both lanes.
+///
+/// The one place the lanes do different work is the per-child branch
+/// metric inside the two expansion entries: F32Lane runs the l2 float
+/// chain against the constellation (with the CSI and Appendix-B
+/// fixed-point modes), U16Lane gathers one pre-tabulated integer per
+/// symbol (AwgnLevelQ) with u16-saturating costs. The quantized kernels
+/// are pure integer, so bit-identical across backends by construction
+/// (quantized vs f32 is gated statistically instead, see
+/// spinal/cost_model.h).
 template <class Lane>
 struct LaneKernels {
   using cost_t = typename Lane::cost_t;
   using key_t = typename Lane::key_t;
+  using Level = typename Lane::Level;
 
   /// Streaming fused d=1 finalize+prune over one child-major expansion
   /// block. For every candidate c = i*fanout + v of the block,
@@ -292,6 +327,44 @@ struct LaneKernels {
                        std::uint32_t group_mask, const std::int32_t* group_rowbase,
                        std::uint32_t* out_state, cost_t* out_cost,
                        std::uint32_t* out_path);
+
+  /// Fused per-level expansion: children of the whole leaf array plus
+  /// the accumulated channel metric per child. F32Lane: l2 against the
+  /// constellation, with optional CSI and fixed-point quantisation.
+  /// U16Lane: out_costs[c] = min(sum of per-symbol table metrics,
+  /// 65535), and level.acc_scratch must be sized count*fanout. Both
+  /// need level.rng_scratch sized count*fanout (and premix_scratch,
+  /// when non-null, the shared one-at-a-time pre-mix).
+  void (*awgn_expand_all)(const Level& level, const std::uint32_t* states,
+                          std::size_t count, std::uint32_t fanout,
+                          std::uint32_t* out_states, cost_t* out_costs);
+
+  /// The streaming d=1 pipeline head: child hashing, RNG draws, the
+  /// per-symbol metric sweeps AND the online prune fused into one
+  /// kernel over a leaf block. After the first symbol's accumulation,
+  /// children whose *partial* cost (parent + first-symbol metric;
+  /// metrics only grow, so this is admissible) already exceeds
+  /// bound_key leave the pipeline: the survivor lanes compress and the
+  /// remaining nsym-1 hash+metric sweeps run over the compressed set
+  /// only — losing children never get their costs finished, let alone
+  /// written back. U16Lane sharpens both admissible bounds with its
+  /// PruneFloors: whole rows skip *before any hashing* when
+  /// Lane::key(parent + min_rest[0], 0) > bound_key, and each lane's
+  /// partial cost adds min_rest[1]. Appends survivor keys exactly as
+  /// d1_prune does (same packed contract, same 7-slot slack) and
+  /// returns the count; all child states still land in out_states (the
+  /// writeback reads kept states by candidate index). level.acc_scratch,
+  /// level.idx_scratch, level.rng_scratch and level.premix_scratch must
+  /// all be non-null and sized count*fanout. Bit-identity: each
+  /// surviving child's metric accumulates in the same per-lane order as
+  /// awgn_expand_all, so results equal awgn_expand_all + d1_prune
+  /// exactly (test_backend pins this). Pass Lane::kKeepAll to keep
+  /// everything.
+  std::size_t (*awgn_expand_prune)(const Level& level, const std::uint32_t* states,
+                                   const cost_t* parent_cost, std::size_t count,
+                                   std::uint32_t fanout, std::uint32_t cand_base,
+                                   key_t bound_key, std::uint32_t* out_states,
+                                   key_t* out_keys);
 };
 
 /// The kernel table: one entry per hot-path primitive. All function
@@ -322,41 +395,11 @@ struct Backend {
   void (*hash_premixed_n)(const std::uint32_t* premixed, std::size_t count,
                           std::uint32_t data, std::uint32_t* out);
 
-  /// Fused per-level expansion: children of the whole leaf array plus
-  /// the accumulated channel metric per child (AWGN: l2 against the
-  /// constellation, with optional CSI and fixed-point quantisation).
-  void (*awgn_expand_all)(const AwgnLevel& level, const std::uint32_t* states,
-                          std::size_t count, std::uint32_t fanout,
-                          std::uint32_t* out_states, float* out_costs);
-
   /// Fused per-level expansion, BSC Hamming metric (XOR + popcount over
   /// 64-symbol packed blocks).
   void (*bsc_expand_all)(const BscLevel& level, const std::uint32_t* states,
                          std::size_t count, std::uint32_t fanout,
                          std::uint32_t* out_states, float* out_costs);
-
-  /// The streaming d=1 pipeline head: child hashing, RNG draws, the
-  /// per-symbol AWGN metric sweeps AND the online prune fused into one
-  /// kernel over a leaf block. After the first symbol's accumulation,
-  /// children whose *partial* cost (parent + first-symbol metric;
-  /// metrics only grow, so this is admissible) already exceeds bound_key
-  /// leave the pipeline: the survivor lanes compress and the remaining
-  /// nsym-1 hash+metric sweeps run over the compressed set only —
-  /// losing children never get their costs finished, let alone written
-  /// back. Appends survivor keys exactly as f32.d1_prune does (same packed
-  /// contract, same slack requirement) and returns the count; all
-  /// child states still land in out_states (the writeback reads kept
-  /// states by candidate index). level.acc_scratch, level.idx_scratch,
-  /// level.rng_scratch and level.premix_scratch must all be non-null
-  /// and sized count*fanout. Bit-identity: each surviving child's
-  /// metric accumulates in the same per-lane order as awgn_expand_all,
-  /// so results equal awgn_expand_all + f32.d1_prune exactly
-  /// (test_backend pins this).
-  std::size_t (*awgn_expand_prune)(const AwgnLevel& level, const std::uint32_t* states,
-                                   const float* parent_cost, std::size_t count,
-                                   std::uint32_t fanout, std::uint32_t cand_base,
-                                   std::uint64_t bound_key, std::uint32_t* out_states,
-                                   std::uint64_t* out_keys);
 
   /// GF(2) dense row combine: dst[w] ^= src[w] for w < words. The
   /// kernel table's first non-spinal client — Raptor's LT + LDGM
@@ -366,43 +409,9 @@ struct Backend {
   void (*xor_rows)(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t words);
 
-  // --- Quantized AWGN metric (U16Lane) ----------------------------------
-  // The one place the lanes do different work: the quantized metric is
-  // a pre-tabulated integer gather (AwgnLevelQ) where the f32 metric is
-  // the l2 float chain. Costs are u16-saturating and keys U16Lane keys;
-  // the kernels are pure integer, so bit-identical across backends by
-  // construction (quantized vs f32 is gated statistically instead, see
-  // spinal/cost_model.h).
-
-  /// Quantized awgn_expand_all: out_costs[c] = min(sum of per-symbol
-  /// table metrics, 65535) per child, u16. Needs level.rng_scratch and
-  /// level.acc_scratch sized count*fanout (premix_scratch when the hash
-  /// kind factors and nsym > 1).
-  void (*awgn_expand_all_u16)(const AwgnLevelQ& level, const std::uint32_t* states,
-                              std::size_t count, std::uint32_t fanout,
-                              std::uint32_t* out_states, std::uint16_t* out_costs);
-
-  /// Quantized streaming fused expand+prune, awgn_expand_prune on the
-  /// U16Lane: same pipeline (hash children, sweep symbol 0,
-  /// compress partial-cost survivors, finish the remaining sweeps on
-  /// survivors only), same survivor-key append contract with u32 keys
-  /// (7 slots of slack). Two integer-only extras sharpen the admissible
-  /// bounds: whole rows skip *before any hashing* when
-  /// quant_key(parent + min_rest[0], 0) > bound_key, and the partial
-  /// compress adds min_rest[1] (the guaranteed remaining-symbol floor)
-  /// to each lane's partial cost. Pass bound_key = UINT32_MAX to keep
-  /// everything.
-  std::size_t (*awgn_expand_prune_u16)(const AwgnLevelQ& level,
-                                       const std::uint32_t* states,
-                                       const std::uint16_t* parent_cost,
-                                       std::size_t count, std::uint32_t fanout,
-                                       std::uint32_t cand_base, std::uint32_t bound_key,
-                                       std::uint32_t* out_states,
-                                       std::uint32_t* out_keys);
-
-  /// The search's prune and regroup kernels, once per cost lane: each
-  /// backend fills both from one set of lane templates
-  /// (lane_kernels_t in expand.h).
+  /// The fused AWGN expansion and the search's prune and regroup
+  /// kernels, once per cost lane: each backend fills both from one set
+  /// of lane templates (lane_kernels_t in expand.h).
   LaneKernels<F32Lane> f32;
   LaneKernels<U16Lane> u16;
 

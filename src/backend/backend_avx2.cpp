@@ -11,27 +11,9 @@
 #include "backend/vec_x86.h"
 
 namespace spinal::backend {
-namespace {
-using Ops = simd::SimdOps<simd::Vec256>;
-}  // namespace
 
 const Backend* avx2_backend() noexcept {
-  static const Backend b{
-      "avx2",
-      8,
-      Ops::hash_n,
-      Ops::hash_children,
-      Ops::premix_n,
-      Ops::hash_premixed_n,
-      awgn_expand_all_t<Ops>,
-      bsc_expand_all_t<Ops>,
-      awgn_expand_prune_t<Ops>,
-      Ops::xor_rows,
-      awgn_expand_all_u16_t<Ops>,
-      awgn_expand_prune_u16_t<Ops>,
-      lane_kernels_t<Ops, F32Lane>(),
-      lane_kernels_t<Ops, U16Lane>(),
-  };
+  static const Backend b = backend_t<simd::SimdOps<simd::Vec256>>("avx2", 8);
   return &b;
 }
 

@@ -2,7 +2,8 @@
 // ARM NEON vector wrapper for the generic SIMD kernels (simd_kernels.h):
 // 4 uint32 lanes. aarch64 only — the fixed-point path needs FRINTI
 // (round to integral, current mode) and FDIV, both A64 instructions;
-// 32-bit ARM falls back to the scalar backend.
+// 32-bit ARM falls back to the scalar backend. In an anonymous
+// namespace like the kernels (see simd_kernels.h).
 
 #include <cstddef>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <arm_neon.h>
 
 namespace spinal::backend::simd {
+namespace {
 
 struct VecNeon {
   static constexpr std::size_t W = 4;
@@ -135,6 +137,7 @@ struct VecNeon {
   }
 };
 
+}  // namespace
 }  // namespace spinal::backend::simd
 
 #endif  // __aarch64__

@@ -2,7 +2,9 @@
 // x86 vector wrappers for the generic SIMD kernels (simd_kernels.h):
 // Vec128 (SSE4.2, 4 uint32 lanes) and Vec256 (AVX2, 8 lanes). Each is
 // only visible inside a TU compiled with the matching -m flags; the
-// rest of the build never sees an intrinsic.
+// rest of the build never sees an intrinsic. Like the kernels, they sit
+// in an anonymous namespace, so nothing here has vague linkage (see
+// simd_kernels.h).
 //
 // Float ops are plain IEEE single mul/sub/add/div (never FMA — the
 // kernels' bit-identity contract) and the fixed-point round uses the
@@ -15,6 +17,7 @@
 #include <immintrin.h>
 
 namespace spinal::backend::simd {
+namespace {
 
 #if defined(__SSE4_2__)
 struct Vec128 {
@@ -150,7 +153,7 @@ struct Vec128 {
 /// compress stores: entry [mask] lists the surviving lane indices in
 /// lane order, zero-padded. Computed at compile time — no per-call
 /// magic-static guard in the innermost prune loops.
-inline constexpr struct CompressLut256 {
+constexpr struct CompressLut256 {
   std::uint32_t perm[256][8];
 } kCompressLut256 = [] {
   CompressLut256 t{};
@@ -290,6 +293,7 @@ struct Vec256 {
 };
 #endif  // __AVX2__
 
+}  // namespace
 }  // namespace spinal::backend::simd
 
 #endif  // __SSE4_2__ || __AVX2__

@@ -166,7 +166,7 @@ concept BackendSearchEnv = requires(const Env& e) {
 };
 
 /// An Env may further fuse expansion and prune into one kernel call
-/// per lane (Backend::awgn_expand_prune / awgn_expand_prune_u16): the
+/// per lane (LaneKernels::awgn_expand_prune in Backend::f32 / u16): the
 /// d=1 search then hands it the parent costs, the bound and the key
 /// buffer instead of splitting the block into expand_all + d1_prune,
 /// and the kernel narrows its metric sweeps to partial-cost survivors

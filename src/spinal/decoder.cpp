@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "spinal/cost_model.h"
 
@@ -73,6 +74,12 @@ std::uint16_t build_quant_row(float yr, float yi, const float* table,
 
 // ---------------------------------------------------------------- AWGN
 
+/// The cost lane whose path-cost word is @p Cost: the search picks a
+/// lane per decode and calls the Env's batched contract in its words.
+template <class Cost>
+using lane_of =
+    std::conditional_t<std::is_same_v<Cost, float>, backend::F32Lane, backend::U16Lane>;
+
 /// Retained scalar reference environment: per-node child() + node_cost()
 /// exactly as the pre-batching decoder computed them. The golden
 /// equivalence suite pins the batched kernel against this.
@@ -124,79 +131,7 @@ struct AwgnBatchEnv : AwgnEnv {
 
   const backend::Backend& search_backend() const noexcept { return *be; }
 
-  void expand_all(int spine_idx, const std::uint32_t* states, std::size_t count,
-                  int fanout, std::uint32_t* out_states, float* out_costs) const {
-    const std::size_t total = count * static_cast<std::size_t>(fanout);
-    const std::uint32_t begin = ws->soa_off[spine_idx];
-    const std::uint32_t nsym = ws->soa_off[spine_idx + 1] - begin;
-    // Scratch is sized here, in baseline code, so the kernels (possibly
-    // compiled with wide-ISA flags) never touch std::vector internals.
-    backend::ExpandScratch& sc = ws->expand;
-    sc.rng_words.resize(total);
-    const bool premixed = dec.hash_.has_premix() && nsym > 1;
-    if (premixed) sc.premix.resize(total);
-    const backend::AwgnLevel level{dec.hash_.kind(),
-                                   dec.hash_.salt(),
-                                   ws->ord.data() + begin,
-                                   nsym,
-                                   ws->y_re.data() + begin,
-                                   ws->y_im.data() + begin,
-                                   ws->h_re.data() + begin,
-                                   ws->h_im.data() + begin,
-                                   use_csi,
-                                   fx_scale,
-                                   table,
-                                   raw_table,
-                                   mask,
-                                   cbits,
-                                   sc.rng_words.data(),
-                                   premixed ? sc.premix.data() : nullptr,
-                                   nullptr,
-                                   nullptr};
-    be->awgn_expand_all(level, states, count, static_cast<std::uint32_t>(fanout),
-                        out_states, out_costs);
-  }
-
-  /// The streaming d=1 pipeline head (see Backend::awgn_expand_prune):
-  /// expansion, metric sweeps and the online prune in one kernel call,
-  /// with the post-first-symbol sweeps narrowed to partial-cost
-  /// survivors. Bit-identical to expand_all + the generic prune.
-  std::size_t expand_prune(int spine_idx, const std::uint32_t* states,
-                           const float* parent_cost, std::size_t count, int fanout,
-                           std::uint32_t cand_base, std::uint64_t bound_key,
-                           std::uint32_t* out_states, std::uint64_t* out_keys) const {
-    const std::size_t total = count * static_cast<std::size_t>(fanout);
-    const std::uint32_t begin = ws->soa_off[spine_idx];
-    const std::uint32_t nsym = ws->soa_off[spine_idx + 1] - begin;
-    backend::ExpandScratch& sc = ws->expand;
-    sc.rng_words.resize(total);
-    sc.premix.resize(total);  // pre-mix or compacted RNG lanes, always on
-    sc.acc.resize(total);
-    sc.idx.resize(total);
-    const backend::AwgnLevel level{dec.hash_.kind(),
-                                   dec.hash_.salt(),
-                                   ws->ord.data() + begin,
-                                   nsym,
-                                   ws->y_re.data() + begin,
-                                   ws->y_im.data() + begin,
-                                   ws->h_re.data() + begin,
-                                   ws->h_im.data() + begin,
-                                   use_csi,
-                                   fx_scale,
-                                   table,
-                                   raw_table,
-                                   mask,
-                                   cbits,
-                                   sc.rng_words.data(),
-                                   sc.premix.data(),
-                                   sc.acc.data(),
-                                   sc.idx.data()};
-    return be->awgn_expand_prune(level, states, parent_cost, count,
-                                 static_cast<std::uint32_t>(fanout), cand_base,
-                                 bound_key, out_states, out_keys);
-  }
-
-  // ---- U16Lane (quantized path metric) overloads ----
+  // ---- U16Lane (quantized path metric) ----
   // Active only when decode_with resolved the precision knob to a
   // narrow type AND the decode is eligible (AWGN without CSI, 2c <= 12
   // so the combined metric table stays cache-resident, B·2^k <= 65536
@@ -238,45 +173,81 @@ struct AwgnBatchEnv : AwgnEnv {
     return ws->qmin_rest[ws->soa_off[spine_idx] + static_cast<std::uint32_t>(spine_idx)];
   }
 
-  backend::AwgnLevelQ level_q(int spine_idx, std::size_t total, bool want_idx) const {
+  /// Cost lane @p Lane's kernel inputs for one spine level over @p total
+  /// children. Scratch is sized here, in baseline code, so the kernels
+  /// (possibly compiled with wide-ISA flags) never touch std::vector
+  /// internals; @p fused also sizes the streaming pipeline's survivor
+  /// scratch (see LaneKernels::awgn_expand_prune).
+  template <class Lane>
+  typename Lane::Level level(int spine_idx, std::size_t total, bool fused) const {
     const std::uint32_t begin = ws->soa_off[spine_idx];
     const std::uint32_t nsym = ws->soa_off[spine_idx + 1] - begin;
     backend::ExpandScratch& sc = ws->expand;
     sc.rng_words.resize(total);
-    sc.premix.resize(total);
-    sc.acc_q.resize(total);
-    if (want_idx) sc.idx.resize(total);
-    return backend::AwgnLevelQ{dec.hash_.kind(),
-                               dec.hash_.salt(),
-                               ws->ord.data() + begin,
-                               nsym,
-                               dec.qtab_[spine_idx].data(),
-                               q_stride,
-                               q_mask,
-                               ws->qmin_rest.data() + begin + spine_idx,
-                               sc.rng_words.data(),
-                               sc.premix.data(),
-                               sc.acc_q.data(),
-                               want_idx ? sc.idx.data() : nullptr};
+    sc.premix.resize(total);  // pre-mix or compacted RNG lanes
+    if (fused) sc.idx.resize(total);
+    std::uint32_t* const idx = fused ? sc.idx.data() : nullptr;
+    if constexpr (std::is_same_v<Lane, backend::F32Lane>) {
+      // expand_all accumulates straight into its output costs.
+      if (fused) sc.acc.resize(total);
+      return {dec.hash_.kind(),
+              dec.hash_.salt(),
+              ws->ord.data() + begin,
+              nsym,
+              ws->y_re.data() + begin,
+              ws->y_im.data() + begin,
+              ws->h_re.data() + begin,
+              ws->h_im.data() + begin,
+              use_csi,
+              fx_scale,
+              table,
+              raw_table,
+              mask,
+              cbits,
+              sc.rng_words.data(),
+              sc.premix.data(),
+              fused ? sc.acc.data() : nullptr,
+              idx};
+    } else {
+      sc.acc_q.resize(total);
+      return {dec.hash_.kind(),
+              dec.hash_.salt(),
+              ws->ord.data() + begin,
+              nsym,
+              dec.qtab_[spine_idx].data(),
+              q_stride,
+              q_mask,
+              ws->qmin_rest.data() + begin + spine_idx,
+              sc.rng_words.data(),
+              sc.premix.data(),
+              sc.acc_q.data(),
+              idx};
+    }
   }
 
+  /// The batched expansion in the lane whose cost word is @p Cost.
+  template <class Cost, class Lane = lane_of<Cost>>
   void expand_all(int spine_idx, const std::uint32_t* states, std::size_t count,
-                  int fanout, std::uint32_t* out_states, std::uint16_t* out_costs) const {
-    const std::size_t total = count * static_cast<std::size_t>(fanout);
-    const backend::AwgnLevelQ level = level_q(spine_idx, total, false);
-    be->awgn_expand_all_u16(level, states, count, static_cast<std::uint32_t>(fanout),
-                            out_states, out_costs);
+                  int fanout, std::uint32_t* out_states, Cost* out_costs) const {
+    const auto f = static_cast<std::uint32_t>(fanout);
+    be->lane<Lane>().awgn_expand_all(level<Lane>(spine_idx, count * f, false), states,
+                                     count, f, out_states, out_costs);
   }
 
+  /// The streaming d=1 pipeline head (see LaneKernels::awgn_expand_prune):
+  /// expansion, metric sweeps and the online prune in one kernel call,
+  /// with the post-first-symbol sweeps narrowed to partial-cost
+  /// survivors. Bit-identical to expand_all + the generic prune.
+  template <class Cost, class Lane = lane_of<Cost>>
   std::size_t expand_prune(int spine_idx, const std::uint32_t* states,
-                           const std::uint16_t* parent_cost, std::size_t count,
-                           int fanout, std::uint32_t cand_base, std::uint32_t bound_key,
-                           std::uint32_t* out_states, std::uint32_t* out_keys) const {
-    const std::size_t total = count * static_cast<std::size_t>(fanout);
-    const backend::AwgnLevelQ level = level_q(spine_idx, total, true);
-    return be->awgn_expand_prune_u16(level, states, parent_cost, count,
-                                     static_cast<std::uint32_t>(fanout), cand_base,
-                                     bound_key, out_states, out_keys);
+                           const Cost* parent_cost, std::size_t count, int fanout,
+                           std::uint32_t cand_base, typename Lane::key_t bound_key,
+                           std::uint32_t* out_states,
+                           typename Lane::key_t* out_keys) const {
+    const auto f = static_cast<std::uint32_t>(fanout);
+    return be->lane<Lane>().awgn_expand_prune(level<Lane>(spine_idx, count * f, true),
+                                              states, parent_cost, count, f, cand_base,
+                                              bound_key, out_states, out_keys);
   }
 };
 

@@ -67,18 +67,18 @@ TEST(BackendRegistry, NamesAreUniqueAndLanesSane) {
     EXPECT_NE(b->hash_children, nullptr) << b->name;
     EXPECT_NE(b->premix_n, nullptr) << b->name;
     EXPECT_NE(b->hash_premixed_n, nullptr) << b->name;
-    EXPECT_NE(b->awgn_expand_all, nullptr) << b->name;
     EXPECT_NE(b->bsc_expand_all, nullptr) << b->name;
-    EXPECT_NE(b->awgn_expand_prune, nullptr) << b->name;
     EXPECT_NE(b->xor_rows, nullptr) << b->name;
-    EXPECT_NE(b->awgn_expand_all_u16, nullptr) << b->name;
-    EXPECT_NE(b->awgn_expand_prune_u16, nullptr) << b->name;
     EXPECT_NE(b->f32.d1_prune, nullptr) << b->name;
     EXPECT_NE(b->f32.row_mins, nullptr) << b->name;
     EXPECT_NE(b->f32.regroup_emit, nullptr) << b->name;
+    EXPECT_NE(b->f32.awgn_expand_all, nullptr) << b->name;
+    EXPECT_NE(b->f32.awgn_expand_prune, nullptr) << b->name;
     EXPECT_NE(b->u16.d1_prune, nullptr) << b->name;
     EXPECT_NE(b->u16.row_mins, nullptr) << b->name;
     EXPECT_NE(b->u16.regroup_emit, nullptr) << b->name;
+    EXPECT_NE(b->u16.awgn_expand_all, nullptr) << b->name;
+    EXPECT_NE(b->u16.awgn_expand_prune, nullptr) << b->name;
   }
   for (std::size_t i = 0; i < names.size(); ++i)
     for (std::size_t j = i + 1; j < names.size(); ++j)
@@ -272,8 +272,8 @@ TEST(BackendKernels, AwgnExpandAllMatchesScalarExactly) {
                                    nullptr};
           out_states.resize(total);
           out_costs.resize(total);
-          be->awgn_expand_all(level, states.data(), count, fanout, out_states.data(),
-                              out_costs.data());
+          be->f32.awgn_expand_all(level, states.data(), count, fanout,
+                                  out_states.data(), out_costs.data());
         };
 
         std::vector<std::uint32_t> st_want, st_got;
@@ -347,94 +347,100 @@ TEST(BackendKernels, AwgnExpandPruneMatchesSplitPipeline) {
   // bound, where no narrowing happens).
   util::Xoshiro256 prng(111);
   backend::ExpandScratch sc_split, sc_fused;
-  for (const Backend* b : backend::available()) {
-    for (hash::Kind kind : kKinds) {
-      for (int mode = 0; mode < 3; ++mode) {  // plain, CSI, CSI+fixed-point
-        const int cbits = 6;
-        const auto table = random_table(prng, cbits);
-        const std::size_t count = 37;
-        const std::uint32_t fanout = 8;
-        const std::size_t total = count * fanout;
-        const auto states = random_words(prng, count);
-        const std::uint32_t nsym = 3;
-        const auto ord = random_words(prng, nsym);
-        std::vector<float> y_re(nsym), y_im(nsym), h_re(nsym), h_im(nsym);
-        for (std::uint32_t s = 0; s < nsym; ++s) {
-          y_re[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
-          y_im[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
-          h_re[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
-          h_im[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
-        }
-        std::vector<float> parent(count);
-        float walk = 0.5f;
-        for (auto& p : parent) {
-          walk += static_cast<float>(prng.next_double()) * 0.3f;
-          p = walk;
-        }
-        const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
+  // Geometries: fanout 2 takes the SIMD kernels' scalar fallback and
+  // 16 is the k=4 reference geometry; nsym 0 and 1 take the
+  // no-compress branches, 70 runs long sweeps over few survivors.
+  for (const std::uint32_t fanout : {8u, 2u, 16u}) {
+    for (const std::uint32_t nsym : {3u, 0u, 1u, 70u}) {
+      for (const Backend* b : backend::available()) {
+        for (hash::Kind kind : kKinds) {
+          for (int mode = 0; mode < 3; ++mode) {  // plain, CSI, CSI+fixed-point
+            const int cbits = 6;
+            const auto table = random_table(prng, cbits);
+            const std::size_t count = 37;
+            const std::size_t total = count * fanout;
+            const auto states = random_words(prng, count);
+            const auto ord = random_words(prng, nsym);
+            std::vector<float> y_re(nsym), y_im(nsym), h_re(nsym), h_im(nsym);
+            for (std::uint32_t s = 0; s < nsym; ++s) {
+              y_re[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
+              y_im[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
+              h_re[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
+              h_im[s] = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
+            }
+            std::vector<float> parent(count);
+            float walk = 0.5f;
+            for (auto& p : parent) {
+              walk += static_cast<float>(prng.next_double()) * 0.3f;
+              p = walk;
+            }
+            const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
 
-        auto make_level = [&](backend::ExpandScratch& sc) {
-          sc.rng_words.resize(total);
-          sc.premix.resize(total);
-          sc.acc.resize(total);
-          sc.idx.resize(total);
-          return backend::AwgnLevel{kind,
-                                    salt,
-                                    ord.data(),
-                                    nsym,
-                                    y_re.data(),
-                                    y_im.data(),
-                                    h_re.data(),
-                                    h_im.data(),
-                                    /*use_csi=*/mode > 0,
-                                    /*fx_scale=*/mode == 2 ? 64.0f : 0.0f,
-                                    table.data(),
-                                    table.data(),
-                                    static_cast<std::uint32_t>(table.size() - 1),
-                                    cbits,
-                                    sc.rng_words.data(),
-                                    sc.premix.data(),
-                                    sc.acc.data(),
-                                    sc.idx.data()};
-        };
+            auto make_level = [&](backend::ExpandScratch& sc) {
+              sc.rng_words.resize(total);
+              sc.premix.resize(total);
+              sc.acc.resize(total);
+              sc.idx.resize(total);
+              return backend::AwgnLevel{kind,
+                                        salt,
+                                        ord.data(),
+                                        nsym,
+                                        y_re.data(),
+                                        y_im.data(),
+                                        h_re.data(),
+                                        h_im.data(),
+                                        /*use_csi=*/mode > 0,
+                                        /*fx_scale=*/mode == 2 ? 64.0f : 0.0f,
+                                        table.data(),
+                                        table.data(),
+                                        static_cast<std::uint32_t>(table.size() - 1),
+                                        cbits,
+                                        sc.rng_words.data(),
+                                        sc.premix.data(),
+                                        sc.acc.data(),
+                                        sc.idx.data()};
+            };
 
-        // Split reference: full expansion, then the generic prune.
-        const backend::AwgnLevel ls = make_level(sc_split);
-        std::vector<std::uint32_t> st_split(total);
-        std::vector<float> costs(total);
-        b->awgn_expand_all(ls, states.data(), count, fanout, st_split.data(),
-                           costs.data());
+            // Split reference: full expansion, then the generic prune.
+            const backend::AwgnLevel ls = make_level(sc_split);
+            std::vector<std::uint32_t> st_split(total);
+            std::vector<float> costs(total);
+            b->f32.awgn_expand_all(ls, states.data(), count, fanout, st_split.data(),
+                                   costs.data());
 
-        for (int bsel = 0; bsel < 3; ++bsel) {
-          // Bounds: keep everything / the 25% point / the 75% point.
-          std::uint64_t bound = ~0ull;
-          if (bsel > 0) {
-            std::vector<float> fin(total);
-            for (std::size_t i = 0; i < count; ++i)
-              for (std::uint32_t v = 0; v < fanout; ++v)
-                fin[i * fanout + v] = parent[i] + costs[i * fanout + v];
-            std::sort(fin.begin(), fin.end());
-            const float cut = fin[bsel == 1 ? total / 4 : 3 * total / 4];
-            bound = (static_cast<std::uint64_t>(backend::monotone_key(cut)) << 32) |
-                    0x000004FFull;  // a mid-range index tie-break
+            for (int bsel = 0; bsel < 3; ++bsel) {
+              // Bounds: keep everything / the 25% point / the 75% point.
+              std::uint64_t bound = ~0ull;
+              if (bsel > 0) {
+                std::vector<float> fin(total);
+                for (std::size_t i = 0; i < count; ++i)
+                  for (std::uint32_t v = 0; v < fanout; ++v)
+                    fin[i * fanout + v] = parent[i] + costs[i * fanout + v];
+                std::sort(fin.begin(), fin.end());
+                const float cut = fin[bsel == 1 ? total / 4 : 3 * total / 4];
+                bound = (static_cast<std::uint64_t>(backend::monotone_key(cut)) << 32) |
+                        0x000004FFull;  // a mid-range index tie-break
+              }
+              std::vector<std::uint64_t> k_split(total + 7, ~0ull), k_fused(total + 7, ~1ull);
+              const std::size_t n_split =
+                  b->f32.d1_prune(parent.data(), costs.data(), count, fanout, 100,
+                                  bound, k_split.data());
+              const backend::AwgnLevel lf = make_level(sc_fused);
+              std::vector<std::uint32_t> st_fused(total, ~0u);
+              const std::size_t n_fused =
+                  b->f32.awgn_expand_prune(lf, states.data(), parent.data(), count,
+                                           fanout, 100, bound, st_fused.data(),
+                                           k_fused.data());
+              EXPECT_EQ(n_split, n_fused)
+                  << b->name << " kind=" << hash::kind_name(kind) << " mode=" << mode
+                  << " bsel=" << bsel << " fanout=" << fanout << " nsym=" << nsym;
+              EXPECT_EQ(st_split, st_fused) << b->name << " mode=" << mode;
+              for (std::size_t j = 0; j < std::min(n_split, n_fused); ++j)
+                EXPECT_EQ(k_split[j], k_fused[j])
+                    << b->name << " kind=" << hash::kind_name(kind) << " mode=" << mode
+                    << " bsel=" << bsel << " survivor " << j;
+            }
           }
-          std::vector<std::uint64_t> k_split(total + 7, ~0ull), k_fused(total + 7, ~1ull);
-          const std::size_t n_split =
-              b->f32.d1_prune(parent.data(), costs.data(), count, fanout, 100, bound,
-                          k_split.data());
-          const backend::AwgnLevel lf = make_level(sc_fused);
-          std::vector<std::uint32_t> st_fused(total, ~0u);
-          const std::size_t n_fused =
-              b->awgn_expand_prune(lf, states.data(), parent.data(), count, fanout, 100,
-                                   bound, st_fused.data(), k_fused.data());
-          EXPECT_EQ(n_split, n_fused)
-              << b->name << " kind=" << hash::kind_name(kind) << " mode=" << mode
-              << " bsel=" << bsel;
-          EXPECT_EQ(st_split, st_fused) << b->name << " mode=" << mode;
-          for (std::size_t j = 0; j < std::min(n_split, n_fused); ++j)
-            EXPECT_EQ(k_split[j], k_fused[j])
-                << b->name << " kind=" << hash::kind_name(kind) << " mode=" << mode
-                << " bsel=" << bsel << " survivor " << j;
         }
       }
     }
@@ -926,7 +932,7 @@ std::vector<std::uint16_t> suffix_floors(const std::vector<std::uint16_t>& qtab,
 }
 
 TEST(BackendKernels, QuantizedExpandAllMatchesBruteForce) {
-  // awgn_expand_all_u16 on every backend must equal the from-scratch
+  // u16.awgn_expand_all on every backend must equal the from-scratch
   // definition: child state = h(state, v); cost = clamp(sum over
   // symbols of qtab[s][rng(child, ord[s]) & qmask]). This pins the
   // SIMD gather/saturation path bit-exactly, not just scalar-vs-SIMD.
@@ -953,7 +959,7 @@ TEST(BackendKernels, QuantizedExpandAllMatchesBruteForce) {
                                       acc_sc.data(), nullptr};
       std::vector<std::uint32_t> out_states(total);
       std::vector<std::uint16_t> out_costs(total);
-      b->awgn_expand_all_u16(level, states.data(), count, fanout, out_states.data(),
+      b->u16.awgn_expand_all(level, states.data(), count, fanout, out_states.data(),
                              out_costs.data());
 
       const hash::SpineHash h(kind, salt);
@@ -1012,70 +1018,76 @@ TEST(BackendKernels, QuantizedD1PruneMatchesBruteForce) {
 
 TEST(BackendKernels, QuantizedExpandPruneMatchesSplitPipeline) {
   // The fused integer streaming kernel must append exactly the keys of
-  // awgn_expand_all_u16 + u16.d1_prune, for every backend x hash kind
+  // u16.awgn_expand_all + u16.d1_prune, for every backend x hash kind
   // x bound tightness — including bounds tight enough to trip the
   // min_rest row-skip and partial-floor sharpenings, which may only
   // ever skip work, never change the survivor set.
   util::Xoshiro256 prng(122);
-  for (const Backend* b : backend::available()) {
-    for (hash::Kind kind : kKinds) {
-      const int cbits = 3;
-      const std::uint32_t qstride = 1u << (2 * cbits);
-      const std::uint32_t nsym = 3, fanout = 8;
-      const std::size_t count = 37;
-      const std::size_t total = count * fanout;
-      const auto states = random_words(prng, count);
-      const auto ord = random_words(prng, nsym);
-      const auto qtab = random_qtab(prng, nsym, qstride);
-      const auto floors = suffix_floors(qtab, nsym, qstride);
-      const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
-      std::vector<std::uint16_t> parent(count);
-      for (auto& c : parent)
-        c = static_cast<std::uint16_t>(prng.next_u64() % 2000u);
+  // Geometries as in AwgnExpandPruneMatchesSplitPipeline; nsym 70
+  // also drives the u32 accumulators past the u16 saturation point.
+  for (const std::uint32_t fanout : {8u, 2u, 16u}) {
+    for (const std::uint32_t nsym : {3u, 0u, 1u, 70u}) {
+      for (const Backend* b : backend::available()) {
+        for (hash::Kind kind : kKinds) {
+          const int cbits = 3;
+          const std::uint32_t qstride = 1u << (2 * cbits);
+          const std::size_t count = 37;
+          const std::size_t total = count * fanout;
+          const auto states = random_words(prng, count);
+          const auto ord = random_words(prng, nsym);
+          const auto qtab = random_qtab(prng, nsym, qstride);
+          const auto floors = suffix_floors(qtab, nsym, qstride);
+          const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
+          std::vector<std::uint16_t> parent(count);
+          for (auto& c : parent)
+            c = static_cast<std::uint16_t>(prng.next_u64() % 2000u);
 
-      std::vector<std::uint32_t> rng_sc(total), premix_sc(total), acc_sc(total),
-          idx_sc(total);
-      auto make_level = [&] {
-        return backend::AwgnLevelQ{kind,          salt,
-                                   ord.data(),    nsym,
-                                   qtab.data(),   qstride,
-                                   qstride - 1,   floors.data(),
-                                   rng_sc.data(), premix_sc.data(),
-                                   acc_sc.data(), idx_sc.data()};
-      };
+          std::vector<std::uint32_t> rng_sc(total), premix_sc(total), acc_sc(total),
+              idx_sc(total);
+          auto make_level = [&] {
+            return backend::AwgnLevelQ{kind,          salt,
+                                       ord.data(),    nsym,
+                                       qtab.data(),   qstride,
+                                       qstride - 1,   floors.data(),
+                                       rng_sc.data(), premix_sc.data(),
+                                       acc_sc.data(), idx_sc.data()};
+          };
 
-      const backend::AwgnLevelQ ls = make_level();
-      std::vector<std::uint32_t> st_split(total);
-      std::vector<std::uint16_t> costs(total);
-      b->awgn_expand_all_u16(ls, states.data(), count, fanout, st_split.data(),
-                             costs.data());
+          const backend::AwgnLevelQ ls = make_level();
+          std::vector<std::uint32_t> st_split(total);
+          std::vector<std::uint16_t> costs(total);
+          b->u16.awgn_expand_all(ls, states.data(), count, fanout, st_split.data(),
+                                 costs.data());
 
-      for (int bsel = 0; bsel < 3; ++bsel) {
-        std::uint32_t bound = ~0u;
-        if (bsel > 0) {
-          std::vector<std::uint32_t> fin(total);
-          for (std::size_t i = 0; i < count; ++i)
-            for (std::uint32_t v = 0; v < fanout; ++v)
-              fin[i * fanout + v] = std::min(
-                  65535u, static_cast<std::uint32_t>(parent[i]) + costs[i * fanout + v]);
-          std::sort(fin.begin(), fin.end());
-          bound = backend::quant_key(fin[bsel == 1 ? total / 4 : 3 * total / 4], 0x4FF);
+          for (int bsel = 0; bsel < 3; ++bsel) {
+            std::uint32_t bound = ~0u;
+            if (bsel > 0) {
+              std::vector<std::uint32_t> fin(total);
+              for (std::size_t i = 0; i < count; ++i)
+                for (std::uint32_t v = 0; v < fanout; ++v)
+                  fin[i * fanout + v] = std::min(
+                      65535u, static_cast<std::uint32_t>(parent[i]) + costs[i * fanout + v]);
+              std::sort(fin.begin(), fin.end());
+              bound = backend::quant_key(fin[bsel == 1 ? total / 4 : 3 * total / 4], 0x4FF);
+            }
+            std::vector<std::uint32_t> k_split(total + 7, ~0u), k_fused(total + 7, ~1u);
+            const std::size_t n_split = b->u16.d1_prune(parent.data(), costs.data(), count,
+                                                        fanout, 100, bound, k_split.data());
+            const backend::AwgnLevelQ lf = make_level();
+            std::vector<std::uint32_t> st_fused(total, ~0u);
+            const std::size_t n_fused =
+                b->u16.awgn_expand_prune(lf, states.data(), parent.data(), count, fanout,
+                                         100, bound, st_fused.data(), k_fused.data());
+            EXPECT_EQ(n_split, n_fused)
+                << b->name << " kind=" << hash::kind_name(kind) << " bsel=" << bsel
+                << " fanout=" << fanout << " nsym=" << nsym;
+            EXPECT_EQ(st_split, st_fused) << b->name << " bsel=" << bsel;
+            for (std::size_t j = 0; j < std::min(n_split, n_fused); ++j)
+              EXPECT_EQ(k_split[j], k_fused[j])
+                  << b->name << " kind=" << hash::kind_name(kind) << " bsel=" << bsel
+                  << " survivor " << j;
+          }
         }
-        std::vector<std::uint32_t> k_split(total + 7, ~0u), k_fused(total + 7, ~1u);
-        const std::size_t n_split = b->u16.d1_prune(parent.data(), costs.data(), count,
-                                                    fanout, 100, bound, k_split.data());
-        const backend::AwgnLevelQ lf = make_level();
-        std::vector<std::uint32_t> st_fused(total, ~0u);
-        const std::size_t n_fused =
-            b->awgn_expand_prune_u16(lf, states.data(), parent.data(), count, fanout,
-                                     100, bound, st_fused.data(), k_fused.data());
-        EXPECT_EQ(n_split, n_fused)
-            << b->name << " kind=" << hash::kind_name(kind) << " bsel=" << bsel;
-        EXPECT_EQ(st_split, st_fused) << b->name << " bsel=" << bsel;
-        for (std::size_t j = 0; j < std::min(n_split, n_fused); ++j)
-          EXPECT_EQ(k_split[j], k_fused[j])
-              << b->name << " kind=" << hash::kind_name(kind) << " bsel=" << bsel
-              << " survivor " << j;
       }
     }
   }
