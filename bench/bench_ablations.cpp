@@ -53,7 +53,7 @@ double bsc_rate(double p_flip, int trials, std::uint64_t seed) {
     bool ok = false;
     for (int sp = 0; sp < p.max_passes * sched.subpasses_per_pass() && !ok; ++sp) {
       for (const SymbolId& id : sched.subpass(sp)) {
-        dec.add_bit(id, ch.transmit(enc.bit(id)));
+        dec.add_symbol(id, ch.transmit(enc.symbol(id)));
         ++bits;
       }
       if ((sp + 1) % sched.subpasses_per_pass() == 0)

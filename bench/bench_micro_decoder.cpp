@@ -63,7 +63,7 @@ void feed_bsc(const CodeParams& p, BscSpinalDecoder& dec, int passes) {
   const PuncturingSchedule sched(p);
   for (int sp = 0; sp < passes * sched.subpasses_per_pass(); ++sp)
     for (const SymbolId& id : sched.subpass(sp))
-      dec.add_bit(id, ch.transmit(enc.bit(id)));
+      dec.add_symbol(id, ch.transmit(enc.symbol(id)));
 }
 
 /// args: n, k, B, d, passes. Reports decoded message bits per second.

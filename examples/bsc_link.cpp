@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   long bits_sent = 0;
   for (int sp = 0; sp < params.max_passes * schedule.subpasses_per_pass(); ++sp) {
     for (const SymbolId& id : schedule.subpass(sp)) {
-      decoder.add_bit(id, channel.transmit(encoder.bit(id)));
+      decoder.add_symbol(id, channel.transmit(encoder.symbol(id)));
       ++bits_sent;
     }
     if ((sp + 1) % schedule.subpasses_per_pass() != 0) continue;

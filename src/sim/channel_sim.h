@@ -39,7 +39,7 @@ class ChannelSim {
 
   /// BSC front-end: transmit() treats each symbol as one coded bit on
   /// the real axis (>= 0.5 reads as 1) and flips it with probability
-  /// @p crossover. Pairs with BscSession (sim/bsc_session.h).
+  /// @p crossover. Pairs with sim::BscSession (sim/spinal_session.h).
   static ChannelSim bsc(double crossover, std::uint64_t seed);
 
   ChannelKind kind() const noexcept { return kind_; }

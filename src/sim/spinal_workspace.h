@@ -1,9 +1,9 @@
 #pragma once
 // The concrete CodecWorkspace of every spinal-decoder-backed decode
-// target (AWGN/fading SpinalSession, BscSession, and the link-layer
-// mux's code blocks): the beam-search DecodeWorkspace plus a
-// DecodeResult scratch, pinned together per worker so steady-state
-// attempts stay allocation-free. All spinal targets key their
+// target (the one session template under either channel metric —
+// SpinalSession, BscSession — and the link-layer mux's code blocks):
+// the beam-search DecodeWorkspace plus a DecodeResult scratch, pinned
+// together per worker so steady-state attempts stay allocation-free. All spinal targets key their
 // workspaces under KeyCodec::kSpinal with every CodeParams field packed
 // into the key's words — equal keys guarantee interchangeable workspace
 // layouts — and decode through the one SpinalTarget implementation
@@ -41,8 +41,8 @@ inline WorkspaceKey spinal_workspace_key(const CodeParams& p) {
 /// Batch-aggregation key of a spinal target: the workspace key refined
 /// by flavor (kSpinalAwgn / kSpinalBsc / kSpinalLink). AWGN and BSC
 /// sessions deliberately share spinal_workspace_key so a worker pins one
-/// scratch for both, but their decoder types differ — batches must not
-/// mix them.
+/// scratch for both, but their decoder instantiations differ (one
+/// Decoder template, two metrics) — batches must not mix them.
 inline WorkspaceKey spinal_batch_key(const CodeParams& p, KeyCodec flavor) {
   WorkspaceKey key = spinal_workspace_key(p);
   key.codec = flavor;
@@ -54,7 +54,8 @@ inline WorkspaceKey spinal_batch_key(const CodeParams& p, KeyCodec flavor) {
 /// in the decoder's own scratch at the configured width), a batch as
 /// the jobs' solo attempts back to back in that one workspace, the
 /// spinal keys, and the beam width as effort knob.
-/// @p Base is DecodeTarget or a subclass (RatelessSession, BlockUnit).
+/// @p Base is DecodeTarget or a subclass (RatelessSession, BlockUnit);
+/// @p Decoder is Decoder<AwgnMetric> or Decoder<BscMetric>.
 template <class Base, class Decoder>
 class SpinalTarget : public Base {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <stdexcept>
 #include <type_traits>
 
 #include "spinal/cost_model.h"
@@ -13,20 +12,12 @@ namespace {
 
 /// Converts decoded chunk values back into an n-bit message, reusing
 /// @p msg storage (allocation-free once capacity is established).
-void chunks_to_message_into(const CodeParams& p,
-                            const std::vector<std::uint32_t>& chunks,
-                            util::BitVec& msg) {
+void chunks_to_message(const CodeParams& p, const std::vector<std::uint32_t>& chunks,
+                       util::BitVec& msg) {
   msg.reset(static_cast<std::size_t>(p.n));
   for (int i = 0; i < p.spine_length(); ++i)
     msg.set_bits(static_cast<std::size_t>(i) * p.k,
                  static_cast<unsigned>(p.chunk_bits(i)), chunks[i]);
-}
-
-util::BitVec chunks_to_message(const CodeParams& p,
-                               const std::vector<std::uint32_t>& chunks) {
-  util::BitVec msg;
-  chunks_to_message_into(p, chunks, msg);
-  return msg;
 }
 
 /// Appendix-B grid quantisation. One definition shared by the scalar
@@ -251,31 +242,10 @@ struct AwgnBatchEnv : AwgnEnv {
   }
 };
 
-/// The decode_with body both spinal decoders share, over whichever
-/// batched Env the decoder builds.
-struct detail::DecodeDriver {
-  template <class Decoder>
-  static void one(const Decoder& dec, DecodeWorkspace& ws, DecodeResult& out,
-                  int beam_width) {
-    dec.flatten_soa(ws);
-    CodeParams p = dec.params_;
-    if (beam_width > 0 && beam_width < p.B) p.B = beam_width;
-    using Env = decltype(dec.batch_env(ws));
-    const Env env = dec.batch_env(ws);
-    const BeamSearch<Env> search;
-    search.run(env, p, ws.search, ws.result);
-    chunks_to_message_into(dec.params_, ws.result.chunks, out.message);
-    out.path_cost = ws.result.best_cost;
-  }
-};
-
-SpinalDecoder::SpinalDecoder(const CodeParams& params)
-    : params_(validated(params)),
-      hash_(params.hash_kind, params.salt),
-      constellation_(params.map, params.c, params.power, params.beta),
-      rx_(params.spine_length()) {
-  if (params_.fixed_point_frac_bits > 0) {
-    fx_scale_ = static_cast<float>(1 << params_.fixed_point_frac_bits);
+AwgnMetric::AwgnMetric(const CodeParams& params)
+    : constellation_(symbol_map<Map>(params)) {
+  if (params.fixed_point_frac_bits > 0) {
+    fx_scale_ = static_cast<float>(1 << params.fixed_point_frac_bits);
     fx_table_.resize(constellation_.table().size());
     for (std::size_t i = 0; i < fx_table_.size(); ++i)
       fx_table_[i] = fx_quantise(constellation_.table()[i], fx_scale_);
@@ -286,41 +256,32 @@ SpinalDecoder::SpinalDecoder(const CodeParams& params)
   // (B·2^k <= 65536 so indices fit the u32 packed key's low half; a
   // per-attempt beam override only shrinks B). CSI symbols can still
   // veto at decode time.
-  resolved_precision_ = resolve_cost_precision(params_.cost_precision);
-  q_build_ = resolved_precision_ != CostPrecision::kFloat32 && 2 * params_.c <= 12 &&
-             (static_cast<std::uint64_t>(params_.B) << params_.k) <= 65536u;
+  resolved_precision_ = resolve_cost_precision(params.cost_precision);
+  q_build_ = resolved_precision_ != CostPrecision::kFloat32 && 2 * params.c <= 12 &&
+             (static_cast<std::uint64_t>(params.B) << params.k) <= 65536u;
   if (q_build_) {
     q_scale_ = cost_quant_scale(resolved_precision_);
     q_cap_ = cost_quant_cap(resolved_precision_);
     const std::uint32_t dim = constellation_.mask() + 1u;
     q_stride_ = dim * dim;
-    qtab_.resize(rx_.size());
-    qrow_min_.resize(rx_.size());
+    qtab_.resize(static_cast<std::size_t>(params.spine_length()));
+    qrow_min_.resize(static_cast<std::size_t>(params.spine_length()));
   }
 }
 
-void SpinalDecoder::add_symbol(SymbolId id, std::complex<float> y) {
-  add_symbol(id, y, {1.0f, 0.0f});
-}
-
-void SpinalDecoder::add_symbol(SymbolId id, std::complex<float> y,
-                               std::complex<float> csi) {
-  if (id.spine_index < 0 || id.spine_index >= static_cast<std::int32_t>(rx_.size()))
-    throw std::out_of_range("SpinalDecoder::add_symbol: spine index out of range");
+bool AwgnMetric::arrive(int spine, const Rx& r) {
   // A non-finite sample carries no information about x: treat it as an
   // erasure (not stored, counted or tabulated), exactly like a
   // punctured symbol, instead of letting NaN/Inf poison every path cost.
-  if (!std::isfinite(y.real()) || !std::isfinite(y.imag()) ||
-      !std::isfinite(csi.real()) || !std::isfinite(csi.imag()))
-    return;
-  rx_[id.spine_index].push_back({id.ordinal, y, csi});
-  if (csi != std::complex<float>{1.0f, 0.0f}) any_csi_ = true;
-  ++count_;
+  if (!std::isfinite(r.y.real()) || !std::isfinite(r.y.imag()) ||
+      !std::isfinite(r.h.real()) || !std::isfinite(r.h.imag()))
+    return false;
+  if (r.h != std::complex<float>{1.0f, 0.0f}) any_csi_ = true;
   if (q_build_ && !any_csi_) {
     // Metric-row precompute on arrival (amortized across every decode
     // attempt on this symbol set). Uses the same quantised y and table
     // the f32 kernels see, so fixed-point mode composes.
-    float yr = y.real(), yi = y.imag();
+    float yr = r.y.real(), yi = r.y.imag();
     if (fx_scale_ > 0.0f) {
       yr = fx_quantise(yr, fx_scale_);
       yi = fx_quantise(yi, fx_scale_);
@@ -329,27 +290,24 @@ void SpinalDecoder::add_symbol(SymbolId id, std::complex<float> y,
     // Rows append behind a one-u16 sentinel: the 32-bit SIMD gather of
     // a row's last entry reads two bytes past it (AwgnLevelQ::qtab
     // contract), so the table always keeps one zero entry of slack.
-    std::vector<std::uint16_t>& rows = qtab_[id.spine_index];
+    std::vector<std::uint16_t>& rows = qtab_[spine];
     const std::size_t off = rows.empty() ? 0 : rows.size() - 1;
     rows.resize(off + q_stride_ + 1);
     rows.back() = 0;
-    qrow_min_[id.spine_index].push_back(
-        build_quant_row(yr, yi, table, constellation_.mask(), constellation_.c(),
-                        q_scale_, q_cap_, rows.data() + off));
+    qrow_min_[spine].push_back(build_quant_row(yr, yi, table, constellation_.mask(),
+                                               constellation_.c(), q_scale_, q_cap_,
+                                               rows.data() + off));
   }
+  return true;
 }
 
-DecodeResult SpinalDecoder::decode() const {
-  DecodeResult out;
-  decode_into(out);
-  return out;
+void AwgnMetric::reset() {
+  for (auto& v : qtab_) v.clear();
+  for (auto& v : qrow_min_) v.clear();
+  any_csi_ = false;
 }
 
-void SpinalDecoder::decode_into(DecodeResult& out) const {
-  if (!ws_) ws_ = std::make_unique<detail::DecodeWorkspace>();
-  decode_with(*ws_, out);
-}
-
+template <>
 void SpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
   // ---- Flatten the AoS symbol store into per-spine SoA arrays ----
   // (once per decode; fixed-point quantisation of y hoisted out of the
@@ -364,7 +322,7 @@ void SpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
   std::uint32_t off = 0;
   for (int s = 0; s < S; ++s) {
     ws.soa_off[s] = off;
-    for (const RxSymbol& r : rx_[s]) {
+    for (const Rx& r : rx_[s]) {
       ws.ord[off] = static_cast<std::uint32_t>(r.ordinal);
       float yr = r.y.real(), yi = r.y.imag();
       if (fx_scale_ > 0.0f) {
@@ -402,8 +360,14 @@ void SpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
   }
 }
 
+template <>
+AwgnEnv SpinalDecoder::reference_env() const {
+  return {*this, any_csi_, fx_scale_};
+}
+
+template <>
 AwgnBatchEnv SpinalDecoder::batch_env(detail::DecodeWorkspace& ws) const {
-  AwgnBatchEnv env{{*this, any_csi_, fx_scale_},
+  AwgnBatchEnv env{reference_env(),
                    &ws,
                    &backend::active(),
                    fx_scale_ > 0.0f ? fx_table_.data() : constellation_.data(),
@@ -415,26 +379,6 @@ AwgnBatchEnv SpinalDecoder::batch_env(detail::DecodeWorkspace& ws) const {
   env.q_stride = q_stride_;
   env.q_mask = q_stride_ - 1u;
   return env;
-}
-
-void SpinalDecoder::decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
-                                int beam_width) const {
-  detail::DecodeDriver::one(*this, ws, out, beam_width);
-}
-
-DecodeResult SpinalDecoder::decode_reference() const {
-  const detail::BeamSearch<AwgnEnv> search;
-  const AwgnEnv env{*this, any_csi_, fx_scale_};
-  const detail::SearchResult r = search.run(env, params_);
-  return {chunks_to_message(params_, r.chunks), r.best_cost};
-}
-
-void SpinalDecoder::reset() {
-  for (auto& v : rx_) v.clear();
-  for (auto& v : qtab_) v.clear();
-  for (auto& v : qrow_min_) v.clear();
-  count_ = 0;
-  any_csi_ = false;
 }
 
 // ----------------------------------------------------------------- BSC
@@ -492,29 +436,7 @@ struct BscBatchEnv : BscEnv {
   }
 };
 
-BscSpinalDecoder::BscSpinalDecoder(const CodeParams& params)
-    : params_(validated(params)),
-      hash_(params.hash_kind, params.salt),
-      rx_(params.spine_length()) {}
-
-void BscSpinalDecoder::add_bit(SymbolId id, std::uint8_t bit) {
-  if (id.spine_index < 0 || id.spine_index >= static_cast<std::int32_t>(rx_.size()))
-    throw std::out_of_range("BscSpinalDecoder::add_bit: spine index out of range");
-  rx_[id.spine_index].push_back({id.ordinal, static_cast<std::uint8_t>(bit & 1u)});
-  ++count_;
-}
-
-DecodeResult BscSpinalDecoder::decode() const {
-  DecodeResult out;
-  decode_into(out);
-  return out;
-}
-
-void BscSpinalDecoder::decode_into(DecodeResult& out) const {
-  if (!ws_) ws_ = std::make_unique<detail::DecodeWorkspace>();
-  decode_with(*ws_, out);
-}
-
+template <>
 void BscSpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
   // ---- Flatten per-spine bits: ordinals SoA + packed received words ----
   const int S = params_.spine_length();
@@ -535,7 +457,7 @@ void BscSpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
     std::uint32_t o = ws.soa_off[s];
     const std::uint32_t wbase = ws.soa_word_off[s];
     std::uint32_t j = 0;
-    for (const RxBit& r : rx_[s]) {
+    for (const Rx& r : rx_[s]) {
       ws.ord[o++] = static_cast<std::uint32_t>(r.ordinal);
       ws.rx_bits[wbase + j / 64] |= static_cast<std::uint64_t>(r.bit & 1u) << (j % 64);
       ++j;
@@ -543,25 +465,69 @@ void BscSpinalDecoder::flatten_soa(detail::DecodeWorkspace& ws) const {
   }
 }
 
+template <>
+BscEnv BscSpinalDecoder::reference_env() const {
+  return {*this};
+}
+
+template <>
 BscBatchEnv BscSpinalDecoder::batch_env(detail::DecodeWorkspace& ws) const {
-  return BscBatchEnv{{*this}, &ws, &backend::active()};
+  return {reference_env(), &ws, &backend::active()};
 }
 
-void BscSpinalDecoder::decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
-                                   int beam_width) const {
-  detail::DecodeDriver::one(*this, ws, out, beam_width);
+// ------------------------------------------------- the decoder, once
+
+template <class Metric>
+Decoder<Metric>::Decoder(const CodeParams& params)
+    : Metric(validated(params)),
+      params_(params),
+      hash_(params.hash_kind, params.salt),
+      rx_(static_cast<std::size_t>(params.spine_length())) {}
+
+template <class Metric>
+DecodeResult Decoder<Metric>::decode() const {
+  DecodeResult out;
+  decode_into(out);
+  return out;
 }
 
-DecodeResult BscSpinalDecoder::decode_reference() const {
-  const detail::BeamSearch<BscEnv> search;
-  const BscEnv env{*this};
-  const detail::SearchResult r = search.run(env, params_);
-  return {chunks_to_message(params_, r.chunks), r.best_cost};
+template <class Metric>
+void Decoder<Metric>::decode_into(DecodeResult& out) const {
+  if (!ws_) ws_ = std::make_unique<detail::DecodeWorkspace>();
+  decode_with(*ws_, out);
 }
 
-void BscSpinalDecoder::reset() {
+template <class Metric>
+void Decoder<Metric>::decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
+                                  int beam_width) const {
+  using BatchEnv = typename Metric::BatchEnv;
+  flatten_soa(ws);
+  CodeParams p = params_;
+  if (beam_width > 0 && beam_width < p.B) p.B = beam_width;
+  const BatchEnv env = batch_env(ws);
+  const detail::BeamSearch<BatchEnv> search;
+  search.run(env, p, ws.search, ws.result);
+  chunks_to_message(params_, ws.result.chunks, out.message);
+  out.path_cost = ws.result.best_cost;
+}
+
+template <class Metric>
+DecodeResult Decoder<Metric>::decode_reference() const {
+  const detail::BeamSearch<typename Metric::Env> search;
+  const detail::SearchResult r = search.run(reference_env(), params_);
+  DecodeResult out{{}, r.best_cost};
+  chunks_to_message(params_, r.chunks, out.message);
+  return out;
+}
+
+template <class Metric>
+void Decoder<Metric>::reset() {
   for (auto& v : rx_) v.clear();
   count_ = 0;
+  Metric::reset();
 }
+
+template class Decoder<AwgnMetric>;
+template class Decoder<BscMetric>;
 
 }  // namespace spinal

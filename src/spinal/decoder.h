@@ -1,13 +1,22 @@
 #pragma once
-// Bubble decoders (§4): rateless receivers that store every received
-// symbol (keyed by SymbolId) and, on request, run the bubble tree
+// Bubble decoder (§4): a rateless receiver that stores every received
+// symbol (keyed by SymbolId) and, on request, runs the bubble tree
 // search against everything received so far. Decode attempts are
 // idempotent — per §7.1 the tree is rebuilt each attempt rather than
 // cached, because new symbols change pruning decisions.
 //
-// SpinalDecoder handles the AWGN channel (§4.1's l2 metric) and, when
-// symbols arrive with CSI, the coherent fading metric |y - h·x|^2
-// (§8.3). BscSpinalDecoder uses Hamming distance (§4.1).
+// One class template, Decoder<Metric>, serves both channels of the
+// paper; the channel metric is its policy:
+//
+//   SpinalDecoder     Decoder<AwgnMetric>: §4.1's l2 metric over I/Q
+//                     samples and, when symbols arrive with CSI, the
+//                     coherent fading metric |y - h·x|^2 (§8.3).
+//   BscSpinalDecoder  Decoder<BscMetric>: Hamming distance over coded
+//                     bits (§4.1, the c=1 map of §3.3).
+//
+// The receive store, validation, the workspace and every decode entry
+// point are written once; a metric supplies only its sample type, its
+// per-arrival precompute, its SoA flatten and its search environments.
 //
 // The hot path is batched: each decode flattens the received symbols
 // into per-spine SoA arrays once, then the search expands whole leaf
@@ -28,13 +37,15 @@
 #include <complex>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "backend/backend.h"
 #include "hash/spine_hash.h"
 #include "modem/constellation.h"
 #include "spinal/beam_search.h"
+#include "spinal/encoder.h"
 #include "spinal/params.h"
 #include "spinal/schedule.h"
 #include "util/bitvec.h"
@@ -80,39 +91,118 @@ struct DecodeWorkspace {
   backend::ExpandScratch expand;
 };
 
-/// The decode_with body both decoders share (defined in decoder.cpp).
-struct DecodeDriver;
-
 }  // namespace detail
 
+struct AwgnEnv;
 struct AwgnBatchEnv;
+struct BscEnv;
 struct BscBatchEnv;
 
-class SpinalDecoder {
+/// The AWGN / fading metric (§4.1's l2, §8.3's |y - h·x|^2): I/Q
+/// samples, optionally with CSI. Holds the receiver-side precompute
+/// every decode attempt on the received symbols shares.
+struct AwgnMetric {
+  using Sample = std::complex<float>;
+  using Map = modem::SpinalConstellation;
+  using Env = AwgnEnv;
+  using BatchEnv = AwgnBatchEnv;
+
+  struct Rx {
+    std::int32_t ordinal;
+    std::complex<float> y;
+    std::complex<float> h{1.0f, 0.0f};  // unit channel gain without CSI
+  };
+
+ protected:  // the state and hooks of Decoder<AwgnMetric>
+  explicit AwgnMetric(const CodeParams& params);
+  /// The arrival precompute of @p r on spine @p spine (CSI flag,
+  /// quantized metric row); false when @p r is an erasure: a NaN or
+  /// infinite component in y or h carries no information about x.
+  bool arrive(int spine, const Rx& r);
+  void reset();
+
+  modem::SpinalConstellation constellation_;
+  float fx_scale_ = 0.0f;        // 2^frac_bits, or 0 in full float mode
+  std::vector<float> fx_table_;  // constellation table pre-quantised to fx_scale_
+  bool any_csi_ = false;
+
+  // Quantized-path state (spinal/cost_model.h). The precision knob
+  // (including the SPINAL_COST_PRECISION override) is resolved at
+  // construction; when it lands on a narrow type and the geometry is
+  // eligible, arrive() builds the symbol's combined 2^(2c)-entry
+  // metric row up front — one table build per received symbol, shared
+  // by every subsequent decode attempt, mirroring the SoA flatten's
+  // receiver-side precompute.
+  CostPrecision resolved_precision_ = CostPrecision::kFloat32;
+  bool q_build_ = false;        // build metric rows on arrival
+  float q_scale_ = 0.0f;        // metric grid scale (2^4 u16, 2^3 u8)
+  std::uint32_t q_cap_ = 0;     // per-symbol metric clamp
+  std::uint32_t q_stride_ = 0;  // combined row length, 2^(2c)
+  std::vector<std::vector<std::uint16_t>> qtab_;      // per spine: nsym rows (+1 gather sentinel)
+  std::vector<std::vector<std::uint16_t>> qrow_min_;  // per spine: row minima
+};
+
+/// The BSC metric (§4.1's Hamming distance): received coded bits. No
+/// arrival precompute and no state.
+struct BscMetric {
+  using Sample = std::uint8_t;
+  using Map = BitMap;
+  using Env = BscEnv;
+  using BatchEnv = BscBatchEnv;
+
+  struct Rx {
+    Rx(std::int32_t ord, Sample b) noexcept
+        : ordinal(ord), bit(static_cast<std::uint8_t>(b & 1u)) {}
+    std::int32_t ordinal;
+    std::uint8_t bit;
+  };
+
+ protected:
+  explicit BscMetric(const CodeParams& /*params*/) {}
+  static bool arrive(int /*spine*/, const Rx& /*r*/) noexcept { return true; }
+  static void reset() noexcept {}
+};
+
+/// The bubble decoder over @p Metric (AwgnMetric or BscMetric).
+/// Explicitly instantiated for both in decoder.cpp.
+template <class Metric>
+class Decoder : private Metric {
  public:
+  using Sample = typename Metric::Sample;
+
   /// Throws std::invalid_argument on invalid parameters.
-  explicit SpinalDecoder(const CodeParams& params);
+  explicit Decoder(const CodeParams& params);
 
   const CodeParams& params() const noexcept { return params_; }
 
-  /// Stores one received symbol (AWGN: unit channel gain assumed).
-  void add_symbol(SymbolId id, std::complex<float> y);
+  /// Stores one received sample: an I/Q symbol (AWGN: unit channel gain
+  /// assumed) or a possibly flipped coded bit (BSC). Throws
+  /// std::out_of_range when @p id's spine index is outside the code.
+  void add_symbol(SymbolId id, Sample y) { add(id, Rx{id.ordinal, y}); }
 
-  /// Stores one received symbol with its fading coefficient (exact CSI,
-  /// Fig 8-4). Pass h=(1,0) to ignore fading (Fig 8-5's AWGN decoder).
-  /// A symbol whose y or csi has a NaN or infinite component is an
-  /// erasure: it is dropped and not counted in symbols_received().
-  void add_symbol(SymbolId id, std::complex<float> y, std::complex<float> csi);
+  /// AWGN only: stores one received symbol with its fading coefficient
+  /// (exact CSI, Fig 8-4). Pass h=(1,0) to ignore fading (Fig 8-5's
+  /// AWGN decoder). A symbol whose y or csi has a NaN or infinite
+  /// component is an erasure: it is dropped and not counted in
+  /// symbols_received().
+  void add_symbol(SymbolId id, std::complex<float> y, std::complex<float> csi)
+    requires std::is_same_v<Metric, AwgnMetric>
+  {
+    add(id, Rx{id.ordinal, y, csi});
+  }
 
   std::size_t symbols_received() const noexcept { return count_; }
 
-  /// The cost representation decode() will actually use for the
-  /// symbols received so far: the constructor-resolved precision knob
-  /// (SPINAL_COST_PRECISION included), downgraded to kFloat32 when the
-  /// decode is ineligible — non-eligible geometry, or CSI symbols
+  /// AWGN only: the cost representation decode() will actually use for
+  /// the symbols received so far: the constructor-resolved precision
+  /// knob (SPINAL_COST_PRECISION included), downgraded to kFloat32 when
+  /// the decode is ineligible — non-eligible geometry, or CSI symbols
   /// received (see CodeParams::cost_precision).
-  CostPrecision active_precision() const noexcept {
-    return (q_build_ && !any_csi_) ? resolved_precision_ : CostPrecision::kFloat32;
+  CostPrecision active_precision() const noexcept
+    requires std::is_same_v<Metric, AwgnMetric>
+  {
+    return (this->q_build_ && !this->any_csi_) ? this->resolved_precision_
+                                               : CostPrecision::kFloat32;
   }
 
   /// Runs the bubble search over everything received so far.
@@ -148,100 +238,58 @@ class SpinalDecoder {
   void reset();
 
  private:
-  struct RxSymbol {
-    std::int32_t ordinal;
-    std::complex<float> y;
-    std::complex<float> h;
-  };
+  using Rx = typename Metric::Rx;
 
   CodeParams params_;
   hash::SpineHash hash_;
-  modem::SpinalConstellation constellation_;
-  float fx_scale_ = 0.0f;           // 2^frac_bits, or 0 in full float mode
-  std::vector<float> fx_table_;     // constellation table pre-quantised to fx_scale_
-  std::vector<std::vector<RxSymbol>> rx_;  // per spine index
+  std::vector<std::vector<Rx>> rx_;  // per spine index
   std::size_t count_ = 0;
-  bool any_csi_ = false;
-
-  // Quantized-path state (spinal/cost_model.h). The precision knob
-  // (including the SPINAL_COST_PRECISION override) is resolved at
-  // construction; when it lands on a narrow type and the geometry is
-  // eligible, add_symbol builds the symbol's combined 2^(2c)-entry
-  // metric row up front — one table build per received symbol, shared
-  // by every subsequent decode attempt, mirroring the SoA flatten's
-  // receiver-side precompute.
-  CostPrecision resolved_precision_ = CostPrecision::kFloat32;
-  bool q_build_ = false;        // build metric rows on arrival
-  float q_scale_ = 0.0f;        // metric grid scale (2^4 u16, 2^3 u8)
-  std::uint32_t q_cap_ = 0;     // per-symbol metric clamp
-  std::uint32_t q_stride_ = 0;  // combined row length, 2^(2c)
-  std::vector<std::vector<std::uint16_t>> qtab_;     // per spine: nsym rows (+1 gather sentinel)
-  std::vector<std::vector<std::uint16_t>> qrow_min_;  // per spine: row minima
 
   /// decode()/decode_into() scratch, allocated on first use.
   mutable std::unique_ptr<detail::DecodeWorkspace> ws_;
 
+  /// Validates @p id's spine index, runs the metric's arrival
+  /// precompute and stores @p r unless it is an erasure. Inline: a BSC
+  /// symbol then reaches its store without a call.
+  void add(SymbolId id, const Rx& r) {
+    if (id.spine_index < 0 || id.spine_index >= static_cast<std::int32_t>(rx_.size()))
+      throw std::out_of_range("Decoder::add_symbol: spine index out of range");
+    if (!Metric::arrive(id.spine_index, r)) return;
+    rx_[id.spine_index].push_back(r);
+    ++count_;
+  }
+
+  // The per-metric pieces (specialized below).
   /// Flattens the AoS symbol store into @p ws's per-spine SoA arrays
-  /// and (when the quantized path is eligible) rebuilds the per-level
-  /// remaining-cost floors — everything decode_with does before the
-  /// search proper.
+  /// (plus, on the AWGN quantized path, the per-level remaining-cost
+  /// floors) — everything decode_with does before the search proper.
   void flatten_soa(detail::DecodeWorkspace& ws) const;
-  /// Builds the batched search environment over a flattened @p ws.
-  AwgnBatchEnv batch_env(detail::DecodeWorkspace& ws) const;
+  /// The scalar reference environment (decode_reference).
+  typename Metric::Env reference_env() const;
+  /// The batched search environment over a flattened @p ws.
+  typename Metric::BatchEnv batch_env(detail::DecodeWorkspace& ws) const;
 
-  friend struct AwgnEnv;
-  friend struct AwgnBatchEnv;
-  friend struct detail::DecodeDriver;
+  friend typename Metric::Env;
+  friend typename Metric::BatchEnv;
 };
 
-class BscSpinalDecoder {
- public:
-  explicit BscSpinalDecoder(const CodeParams& params);
+template <>
+void Decoder<AwgnMetric>::flatten_soa(detail::DecodeWorkspace& ws) const;
+template <>
+AwgnEnv Decoder<AwgnMetric>::reference_env() const;
+template <>
+AwgnBatchEnv Decoder<AwgnMetric>::batch_env(detail::DecodeWorkspace& ws) const;
+template <>
+void Decoder<BscMetric>::flatten_soa(detail::DecodeWorkspace& ws) const;
+template <>
+BscEnv Decoder<BscMetric>::reference_env() const;
+template <>
+BscBatchEnv Decoder<BscMetric>::batch_env(detail::DecodeWorkspace& ws) const;
 
-  const CodeParams& params() const noexcept { return params_; }
+extern template class Decoder<AwgnMetric>;
+extern template class Decoder<BscMetric>;
 
-  /// Stores one received (possibly flipped) coded bit.
-  void add_bit(SymbolId id, std::uint8_t bit);
-
-  std::size_t bits_received() const noexcept { return count_; }
-
-  /// Runs the bubble search with the Hamming metric.
-  DecodeResult decode() const;
-
-  /// Allocation-free form of decode() (see SpinalDecoder::decode_into).
-  void decode_into(DecodeResult& out) const;
-
-  /// Caller-workspace + beam-override form (see SpinalDecoder::decode_with).
-  void decode_with(detail::DecodeWorkspace& ws, DecodeResult& out,
-                   int beam_width = 0) const;
-
-  /// Scalar reference decode (see SpinalDecoder::decode_reference).
-  DecodeResult decode_reference() const;
-
-  void reset();
-
- private:
-  struct RxBit {
-    std::int32_t ordinal;
-    std::uint8_t bit;
-  };
-
-  CodeParams params_;
-  hash::SpineHash hash_;
-  std::vector<std::vector<RxBit>> rx_;
-  std::size_t count_ = 0;
-  /// decode()/decode_into() scratch, allocated on first use.
-  mutable std::unique_ptr<detail::DecodeWorkspace> ws_;
-
-  /// Per-spine bit flatten + packed received words (see
-  /// SpinalDecoder::flatten_soa).
-  void flatten_soa(detail::DecodeWorkspace& ws) const;
-  /// Builds the batched search environment over a flattened @p ws.
-  BscBatchEnv batch_env(detail::DecodeWorkspace& ws) const;
-
-  friend struct BscEnv;
-  friend struct BscBatchEnv;
-  friend struct detail::DecodeDriver;
-};
+using SpinalDecoder = Decoder<AwgnMetric>;
+using BscSpinalDecoder = Decoder<BscMetric>;
 
 }  // namespace spinal

@@ -291,7 +291,7 @@ TEST(BscDecoder, NoiselessDecodes) {
   // k = 4 bits per spine value need at least 4 coded bits each even on a
   // noiseless channel (rate k/L <= BSC capacity of 1): send 6 passes.
   for (int sp = 0; sp < 6 * sched.subpasses_per_pass(); ++sp)
-    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, enc.bit(id));
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, enc.symbol(id));
   const DecodeResult r = dec.decode();
   EXPECT_EQ(r.message, msg);
   EXPECT_NEAR(r.path_cost, 0.0, 1e-9);
@@ -308,7 +308,7 @@ TEST(BscDecoder, DecodesThroughBitFlips) {
   const PuncturingSchedule sched(p);
   // 8 passes -> rate 0.5 bits/channel use, safely below capacity.
   for (int sp = 0; sp < 8 * sched.subpasses_per_pass(); ++sp)
-    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
   EXPECT_EQ(dec.decode().message, msg);
 }
 
@@ -323,7 +323,7 @@ TEST(BscDecoder, HarshBscFailsGracefully) {
   BscSpinalDecoder dec(p);
   channel::BscChannel ch(0.4, 88);
   const PuncturingSchedule sched(p);
-  for (const SymbolId& id : sched.subpass(0)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+  for (const SymbolId& id : sched.subpass(0)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
   const DecodeResult r = dec.decode();
   EXPECT_EQ(r.message.size(), static_cast<std::size_t>(p.n));
 }

@@ -175,7 +175,7 @@ TEST(DecoderAlloc, BscSteadyStateDecodeIsAllocationFree) {
   channel::BscChannel ch(0.05, 143);
   const PuncturingSchedule sched(p);
   for (int sp = 0; sp < 6 * sched.subpasses_per_pass(); ++sp)
-    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
 
   DecodeResult out;
   for_each_backend([&](const char* name) {
@@ -239,7 +239,7 @@ TEST(DecoderAlloc, PrivateWorkspaceIsAllocatedOnFirstDecodeInto) {
       q, [&](BscSpinalDecoder& dec) {
         for (int sp = 0; sp < 6 * bsc_sched.subpasses_per_pass(); ++sp)
           for (const SymbolId& id : bsc_sched.subpass(sp))
-            dec.add_bit(id, bsc.transmit(bsc_enc.bit(id)));
+            dec.add_symbol(id, bsc.transmit(bsc_enc.symbol(id)));
       });
 }
 

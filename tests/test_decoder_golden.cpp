@@ -205,7 +205,7 @@ TEST_P(GoldenAllKinds, PuncturedPrefixMatchesScalarReference) {
   channel::BscChannel ch(0.02, 134);
   const PuncturingSchedule sched(p);
   for (int sp = 0; sp < sched.subpasses_per_pass() / 2; ++sp) {
-    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
     expect_identical(dec, ("bsc-punctured sp=" + std::to_string(sp)).c_str());
   }
 }
@@ -226,7 +226,7 @@ TEST_P(GoldenAllKinds, TinyBeamMatchesScalarReference) {
     channel::BscChannel ch(0.02, 135);
     const PuncturingSchedule sched(p);
     for (int sp = 0; sp < 4 * sched.subpasses_per_pass(); ++sp) {
-      for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+      for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
       expect_identical(dec, ("bsc-b2 n=" + std::to_string(n) + " sp=" + std::to_string(sp)).c_str());
     }
   }
@@ -282,7 +282,7 @@ TEST_P(GoldenAllKinds, BscBubbleD2MatchesScalarReference) {
   channel::BscChannel ch(0.1, 133);
   const PuncturingSchedule sched(p);
   for (int sp = 0; sp < 10 * sched.subpasses_per_pass(); ++sp)
-    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
   expect_identical(dec, "bsc-d2");
 }
 
@@ -329,7 +329,7 @@ TEST_P(GoldenAllKinds, BscMatchesScalarReference) {
   channel::BscChannel ch(0.08, 128);
   const PuncturingSchedule sched(p);
   for (int sp = 0; sp < 8 * sched.subpasses_per_pass(); ++sp)
-    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
   expect_identical(dec, "bsc");
 }
 
@@ -347,7 +347,7 @@ TEST_P(GoldenAllKinds, BscManyPassesMatchesScalarReference) {
   channel::BscChannel ch(0.2, 129);
   const PuncturingSchedule sched(p);
   for (int sp = 0; sp < 70 * sched.subpasses_per_pass(); ++sp)
-    for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, ch.transmit(enc.bit(id)));
+    for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, ch.transmit(enc.symbol(id)));
   expect_identical(dec, "bsc-multiblock");
 }
 
@@ -700,7 +700,7 @@ TEST(BatchGolden, BscMixedBatchBitIdenticalToSoloAcrossBackends) {
     const PuncturingSchedule sched(bs.p);
     for (int sp = 0; sp < bs.passes * sched.subpasses_per_pass(); ++sp)
       for (const SymbolId& id : sched.subpass(sp))
-        dec->add_bit(id, ch.transmit(enc.bit(id)));
+        dec->add_symbol(id, ch.transmit(enc.symbol(id)));
     decs.push_back(std::move(dec));
   }
 

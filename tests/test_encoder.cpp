@@ -129,7 +129,7 @@ TEST(BscEncoder, ProducesBits) {
   int ones = 0, total = 0;
   for (int i = 0; i < p.spine_length(); ++i)
     for (int j = 0; j < 32; ++j) {
-      const auto b = enc.bit({i, j});
+      const auto b = enc.symbol({i, j});
       EXPECT_LE(b, 1);
       ones += b;
       ++total;

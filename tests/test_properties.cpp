@@ -287,7 +287,7 @@ TEST(Properties, FuzzRandomParamsRoundTripOnEveryBackend) {
         const BscSpinalEncoder enc(p, msg);
         BscSpinalDecoder dec(p);
         for (int sp = 0; sp < passes * sched.subpasses_per_pass(); ++sp)
-          for (const SymbolId& id : sched.subpass(sp)) dec.add_bit(id, enc.bit(id));
+          for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, enc.symbol(id));
         r = dec.decode();
       } else {
         const SpinalEncoder enc(p, msg);
@@ -368,7 +368,7 @@ TEST(Properties, FuzzStreamingPruneMatchesReferenceOnEveryBackend) {
         channel::BscChannel ch(0.06, static_cast<std::uint64_t>(seed ^ 0xB5Cu));
         for (int sp = 0; sp < subpasses; ++sp)
           for (const SymbolId& id : sched.subpass(sp))
-            dec.add_bit(id, ch.transmit(enc.bit(id)));
+            dec.add_symbol(id, ch.transmit(enc.symbol(id)));
         streamed = dec.decode();
         reference = dec.decode_reference();
         compare_reference = true;

@@ -940,7 +940,7 @@ std::atomic<int> g_live_sessions{0};
 
 class CountedBscSession final : public sim::BscSession {
  public:
-  explicit CountedBscSession(const CodeParams& p) : BscSession(p) {
+  explicit CountedBscSession(const CodeParams& p) : sim::BscSession(p) {
     g_live_sessions.fetch_add(1);
   }
   ~CountedBscSession() override { g_live_sessions.fetch_sub(1); }

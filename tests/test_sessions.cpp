@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
+
 #include "ldpc/ldpc_session.h"
 #include "raptor/raptor_session.h"
 #include "sim/bsc_session.h"
@@ -58,10 +62,9 @@ TEST(Sessions, SpinalMaxChunksBoundsChannelUse) {
   EXPECT_EQ(s.max_chunks(), 5 * 8);
 }
 
-TEST(Sessions, SymbolGranularChunkingConservesSymbols) {
-  CodeParams p;
-  p.n = 64;
-  SpinalSession whole(p), granular(p, /*symbols_per_chunk=*/1);
+template <class Session>
+void expect_granular_chunking_conserves_symbols(const CodeParams& p) {
+  Session whole(p), granular(p, /*symbols_per_chunk=*/1);
   util::Xoshiro256 prng(3);
   const util::BitVec msg = prng.random_bits(p.n);
   whole.start(msg);
@@ -77,6 +80,102 @@ TEST(Sessions, SymbolGranularChunkingConservesSymbols) {
   }
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+}
+
+TEST(Sessions, SymbolGranularChunkingConservesSymbols) {
+  // Both metrics share the chunking path.
+  CodeParams p;
+  p.n = 64;
+  expect_granular_chunking_conserves_symbols<SpinalSession>(p);
+  p.c = 1;
+  expect_granular_chunking_conserves_symbols<BscSession>(p);
+}
+
+/// receive_chunk() must reject spans that do not match the chunk in
+/// flight, before touching the decoder: after the rejected calls, the
+/// session decodes exactly like one that only ever saw the valid chunk.
+template <class Session>
+void expect_mismatched_spans_rejected(const CodeParams& p) {
+  util::Xoshiro256 prng(21);
+  const util::BitVec msg = prng.random_bits(p.n);
+  Session s(p), clean(p);
+  s.start(msg);
+  clean.start(msg);
+  const std::vector<std::complex<float>> one(1);
+  EXPECT_THROW(s.receive_chunk(one, {}), std::invalid_argument);  // no chunk in flight
+
+  const std::vector<std::complex<float>> x = s.next_chunk();
+  ASSERT_EQ(clean.next_chunk(), x);
+  ASSERT_GT(x.size(), 1u);
+  // A noisy channel output, so stray or repeated symbols move the cost.
+  std::vector<std::complex<float>> y = x;
+  for (std::size_t i = 0; i < y.size(); i += 2) y[i] = {1.0f - y[i].real(), y[i].imag()};
+  std::vector<std::complex<float>> longer = y;
+  longer.push_back(y.front());
+  const std::vector<std::complex<float>> shorter(y.begin(), y.end() - 1);
+  EXPECT_THROW(s.receive_chunk(longer, {}), std::invalid_argument);
+  EXPECT_THROW(s.receive_chunk(shorter, {}), std::invalid_argument);
+  EXPECT_THROW(s.receive_chunk(y, shorter), std::invalid_argument);
+  EXPECT_THROW(s.receive_chunk(y, longer), std::invalid_argument);
+
+  s.receive_chunk(y, {});
+  clean.receive_chunk(y, {});
+  SpinalWorkspace got, want;
+  s.try_decode_with(&got, 0);
+  clean.try_decode_with(&want, 0);
+  EXPECT_EQ(got.out.message, want.out.message);
+  EXPECT_EQ(got.out.path_cost, want.out.path_cost);
+}
+
+TEST(Sessions, ReceiveChunkRejectsMismatchedSpans) {
+  CodeParams p;
+  p.n = 64;
+  expect_mismatched_spans_rejected<SpinalSession>(p);
+  p.c = 1;
+  expect_mismatched_spans_rejected<BscSession>(p);
+}
+
+TEST(Sessions, BscNonFiniteSamplesAreErasures) {
+  // The AWGN metric's erasure rule under the BSC metric: a NaN or
+  // infinite sample is dropped like a punctured symbol, so the decode
+  // equals that of a decoder that never saw it. The erased symbol
+  // carries a 1, which a NaN read as a bit would flip.
+  CodeParams p;
+  p.n = 64;
+  p.c = 1;
+  util::Xoshiro256 prng(22);
+  const util::BitVec msg = prng.random_bits(p.n);
+  const BscSpinalEncoder enc(p, msg);
+  const PuncturingSchedule sched(p);
+  const std::vector<SymbolId> first = sched.subpass(0);
+  const auto bad = std::find_if(first.begin(), first.end(),
+                                [&](const SymbolId& id) { return enc.symbol(id) == 1; });
+  ASSERT_NE(bad, first.end());
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()}) {
+    BscSession s(p);
+    s.start(msg);
+    BscSpinalDecoder erased(p);  // never receives the bad symbol
+    for (int sp = 0; sp < 6 * sched.subpasses_per_pass(); ++sp) {
+      const std::vector<SymbolId> ids = sched.subpass(sp);
+      std::vector<std::complex<float>> y = s.next_chunk();
+      ASSERT_EQ(y.size(), ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (ids[i] == *bad)
+          y[i] = {v, 0.0f};
+        else
+          erased.add_symbol(ids[i], enc.symbol(ids[i]));
+      }
+      s.receive_chunk(y, {});
+    }
+    const DecodeResult want = erased.decode();
+    ASSERT_EQ(want.message, msg);
+    SpinalWorkspace got;
+    s.try_decode_with(&got, 0);
+    EXPECT_EQ(got.out.message, want.message) << v;
+    EXPECT_EQ(got.out.path_cost, want.path_cost) << v;
+  }
 }
 
 TEST(Sessions, RaptorChunkSizeIsConfigured) {
