@@ -19,14 +19,15 @@
 // stepped once per non-empty chunk: the linear floor attempt_every, the
 // geometric back-off attempt_growth, and a capacity gate. The gate makes
 // no attempt while the N symbols received cannot carry the n message
-// bits: it waits for N C + 4 sqrt(N V) + 16 >= n, with C and V the
-// capacity and dispersion per symbol of the run's channel, computed
-// once per run (AWGN: log2(1 + SNR) at the channel's SNR, under the
-// repo's unit-power convention, awgn.h; BSC: 1 - H(p)). The sqrt term
-// is the normal-approximation converse (Polyanskiy, Poor and Verdu,
-// 2010) at z = 4; the 16 bits of slack keep the odds that a skipped
-// attempt would have succeeded below the CRC-16's own 2^-16 false-accept
-// rate, so the gate never fires for n <= 16. Spinal codes run close to
+// bits: it waits for N C + 4 sqrt(N V) + (1/2) log2 N >= n, with C and
+// V the capacity and dispersion per symbol of the run's channel,
+// computed once per run (AWGN: log2(1 + SNR) at the channel's SNR,
+// under the repo's unit-power convention, awgn.h; BSC: 1 - H(p)). This
+// is the normal approximation (Polyanskiy, Poor and Verdu, 2010) with
+// its third-order term, at z = 4: the odds that a skipped attempt would
+// have succeeded stay near the CRC-16's own 2^-16 false-accept rate. It
+// never opens below the 16-bit-slack converse, so it never fires for
+// n <= 16 (theory::min_attempt_symbols). Spinal codes run close to
 // capacity ("De-randomizing Shannon"), so below n / C every attempt is
 // wasted compute. The constants are fixed, not options. Rayleigh runs
 // are not gated. A gated step still moves the back-off as the ungated

@@ -35,12 +35,12 @@ bool AttemptSchedule::due(int step, std::int64_t symbols, std::int64_t gate) {
 
 std::int64_t AttemptSchedule::awgn_gate(int n, double snr) {
   if (!(snr > 0.0) || !std::isfinite(snr)) return 0;
-  return theory::min_attempt_symbols(n, util::awgn_capacity(snr),
-                                     util::awgn_dispersion(snr));
+  return theory::attempt_gate_symbols(n, util::awgn_capacity(snr),
+                                      util::awgn_dispersion(snr));
 }
 
 std::int64_t AttemptSchedule::bsc_gate(int n, double p) {
-  return theory::min_attempt_symbols(n, util::bsc_capacity(p), util::bsc_dispersion(p));
+  return theory::attempt_gate_symbols(n, util::bsc_capacity(p), util::bsc_dispersion(p));
 }
 
 }  // namespace spinal

@@ -8,7 +8,9 @@
 //   - a geometric back-off: after an attempt at step s, wait until step
 //     max(s + every, s * growth) (growth 1 = the linear floor alone);
 //   - a capacity gate: no attempt while the symbols received cannot
-//     carry the message (theory::min_attempt_symbols). A gated step
+//     carry the message, that is while N C + 4 sqrt(N V) + (1/2) log2 N
+//     < n (theory::attempt_gate_symbols: the normal approximation at
+//     z = 4 with its third-order term). A gated step
 //     does not count as an attempt, but moves the back-off exactly as
 //     the ungated attempt there would, so the gated attempts are always
 //     a subset of the ungated schedule's (for a fixed gate, a suffix of

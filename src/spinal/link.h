@@ -75,12 +75,13 @@ class LinkSender {
 /// point which blocks to attempt, and issues ACK bitmaps.
 ///
 /// Every block follows one AttemptSchedule (spinal/attempt_schedule.h),
-/// stepped once per symbol-carrying burst. Its capacity gate comes from
-/// a decision-directed noise estimate kept per link: the median over
-/// the link's blocks of path_cost / N from each block's latest
-/// full-effort attempt. A failed search below capacity fits the noise
-/// and reads low, which only loosens the gate; the median keeps one
-/// corrupted block from raising it. The gate is snapshotted by pause(),
+/// stepped once per symbol-carrying burst. Its capacity gate
+/// (AttemptSchedule::awgn_gate: N C + 4 sqrt(N V) + (1/2) log2 N >= n)
+/// takes its SNR from a decision-directed noise estimate kept per link:
+/// the median over the link's blocks of path_cost / N from each block's
+/// latest full-effort attempt. A failed search below capacity fits the
+/// noise and reads low, which only loosens the gate; the median keeps
+/// one corrupted block from raising it. The gate is snapshotted by pause(),
 /// before any of that pause's attempts, so the inline make_ack() loop
 /// and SessionMux (which drives pause/claim/complete/release) decide
 /// alike. Links that received fading CSI are not gated.

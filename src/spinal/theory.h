@@ -35,15 +35,24 @@ int theorem1_min_passes(int k, int c, double snr_db);
 /// @p epsilon bits at @p snr_db — the Omega(log(1+SNR)) rule of §4.6.
 int recommended_c(double snr_db, double epsilon = 0.25);
 
-/// The rateless receiver's capacity gate: the fewest received symbols N
-/// with N C + 4 sqrt(N V) + 16 >= @p n, for a channel of capacity @p C
-/// and dispersion @p V per symbol (bits, bits^2). Below it no decoder
-/// recovers n bits except by luck: 4 sqrt(N V) is the normal-
-/// approximation converse (Polyanskiy, Poor and Verdu, 2010) at z = 4,
-/// and the 16 bits of slack keep the odds that a skipped attempt would
-/// have succeeded under the CRC-16's own 2^-16 false-accept rate. 0 for
-/// every n <= 16; INT64_MAX when C and V are both 0 (nothing gets
-/// through).
+/// The normal-approximation converse with 16 bits of slack: the fewest
+/// received symbols N with N C + 4 sqrt(N V) + 16 >= @p n, for a channel
+/// of capacity @p C and dispersion @p V per symbol (bits, bits^2).
+/// 4 sqrt(N V) is the second-order term of Polyanskiy, Poor and Verdu
+/// (2010) at z = 4. 0 for every n <= 16; INT64_MAX when C and V are both
+/// 0 (nothing gets through).
 std::int64_t min_attempt_symbols(int n, double C, double V);
+
+/// The rateless receiver's capacity gate: the fewest N >=
+/// min_attempt_symbols(n, C, V) with N C + 4 sqrt(N V) + (1/2) log2 N
+/// >= @p n. This is the same normal approximation with its third-order
+/// term in place of the flat slack (about 3-4 bits at the block lengths
+/// here, against 16). Below it no decoder recovers n bits except by
+/// luck: z = 4 keeps the odds that a skipped attempt would have
+/// succeeded near the CRC-16's own 2^-16 false-accept rate. Starting
+/// from min_attempt_symbols keeps its 0 for n <= 16 and its INT64_MAX;
+/// the root is found by bisection, in O(log N) steps however close C is
+/// to 0.
+std::int64_t attempt_gate_symbols(int n, double C, double V);
 
 }  // namespace spinal::theory

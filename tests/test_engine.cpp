@@ -375,6 +375,52 @@ TEST(Engine, CapacityGateNeverDelaysADecode) {
   EXPECT_GT(fewer, 0);  // the gate fired somewhere: the test is not vacuous
 }
 
+TEST(Engine, RefinedGateDelaysNoDecodeAtTheBenchmarkPoints) {
+  // The gate's third-order term sits closest to the decoder's earliest
+  // successes at the fleet's reference points: AWGN at 10 dB, and the
+  // BSC at p = 0.02 attempting every half pass. Over 64 seeds each, no
+  // run may decode later than in the ungated loop.
+  struct Point {
+    bool bsc;
+    int every;
+  };
+  int fewer = 0;
+  for (const Point pt : {Point{false, 1}, Point{true, 4}}) {
+    CodeParams p;
+    p.n = 256;
+    p.B = 64;
+    p.max_passes = 48;
+    if (pt.bsc) p.c = 1;
+    EngineOptions opt;
+    opt.attempt_every = pt.every;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+      const auto make_session = [&]() -> std::unique_ptr<RatelessSession> {
+        if (pt.bsc) return std::make_unique<BscSession>(p);
+        return std::make_unique<SpinalSession>(p);
+      };
+      const auto make_channel = [&] {
+        return pt.bsc ? ChannelSim::bsc(0.02, 5000 + seed)
+                      : ChannelSim(ChannelKind::kAwgn, 10.0, 1, 5000 + seed);
+      };
+      util::Xoshiro256 prng(seed);
+      const util::BitVec msg = prng.random_bits(static_cast<std::size_t>(p.n));
+      const auto s1 = make_session();
+      ChannelSim ch1 = make_channel();
+      const RunResult gated = run_message(*s1, ch1, msg, opt);
+      const auto s2 = make_session();
+      ChannelSim ch2 = make_channel();
+      const RunResult ungated = ungated_run(*s2, ch2, msg, pt.every, 1.0);
+      const std::string label =
+          std::string(pt.bsc ? "bsc" : "awgn") + " seed " + std::to_string(seed);
+      EXPECT_EQ(gated.success, ungated.success) << label;
+      EXPECT_EQ(gated.symbols, ungated.symbols) << label;
+      EXPECT_LE(gated.attempts, ungated.attempts) << label;
+      fewer += gated.attempts < ungated.attempts;
+    }
+  }
+  EXPECT_EQ(fewer, 128);  // the gate fired in every run
+}
+
 TEST(Engine, BscSessionDecodesThroughEngine) {
   // The BSC construction behind the same engine as AWGN (§3.3/§4.1):
   // bits ride the real axis and ChannelSim::bsc flips them.

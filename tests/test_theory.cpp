@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "util/math.h"
 
@@ -116,6 +118,73 @@ TEST(Theory, MinAttemptSymbolsPinned) {
   // A channel that carries nothing never opens the gate.
   EXPECT_EQ(min_attempt_symbols(256, util::bsc_capacity(0.5), util::bsc_dispersion(0.5)),
             std::numeric_limits<std::int64_t>::max());
+}
+
+TEST(Theory, AttemptGateSymbolsPinned) {
+  // N C + 4 sqrt(N V) + (1/2) log2 N >= n at its smallest N >= the
+  // 16-bit-slack converse, for n = 256.
+  const auto awgn = [](int n, double snr_db) {
+    const double snr = util::db_to_lin(snr_db);
+    return attempt_gate_symbols(n, util::awgn_capacity(snr), util::awgn_dispersion(snr));
+  };
+  EXPECT_EQ(awgn(256, 10.0), 61);
+  EXPECT_EQ(awgn(256, 0.0), 185);
+  const double p = 0.02;
+  EXPECT_EQ(attempt_gate_symbols(256, util::bsc_capacity(p), util::bsc_dispersion(p)), 238);
+  // The converse's rules pass through: 0 for n <= 16, and a channel
+  // that carries nothing never opens the gate.
+  for (int n = 0; n <= 16; ++n) {
+    EXPECT_EQ(awgn(n, 0.0), 0) << n;
+    EXPECT_EQ(attempt_gate_symbols(n, 0.0, 0.0), 0) << n;
+  }
+  EXPECT_GT(awgn(17, 0.0), 0);
+  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(attempt_gate_symbols(256, 0.0, 0.0), kNever);
+  EXPECT_EQ(attempt_gate_symbols(256, util::bsc_capacity(0.5), util::bsc_dispersion(0.5)),
+            kNever);
+}
+
+TEST(Theory, AttemptGateIsTheSmallestNAboveTheConverse) {
+  const auto bound = [](double N, double C, double V) {
+    return N * C + 4.0 * std::sqrt(N * V) + 0.5 * std::log2(N);
+  };
+  const auto check = [&](int n, double C, double V, const std::string& label) {
+    const std::int64_t floor = min_attempt_symbols(n, C, V);
+    const std::int64_t N = attempt_gate_symbols(n, C, V);
+    ASSERT_GE(N, floor) << label;
+    const auto x = static_cast<double>(N);
+    ASSERT_GE(bound(x, C, V), n) << label;
+    // One symbol fewer falls short, or falls below the converse.
+    if (N - 1 >= floor) {
+      ASSERT_LT(bound(x - 1.0, C, V), n) << label;
+    }
+  };
+  for (int n = 17; n <= 4096; ++n) {
+    for (double snr_db = -10.0; snr_db <= 30.0; snr_db += 2.5) {
+      const double snr = util::db_to_lin(snr_db);
+      check(n, util::awgn_capacity(snr), util::awgn_dispersion(snr),
+            "n=" + std::to_string(n) + " snr " + std::to_string(snr_db));
+    }
+    for (double p : {0.001, 0.003, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49})
+      check(n, util::bsc_capacity(p), util::bsc_dispersion(p),
+            "n=" + std::to_string(n) + " p=" + std::to_string(p));
+  }
+}
+
+TEST(Theory, AttemptGateIsBoundedTimeNearZeroCapacity) {
+  // At p = 0.4999, C ~ 3e-8: walking N up from the converse one symbol
+  // at a time would take about 16 / C steps. Bisection takes ~40.
+  const double p = 0.4999;
+  const double C = util::bsc_capacity(p), V = util::bsc_dispersion(p);
+  const auto start = std::chrono::steady_clock::now();
+  const std::int64_t N = attempt_gate_symbols(4096, C, V);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(N, min_attempt_symbols(4096, C, V));
+  EXPECT_LT(N, std::numeric_limits<std::int64_t>::max());
+  EXPECT_GE(static_cast<double>(N) * C + 4.0 * std::sqrt(static_cast<double>(N) * V) +
+                0.5 * std::log2(static_cast<double>(N)),
+            4096.0);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
 }
 
 TEST(Theory, PaperC6Choice) {
