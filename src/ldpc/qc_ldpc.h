@@ -23,10 +23,12 @@ enum class Rate { kHalf, kTwoThirds, kThreeQuarters, kFiveSixths };
 double rate_value(Rate r) noexcept;
 const char* rate_name(Rate r) noexcept;
 
+/// The shift-selection seed of this library's standard codes.
+constexpr std::uint64_t kWifiMatrixSeed = 0x802011;
+
 /// Builds the n=648, Z=27 parity-check matrix for @p rate.
-/// @param seed  shift-selection seed (fixed default = the standard code
-///              of this library; both ends must agree).
-ParityMatrix make_wifi_style_matrix(Rate rate, std::uint64_t seed = 0x802011);
+/// @param seed  shift-selection seed (both ends must agree).
+ParityMatrix make_wifi_style_matrix(Rate rate, std::uint64_t seed = kWifiMatrixSeed);
 
 /// Block length shared by all rates.
 constexpr int kWifiBlockBits = 648;

@@ -1,16 +1,17 @@
 #include "ldpc/wifi_envelope.h"
 
 #include "channel/awgn.h"
+#include "modem/qam.h"
 #include "util/prng.h"
 
 namespace spinal::ldpc {
 
 WifiLdpcFamily::WifiLdpcFamily(int bp_iterations) {
   for (Rate r : {Rate::kHalf, Rate::kTwoThirds, Rate::kThreeQuarters, Rate::kFiveSixths})
-    contexts_.push_back(std::make_unique<RateCtx>(r, bp_iterations));
+    contexts_.push_back(std::make_unique<LdpcContext>(r, bp_iterations));
 }
 
-const WifiLdpcFamily::RateCtx& WifiLdpcFamily::ctx(Rate r) const {
+const LdpcContext& WifiLdpcFamily::ctx(Rate r) const {
   return *contexts_[static_cast<int>(r)];
 }
 
@@ -22,14 +23,14 @@ std::vector<Mcs> WifiLdpcFamily::all_mcs() {
 }
 
 double WifiLdpcFamily::mcs_info_bits_per_symbol(const Mcs& mcs) const {
-  const RateCtx& c = ctx(mcs.rate);
+  const LdpcContext& c = ctx(mcs.rate);
   return static_cast<double>(c.encoder.info_bits()) / kWifiBlockBits *
          mcs.bits_per_symbol;
 }
 
 double WifiLdpcFamily::block_success_rate(const Mcs& mcs, double snr_db, int trials,
                                           std::uint64_t seed) const {
-  const RateCtx& c = ctx(mcs.rate);
+  const LdpcContext& c = ctx(mcs.rate);
   const modem::QamModem qam(mcs.bits_per_symbol);
   int ok = 0;
   for (int t = 0; t < trials; ++t) {

@@ -12,9 +12,24 @@
 #include "ldpc/bp_decoder.h"
 #include "ldpc/encoder.h"
 #include "ldpc/qc_ldpc.h"
-#include "modem/qam.h"
 
 namespace spinal::ldpc {
+
+/// One 802.11n-style code (rate, matrix seed) with its RREF encoder and
+/// BP decoder: immutable, so one context serves every session and
+/// worker thread of a fleet. H must outlive the encoder and decoder
+/// (both keep references), so the members are built in declaration
+/// order inside one heap-pinned block.
+struct LdpcContext {
+  ParityMatrix H;
+  LdpcEncoder encoder;
+  BpDecoder decoder;
+
+  LdpcContext(Rate rate, int bp_iterations, std::uint64_t matrix_seed = kWifiMatrixSeed)
+      : H(make_wifi_style_matrix(rate, matrix_seed)),
+        encoder(H),
+        decoder(H, bp_iterations) {}
+};
 
 struct Mcs {
   Rate rate;
@@ -42,18 +57,9 @@ class WifiLdpcFamily {
                        Mcs* best = nullptr) const;
 
  private:
-  // H must outlive decoder (BpDecoder keeps a reference), so the three
-  // members are built in declaration order inside one heap-pinned block.
-  struct RateCtx {
-    ParityMatrix H;
-    LdpcEncoder encoder;
-    BpDecoder decoder;
-    RateCtx(Rate r, int iterations)
-        : H(make_wifi_style_matrix(r)), encoder(H), decoder(H, iterations) {}
-  };
-  const RateCtx& ctx(Rate r) const;
+  const LdpcContext& ctx(Rate r) const;
 
-  std::vector<std::unique_ptr<RateCtx>> contexts_;  // one per Rate
+  std::vector<std::unique_ptr<LdpcContext>> contexts_;  // one per Rate
 };
 
 }  // namespace spinal::ldpc

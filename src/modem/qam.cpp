@@ -60,14 +60,10 @@ std::vector<std::complex<float>> QamModem::modulate(const util::BitVec& bits) co
   return out;
 }
 
-void QamModem::demap_axis(float y, double sigma2_axis,
-                          std::vector<float>& llrs_out) const {
+void QamModem::demap_axis(float y, double sigma2_axis, float* out) const {
   const std::uint32_t levels_per_axis = 1u << m_;
   // Per-level metric exp(-(y-l)^2 / (2 sigma2_axis)); accumulate log-sum
   // per bit value with the max-trick for stability.
-  const std::size_t base = llrs_out.size();
-  llrs_out.resize(base + m_);
-
   double metric[1u << 10];  // m_ <= 10 per axis
   double best = -1e300;
   for (std::uint32_t i = 0; i < levels_per_axis; ++i) {
@@ -86,23 +82,48 @@ void QamModem::demap_axis(float y, double sigma2_axis,
         sum0 += w;
     }
     const double eps = 1e-300;
-    llrs_out[base + b] =
-        static_cast<float>(std::log(sum0 + eps) - std::log(sum1 + eps));
+    out[b] = static_cast<float>(std::log(sum0 + eps) - std::log(sum1 + eps));
   }
 }
 
-void QamModem::demap_soft(std::complex<float> y, double noise_var,
-                          std::vector<float>& llrs_out) const {
+void QamModem::demap_symbol(std::complex<float> y, double noise_var, float* out) const {
   if (bpsk_) {
     // Noise variance on the single used dimension is noise_var/2 when the
     // channel is complex; LLR = 2*y*a / (noise_var/2) with a = |level|.
     const double a = levels_[1] < 0 ? -levels_[1] : levels_[1];
-    llrs_out.push_back(static_cast<float>(4.0 * a * y.real() / noise_var));
+    out[0] = static_cast<float>(4.0 * a * y.real() / noise_var);
     return;
   }
   const double sigma2_axis = noise_var / 2.0;  // per-dimension variance
-  demap_axis(y.real(), sigma2_axis, llrs_out);
-  demap_axis(y.imag(), sigma2_axis, llrs_out);
+  demap_axis(y.real(), sigma2_axis, out);
+  demap_axis(y.imag(), sigma2_axis, out + m_);
+}
+
+void QamModem::demap_soft(std::complex<float> y, double noise_var,
+                          std::vector<float>& llrs_out) const {
+  demap_soft(std::span(&y, 1), {}, noise_var, llrs_out);
+}
+
+void QamModem::demap_soft(std::span<const std::complex<float>> y,
+                          std::span<const std::complex<float>> csi, double noise_var,
+                          std::vector<float>& llrs_out) const {
+  if (!csi.empty() && csi.size() != y.size())
+    throw std::invalid_argument("QamModem::demap_soft: csi does not match y");
+  const std::size_t base = llrs_out.size();
+  llrs_out.resize(base + y.size() * static_cast<std::size_t>(bps_));
+  float* out = llrs_out.data() + base;
+  for (std::size_t i = 0; i < y.size(); ++i, out += bps_) {
+    std::complex<float> v = y[i];
+    double nv = noise_var;
+    if (!csi.empty()) {
+      const float mag2 = std::norm(csi[i]);
+      if (mag2 > 1e-12f) {
+        v = v * std::conj(csi[i]) / mag2;
+        nv /= mag2;  // the noise grew by 1/|h|^2
+      }
+    }
+    demap_symbol(v, nv, out);
+  }
 }
 
 }  // namespace spinal::modem

@@ -33,12 +33,23 @@ class QamModem {
   /// Modulates a whole bit vector (zero-padded to a symbol boundary).
   std::vector<std::complex<float>> modulate(const util::BitVec& bits) const;
 
-  /// Computes exact per-bit LLRs log(P(b=0)/P(b=1)) for one received
-  /// symbol under complex AWGN with noise variance @p noise_var
-  /// (total, both dimensions), appending bits_per_symbol() values to
-  /// @p llrs_out. Separable per-axis log-sum-exp over the 2^(bps/2)
-  /// levels (BPSK uses the single real axis).
+  /// Appends exact per-bit LLRs log(P(b=0)/P(b=1)) for one received
+  /// symbol @p y under complex AWGN with noise variance @p noise_var
+  /// (total, both dimensions): bits_per_symbol() values. Separable
+  /// per-axis log-sum-exp over the 2^(bps/2) levels (BPSK uses the
+  /// single real axis).
   void demap_soft(std::complex<float> y, double noise_var,
+                  std::vector<float>& llrs_out) const;
+
+  /// Appends the LLRs of every symbol of @p y, y.size() *
+  /// bits_per_symbol() values. With a non-empty @p csi each y[i] is
+  /// first equalised coherently by its fading coefficient h = csi[i]:
+  /// when |h|^2 > 1e-12, y[i] is divided by h and the noise variance
+  /// by |h|^2; a deeper fade is demapped as received. Throws
+  /// std::invalid_argument, before appending anything, unless @p csi
+  /// is empty or matches @p y.
+  void demap_soft(std::span<const std::complex<float>> y,
+                  std::span<const std::complex<float>> csi, double noise_var,
                   std::vector<float>& llrs_out) const;
 
   /// Per-axis amplitude levels (for tests / PAPR studies).
@@ -52,7 +63,9 @@ class QamModem {
   std::vector<std::uint32_t> gray_;    // gray code of each natural index
 
   float axis_level(std::uint32_t bits) const noexcept;
-  void demap_axis(float y, double sigma2_axis, std::vector<float>& llrs_out) const;
+  /// Writes the bits_per_symbol() LLRs of @p y to @p out.
+  void demap_symbol(std::complex<float> y, double noise_var, float* out) const;
+  void demap_axis(float y, double sigma2_axis, float* out) const;
 };
 
 /// Binary-reflected Gray code of @p x.

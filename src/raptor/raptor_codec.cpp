@@ -1,21 +1,10 @@
 #include "raptor/raptor_codec.h"
 
-#include <algorithm>
 #include <cmath>
 
+#include "ldpc/bp_decoder.h"
+
 namespace spinal::raptor {
-namespace {
-
-constexpr float kClamp = 20.0f;
-inline float clamp_llr(float x) noexcept { return std::clamp(x, -kClamp, kClamp); }
-
-/// tanh-rule check update with one fixed "observation" factor.
-/// Computes messages to each variable edge given incoming messages.
-struct CheckWork {
-  std::vector<float> tanhs;
-};
-
-}  // namespace
 
 RaptorEncoder::RaptorEncoder(int info_bits, std::uint64_t seed)
     : precode_(info_bits),
@@ -32,7 +21,7 @@ RaptorDecoder::RaptorDecoder(int info_bits, std::uint64_t seed, int iterations)
 
 void RaptorDecoder::add_coded_bit(std::uint32_t lt_index, float llr) {
   rx_index_.push_back(lt_index);
-  rx_llr_.push_back(clamp_llr(llr));
+  rx_llr_.push_back(ldpc::clamp_llr(llr));
 }
 
 void RaptorDecoder::reset() {
@@ -44,105 +33,42 @@ std::optional<util::BitVec> RaptorDecoder::decode(int iterations) {
   if (iterations <= 0) iterations = iterations_;
   const int m = precode_.intermediate_bits();
   const int n_out = static_cast<int>(rx_index_.size());
-  const auto& pc_checks = precode_.checks();
-  const int n_pc = static_cast<int>(pc_checks.size());
 
-  // Edge lists: factor -> variable. Factors: [0, n_out) LT output nodes
-  // (tanh seeded with the channel LLR), [n_out, n_out + n_pc) precode
-  // zero checks.
-  std::vector<std::vector<int>> factor_vars(n_out + n_pc);
-  for (int f = 0; f < n_out; ++f) factor_vars[f] = lt_.neighbors(rx_index_[f]);
-  for (int j = 0; j < n_pc; ++j) factor_vars[n_out + j] = pc_checks[j];
-
-  // Flattened edges.
-  std::vector<int> offset(factor_vars.size() + 1, 0);
-  for (std::size_t f = 0; f < factor_vars.size(); ++f)
-    offset[f + 1] = offset[f] + static_cast<int>(factor_vars[f].size());
-  const int n_edges = offset.back();
-  std::vector<int> edge_var(n_edges);
-  for (std::size_t f = 0; f < factor_vars.size(); ++f)
-    std::copy(factor_vars[f].begin(), factor_vars[f].end(), edge_var.begin() + offset[f]);
-
-  std::vector<std::vector<int>> var_edges(m);
-  for (int e = 0; e < n_edges; ++e) var_edges[edge_var[e]].push_back(e);
-
-  std::vector<float> f2v(n_edges, 0.0f);  // factor -> variable messages
-  std::vector<float> v2f(n_edges, 0.0f);  // variable -> factor messages
-  std::vector<float> posterior(m, 0.0f);
+  // Factors: [0, n_out) LT output nodes, seeded with the received coded
+  // bit's tanh(L/2), then the precode's zero checks.
+  ldpc::SumProductGraph graph;
+  std::vector<float> seeds(static_cast<std::size_t>(n_out));
+  for (int f = 0; f < n_out; ++f) {
+    graph.add_factor(lt_.neighbors(rx_index_[f]));
+    seeds[f] = std::tanh(0.5f * rx_llr_[f]);
+  }
+  for (const std::vector<int>& check : precode_.checks()) graph.add_factor(check);
+  graph.index_variables(m);
 
   util::BitVec intermediate(m);
-
-  for (int it = 0; it < iterations; ++it) {
-    // Factor update.
-    for (std::size_t f = 0; f < factor_vars.size(); ++f) {
-      const int begin = offset[f], end = offset[f + 1];
-      // Observation tanh: LT factors carry the channel LLR of the coded
-      // bit; precode checks are hard zero constraints (tanh = 1).
-      float obs = 1.0f;
-      if (f < static_cast<std::size_t>(n_out))
-        obs = std::tanh(0.5f * rx_llr_[f]);
-
-      float prod = obs;
-      int zeros = 0;
-      int zero_edge = -1;
-      for (int e = begin; e < end; ++e) {
-        const float t = std::tanh(0.5f * v2f[e]);
-        if (std::fabs(t) < 1e-12f) {
-          ++zeros;
-          zero_edge = e;
-        } else {
-          prod *= t;
-        }
-      }
-      for (int e = begin; e < end; ++e) {
-        float t_excl;
-        if (zeros == 0) {
-          t_excl = prod / std::tanh(0.5f * v2f[e]);
-        } else if (zeros == 1) {
-          t_excl = (e == zero_edge) ? prod : 0.0f;
-        } else {
-          t_excl = 0.0f;
-        }
-        t_excl = std::clamp(t_excl, -0.999999f, 0.999999f);
-        f2v[e] = clamp_llr(2.0f * std::atanh(t_excl));
-      }
-    }
-
-    // Variable update (no intrinsic channel term: intermediate bits are
-    // never transmitted directly).
-    for (int v = 0; v < m; ++v) {
-      float sum = 0.0f;
-      for (int e : var_edges[v]) sum += f2v[e];
-      posterior[v] = sum;
-      for (int e : var_edges[v]) v2f[e] = clamp_llr(sum - f2v[e]);
-    }
-
-    // Early exit when the hard decision satisfies the whole graph.
-    for (int v = 0; v < m; ++v) intermediate.set(v, posterior[v] < 0);
-    bool ok = true;
-    for (int j = 0; j < n_pc && ok; ++j) {
+  const auto precode_satisfied = [&] {
+    for (const std::vector<int>& check : precode_.checks()) {
       int acc = 0;
-      for (int v : pc_checks[j]) acc ^= intermediate.get(v) ? 1 : 0;
-      ok = (acc == 0);
+      for (int v : check) acc ^= intermediate.get(v) ? 1 : 0;
+      if (acc != 0) return false;
     }
-    for (int f = 0; f < n_out && ok; ++f) {
-      int acc = rx_llr_[f] < 0 ? 1 : 0;
-      for (int v : factor_vars[f]) acc ^= intermediate.get(v) ? 1 : 0;
-      // Channel bits may genuinely be noisy; don't require them to match.
-      (void)acc;
-    }
-    if (ok && it >= 1) break;
+    return true;
+  };
+
+  // No intrinsic term: intermediate bits are never transmitted directly.
+  ldpc::BpWork work;
+  graph.init({}, work);
+  for (int it = 0; it < iterations; ++it) {
+    graph.iterate({}, seeds, work);
+    for (int v = 0; v < m; ++v) intermediate.set(v, work.posterior[v] < 0);
+    // Early exit once the hard decision satisfies the precode; channel
+    // bits may genuinely be noisy, so the LT factors are not required to.
+    if (it >= 1 && precode_satisfied()) break;
   }
 
   // Verify the precode; it acts as the decoder's internal consistency
   // check (§8's framework validates against the transmitted message).
-  bool consistent = true;
-  for (int j = 0; j < n_pc && consistent; ++j) {
-    int acc = 0;
-    for (int v : pc_checks[j]) acc ^= intermediate.get(v) ? 1 : 0;
-    consistent = (acc == 0);
-  }
-  if (!consistent) return std::nullopt;
+  if (!precode_satisfied()) return std::nullopt;
 
   // Correlation test against the received soft bits: a correct decode
   // predicts coded bits that agree with the channel LLRs far beyond
@@ -151,7 +77,7 @@ std::optional<util::BitVec> RaptorDecoder::decode(int iterations) {
   double corr = 0.0, energy = 0.0;
   for (int f = 0; f < n_out; ++f) {
     int predicted = 0;
-    for (int v : factor_vars[f]) predicted ^= intermediate.get(v) ? 1 : 0;
+    for (int v : graph.vars_of(f)) predicted ^= intermediate.get(v) ? 1 : 0;
     corr += (predicted ? -1.0 : 1.0) * rx_llr_[f];
     energy += static_cast<double>(rx_llr_[f]) * rx_llr_[f];
   }

@@ -48,14 +48,11 @@ class RaptorDecoder {
   /// Adds one received coded bit (LLR = log P(0)/P(1)).
   void add_coded_bit(std::uint32_t lt_index, float llr);
 
-  /// One BP decode attempt. Returns the info-bit estimate; nullopt when
-  /// the posterior fails the precode checks (caller may also CRC-check).
-  std::optional<util::BitVec> decode() { return decode(0); }
-
-  /// Iteration-capped form (the runtime's effort knob): @p iterations
-  /// <= 0 runs the configured count, so effort 0 is bit-identical to
-  /// the plain decode().
-  std::optional<util::BitVec> decode(int iterations);
+  /// One BP decode attempt, capped at @p iterations (the runtime's
+  /// effort knob; <= 0 runs the configured count). Returns the info-bit
+  /// estimate; nullopt when the posterior fails the precode checks or
+  /// the correlation test (caller may also CRC-check).
+  std::optional<util::BitVec> decode(int iterations = 0);
 
   void reset();
 

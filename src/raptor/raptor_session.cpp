@@ -1,7 +1,5 @@
 #include "raptor/raptor_session.h"
 
-#include <cmath>
-
 #include "util/bitvec.h"
 
 namespace spinal::raptor {
@@ -37,30 +35,9 @@ std::vector<std::complex<float>> RaptorSession::next_chunk() {
 
 void RaptorSession::receive_chunk(std::span<const std::complex<float>> y,
                                   std::span<const std::complex<float>> csi) {
-  std::vector<float> llrs;
-  llrs.reserve(y.size() * config_.bits_per_symbol);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    std::complex<float> yi = y[i];
-    if (!csi.empty()) {
-      // Coherent equalisation with known h (Fig 8-4 regime): divide out
-      // the channel and scale the noise variance accordingly.
-      const float mag2 = std::norm(csi[i]);
-      if (mag2 > 1e-12f) {
-        yi = y[i] * std::conj(csi[i]) / mag2;
-        std::vector<float> tmp;
-        qam_.demap_soft(yi, noise_var_ / mag2, tmp);
-        for (float l : tmp) llrs.push_back(l);
-        continue;
-      }
-    }
-    qam_.demap_soft(yi, noise_var_, llrs);
-  }
-  for (float l : llrs) decoder_.add_coded_bit(rx_bit_++, l);
-}
-
-std::optional<util::BitVec> RaptorSession::try_decode() {
-  if (decoder_.bits_received() < min_bits_to_try_) return std::nullopt;
-  return decoder_.decode();
+  chunk_llrs_.clear();
+  qam_.demap_soft(y, csi, noise_var_, chunk_llrs_);
+  for (float l : chunk_llrs_) decoder_.add_coded_bit(rx_bit_++, l);
 }
 
 std::optional<util::BitVec> RaptorSession::try_decode_with(

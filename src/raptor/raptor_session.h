@@ -29,9 +29,10 @@ class RaptorSession : public sim::RatelessSession {
   int message_bits() const override { return config_.info_bits; }
   void start(const util::BitVec& message) override;
   std::vector<std::complex<float>> next_chunk() override;
+  /// Throws std::invalid_argument, before any state changes, unless
+  /// @p csi is empty or matches @p y.
   void receive_chunk(std::span<const std::complex<float>> y,
                      std::span<const std::complex<float>> csi) override;
-  std::optional<util::BitVec> try_decode() override;
   /// Effort = BP iteration cap. Raptor rebuilds the joint factor graph
   /// per attempt, so there is no pinnable workspace yet (@p ws is
   /// ignored; the runtime counts these attempts as unpinned).
@@ -50,6 +51,7 @@ class RaptorSession : public sim::RatelessSession {
   modem::QamModem qam_;
   std::uint32_t next_bit_ = 0;      // next LT output index to transmit
   std::uint32_t rx_bit_ = 0;        // next LT output index at the receiver
+  std::vector<float> chunk_llrs_;   // one received chunk's demapped LLRs
   double noise_var_ = 1.0;          // demapper noise estimate (engine SNR)
   std::size_t min_bits_to_try_ = 0; // skip hopeless BP runs
 };

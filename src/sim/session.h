@@ -187,19 +187,12 @@ class RatelessSession : public DecodeTarget {
   virtual void receive_chunk(std::span<const std::complex<float>> y,
                              std::span<const std::complex<float>> csi) = 0;
 
-  /// Runs one decode attempt; returns a candidate message if the decoder
-  /// produced one (the engine validates it against the transmitted
-  /// message, playing the role of the link-layer CRC).
-  virtual std::optional<util::BitVec> try_decode() = 0;
-
-  /// Runtime-worker form of try_decode() (see DecodeTarget): with
-  /// effort <= 0 the candidate is bit-identical to try_decode(). The
-  /// default ignores both arguments and delegates, for sessions with
-  /// neither a pinnable workspace nor an effort knob.
-  std::optional<util::BitVec> try_decode_with(CodecWorkspace* /*ws*/,
-                                              int /*effort*/) override {
-    return try_decode();
-  }
+  /// Runs one decode attempt at full effort with no pinned workspace
+  /// (the sequential engine's form of try_decode_with); returns a
+  /// candidate message if the decoder produced one (the engine validates
+  /// it against the transmitted message, playing the role of the
+  /// link-layer CRC).
+  virtual std::optional<util::BitVec> try_decode() { return try_decode_with(nullptr, 0); }
 
   /// Upper bound on chunks before the sender gives up on the message.
   virtual int max_chunks() const = 0;

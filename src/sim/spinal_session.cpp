@@ -71,11 +71,6 @@ void MetricSession<Metric>::receive_chunk(std::span<const std::complex<float>> y
 }
 
 template <class Metric>
-std::optional<util::BitVec> MetricSession<Metric>::try_decode() {
-  return decoder_.decode().message;
-}
-
-template <class Metric>
 int MetricSession<Metric>::max_chunks() const {
   const int subpasses = params_.max_passes * schedule_.subpasses_per_pass();
   if (symbols_per_chunk_ <= 0) return subpasses;

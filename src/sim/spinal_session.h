@@ -46,7 +46,6 @@ class MetricSession : public SpinalTarget<RatelessSession, Decoder<Metric>> {
   /// matches @p y.
   void receive_chunk(std::span<const std::complex<float>> y,
                      std::span<const std::complex<float>> csi) override;
-  std::optional<util::BitVec> try_decode() override;
   int max_chunks() const override;
 
   const CodeParams& params() const noexcept { return params_; }

@@ -136,6 +136,8 @@ std::complex<float> StriderDecoder::coefficient(int pass, int layer) const {
 
 void StriderDecoder::add_symbols(std::span<const std::complex<float>> y,
                                  std::span<const std::complex<float>> csi) {
+  if (!csi.empty() && csi.size() != y.size())
+    throw std::invalid_argument("StriderDecoder::add_symbols: csi does not match y");
   for (std::size_t i = 0; i < y.size(); ++i) {
     const long pos = total_symbols_++;
     const int pass = static_cast<int>(pos / symbols_per_pass_);

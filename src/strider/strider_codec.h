@@ -91,7 +91,9 @@ class StriderDecoder {
   int symbols_per_pass() const noexcept { return symbols_per_pass_; }
 
   /// Appends received symbols in transmission order (pass-major). When
-  /// CSI is supplied the symbols are coherently equalised first.
+  /// CSI is supplied the symbols are coherently equalised first. Throws
+  /// std::invalid_argument, before appending any, unless @p csi is
+  /// empty or matches @p y.
   void add_symbols(std::span<const std::complex<float>> y,
                    std::span<const std::complex<float>> csi);
 

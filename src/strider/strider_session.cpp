@@ -34,8 +34,6 @@ void StriderSession::receive_chunk(std::span<const std::complex<float>> y,
   decoder_.add_symbols(y, csi);
 }
 
-std::optional<util::BitVec> StriderSession::try_decode() { return decoder_.decode(); }
-
 std::optional<util::BitVec> StriderSession::try_decode_with(
     sim::CodecWorkspace* /*ws*/, int effort) {
   return decoder_.decode(effort);

@@ -27,7 +27,6 @@ class StriderSession : public sim::RatelessSession {
   std::vector<std::complex<float>> next_chunk() override;
   void receive_chunk(std::span<const std::complex<float>> y,
                      std::span<const std::complex<float>> csi) override;
-  std::optional<util::BitVec> try_decode() override;
   /// Effort = per-layer turbo iteration cap. The SIC decoder's state
   /// (residuals, decoded-layer caches) lives in the session, so there is
   /// no pinnable workspace yet (@p ws is ignored; the runtime counts

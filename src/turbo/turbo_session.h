@@ -1,17 +1,15 @@
 #pragma once
 // RatelessSession adapter for the plain rate-1/5 turbo code (Strider's
-// base code, §8): the whole coded block rides QPSK-modulated rounds and
-// the receiver chase-combines LLRs across retransmissions. This gives
-// the execution engine and decode runtime a fifth codec family with an
-// iteration-budget effort knob but (today) no pinnable workspace — the
-// BCJR scratch lives inside TurboCodec::decode, so runtime attempts run
-// unpinned and telemetry makes that visible.
+// base code, §8): a ChaseSession whose whole coded block rides
+// QPSK-modulated rounds, the receiver chase-combining LLRs across
+// retransmissions. Its effort knob is the iteration budget. The BCJR
+// scratch lives inside TurboCodec::decode, so there is no workspace to
+// pin: runtime attempts run unpinned, and telemetry counts them.
 
 #include <algorithm>
 #include <cstdint>
 
-#include "modem/qam.h"
-#include "sim/session.h"
+#include "sim/chase_session.h"
 #include "turbo/turbo_codec.h"
 
 namespace spinal::turbo {
@@ -24,38 +22,33 @@ struct TurboSessionConfig {
   std::uint64_t interleaver_seed = 0xC0DE2012;
 };
 
-class TurboSession : public sim::RatelessSession {
+class TurboSession : public sim::ChaseSession {
  public:
-  explicit TurboSession(const TurboSessionConfig& cfg);
+  explicit TurboSession(const TurboSessionConfig& cfg)
+      : ChaseSession("TurboSession", cfg.bits_per_symbol, cfg.max_rounds),
+        config_(cfg),
+        codec_(cfg.info_bits, cfg.iterations, cfg.interleaver_seed) {}
 
   int message_bits() const override { return config_.info_bits; }
-  void start(const util::BitVec& message) override;
-  std::vector<std::complex<float>> next_chunk() override;
-  void receive_chunk(std::span<const std::complex<float>> y,
-                     std::span<const std::complex<float>> csi) override;
-  std::optional<util::BitVec> try_decode() override;
-  /// Effort = decoder iteration cap (@p ws ignored: no pinnable
-  /// workspace yet, the runtime counts these attempts as unpinned).
-  std::optional<util::BitVec> try_decode_with(sim::CodecWorkspace* ws,
-                                              int effort) override;
   sim::EffortProfile effort_profile() const override {
     return {config_.iterations, std::min(2, config_.iterations)};
   }
-  int max_chunks() const override { return config_.max_rounds; }
-  void set_noise_hint(double noise_variance) override {
-    noise_var_ = noise_variance;
-  }
 
  private:
-  std::optional<util::BitVec> decode_attempt(int effort);
+  util::BitVec encode(const util::BitVec& message) const override {
+    return codec_.encode(message);
+  }
+  /// Effort = decoder iteration cap (@p ws is ignored). The turbo
+  /// decoder always yields a hard decision; the engine's validation
+  /// against the transmitted message plays the link-layer CRC (as it
+  /// does for spinal's candidates).
+  std::optional<util::BitVec> decode(std::span<const float> llrs, int effort,
+                                     sim::CodecWorkspace* /*ws*/) override {
+    return codec_.decode(llrs, effort);
+  }
 
   TurboSessionConfig config_;
   TurboCodec codec_;
-  modem::QamModem qam_;
-  std::vector<std::complex<float>> tx_symbols_;  ///< one coded block
-  std::vector<float> llr_;  ///< chase-combined per-coded-bit LLRs
-  bool any_rx_ = false;
-  double noise_var_ = 1.0;
 };
 
 }  // namespace spinal::turbo

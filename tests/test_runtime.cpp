@@ -333,7 +333,7 @@ class ThrowingSession final : public sim::RatelessSession {
   }
   void receive_chunk(std::span<const std::complex<float>>,
                      std::span<const std::complex<float>>) override {}
-  std::optional<util::BitVec> try_decode() override {
+  std::optional<util::BitVec> try_decode_with(sim::CodecWorkspace*, int) override {
     throw std::runtime_error("decoder blew up");
   }
   int max_chunks() const override { return 4; }

@@ -5,16 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
+#include "channel/awgn.h"
 #include "ldpc/ldpc_session.h"
+#include "modem/qam.h"
 #include "raptor/raptor_session.h"
 #include "sim/bsc_session.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
 #include "sim/spinal_session.h"
 #include "strider/strider_session.h"
+#include "turbo/turbo_session.h"
+#include "util/crc.h"
 #include "util/prng.h"
 
 namespace spinal::sim {
@@ -91,48 +96,87 @@ TEST(Sessions, SymbolGranularChunkingConservesSymbols) {
   expect_granular_chunking_conserves_symbols<BscSession>(p);
 }
 
-/// receive_chunk() must reject spans that do not match the chunk in
-/// flight, before touching the decoder: after the rejected calls, the
-/// session decodes exactly like one that only ever saw the valid chunk.
-template <class Session>
-void expect_mismatched_spans_rejected(const CodeParams& p) {
+/// receive_chunk() must reject a csi span that does not match y, and a
+/// session that tracks its chunk in flight (@p tracks_chunk: the spinal
+/// ones) also a y that does not match that chunk, before any state
+/// changes: after the rejected calls, the session decodes exactly like
+/// one that only ever saw the valid chunks, all the way to the message.
+template <class Make>
+void expect_mismatched_spans_rejected(Make make, bool tracks_chunk) {
+  const std::unique_ptr<RatelessSession> s = make(), clean = make();
   util::Xoshiro256 prng(21);
-  const util::BitVec msg = prng.random_bits(p.n);
-  Session s(p), clean(p);
-  s.start(msg);
-  clean.start(msg);
+  const util::BitVec msg = prng.random_bits(static_cast<std::size_t>(s->message_bits()));
+  s->start(msg);
+  clean->start(msg);
+  s->set_noise_hint(1e-3);
+  clean->set_noise_hint(1e-3);
   const std::vector<std::complex<float>> one(1);
-  EXPECT_THROW(s.receive_chunk(one, {}), std::invalid_argument);  // no chunk in flight
+  if (tracks_chunk) {  // no chunk in flight
+    EXPECT_THROW(s->receive_chunk(one, {}), std::invalid_argument);
+  }
 
-  const std::vector<std::complex<float>> x = s.next_chunk();
-  ASSERT_EQ(clean.next_chunk(), x);
+  // A noisy channel output, so stray or repeated symbols move the cost,
+  // yet mild enough for every codec to decode in a few chunks.
+  const auto noisy = [](std::vector<std::complex<float>> x) {
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] += std::complex<float>(i % 2 ? 0.02f : -0.02f, 0.01f);
+    return x;
+  };
+  const std::vector<std::complex<float>> x = s->next_chunk();
+  ASSERT_EQ(clean->next_chunk(), x);
   ASSERT_GT(x.size(), 1u);
-  // A noisy channel output, so stray or repeated symbols move the cost.
-  std::vector<std::complex<float>> y = x;
-  for (std::size_t i = 0; i < y.size(); i += 2) y[i] = {1.0f - y[i].real(), y[i].imag()};
+  const std::vector<std::complex<float>> y = noisy(x);
   std::vector<std::complex<float>> longer = y;
   longer.push_back(y.front());
   const std::vector<std::complex<float>> shorter(y.begin(), y.end() - 1);
-  EXPECT_THROW(s.receive_chunk(longer, {}), std::invalid_argument);
-  EXPECT_THROW(s.receive_chunk(shorter, {}), std::invalid_argument);
-  EXPECT_THROW(s.receive_chunk(y, shorter), std::invalid_argument);
-  EXPECT_THROW(s.receive_chunk(y, longer), std::invalid_argument);
+  if (tracks_chunk) {
+    EXPECT_THROW(s->receive_chunk(longer, {}), std::invalid_argument);
+    EXPECT_THROW(s->receive_chunk(shorter, {}), std::invalid_argument);
+  }
+  EXPECT_THROW(s->receive_chunk(y, shorter), std::invalid_argument);
+  EXPECT_THROW(s->receive_chunk(y, longer), std::invalid_argument);
 
-  s.receive_chunk(y, {});
-  clean.receive_chunk(y, {});
-  SpinalWorkspace got, want;
-  s.try_decode_with(&got, 0);
-  clean.try_decode_with(&want, 0);
-  EXPECT_EQ(got.out.message, want.out.message);
-  EXPECT_EQ(got.out.path_cost, want.out.path_cost);
+  s->receive_chunk(y, {});
+  clean->receive_chunk(y, {});
+  const auto got = s->make_workspace(), want = clean->make_workspace();
+  for (int chunks = 1;; ++chunks) {
+    const std::optional<util::BitVec> decoded = clean->try_decode_with(want.get(), 0);
+    EXPECT_EQ(s->try_decode_with(got.get(), 0), decoded) << "after " << chunks << " chunks";
+    if (decoded == msg) break;
+    ASSERT_LT(chunks, clean->max_chunks()) << "the clean session never decoded";
+    const std::vector<std::complex<float>> more = noisy(clean->next_chunk());
+    ASSERT_EQ(noisy(s->next_chunk()), more);
+    s->receive_chunk(more, {});
+    clean->receive_chunk(more, {});
+  }
+  if (const auto* g = dynamic_cast<const SpinalWorkspace*>(got.get())) {
+    EXPECT_EQ(g->out.path_cost, static_cast<const SpinalWorkspace&>(*want).out.path_cost);
+  }
 }
 
 TEST(Sessions, ReceiveChunkRejectsMismatchedSpans) {
   CodeParams p;
   p.n = 64;
-  expect_mismatched_spans_rejected<SpinalSession>(p);
+  expect_mismatched_spans_rejected([p] { return std::make_unique<SpinalSession>(p); }, true);
   p.c = 1;
-  expect_mismatched_spans_rejected<BscSession>(p);
+  expect_mismatched_spans_rejected([p] { return std::make_unique<BscSession>(p); }, true);
+
+  // The baselines take any y; they check only the csi against it.
+  expect_mismatched_spans_rejected(
+      [] { return std::make_unique<ldpc::LdpcSession>(ldpc::LdpcSessionConfig{}); }, false);
+  turbo::TurboSessionConfig turbo;
+  turbo.info_bits = 256;
+  expect_mismatched_spans_rejected([turbo] { return std::make_unique<turbo::TurboSession>(turbo); },
+                                   false);
+  raptor::RaptorSessionConfig raptor;
+  raptor.info_bits = 400;
+  expect_mismatched_spans_rejected(
+      [raptor] { return std::make_unique<raptor::RaptorSession>(raptor); }, false);
+  strider::StriderSessionConfig strider;
+  strider.code.layers = 4;
+  strider.code.layer_bits = 60;
+  expect_mismatched_spans_rejected(
+      [strider] { return std::make_unique<strider::StriderSession>(strider); }, false);
 }
 
 TEST(Sessions, BscNonFiniteSamplesAreErasures) {
@@ -397,6 +441,86 @@ TEST(Sessions, EngineCountsChunksAndAttempts) {
   const RunResult r = run_message(s, ch, prng.random_bits(p.n), opt);
   EXPECT_TRUE(r.success);
   EXPECT_GE(r.chunks, r.attempts * 2 - 1);
+}
+
+/// The baseline codecs' engine runs, pinned: success, symbols and
+/// attempts of LDPC, turbo and Raptor sessions over AWGN and over
+/// Rayleigh fading with CSI (the soft demapper's equalising path), and
+/// one fixed LDPC LLR vector's BP decode at full and at capped effort,
+/// down to the capped decode's posterior LLRs bit for bit.
+TEST(Sessions, BaselineRunsPinned) {
+  const auto ldpc_ctx = ldpc::LdpcSession::make_context(ldpc::LdpcSessionConfig{});
+  const auto make = [&](int codec) -> std::unique_ptr<RatelessSession> {
+    switch (codec) {
+      case 0:
+        return std::make_unique<ldpc::LdpcSession>(ldpc::LdpcSessionConfig{}, ldpc_ctx);
+      case 1: {
+        turbo::TurboSessionConfig cfg;
+        cfg.info_bits = 256;
+        cfg.iterations = 4;
+        return std::make_unique<turbo::TurboSession>(cfg);
+      }
+      default: {
+        raptor::RaptorSessionConfig cfg;
+        cfg.info_bits = 400;
+        cfg.chunk_symbols = 24;
+        cfg.bp_iterations = 30;
+        return std::make_unique<raptor::RaptorSession>(cfg);
+      }
+    }
+  };
+  struct Pin {
+    int codec;  // 0 LDPC, 1 turbo, 2 Raptor
+    ChannelKind kind;
+    double snr_db;
+    std::uint64_t seed;
+    bool success;
+    long symbols;
+    int attempts;
+  };
+  constexpr ChannelKind kAwgn = ChannelKind::kAwgn, kCsi = ChannelKind::kRayleighCsi;
+  const Pin pins[] = {
+      {0, kAwgn, -5.0, 1, true, 1296, 3}, {0, kAwgn, -4.0, 2, true, 1296, 3},
+      {0, kCsi, -3.0, 3, true, 1296, 4},  {0, kCsi, -1.0, 4, true, 972, 3},
+      {1, kAwgn, -5.0, 5, true, 1290, 2}, {1, kAwgn, -8.0, 6, true, 1935, 2},
+      {1, kCsi, -6.0, 7, true, 1290, 2},  {1, kCsi, -4.0, 8, true, 1290, 2},
+      {2, kAwgn, 10.0, 9, true, 168, 3},  {2, kAwgn, 15.0, 10, true, 120, 3},
+      {2, kCsi, 12.0, 11, true, 192, 8},  {2, kCsi, 18.0, 12, true, 96, 4},
+  };
+  for (const Pin& pin : pins) {
+    const auto s = make(pin.codec);
+    ChannelSim ch(pin.kind, pin.snr_db, /*coherence=*/8, pin.seed);
+    util::Xoshiro256 prng(pin.seed);
+    const RunResult r = run_message(*s, ch, prng.random_bits(s->message_bits()));
+    EXPECT_EQ(r.success, pin.success) << pin.codec << " seed " << pin.seed;
+    EXPECT_EQ(r.symbols, pin.symbols) << pin.codec << " seed " << pin.seed;
+    EXPECT_EQ(r.attempts, pin.attempts) << pin.codec << " seed " << pin.seed;
+  }
+
+  // One fixed LLR vector: a QPSK codeword through AWGN at 1.5 dB.
+  util::Xoshiro256 prng(13);
+  const util::BitVec cw = ldpc_ctx->encoder.encode(prng.random_bits(ldpc_ctx->encoder.info_bits()));
+  const modem::QamModem qpsk(2);
+  channel::AwgnChannel awgn(1.5, 14);
+  std::vector<std::complex<float>> x = qpsk.modulate(cw);
+  awgn.apply(x);
+  std::vector<float> llrs;
+  for (const auto& y : x) qpsk.demap_soft(y, awgn.noise_variance(), llrs);
+  ASSERT_EQ(llrs.size(), cw.size());
+  ldpc::BpWork work;
+  const ldpc::BpResult full = ldpc_ctx->decoder.decode(llrs, 0, work);
+  EXPECT_TRUE(full.checks_satisfied);
+  EXPECT_EQ(full.iterations_used, 33);
+  EXPECT_EQ(full.codeword, cw);
+  const ldpc::BpResult capped = ldpc_ctx->decoder.decode(llrs, 3, work);
+  EXPECT_FALSE(capped.checks_satisfied);
+  EXPECT_EQ(capped.iterations_used, 3);
+  EXPECT_EQ(capped.codeword.hamming_distance(cw), 40u);
+  EXPECT_EQ(util::crc32(capped.codeword), 3242863341u);
+  std::uint64_t posterior_hash = 0xcbf29ce484222325u;  // FNV-1a over the float bits
+  for (const float l : work.posterior)
+    posterior_hash = (posterior_hash ^ std::bit_cast<std::uint32_t>(l)) * 0x100000001b3u;
+  EXPECT_EQ(posterior_hash, 10218704385854761962u);
 }
 
 }  // namespace
