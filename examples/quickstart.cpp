@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "backend/backend.h"
 #include "sim/channel_sim.h"
 #include "sim/engine.h"
 #include "sim/spinal_session.h"
@@ -26,6 +27,10 @@ int main(int argc, char** argv) {
 
   std::printf("spinal quickstart: n=%d k=%d c=%d B=%d d=%d  SNR=%.1f dB\n",
               params.n, params.k, params.c, params.B, params.d, snr_db);
+  // The SIMD lane every decode runs on: the widest this CPU supports
+  // unless SPINAL_BACKEND pins one.
+  std::printf("kernel backend: %s (available: %s)\n", spinal::backend::active().name,
+              spinal::backend::available_names().c_str());
 
   spinal::util::Xoshiro256 prng(2012);
   const spinal::util::BitVec message = prng.random_bits(params.n);

@@ -244,9 +244,12 @@ namespace {
 // OS save support is included) and caches the result.
 [[maybe_unused]] bool cpu_has_sse42() { return __builtin_cpu_supports("sse4.2") != 0; }
 [[maybe_unused]] bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }
+// Exactly the features backend_avx512.cpp is compiled with (-mavx512f).
+[[maybe_unused]] bool cpu_has_avx512() { return __builtin_cpu_supports("avx512f") != 0; }
 #else
 [[maybe_unused]] bool cpu_has_sse42() { return false; }
 [[maybe_unused]] bool cpu_has_avx2() { return false; }
+[[maybe_unused]] bool cpu_has_avx512() { return false; }
 #endif
 
 #if defined(SPINAL_BACKEND_HAVE_NEON)
@@ -270,6 +273,9 @@ const std::vector<const Backend*>& registry() {
 #endif
 #if defined(SPINAL_BACKEND_HAVE_AVX2)
     if (cpu_has_avx2()) v.push_back(avx2_backend());
+#endif
+#if defined(SPINAL_BACKEND_HAVE_AVX512)
+    if (cpu_has_avx512()) v.push_back(avx512_backend());
 #endif
 #if defined(SPINAL_BACKEND_HAVE_NEON)
     if (cpu_has_neon()) v.push_back(neon_backend());

@@ -6,6 +6,8 @@
 //   scalar  — portable C++, the retained reference implementation;
 //   sse42   — x86 SSE4.2 intrinsics, 4 lanes (compile- and CPUID-gated);
 //   avx2    — x86 AVX2 intrinsics, 8 lanes (compile- and CPUID-gated);
+//   avx512  — x86 AVX-512F intrinsics, 16 lanes (compile- and
+//             CPUID-gated; mask-register compares and compresses);
 //   neon    — ARM NEON intrinsics, 4 lanes (compile-time gated; ASIMD is
 //             architectural on aarch64, auxval-probed on 32-bit ARM).
 //
@@ -258,6 +260,15 @@ struct U16Lane {
   static std::uint32_t cand_of(key_t key) noexcept { return key & 0xFFFFu; }
 };
 
+/// The most uint32 lanes any backend's vector holds (AVX-512's 16).
+/// Every SIMD backend TU static_asserts its lane width against it.
+inline constexpr std::size_t kMaxLanes = 16;
+
+/// Slots a survivor-key output needs past its worst-case append count:
+/// SIMD backends compress-store whole vectors, so a vector with one
+/// survivor may write kMaxLanes - 1 slots beyond it.
+inline constexpr std::size_t kCompressSlack = kMaxLanes - 1;
+
 /// One backend's cost-lane kernels for lane @p Lane: the fused AWGN
 /// expansion and the search's streaming prune and regroup. The cost
 /// arithmetic is Lane::add (float add, or u16 saturating add), so each
@@ -293,9 +304,9 @@ struct LaneKernels {
   /// (children cost at least the parent). Preconditions: child costs
   /// >= 0 (channel metrics are non-negative; pruning leans on cost
   /// monotonicity along paths) and no cost is -0.0f. Pass
-  /// Lane::kKeepAll to keep everything. out_keys needs 7 slots of slack
-  /// past the worst-case append count: SIMD backends compress-store
-  /// whole vectors.
+  /// Lane::kKeepAll to keep everything. out_keys needs kCompressSlack
+  /// slots past the worst-case append count: SIMD backends
+  /// compress-store whole vectors.
   std::size_t (*d1_prune)(const cost_t* parent_cost, const cost_t* child_cost,
                           std::size_t count, std::uint32_t fanout,
                           std::uint32_t cand_base, key_t bound_key, key_t* out_keys);
@@ -351,7 +362,7 @@ struct LaneKernels {
   /// PruneFloors: whole rows skip *before any hashing* when
   /// Lane::key(parent + min_rest[0], 0) > bound_key, and each lane's
   /// partial cost adds min_rest[1]. Appends survivor keys exactly as
-  /// d1_prune does (same packed contract, same 7-slot slack) and
+  /// d1_prune does (same packed contract, same kCompressSlack) and
   /// returns the count; all child states still land in out_states (the
   /// writeback reads kept states by candidate index). level.acc_scratch,
   /// level.idx_scratch, level.rng_scratch and level.premix_scratch must
@@ -371,7 +382,7 @@ struct LaneKernels {
 /// pointers are always non-null. Results are bit-identical across
 /// backends (the contract test_backend/test_decoder_golden enforce).
 struct Backend {
-  const char* name;  ///< registry key: "scalar", "sse42", "avx2", "neon"
+  const char* name;  ///< registry key: "scalar", "sse42", "avx2", "avx512", "neon"
   int lanes;         ///< uint32 lanes per vector (1 for scalar)
 
   /// out[i] = h(states[i], data), the batched spine hash.

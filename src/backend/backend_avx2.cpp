@@ -12,6 +12,8 @@
 
 namespace spinal::backend {
 
+static_assert(simd::Vec256::W <= kMaxLanes, "compress stores outgrow kCompressSlack");
+
 const Backend* avx2_backend() noexcept {
   static const Backend b = backend_t<simd::SimdOps<simd::Vec256>>("avx2", 8);
   return &b;

@@ -12,6 +12,8 @@
 
 namespace spinal::backend {
 
+static_assert(simd::VecNeon::W <= kMaxLanes, "compress stores outgrow kCompressSlack");
+
 const Backend* neon_backend() noexcept {
   static const Backend b = backend_t<simd::SimdOps<simd::VecNeon>>("neon", 4);
   return &b;

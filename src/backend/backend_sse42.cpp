@@ -12,6 +12,8 @@
 
 namespace spinal::backend {
 
+static_assert(simd::Vec128::W <= kMaxLanes, "compress stores outgrow kCompressSlack");
+
 const Backend* sse42_backend() noexcept {
   static const Backend b = backend_t<simd::SimdOps<simd::Vec128>>("sse42", 4);
   return &b;

@@ -12,6 +12,7 @@ namespace spinal::backend {
 const Backend* scalar_backend() noexcept;
 const Backend* sse42_backend() noexcept;
 const Backend* avx2_backend() noexcept;
+const Backend* avx512_backend() noexcept;
 const Backend* neon_backend() noexcept;
 
 }  // namespace spinal::backend

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "backend/scalar_kernels.h"
 
@@ -226,9 +227,27 @@ struct VLane<V, U16Lane> {
 };
 
 template <class V>
+struct SimdOps;
+
+/// The kernels a row-shaped kernel falls back to when a row is narrower
+/// than V::W (k = 3 is 8 children: half an AVX-512 vector): the
+/// half-width lane's, where the wrapper names one (V::Half), else the
+/// scalar kernels. All of them are bit-identical, so the choice only
+/// moves speed.
+template <class V, class = void>
+struct NarrowOps {
+  using type = ScalarOps;
+};
+template <class V>
+struct NarrowOps<V, std::void_t<typename V::Half>> {
+  using type = SimdOps<typename V::Half>;
+};
+
+template <class V>
 struct SimdOps {
   using U = typename V::U;
   using F = typename V::F;
+  using Narrow = typename NarrowOps<V>::type;
 
   // The one-at-a-time mix is a serial ~15-op dependency chain per
   // vector; a single-vector loop is latency-bound, not throughput-bound.
@@ -317,18 +336,18 @@ struct SimdOps {
   /// Child-major hash_children (out[i*fanout + v], see Backend): for
   /// wide fanouts each leaf's child row is produced with the *chunk
   /// values* in the lanes (state broadcast per leaf, v = row offset +
-  /// iota), so the stores are contiguous rows; narrow fanouts (< W:
-  /// k <= 2 or a short final chunk) fall back to the scalar kernel.
+  /// iota), so the stores are contiguous rows; narrow fanouts (< W: a
+  /// small k or a short final chunk) fall back to the Narrow kernels.
   static void hash_children(hash::Kind kind, std::uint32_t salt,
                             const std::uint32_t* states, std::size_t count,
                             std::uint32_t fanout, std::uint32_t* out) {
     // Chunk-value lane vectors, shared by every row. Decoder fanouts are
     // 2^k with k <= 8 (CodeParams), but hash_children is a public API:
     // anything narrower than a vector or wider than the vvec table takes
-    // the (always-correct) scalar kernel.
+    // the Narrow kernel (the scalar one at the latest).
     constexpr std::uint32_t kMaxFanout = 256;
     if (fanout < V::W || fanout % V::W != 0 || fanout > kMaxFanout) {
-      ScalarOps::hash_children(kind, salt, states, count, fanout, out);
+      Narrow::hash_children(kind, salt, states, count, fanout, out);
       return;
     }
     U vvec[kMaxFanout / V::W];
@@ -584,8 +603,8 @@ struct SimdOps {
                               typename Lane::key_t bound_key,
                               typename Lane::key_t* out_keys) {
     if (fanout < V::W || fanout % V::W != 0)
-      return ScalarOps::d1_prune<Lane, Child>(parent_cost, child_cost, count, fanout,
-                                              cand_base, bound_key, out_keys);
+      return Narrow::template d1_prune<Lane, Child>(parent_cost, child_cost, count,
+                                                    fanout, cand_base, bound_key, out_keys);
     using VL = VLane<V, Lane>;
     const typename VL::Bound bound(bound_key);
     const U iota = V::iota();
@@ -623,8 +642,8 @@ struct SimdOps {
       return ScalarOps::partial_compress<Lane>(parent_cost, acc, count, fanout, floors,
                                                bound_key, lanes, idx_out);
     else if (fanout < V::W || fanout % V::W != 0)
-      return ScalarOps::partial_compress<Lane>(parent_cost, acc, count, fanout, floors,
-                                               bound_key, lanes, idx_out);
+      return Narrow::template partial_compress<Lane>(parent_cost, acc, count, fanout,
+                                                     floors, bound_key, lanes, idx_out);
     using VL = VLane<V, Lane>;
     const typename VL::Bound bound(bound_key);
     const U iota = V::iota();
@@ -687,7 +706,7 @@ struct SimdOps {
                        const typename Lane::cost_t* child_cost, std::size_t leaves,
                        std::uint32_t fanout, typename Lane::cost_t* out) {
     if (fanout < V::W || fanout % V::W != 0) {
-      ScalarOps::row_mins<Lane>(leaf_cost, child_cost, leaves, fanout, out);
+      Narrow::template row_mins<Lane>(leaf_cost, child_cost, leaves, fanout, out);
       return;
     }
     using VL = VLane<V, Lane>;
@@ -721,9 +740,9 @@ struct SimdOps {
     constexpr std::uint32_t kMaxFanout = 256;
     if (fanout < V::W || fanout % V::W != 0 || fanout > kMaxFanout ||
         group_mask >= 256) {
-      ScalarOps::regroup_emit<Lane>(child_state, child_cost, leaf_cost, leaf_path,
-                                    leaves, fanout, k, d, group_mask, group_rowbase,
-                                    out_state, out_cost, out_path);
+      Narrow::template regroup_emit<Lane>(child_state, child_cost, leaf_cost, leaf_path,
+                                          leaves, fanout, k, d, group_mask,
+                                          group_rowbase, out_state, out_cost, out_path);
       return;
     }
     using VL = VLane<V, Lane>;

@@ -1,19 +1,20 @@
 #pragma once
 // x86 vector wrappers for the generic SIMD kernels (simd_kernels.h):
-// Vec128 (SSE4.2, 4 uint32 lanes) and Vec256 (AVX2, 8 lanes). Each is
-// only visible inside a TU compiled with the matching -m flags; the
-// rest of the build never sees an intrinsic. Like the kernels, they sit
-// in an anonymous namespace, so nothing here has vague linkage (see
-// simd_kernels.h).
+// Vec128 (SSE4.2, 4 uint32 lanes), Vec256 (AVX2, 8 lanes) and Vec512
+// (AVX-512F, 16 lanes). Each is only visible inside a TU compiled with
+// the matching -m flags; the rest of the build never sees an
+// intrinsic. Like the kernels, they sit in an anonymous namespace, so
+// nothing here has vague linkage (see simd_kernels.h).
 //
 // Float ops are plain IEEE single mul/sub/add/div (never FMA — the
 // kernels' bit-identity contract) and the fixed-point round uses the
-// current-rounding-direction form of ROUNDPS, matching nearbyintf.
+// current-rounding-direction form of ROUNDPS (VRNDSCALEPS at 16
+// lanes), matching nearbyintf.
 
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__SSE4_2__) || defined(__AVX2__)
+#if defined(__SSE4_2__) || defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
 
 namespace spinal::backend::simd {
@@ -293,7 +294,150 @@ struct Vec256 {
 };
 #endif  // __AVX2__
 
+#if defined(__AVX512F__)
+/// AVX-512F: 16 uint32 lanes, mask-register compares and compresses.
+/// Needs only the foundation subset (-mavx512f), the one feature the
+/// registry checks before handing the backend out.
+///
+/// GCC 12's headers build the unmasked forms of most AVX-512
+/// intrinsics (shifts, min, gathers, roundscale, widen and narrow,
+/// even _mm512_castsi512_si256) on a masked builtin whose pass-through
+/// is _mm512_undefined_epi32(); that self-initialised value trips
+/// -Werror=maybe-uninitialized once inlined (GCC PR105593, fixed in
+/// GCC 13). Those operations therefore use their zero-masking forms
+/// with an all-ones mask (kAll): the same instruction, with a zeroed
+/// pass-through the compiler drops.
+struct Vec512 {
+  static constexpr std::size_t W = 16;
+  static constexpr bool kFastCompress = true;
+  /// Rows of 8 (k = 3) run on the AVX2 lane (-mavx512f implies AVX2)
+  /// instead of the scalar fallback.
+  using Half = Vec256;
+  using U = __m512i;
+  using F = __m512;
+  static constexpr __mmask16 kAll = 0xFFFF;
+
+  static U loadu(const std::uint32_t* p) { return _mm512_loadu_si512(p); }
+  static void storeu(std::uint32_t* p, U v) { _mm512_storeu_si512(p, v); }
+  static U set1(std::uint32_t x) { return _mm512_set1_epi32(static_cast<int>(x)); }
+  static U add(U a, U b) { return _mm512_add_epi32(a, b); }
+  static U sub(U a, U b) { return _mm512_sub_epi32(a, b); }
+  static U xor_(U a, U b) { return _mm512_xor_si512(a, b); }
+  static U and_(U a, U b) { return _mm512_and_si512(a, b); }
+  static U or_(U a, U b) { return _mm512_or_si512(a, b); }
+  static U shl(U a, int n) {
+    return _mm512_maskz_slli_epi32(kAll, a, static_cast<unsigned>(n));
+  }
+  static U shr(U a, int n) {
+    return _mm512_maskz_srli_epi32(kAll, a, static_cast<unsigned>(n));
+  }
+  static U sar(U a, int n) {
+    return _mm512_maskz_srai_epi32(kAll, a, static_cast<unsigned>(n));
+  }
+  static U iota() {
+    return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  }
+
+  static F loadf(const float* p) { return _mm512_loadu_ps(p); }
+  static void storef(float* p, F v) { _mm512_storeu_ps(p, v); }
+  static F set1f(float x) { return _mm512_set1_ps(x); }
+  static F addf(F a, F b) { return _mm512_add_ps(a, b); }
+  static F subf(F a, F b) { return _mm512_sub_ps(a, b); }
+  static F mulf(F a, F b) { return _mm512_mul_ps(a, b); }
+  static F divf(F a, F b) { return _mm512_div_ps(a, b); }
+  /// VRNDSCALEPS keeping 0 fraction bits, in the current rounding
+  /// direction: ROUNDPS's _MM_FROUND_CUR_DIRECTION form at 16 lanes.
+  static F roundf_cur(F a) {
+    return _mm512_maskz_roundscale_ps(kAll, a, _MM_FROUND_CUR_DIRECTION);
+  }
+  static U castfu(F a) { return _mm512_castps_si512(a); }
+  static F minf(F a, F b) { return _mm512_maskz_min_ps(kAll, a, b); }
+
+  /// Bitmask of lanes where a > b, unsigned: a native compare.
+  static unsigned gtu_mask(U a, U b) { return _mm512_cmpgt_epu32_mask(a, b); }
+
+  /// dst[l] = (uint64)m[l] << 32 | idx[l], in lane order: two
+  /// cross-lane interleaves, one per eight keys.
+  static void zip_store_keys(std::uint64_t* dst, U idx, U m) {
+    const U lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+    const U hi = _mm512_add_epi32(lo, _mm512_set1_epi32(8));
+    _mm512_storeu_si512(dst, _mm512_permutex2var_epi32(idx, lo, m));
+    _mm512_storeu_si512(dst + 8, _mm512_permutex2var_epi32(idx, hi, m));
+  }
+
+  /// Appends the surviving lanes' (m << 32 | idx) keys to dst in lane
+  /// order (lane l survives when bit l of keep_mask is set); returns
+  /// the count. Both value vectors compress in registers (VPCOMPRESSD),
+  /// then two full vectors store blindly — dst needs W-1 slots of slack
+  /// past the true append count.
+  static std::size_t compress_store_keys(std::uint64_t* dst, U idx, U m,
+                                         unsigned keep_mask) {
+    const __mmask16 k = static_cast<__mmask16>(keep_mask);
+    zip_store_keys(dst, _mm512_maskz_compress_epi32(k, idx),
+                   _mm512_maskz_compress_epi32(k, m));
+    return static_cast<std::size_t>(__builtin_popcount(keep_mask));
+  }
+
+  /// Appends the surviving lanes of v to dst in lane order (register
+  /// compress, full-vector store); returns the count. May write a full
+  /// vector of slack regardless of the count.
+  static std::size_t compress_store_u32(std::uint32_t* dst, U v, unsigned keep_mask) {
+    _mm512_storeu_si512(dst,
+                        _mm512_maskz_compress_epi32(static_cast<__mmask16>(keep_mask), v));
+    return static_cast<std::size_t>(__builtin_popcount(keep_mask));
+  }
+
+  static F gather(const float* t, U idx) {
+    return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), kAll, idx, t, 4);
+  }
+
+  static U gather_u32(const std::uint32_t* t, U idx) {
+    return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAll, idx, t, 4);
+  }
+
+  /// Gather of u16 table entries, zero-extended to u32 lanes. Like
+  /// Vec256's, the 32-bit gather at scale 2 reads two bytes past entry
+  /// idx (AwgnLevelQ::qtab's one u16 of tail slack).
+  static U gather_u16(const std::uint16_t* t, U idx) {
+    return _mm512_and_si512(
+        _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAll, idx, t, 2),
+        _mm512_set1_epi32(0xFFFF));
+  }
+
+  static U min_u32(U a, U b) { return _mm512_maskz_min_epu32(kAll, a, b); }
+
+  /// Zero-extends W uint16 values to uint32 lanes.
+  static U widen_load_u16(const std::uint16_t* p) {
+    return _mm512_maskz_cvtepu16_epi32(
+        kAll, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+
+  /// Truncating narrow store of W uint32 lanes (each <= 65535) to
+  /// uint16: one VPMOVDW, already in lane order.
+  static void narrow_store_u16(std::uint16_t* p, U v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), _mm512_maskz_cvtepi32_epi16(kAll, v));
+  }
+
+  /// acc[0..15] |= (w & 1) << j, widening the sixteen uint32 lanes to
+  /// uint64 in two halves: a lane permute into the even dwords, odd
+  /// dwords zeroed by the mask, is the zero extension.
+  static void gather_bits(std::uint64_t* acc, U w, std::uint32_t j) {
+    const U bits = _mm512_and_si512(w, _mm512_set1_epi32(1));
+    const U dup = _mm512_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7);
+    const __m512i lo = _mm512_maskz_permutexvar_epi32(0x5555, dup, bits);
+    const __m512i hi = _mm512_maskz_permutexvar_epi32(
+        0x5555, _mm512_add_epi32(dup, _mm512_set1_epi32(8)), bits);
+    const __m512i a0 = _mm512_or_si512(_mm512_loadu_si512(acc),
+                                       _mm512_maskz_slli_epi64(0xFF, lo, j));
+    const __m512i a1 = _mm512_or_si512(_mm512_loadu_si512(acc + 8),
+                                       _mm512_maskz_slli_epi64(0xFF, hi, j));
+    _mm512_storeu_si512(acc, a0);
+    _mm512_storeu_si512(acc + 8, a1);
+  }
+};
+#endif  // __AVX512F__
+
 }  // namespace
 }  // namespace spinal::backend::simd
 
-#endif  // __SSE4_2__ || __AVX2__
+#endif  // __SSE4_2__ || __AVX2__ || __AVX512F__

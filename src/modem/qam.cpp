@@ -1,5 +1,6 @@
 #include "modem/qam.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -116,11 +117,13 @@ void QamModem::demap_soft(std::span<const std::complex<float>> y,
     std::complex<float> v = y[i];
     double nv = noise_var;
     if (!csi.empty()) {
-      const float mag2 = std::norm(csi[i]);
-      if (mag2 > 1e-12f) {
-        v = v * std::conj(csi[i]) / mag2;
-        nv /= mag2;  // the noise grew by 1/|h|^2
+      float gain2 = 0.0f;
+      v = equalize(v, csi[i], gain2);
+      if (gain2 == 0.0f) {  // a deep fade: erased
+        std::fill(out, out + bps_, 0.0f);
+        continue;
       }
+      nv /= gain2;  // the noise grew by 1/|h|^2
     }
     demap_symbol(v, nv, out);
   }

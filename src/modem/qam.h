@@ -43,9 +43,9 @@ class QamModem {
 
   /// Appends the LLRs of every symbol of @p y, y.size() *
   /// bits_per_symbol() values. With a non-empty @p csi each y[i] is
-  /// first equalised coherently by its fading coefficient h = csi[i]:
-  /// when |h|^2 > 1e-12, y[i] is divided by h and the noise variance
-  /// by |h|^2; a deeper fade is demapped as received. Throws
+  /// first equalised coherently by its fading coefficient h = csi[i]
+  /// (see equalize): y[i] is divided by h and the noise variance by
+  /// |h|^2, and a deep fade is an erasure, all its LLRs zero. Throws
   /// std::invalid_argument, before appending anything, unless @p csi
   /// is empty or matches @p y.
   void demap_soft(std::span<const std::complex<float>> y,
@@ -67,6 +67,26 @@ class QamModem {
   void demap_symbol(std::complex<float> y, double noise_var, float* out) const;
   void demap_axis(float y, double sigma2_axis, float* out) const;
 };
+
+/// |h|^2 at or below which a coherent receiver treats a symbol as
+/// erased: a fade this deep leaves only noise, and dividing by h would
+/// turn that noise into confident soft values.
+inline constexpr float kDeepFadeGain2 = 1e-9f;
+
+/// Coherent equalisation by the fading coefficient @p h, the one
+/// deep-fade rule of every CSI receiver: returns y/h and sets @p gain2
+/// to |h|^2, the factor the symbol's precision (1/noise variance)
+/// scales by. A deep fade (|h|^2 <= kDeepFadeGain2) is an erasure:
+/// returns 0 with gain2 = 0, so the symbol carries no weight.
+inline std::complex<float> equalize(std::complex<float> y, std::complex<float> h,
+                                    float& gain2) noexcept {
+  gain2 = std::norm(h);
+  if (gain2 <= kDeepFadeGain2) {
+    gain2 = 0.0f;
+    return {};
+  }
+  return y * std::conj(h) / gain2;
+}
 
 /// Binary-reflected Gray code of @p x.
 inline std::uint32_t binary_to_gray(std::uint32_t x) noexcept { return x ^ (x >> 1); }

@@ -445,7 +445,7 @@ class BeamSearch {
     std::size_t sc = 0;                // survivors appended so far
     // Survivor keys carry the global candidate index; worst case
     // every candidate survives (+ slack for SIMD compress stores).
-    lw.keys.resize(static_cast<std::size_t>(cand_total) + 8);
+    lw.keys.resize(static_cast<std::size_t>(cand_total) + backend::kCompressSlack);
 
     // The admissible key floor of every candidate at index >= cand
     // under a parent of cost c. Lanes with a level floor add the

@@ -150,14 +150,10 @@ void StriderDecoder::add_symbols(std::span<const std::complex<float>> y,
     std::complex<float> v = y[i];
     float inv_nv = static_cast<float>(1.0 / noise_var_);
     if (!csi.empty()) {
-      const float mag2 = std::norm(csi[i]);
-      if (mag2 > 1e-9f) {
-        v = y[i] * std::conj(csi[i]) / mag2;           // coherent equalise
-        inv_nv = static_cast<float>(mag2 / noise_var_);  // noise grew by 1/mag2
-      } else {
-        v = {0.0f, 0.0f};
-        inv_nv = 1e-6f;
-      }
+      // Coherent equalise; a deep fade is erased (zero symbol, zero weight).
+      float gain2 = 0.0f;
+      v = modem::equalize(y[i], csi[i], gain2);
+      inv_nv = static_cast<float>(gain2 / noise_var_);  // noise grew by 1/|h|^2
     }
     // Subtract already-decoded layers from the incoming symbol so late
     // passes join a clean residual.
@@ -195,6 +191,7 @@ bool StriderDecoder::try_layer(int layer, int turbo_iterations) {
     float weight_sum = 0.0f;
     for (int m = 0; m < P; ++m) {
       if (t >= static_cast<int>(rx_[m].size())) continue;  // partial pass
+      if (inv_noise_[m][t] == 0.0f) continue;              // erased (deep fade)
       const float nv = 1.0f / inv_noise_[m][t];            // per-symbol noise
       const float w = 1.0f / (nv + pass_interference[m]);  // MMSE-ish weight
       z += w * std::conj(coefficient(m, layer)) * rx_[m][t];

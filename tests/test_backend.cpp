@@ -14,7 +14,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/prng.h"
@@ -139,11 +141,48 @@ TEST(BackendRegistry, ForceSwitchesAndRejectsUnknown) {
   backend::force(before->name);
 }
 
+/// __builtin_cpu_supports for the feature of one -m flag (the builtin
+/// takes literals only); -1 for a flag this table does not know yet —
+/// a flag added to the TU needs a row here and a check in backend.cpp.
+int cpu_supports_flag(std::string_view flag) {
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+  if (flag == "-mavx512f") return __builtin_cpu_supports("avx512f") != 0;
+#endif
+  (void)flag;
+  return -1;
+}
+
+TEST(BackendRegistry, RegistryMatchesCpuFeatures) {
+  // avx512 is listed iff the CPU supports every -m flag its TU is
+  // compiled with (SPINAL_AVX512_FLAGS, from src/CMakeLists.txt; empty
+  // where the TU is not built), and the backends ascend in width, so
+  // the default — the back of the list — is the widest the CPU runs.
+  const std::string flags = SPINAL_AVX512_FLAGS;
+  bool built = false, supported = true;
+  std::istringstream in(flags);
+  for (std::string flag; in >> flag;) {
+    built = true;
+    const int has = cpu_supports_flag(flag);
+    ASSERT_GE(has, 0) << "no CPU feature check for " << flag;
+    supported &= has == 1;
+  }
+  const Backend* avx512 = backend::find("avx512");
+  EXPECT_EQ(avx512 != nullptr, built && supported) << "flags: " << flags;
+  const auto& av = backend::available();
+  for (std::size_t i = 1; i < av.size(); ++i)
+    EXPECT_LT(av[i - 1]->lanes, av[i]->lanes) << av[i]->name;
+  bool warned = false;
+  EXPECT_EQ(backend::resolve("", &warned), av.back());
+  if (avx512 != nullptr) {
+    EXPECT_EQ(av.back(), avx512);
+  }
+}
+
 // ------------------------------------------------- kernel equivalence
 
 /// Randomized lane arrays at sizes straddling every vector width,
 /// including 0 and sizes exercising SIMD tails.
-constexpr std::size_t kSizes[] = {0, 1, 3, 7, 8, 9, 31, 64, 257, 1000};
+constexpr std::size_t kSizes[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 257, 1000};
 
 std::vector<std::uint32_t> random_words(util::Xoshiro256& prng, std::size_t n) {
   std::vector<std::uint32_t> v(n);
@@ -421,7 +460,8 @@ TEST(BackendKernels, AwgnExpandPruneMatchesSplitPipeline) {
                 bound = (static_cast<std::uint64_t>(backend::monotone_key(cut)) << 32) |
                         0x000004FFull;  // a mid-range index tie-break
               }
-              std::vector<std::uint64_t> k_split(total + 7, ~0ull), k_fused(total + 7, ~1ull);
+              std::vector<std::uint64_t> k_split(total + backend::kCompressSlack, ~0ull),
+                  k_fused(total + backend::kCompressSlack, ~1ull);
               const std::size_t n_split =
                   b->f32.d1_prune(parent.data(), costs.data(), count, fanout, 100,
                                   bound, k_split.data());
@@ -661,8 +701,8 @@ TEST(BackendKernels, D1PruneMatchesScalarExactly) {
                        0xFFFFFFFFull,
             (static_cast<std::uint64_t>(backend::monotone_key(6.0f)) << 32) | 1200ull}) {
         const std::uint32_t cand_base = 1000;
-        // + 7 slack: SIMD backends compress-store whole vectors.
-        std::vector<std::uint64_t> keys(total + 7, ~0ull);
+        // SIMD backends compress-store whole vectors.
+        std::vector<std::uint64_t> keys(total + backend::kCompressSlack, ~0ull);
         const std::size_t got = b->f32.d1_prune(parent.data(), child.data(), count, fanout,
                                             cand_base, bound, keys.data());
         std::size_t want = 0;
@@ -808,7 +848,7 @@ TEST(BackendKernels, StreamingPruneEqualsFullExpandSelect) {
     for (const Backend* b : backend::available()) {
       const std::size_t block_leaves = 1 + prng.next_below(31);
       const std::size_t trigger = 2 * static_cast<std::size_t>(keep);
-      std::vector<std::uint64_t> keys(total + 7);  // compress-store slack
+      std::vector<std::uint64_t> keys(total + backend::kCompressSlack);
       std::uint64_t bound = ~0ull;
       std::size_t sc = 0;
       for (std::size_t L = 0; L < count; L += block_leaves) {
@@ -995,7 +1035,7 @@ TEST(BackendKernels, QuantizedD1PruneMatchesBruteForce) {
       for (const std::uint32_t bound :
            {~0u, backend::quant_key(2500, 0xFFFF), backend::quant_key(900, 1200)}) {
         const std::uint32_t cand_base = 1000;
-        std::vector<std::uint32_t> keys(total + 7, ~0u);
+        std::vector<std::uint32_t> keys(total + backend::kCompressSlack, ~0u);
         const std::size_t got = b->u16.d1_prune(parent.data(), child.data(), count,
                                                 fanout, cand_base, bound, keys.data());
         std::size_t want = 0;
@@ -1070,7 +1110,8 @@ TEST(BackendKernels, QuantizedExpandPruneMatchesSplitPipeline) {
               std::sort(fin.begin(), fin.end());
               bound = backend::quant_key(fin[bsel == 1 ? total / 4 : 3 * total / 4], 0x4FF);
             }
-            std::vector<std::uint32_t> k_split(total + 7, ~0u), k_fused(total + 7, ~1u);
+            std::vector<std::uint32_t> k_split(total + backend::kCompressSlack, ~0u),
+                k_fused(total + backend::kCompressSlack, ~1u);
             const std::size_t n_split = b->u16.d1_prune(parent.data(), costs.data(), count,
                                                         fanout, 100, bound, k_split.data());
             const backend::AwgnLevelQ lf = make_level();
@@ -1088,6 +1129,122 @@ TEST(BackendKernels, QuantizedExpandPruneMatchesSplitPipeline) {
                   << " survivor " << j;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(BackendKernels, SurvivorAppendsStayWithinSlack) {
+  // Canary for backend::kCompressSlack: the SIMD prune kernels store
+  // whole vectors past their survivor count. Every key output below is
+  // sized count + slack plus a run of guard words; on every backend, no
+  // guard at or past (returned count + kCompressSlack) may change —
+  // through d1_prune, and through awgn_expand_prune's two tails
+  // (d1_prune at one symbol, final_prune at three). Tight bounds leave
+  // one or two survivors per vector, where the blind stores reach
+  // furthest past the count. This catches a slack narrower than a lane
+  // width without a sanitizer build.
+  constexpr std::size_t kGuards = 64;
+  constexpr std::uint32_t kFanout = 16;  // k = 4: whole vectors at every width
+  constexpr std::size_t kCount = 23;
+  constexpr std::size_t kTotal = kCount * kFanout;
+  constexpr int kCbits = 3;
+  constexpr std::uint32_t kQstride = 1u << (2 * kCbits);
+  util::Xoshiro256 prng(131);
+  const auto states = random_words(prng, kCount);
+  const auto table = random_table(prng, kCbits);
+  const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
+
+  // Checks the guards of @p keys past got + kCompressSlack.
+  const auto intact = [](const auto& keys, std::size_t got, auto guard) {
+    for (std::size_t j = got + backend::kCompressSlack; j < keys.size(); ++j)
+      if (keys[j] != guard) return false;
+    return true;
+  };
+
+  for (const Backend* b : backend::available()) {
+    for (const std::uint32_t nsym : {1u, 3u}) {
+      const auto ord = random_words(prng, nsym);
+      std::vector<float> y(nsym), h(nsym, 1.0f);
+      for (auto& v : y) v = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
+      const auto qtab = random_qtab(prng, nsym, kQstride);
+      const auto floors = suffix_floors(qtab, nsym, kQstride);
+      std::vector<float> parent_f(kCount), acc_f(kTotal), cost_f(kTotal);
+      std::vector<std::uint16_t> parent_q(kCount), cost_q(kTotal);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        parent_f[i] = 0.05f * static_cast<float>(i);
+        parent_q[i] = static_cast<std::uint16_t>(20 * i);
+      }
+      std::vector<std::uint32_t> rng_sc(kTotal), premix_sc(kTotal), idx_sc(kTotal),
+          acc_q(kTotal), st(kTotal);
+      const backend::AwgnLevel lf{hash::Kind::kOneAtATime,
+                                  salt,
+                                  ord.data(),
+                                  nsym,
+                                  y.data(),
+                                  y.data(),
+                                  h.data(),
+                                  h.data(),
+                                  /*use_csi=*/false,
+                                  /*fx_scale=*/0.0f,
+                                  table.data(),
+                                  table.data(),
+                                  static_cast<std::uint32_t>(table.size() - 1),
+                                  kCbits,
+                                  rng_sc.data(),
+                                  premix_sc.data(),
+                                  acc_f.data(),
+                                  idx_sc.data()};
+      const backend::AwgnLevelQ lq{hash::Kind::kOneAtATime,
+                                   salt,
+                                   ord.data(),
+                                   nsym,
+                                   qtab.data(),
+                                   kQstride,
+                                   kQstride - 1,
+                                   floors.data(),
+                                   rng_sc.data(),
+                                   premix_sc.data(),
+                                   acc_q.data(),
+                                   idx_sc.data()};
+      b->f32.awgn_expand_all(lf, states.data(), kCount, kFanout, st.data(),
+                             cost_f.data());
+      b->u16.awgn_expand_all(lq, states.data(), kCount, kFanout, st.data(),
+                             cost_q.data());
+      std::vector<float> fin_f(kTotal);
+      std::vector<std::uint32_t> fin_q(kTotal);
+      for (std::size_t c = 0; c < kTotal; ++c) {
+        fin_f[c] = parent_f[c / kFanout] + cost_f[c];
+        fin_q[c] = std::min(65535u, parent_q[c / kFanout] + std::uint32_t{cost_q[c]});
+      }
+      std::sort(fin_f.begin(), fin_f.end());
+      std::sort(fin_q.begin(), fin_q.end());
+
+      for (const std::size_t rank : {kTotal - 1, kTotal / 4, kTotal / 32}) {
+        const std::uint64_t bf =
+            (static_cast<std::uint64_t>(backend::monotone_key(fin_f[rank])) << 32) |
+            0xFFFFFFFFull;
+        const std::uint32_t bq = backend::quant_key(fin_q[rank], 0xFFFF);
+        const std::string where = std::string(b->name) + " nsym=" + std::to_string(nsym) +
+                                  " rank=" + std::to_string(rank);
+
+        std::vector<std::uint64_t> kf(kTotal + backend::kCompressSlack + kGuards, ~0ull);
+        std::size_t got = b->f32.d1_prune(parent_f.data(), cost_f.data(), kCount, kFanout,
+                                          0, bf, kf.data());
+        EXPECT_TRUE(intact(kf, got, ~0ull)) << "f32 d1_prune " << where;
+        std::fill(kf.begin(), kf.end(), ~0ull);
+        got = b->f32.awgn_expand_prune(lf, states.data(), parent_f.data(), kCount,
+                                       kFanout, 0, bf, st.data(), kf.data());
+        EXPECT_TRUE(intact(kf, got, ~0ull)) << "f32 awgn_expand_prune " << where;
+
+        std::vector<std::uint32_t> kq(kTotal + backend::kCompressSlack + kGuards, ~0u);
+        got = b->u16.d1_prune(parent_q.data(), cost_q.data(), kCount, kFanout, 0, bq,
+                              kq.data());
+        EXPECT_TRUE(intact(kq, got, ~0u)) << "u16 d1_prune " << where;
+        std::fill(kq.begin(), kq.end(), ~0u);
+        got = b->u16.awgn_expand_prune(lq, states.data(), parent_q.data(), kCount,
+                                       kFanout, 0, bq, st.data(), kq.data());
+        EXPECT_TRUE(intact(kq, got, ~0u)) << "u16 awgn_expand_prune " << where;
       }
     }
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "channel/awgn.h"
 #include "util/prng.h"
@@ -96,6 +98,37 @@ TEST(Qam, LlrMagnitudeScalesWithSnr) {
   qam.demap_soft(s, 1.0, llr_low);
   qam.demap_soft(s, 0.1, llr_high);
   EXPECT_GT(llr_high[0], llr_low[0]);
+}
+
+TEST(Qam, EqualizeErasesDeepFades) {
+  // The one deep-fade rule: at |h|^2 <= kDeepFadeGain2 the symbol is
+  // erased (zero value, zero precision gain); above it, y/h and |h|^2.
+  const std::complex<float> y{3.0f, -2.0f};
+  float gain2 = -1.0f;
+  EXPECT_EQ(equalize(y, {0.0f, 0.0f}, gain2), std::complex<float>{});
+  EXPECT_EQ(gain2, 0.0f);
+  EXPECT_EQ(equalize(y, {1e-5f, 0.0f}, gain2), std::complex<float>{});  // |h|^2 = 1e-10
+  EXPECT_EQ(gain2, 0.0f);
+  const std::complex<float> h{0.6f, -0.8f};
+  const std::complex<float> v = equalize(y, h, gain2);
+  EXPECT_EQ(gain2, std::norm(h));
+  EXPECT_NEAR(std::abs(v * h - y), 0.0f, 1e-5f);
+}
+
+TEST(Qam, DeepFadeDemapsAsAnErasure) {
+  // demap_soft with CSI: a deep-faded symbol yields all-zero LLRs, however
+  // large its received value; one above the threshold is equalised
+  // and demapped to confident LLRs.
+  const QamModem qam(4);
+  const std::complex<float> y[] = {{3.0f, -2.0f}, {3.0f, -2.0f}, {3.0f, -2.0f}};
+  const std::complex<float> csi[] = {{1e-5f, 0.0f}, {0.0f, 0.0f}, {1e-4f, 0.0f}};
+  std::vector<float> llrs;
+  qam.demap_soft(y, csi, 1e-9, llrs);
+  ASSERT_EQ(llrs.size(), 12u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(llrs[i], 0.0f) << i;
+  float mag = 0.0f;
+  for (int i = 8; i < 12; ++i) mag += std::fabs(llrs[i]);
+  EXPECT_GT(mag, 1.0f);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "channel/awgn.h"
 #include "sim/engine.h"
 #include "strider/strider_codec.h"
 #include "strider/strider_session.h"
@@ -127,6 +128,45 @@ TEST(Strider, FadingWithCsiDecodes) {
   const util::BitVec msg = prng.random_bits(cfg.message_bits());
   const sim::RunResult r = run_message(session, channel, msg);
   EXPECT_TRUE(r.success);
+}
+
+TEST(Strider, DeepFadedPassIsErased) {
+  // modem::equalize's deep-fade rule in the Strider receiver: a pass
+  // received wholly in a deep fade carries zero weight, so its received
+  // values cannot matter. Two decoders that differ only in that pass —
+  // a faint copy of the signal vs wild garbage — decode alike, from the
+  // clean passes that follow.
+  const StriderConfig cfg = small_config();
+  StriderEncoder enc(cfg);
+  util::Xoshiro256 prng(14);
+  const util::BitVec msg = prng.random_bits(cfg.message_bits());
+  enc.load(msg);
+  const int n = enc.symbols_per_pass();
+  channel::AwgnChannel awgn(22.0, 15);
+  StriderDecoder faint(cfg), garbage(cfg);
+  for (StriderDecoder* d : {&faint, &garbage}) d->set_noise_variance(awgn.noise_variance());
+
+  std::vector<std::complex<float>> x;
+  enc.emit(0, 0, n, x);
+  const std::vector<std::complex<float>> deep(n, {1e-5f, 0.0f});  // |h|^2 = 1e-10
+  std::vector<std::complex<float>> wild(n, {1e3f, -1e3f});
+  for (auto& v : x) v *= 1e-5f;
+  faint.add_symbols(x, deep);
+  garbage.add_symbols(wild, deep);
+  const std::vector<std::complex<float>> unit(n, {1.0f, 0.0f});
+  for (int pass = 1; pass < 8; ++pass) {
+    x.clear();
+    enc.emit(pass, 0, n, x);
+    awgn.apply(x);
+    faint.add_symbols(x, unit);
+    garbage.add_symbols(x, unit);
+  }
+  const auto a = faint.decode();
+  const auto b = garbage.decode();
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_TRUE(*a == msg);
+  EXPECT_TRUE(*b == msg);
 }
 
 TEST(Strider, GivesUpGracefullyAtTerribleSnr) {
