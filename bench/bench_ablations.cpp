@@ -29,8 +29,8 @@ double spinal_rate(const CodeParams& p, double snr, int trials) {
 }
 
 /// Rateless BSC run: passes until decoded; returns bits/channel-use.
-/// Trials run on the shared pool; per-trial slots + in-order reduction
-/// keep the result identical at any thread count.
+/// Trials run through sim::run_trials; per-trial slots + in-order
+/// reduction keep the result identical at any thread count.
 double bsc_rate(double p_flip, int trials, std::uint64_t seed) {
   CodeParams p;
   p.n = 192;
@@ -42,7 +42,7 @@ double bsc_rate(double p_flip, int trials, std::uint64_t seed) {
     bool ok = false;
   };
   std::vector<Outcome> outcomes(trials);
-  benchutil::runner().parallel_for(trials, [&](int t) {
+  sim::run_trials(trials, [&](int t) {
     util::Xoshiro256 prng(seed + t);
     const util::BitVec msg = prng.random_bits(p.n);
     const BscSpinalEncoder enc(p, msg);
@@ -137,7 +137,7 @@ int main() {
       }
       const int n_trials = benchutil::trials(40);
       std::vector<std::uint8_t> decoded(n_trials, 0);
-      benchutil::runner().parallel_for(n_trials, [&](int t) {
+      sim::run_trials(n_trials, [&](int t) {
         util::Xoshiro256 prng(55 + t);
         const util::BitVec msg = prng.random_bits(p.n);
         const SpinalEncoder enc(p, msg);

@@ -40,16 +40,16 @@ void BM_HashRng(benchmark::State& state) {
 }
 BENCHMARK(BM_HashRng);
 
-// The decode hot path's batch forms: whole-lane-array sweeps that the
-// compiler can vectorise (items = hashes, not calls).
+// The decode hot path's batch forms, on the active backend's kernel
+// table: whole-lane-array sweeps (items = hashes, not calls).
 void BM_HashN(benchmark::State& state) {
-  const hash::SpineHash h(static_cast<hash::Kind>(state.range(0)), 42);
+  const auto kind = static_cast<hash::Kind>(state.range(0));
   const std::size_t n = 4096;
   std::vector<std::uint32_t> states(n), out(n);
   for (std::size_t i = 0; i < n; ++i) states[i] = static_cast<std::uint32_t>(i) * 2654435761u;
   std::uint32_t data = 0;
   for (auto _ : state) {
-    h.hash_n(states.data(), n, data++, out.data());
+    backend::active().hash_n(kind, 42, states.data(), n, data++, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -57,13 +57,13 @@ void BM_HashN(benchmark::State& state) {
 BENCHMARK(BM_HashN)->Arg(0)->Arg(1)->Arg(2)->ArgName("kind");
 
 void BM_HashChildren(benchmark::State& state) {
-  const hash::SpineHash h(static_cast<hash::Kind>(state.range(0)), 42);
+  const auto kind = static_cast<hash::Kind>(state.range(0));
   const std::size_t n = 256;
   const std::uint32_t fanout = 16;
   std::vector<std::uint32_t> states(n), out(n * fanout);
   for (std::size_t i = 0; i < n; ++i) states[i] = static_cast<std::uint32_t>(i) * 40503u;
   for (auto _ : state) {
-    h.hash_children(states.data(), n, fanout, out.data());
+    backend::active().hash_children(kind, 42, states.data(), n, fanout, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n * fanout);
@@ -91,15 +91,17 @@ void BM_SpineWalkN(benchmark::State& state) {
 }
 BENCHMARK(BM_SpineWalkN)->Arg(1)->Arg(2)->Arg(4)->ArgName("chains");
 
+// RNG draws over one-at-a-time lanes pre-mixed once (the decoder's
+// per-symbol form; the index is domain-separated as in SpineHash::rng).
 void BM_RngPremixed(benchmark::State& state) {
-  const hash::SpineHash h(hash::Kind::kOneAtATime, 42);
+  const backend::Backend& b = backend::active();
   const std::size_t n = 4096;
   std::vector<std::uint32_t> states(n), premixed(n), out(n);
   for (std::size_t i = 0; i < n; ++i) states[i] = static_cast<std::uint32_t>(i) * 7919u;
-  h.premix_n(states.data(), n, premixed.data());
+  b.premix_n(42, states.data(), n, premixed.data());
   std::uint32_t idx = 0;
   for (auto _ : state) {
-    h.rng_premixed_n(premixed.data(), n, idx++, out.data());
+    b.hash_premixed_n(premixed.data(), n, idx++ ^ 0x80000000u, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -8,7 +8,7 @@
 // count decodes the *same* total work and the speedup column measures
 // scheduling, not beam adaptation; the run cross-checks that per-session
 // results are bit-identical across worker counts and fails loudly if
-// not (the TrialRunner guarantee, now for the runtime).
+// not (the guarantee the experiment sweeps rely on).
 //
 // Run: ./build/bench/bench_runtime_throughput [--json FILE] [--min-scaling R]
 //                                             [--pin] [--skip-small]

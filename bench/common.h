@@ -3,9 +3,10 @@
 //
 // Every bench prints the rows/series of one table or figure from the
 // paper as comment-prefixed text plus CSV rows, sized so the whole
-// suite finishes on a single-core box. Monte-Carlo trials spread across
-// the shared TrialRunner pool; per-trial seeding keeps every CSV row
-// byte-identical at any thread count. Environment knobs:
+// suite finishes on a single-core box. Monte-Carlo trials run on a
+// deterministic DecodeService (sim::measure_rate, sim::run_trials);
+// per-trial seeding keeps every CSV row byte-identical at any thread
+// count. Environment knobs:
 //   SPINAL_BENCH_TRIALS=<n>   override per-point trial counts
 //   SPINAL_BENCH_FULL=1       8x trials and the fine SNR grid
 //   SPINAL_BENCH_THREADS=<n>  worker threads (default: all cores)
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "sim/experiment.h"
-#include "sim/trial_runner.h"
 #include "util/math.h"
 
 namespace benchutil {
@@ -36,13 +36,6 @@ inline std::vector<double> snr_grid(double lo, double hi, double coarse,
 }
 
 inline int trials(int base) { return spinal::sim::scaled_trials(base); }
-
-/// The shared Monte-Carlo thread pool (SPINAL_BENCH_THREADS workers).
-/// Bench-local trial loops should run through this rather than a raw
-/// for-loop; see trial_runner.h for the per-trial-slot recipe.
-inline spinal::sim::TrialRunner& runner() {
-  return spinal::sim::TrialRunner::shared();
-}
 
 inline void banner(const char* what, const char* paper_ref) {
   std::printf("# %s\n# reproduces: %s\n", what, paper_ref);

@@ -434,12 +434,6 @@ struct Backend {
     else
       return u16;
   }
-
-  /// Batched RNG of §7.1 (domain-separated hash, see SpineHash::rng).
-  void rng_n(hash::Kind kind, std::uint32_t salt, const std::uint32_t* states,
-             std::size_t count, std::uint32_t index, std::uint32_t* out) const {
-    hash_n(kind, salt, states, count, index ^ 0x80000000u, out);
-  }
 };
 
 // --- Packed-key B-of-N selection --------------------------------------

@@ -1,6 +1,5 @@
 #include "hash/spine_hash.h"
 
-#include "backend/backend.h"
 #include "hash/jenkins.h"
 #include "hash/salsa20.h"
 
@@ -27,31 +26,6 @@ std::uint32_t SpineHash::operator()(std::uint32_t state,
       return salsa20_pair(state, data, salt_);
   }
   return 0;
-}
-
-// The batched forms route through the active kernel backend (scalar /
-// SSE4.2 / AVX2 / NEON — see backend/backend.h). Every backend is
-// bit-identical to looping operator(), so callers never observe which
-// one ran.
-
-void SpineHash::hash_n(const std::uint32_t* states, std::size_t count,
-                       std::uint32_t data, std::uint32_t* out) const noexcept {
-  backend::active().hash_n(kind_, salt_, states, count, data, out);
-}
-
-void SpineHash::premix_n(const std::uint32_t* states, std::size_t count,
-                         std::uint32_t* out) const noexcept {
-  backend::active().premix_n(salt_, states, count, out);
-}
-
-void SpineHash::hash_premixed_n(const std::uint32_t* premixed, std::size_t count,
-                                std::uint32_t data, std::uint32_t* out) const noexcept {
-  backend::active().hash_premixed_n(premixed, count, data, out);
-}
-
-void SpineHash::hash_children(const std::uint32_t* states, std::size_t count,
-                              std::uint32_t fanout, std::uint32_t* out) const noexcept {
-  backend::active().hash_children(kind_, salt_, states, count, fanout, out);
 }
 
 namespace {

@@ -42,51 +42,12 @@ class SpineHash {
     return (*this)(spine, index ^ 0x80000000u);  // domain-separate from h
   }
 
-  /// Batched h over a lane array: out[i] = h(states[i], data) for all
-  /// i < count. Bit-identical to looping operator(); the kind dispatch
-  /// is hoisted out of the loop and the per-kind loops are written over
-  /// contiguous arrays so the compiler can vectorise them.
-  void hash_n(const std::uint32_t* states, std::size_t count, std::uint32_t data,
-              std::uint32_t* out) const noexcept;
-
-  /// Batched RNG: out[i] = rng(states[i], index) for all i < count.
-  void rng_n(const std::uint32_t* states, std::size_t count, std::uint32_t index,
-             std::uint32_t* out) const noexcept {
-    hash_n(states, count, index ^ 0x80000000u, out);
-  }
-
-  /// All 2^k children of a whole leaf array in one sweep, child-major:
-  /// out[i*fanout + v] = h(states[i], v) for v < fanout, i < count (a
-  /// leaf's children are contiguous, which is also the bubble search's
-  /// d=1 candidate order). For one-at-a-time the state pre-mix (which
-  /// does not depend on the chunk value) is shared across the fanout,
-  /// so a leaf's children cost fanout+1 word mixes instead of 2*fanout.
-  void hash_children(const std::uint32_t* states, std::size_t count,
-                     std::uint32_t fanout, std::uint32_t* out) const noexcept;
-
   /// True when h factors into a data-independent state pre-mix followed
   /// by a data mix (one-at-a-time does; lookup3 and Salsa20 do not).
-  /// When it does, callers hashing the same states against many data
-  /// words (the per-symbol RNG draws) can pay the pre-mix once:
-  ///   premix_n(states, n, tmp);
-  ///   for each data: hash_premixed_n(tmp, n, data, out);
-  /// is bit-identical to hash_n(states, n, data, out) per data word.
+  /// When it does, the decoder's per-symbol RNG draws pay the pre-mix
+  /// once per state (the backend table's premix_n + hash_premixed_n,
+  /// backend/backend.h), bit-identical to hashing each data word.
   bool has_premix() const noexcept { return kind_ == Kind::kOneAtATime; }
-
-  /// Pre-mixes a lane array (only valid when has_premix()).
-  void premix_n(const std::uint32_t* states, std::size_t count,
-                std::uint32_t* out) const noexcept;
-
-  /// Finishes h for lanes pre-mixed by premix_n (only valid when
-  /// has_premix()).
-  void hash_premixed_n(const std::uint32_t* premixed, std::size_t count,
-                       std::uint32_t data, std::uint32_t* out) const noexcept;
-
-  /// RNG over pre-mixed lanes: the premix-shared form of rng_n.
-  void rng_premixed_n(const std::uint32_t* premixed, std::size_t count,
-                      std::uint32_t index, std::uint32_t* out) const noexcept {
-    hash_premixed_n(premixed, count, index ^ 0x80000000u, out);
-  }
 
   /// Walks @p chains independent spine chains in one interleaved sweep.
   /// For chain j < chains, with s_0 = seeds[j]:
@@ -96,9 +57,9 @@ class SpineHash {
   /// chain is latency-bound — every mix of h waits on the previous
   /// one — so for one-at-a-time the chains are software-pipelined in
   /// groups of four: each step issues all chains' state pre-mixes,
-  /// then all data mixes (the premix/data split hash_children also
-  /// exploits), and the independent dependency chains overlap in the
-  /// pipeline instead of serialising.
+  /// then all data mixes (the premix/data split the backend's
+  /// hash_children also exploits), and the independent dependency
+  /// chains overlap in the pipeline instead of serialising.
   void spine_walk_n(const std::uint32_t* seeds, std::size_t chains,
                     const std::uint32_t* data, std::size_t length,
                     std::uint32_t* out) const noexcept;

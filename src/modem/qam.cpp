@@ -116,15 +116,16 @@ void QamModem::demap_soft(std::span<const std::complex<float>> y,
   for (std::size_t i = 0; i < y.size(); ++i, out += bps_) {
     std::complex<float> v = y[i];
     double nv = noise_var;
-    if (!csi.empty()) {
-      float gain2 = 0.0f;
+    float gain2 = 1.0f;
+    if (non_finite(v, csi.empty() ? std::complex<float>{1.0f, 0.0f} : csi[i]))
+      gain2 = 0.0f;
+    else if (!csi.empty())
       v = equalize(v, csi[i], gain2);
-      if (gain2 == 0.0f) {  // a deep fade: erased
-        std::fill(out, out + bps_, 0.0f);
-        continue;
-      }
-      nv /= gain2;  // the noise grew by 1/|h|^2
+    if (gain2 == 0.0f) {  // erased: a non-finite sample or a deep fade
+      std::fill(out, out + bps_, 0.0f);
+      continue;
     }
+    nv /= gain2;  // the noise grew by 1/|h|^2
     demap_symbol(v, nv, out);
   }
 }

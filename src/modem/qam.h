@@ -8,6 +8,7 @@
 // Theta(2^(alpha/2)) cost for QAM-2^alpha the paper quotes for its
 // "careful demapping scheme that preserves soft information".
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <span>
@@ -45,7 +46,8 @@ class QamModem {
   /// bits_per_symbol() values. With a non-empty @p csi each y[i] is
   /// first equalised coherently by its fading coefficient h = csi[i]
   /// (see equalize): y[i] is divided by h and the noise variance by
-  /// |h|^2, and a deep fade is an erasure, all its LLRs zero. Throws
+  /// |h|^2. A deep fade or a non-finite y[i] or h (non_finite) is an
+  /// erasure, all its LLRs zero. Throws
   /// std::invalid_argument, before appending anything, unless @p csi
   /// is empty or matches @p y.
   void demap_soft(std::span<const std::complex<float>> y,
@@ -67,6 +69,16 @@ class QamModem {
   void demap_symbol(std::complex<float> y, double noise_var, float* out) const;
   void demap_axis(float y, double sigma2_axis, float* out) const;
 };
+
+/// The one erasure rule for non-finite input: a received sample @p y or
+/// fading coefficient @p h with a NaN or infinite part says nothing
+/// about the symbol sent, so every receiver drops it like a punctured
+/// symbol instead of letting it poison its soft state for good.
+inline bool non_finite(std::complex<float> y,
+                       std::complex<float> h = {1.0f, 0.0f}) noexcept {
+  return !std::isfinite(y.real()) || !std::isfinite(y.imag()) ||
+         !std::isfinite(h.real()) || !std::isfinite(h.imag());
+}
 
 /// |h|^2 at or below which a coherent receiver treats a symbol as
 /// erased: a fade this deep leaves only noise, and dividing by h would

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "runtime/affinity.h"
-#include "sim/trial_runner.h"
 
 namespace spinal::runtime {
 
@@ -154,7 +153,7 @@ DecodeService::DecodeService(const RuntimeOptions& opt)
                          ? opt.max_in_flight
                          : std::max(64, 4 * (opt.workers > 0
                                                  ? opt.workers
-                                                 : sim::bench_threads()))),
+                                                 : bench_threads()))),
       base_(std::chrono::steady_clock::now()),
       tracer_(kRuntimeTraceCompiled && opt.trace.enabled
                   ? std::make_unique<Tracer>(opt.trace)
@@ -176,8 +175,8 @@ DecodeService::DecodeService(const RuntimeOptions& opt)
                  ? 1
                  : (opt.shards > 0 ? opt.shards
                                    : (opt.workers > 0 ? opt.workers
-                                                      : sim::bench_threads()))) {
-  const int n = opt.workers > 0 ? opt.workers : sim::bench_threads();
+                                                      : bench_threads()))) {
+  const int n = opt.workers > 0 ? opt.workers : bench_threads();
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<Worker>());

@@ -53,8 +53,8 @@
 // regardless of the configured shard count; each session's outcome then
 // depends only on its own spec (per-session seeded channel), and
 // drain() returns reports in submission order — bit-identical to a
-// sequential run_message loop at any worker count, the same guarantee
-// the Monte-Carlo TrialRunner gives the experiment sweeps.
+// sequential run_message loop at any worker count. The Monte-Carlo
+// sweeps (sim/experiment.h) run on this mode.
 //
 // The link-symbol SessionMux (session_mux.h) posts its per-block decode
 // attempts as BlockUnits, which the service steps on the sessions' path:
@@ -108,7 +108,7 @@ class BlockUnit : public sim::DecodeTarget {
 };
 
 struct RuntimeOptions {
-  int workers = 0;        ///< worker threads; 0 = sim::bench_threads()
+  int workers = 0;        ///< worker threads; 0 = bench_threads()
   int max_in_flight = 0;  ///< session admission cap; 0 = max(64, 4 * workers)
   /// Fixed (configured) effort + no idle retries + per-session-only
   /// state: makes results bit-identical to sequential run_message at any

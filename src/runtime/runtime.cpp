@@ -1,6 +1,18 @@
 #include "runtime/runtime.h"
 
+#include <cstdlib>
+#include <thread>
+
 namespace spinal::runtime {
+
+int bench_threads() {
+  if (const char* env = std::getenv("SPINAL_BENCH_THREADS")) {
+    const int v = std::atoi(env);
+    if (v > 0) return v;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
 
 sim::ChannelSim ChannelSpec::make() const {
   if (kind == sim::ChannelKind::kBsc) return sim::ChannelSim::bsc(crossover, seed);

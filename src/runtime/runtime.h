@@ -55,6 +55,12 @@ struct SessionReport {
   int full_effort_retries = 0;      ///< idle retries at full effort
 };
 
+/// Default worker count of a DecodeService (RuntimeOptions::workers = 0)
+/// and of the experiment sweeps: SPINAL_BENCH_THREADS when set to a
+/// positive integer, otherwise hardware_concurrency() (minimum 1).
+/// Re-reads the environment on every call.
+int bench_threads();
+
 /// The sequential loop the deterministic runtime must reproduce
 /// bit-identically: run_message over the spec (same factory, channel
 /// seed and engine options). decode_micros is not measured here.

@@ -1,11 +1,14 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "channel/awgn.h"
-#include "sim/trial_runner.h"
+#include "runtime/decode_service.h"
 #include "spinal/decoder.h"
 #include "spinal/encoder.h"
 #include "util/math.h"
@@ -13,54 +16,63 @@
 
 namespace spinal::sim {
 
+namespace {
+
+/// The runtime of one sweep point: deterministic, with
+/// SPINAL_BENCH_THREADS workers but no more than @p trials (each worker
+/// pins its own decode workspaces), and one admitted session per
+/// worker, so a point holds no more live sessions (a Strider session
+/// keeps every pass) than can run at once.
+runtime::RuntimeOptions sweep_runtime(int trials) {
+  runtime::RuntimeOptions opt;
+  opt.workers = std::clamp(trials, 1, runtime::bench_threads());
+  opt.max_in_flight = opt.workers;
+  opt.deterministic = true;
+  return opt;
+}
+
+}  // namespace
+
 RateMeasurement measure_rate(const SessionFactory& make_session, double snr_db,
                              const SweepOptions& opt) {
+  // ChannelSpec would build a BSC at its default crossover instead.
+  if (opt.channel == ChannelKind::kBsc)
+    throw std::invalid_argument("measure_rate: a sweep has an SNR, not a BSC crossover");
+  runtime::DecodeService service(sweep_runtime(opt.trials));
+  for (int t = 0; t < opt.trials; ++t) {
+    const std::uint64_t seed = opt.seed + 0x1000003 * static_cast<std::uint64_t>(t);
+    // The session is built here, where its message length is needed;
+    // the spec hands it to the service on its one admission-time call.
+    auto session =
+        std::make_shared<std::unique_ptr<RatelessSession>>(make_session());
+    runtime::SessionSpec spec;
+    util::Xoshiro256 prng(seed ^ 0xC0FFEE);
+    spec.message = prng.random_bits((*session)->message_bits());
+    spec.make_session = [session] { return std::move(*session); };
+    spec.channel.kind = opt.channel;
+    spec.channel.snr_db = snr_db;
+    spec.channel.coherence = opt.coherence;
+    spec.channel.seed = seed;
+    spec.engine.attempt_every = opt.attempt_every;
+    spec.engine.attempt_growth = opt.attempt_growth;
+    service.submit(std::move(spec));
+  }
+
+  // Reduce in trial order (drain() returns reports by session id): the
+  // accumulation sequence of a sequential loop, hence bit-identical.
   RateMeasurement m;
   m.snr_db = snr_db;
-
-  // Phase 1: run the trials, each into its own slot. Every trial's
-  // randomness derives from its index, so execution order is free.
-  struct TrialOutcome {
-    long symbols = 0;
-    int bits = 0;
-    bool success = false;
-  };
-  std::vector<TrialOutcome> outcomes(static_cast<std::size_t>(opt.trials));
-
-  TrialRunner::shared().parallel_for(
-      opt.trials,
-      [&](int t) {
-        const std::uint64_t seed = opt.seed + 0x1000003 * static_cast<std::uint64_t>(t);
-        auto session = make_session();
-        util::Xoshiro256 prng(seed ^ 0xC0FFEE);
-        const util::BitVec message = prng.random_bits(session->message_bits());
-
-        ChannelSim channel(opt.channel, snr_db, opt.coherence, seed);
-        EngineOptions eopt;
-        eopt.attempt_every = opt.attempt_every;
-        eopt.attempt_growth = opt.attempt_growth;
-        const RunResult r = run_message(*session, channel, message, eopt);
-
-        TrialOutcome& out = outcomes[static_cast<std::size_t>(t)];
-        out.symbols = r.symbols;
-        out.success = r.success;
-        if (r.success) out.bits = session->message_bits();
-      },
-      opt.threads);
-
-  // Phase 2: reduce in trial order — the same accumulation sequence as
-  // a sequential loop, hence bit-identical results.
   long total_symbols = 0;
   long decoded_bits = 0;
   int successes = 0;
   double success_symbols = 0;
-  for (const TrialOutcome& out : outcomes) {
-    total_symbols += out.symbols;
-    if (out.success) {
+  for (const runtime::SessionReport& r : service.drain()) {
+    total_symbols += r.run.symbols;
+    if (r.run.success) {
       ++successes;
-      decoded_bits += out.bits;
-      success_symbols += static_cast<double>(out.symbols);
-      m.symbols_to_decode.add(static_cast<double>(out.symbols));
+      decoded_bits += r.message_bits;
+      success_symbols += static_cast<double>(r.run.symbols);
+      m.symbols_to_decode.add(static_cast<double>(r.run.symbols));
     }
   }
 
@@ -71,13 +83,20 @@ RateMeasurement measure_rate(const SessionFactory& make_session, double snr_db,
   return m;
 }
 
+void run_trials(int trials, const std::function<void(int)>& body) {
+  runtime::DecodeService service(sweep_runtime(trials));
+  for (int t = 0; t < trials; ++t)
+    service.post([&body, t](runtime::DecodeService::WorkerScope&) { body(t); });
+  service.drain();
+}
+
 double fixed_rate_throughput(const CodeParams& params, int symbols, double snr_db,
                              int trials, std::uint64_t seed) {
   const PuncturingSchedule schedule(params);
   const std::vector<SymbolId> ids = schedule.prefix(symbols);
   std::vector<std::uint8_t> decoded(static_cast<std::size_t>(trials), 0);
 
-  TrialRunner::shared().parallel_for(trials, [&](int t) {
+  run_trials(trials, [&](int t) {
     const std::uint64_t s = seed + 0x9E3779B9 * static_cast<std::uint64_t>(t);
     util::Xoshiro256 prng(s ^ 0xFACade);
     const util::BitVec message = prng.random_bits(params.n);

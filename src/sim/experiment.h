@@ -24,11 +24,6 @@ struct SweepOptions {
   double attempt_growth = 1.0;               ///< geometric attempt back-off
   ChannelKind channel = ChannelKind::kAwgn;  ///< channel model
   int coherence = 1;                         ///< fading tau (symbols)
-  /// Trial-level parallelism cap: 0 = the shared TrialRunner pool
-  /// (SPINAL_BENCH_THREADS, default hardware_concurrency), 1 = run
-  /// sequentially on the calling thread. Results are bit-identical at
-  /// every setting; see trial_runner.h.
-  int threads = 0;
 };
 
 struct RateMeasurement {
@@ -42,12 +37,21 @@ struct RateMeasurement {
 
 /// Streams @p opt.trials random messages through fresh sessions at one
 /// SNR and aggregates rate = sum(decoded bits) / sum(symbols sent).
-/// Trials run in parallel on the shared TrialRunner pool (each one is
-/// seeded from its index alone) and are reduced in trial order, so the
-/// measurement is bit-identical at any thread count. The factory must
-/// be safe to invoke concurrently.
+/// Each trial is one session on a deterministic runtime::DecodeService
+/// of SPINAL_BENCH_THREADS workers (at most one per trial), seeded from
+/// its index alone; the reports are reduced in trial order, so the
+/// measurement is bit-identical to a sequential run_message loop at any
+/// thread count. The factory runs on the calling thread, once per trial.
 RateMeasurement measure_rate(const SessionFactory& make_session, double snr_db,
                              const SweepOptions& opt);
+
+/// Runs body(t) once for every t in [0, trials) as tasks posted to a
+/// deterministic DecodeService of SPINAL_BENCH_THREADS workers (at most
+/// one per trial), and returns when all have run; the first exception a
+/// body throws is rethrown here. body(t) may only write state owned by
+/// trial t, so a reduction in trial order afterwards is bit-identical at
+/// any thread count.
+void run_trials(int trials, const std::function<void(int)>& body);
 
 /// Throughput of a *rated* spinal code that always transmits exactly
 /// @p symbols symbols (the schedule prefix) and decodes once:

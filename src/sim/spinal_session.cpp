@@ -1,8 +1,9 @@
 #include "sim/spinal_session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "modem/qam.h"
 
 namespace spinal::sim {
 namespace {
@@ -17,8 +18,8 @@ void receive(SpinalDecoder& dec, SymbolId id, std::complex<float> y, std::comple
 }
 void receive(BscSpinalDecoder& dec, SymbolId id, std::complex<float> y,
              std::complex<float> /*h*/) {
-  // The AWGN metric's erasure rule: a non-finite sample is dropped.
-  if (std::isfinite(y.real()) && std::isfinite(y.imag()))
+  // The erasure rule of every receiver: a non-finite sample is dropped.
+  if (!modem::non_finite(y))
     dec.add_symbol(id, y.real() >= 0.5f ? 1 : 0);
 }
 

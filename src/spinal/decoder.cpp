@@ -5,6 +5,7 @@
 #include <cmath>
 #include <type_traits>
 
+#include "modem/qam.h"
 #include "spinal/cost_model.h"
 
 namespace spinal {
@@ -273,9 +274,7 @@ bool AwgnMetric::arrive(int spine, const Rx& r) {
   // A non-finite sample carries no information about x: treat it as an
   // erasure (not stored, counted or tabulated), exactly like a
   // punctured symbol, instead of letting NaN/Inf poison every path cost.
-  if (!std::isfinite(r.y.real()) || !std::isfinite(r.y.imag()) ||
-      !std::isfinite(r.h.real()) || !std::isfinite(r.h.imag()))
-    return false;
+  if (modem::non_finite(r.y, r.h)) return false;
   if (r.h != std::complex<float>{1.0f, 0.0f}) any_csi_ = true;
   if (q_build_ && !any_csi_) {
     // Metric-row precompute on arrival (amortized across every decode

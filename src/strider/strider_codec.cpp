@@ -149,7 +149,11 @@ void StriderDecoder::add_symbols(std::span<const std::complex<float>> y,
     }
     std::complex<float> v = y[i];
     float inv_nv = static_cast<float>(1.0 / noise_var_);
-    if (!csi.empty()) {
+    if (modem::non_finite(v, csi.empty() ? std::complex<float>{1.0f, 0.0f} : csi[i])) {
+      // Erased: the symbol keeps its position with zero symbol and weight.
+      v = {};
+      inv_nv = 0.0f;
+    } else if (!csi.empty()) {
       // Coherent equalise; a deep fade is erased (zero symbol, zero weight).
       float gain2 = 0.0f;
       v = modem::equalize(y[i], csi[i], gain2);

@@ -6,25 +6,6 @@
 
 namespace spinal::util {
 
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void SampleSet::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
@@ -48,13 +29,6 @@ double SampleSet::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double SampleSet::cdf_at(double x) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
 }
 
 // ---------------------------------------------------- LatencyHistogram

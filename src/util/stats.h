@@ -10,26 +10,7 @@
 
 namespace spinal::util {
 
-/// Streaming mean/variance/min/max (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept;  ///< sample variance (n-1 denominator)
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Collects samples and answers quantile/CDF queries (used for the
+/// Collects samples and answers quantile queries (used for the
 /// symbols-to-decode CDF of Fig 8-11 and the PAPR tail of Table 8.1).
 class SampleSet {
  public:
@@ -38,8 +19,6 @@ class SampleSet {
   double mean() const noexcept;
   /// Quantile q in [0,1] by linear interpolation; empty set returns 0.
   double quantile(double q) const;
-  /// Empirical CDF evaluated at x: fraction of samples <= x.
-  double cdf_at(double x) const;
   const std::vector<double>& samples() const noexcept { return samples_; }
 
  private:

@@ -203,10 +203,6 @@ TEST(BackendKernels, HashLanesMatchScalarExactly) {
         b->hash_n(kind, salt, states.data(), n, data, got.data());
         EXPECT_EQ(want, got) << b->name << " hash_n kind="
                              << hash::kind_name(kind) << " n=" << n;
-        scalar()->rng_n(kind, salt, states.data(), n, data, want.data());
-        b->rng_n(kind, salt, states.data(), n, data, got.data());
-        EXPECT_EQ(want, got) << b->name << " rng_n kind=" << hash::kind_name(kind)
-                             << " n=" << n;
       }
     }
   }

@@ -1,32 +1,30 @@
-// Tests for the experiment sweeps and the multithreaded trial runner:
-// parallel Monte-Carlo must be bit-identical to the sequential path,
-// and the parameter guards added alongside the runner must fire before
-// any downstream construction happens.
+// Tests for the experiment sweeps: measure_rate on the deterministic
+// DecodeService must be bit-identical to a sequential run_sequential
+// loop over the same specs, run_trials must run every trial once, and
+// the parameter guards must fire before any downstream construction
+// happens.
 
 #include "sim/experiment.h"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
+#include "runtime/runtime.h"
 #include "sim/spinal_session.h"
-#include "sim/trial_runner.h"
 #include "spinal/decoder.h"
 #include "spinal/encoder.h"
+#include "util/math.h"
+#include "util/prng.h"
 
 namespace spinal {
 namespace {
-
-// Size the shared pool before its first use so the parallel-vs-
-// sequential comparisons exercise real worker threads even on a
-// single-core CI box (overwrite=0 respects an explicit user setting).
-const int kForcePoolSize = setenv("SPINAL_BENCH_THREADS", "4", /*overwrite=*/0);
 
 CodeParams small_params() {
   CodeParams p;
@@ -38,122 +36,135 @@ CodeParams small_params() {
   return p;
 }
 
-// ---- parallel == sequential, bit for bit -----------------------------
+/// Sets SPINAL_BENCH_THREADS for one scope and restores the previous
+/// value (or its absence) afterwards.
+class ScopedBenchThreads {
+ public:
+  explicit ScopedBenchThreads(const char* value) {
+    if (const char* prev = std::getenv("SPINAL_BENCH_THREADS")) saved_ = prev;
+    if (value)
+      setenv("SPINAL_BENCH_THREADS", value, 1);
+    else
+      unsetenv("SPINAL_BENCH_THREADS");
+  }
+  ~ScopedBenchThreads() {
+    if (saved_)
+      setenv("SPINAL_BENCH_THREADS", saved_->c_str(), 1);
+    else
+      unsetenv("SPINAL_BENCH_THREADS");
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// ---- runtime == sequential, bit for bit ------------------------------
 
 TEST(Experiment, ParallelMeasureRateIsBitIdenticalToSequential) {
-  ASSERT_GE(sim::TrialRunner::shared().threads(), 2)
-      << "shared pool must be multi-threaded for this test to mean anything";
   const CodeParams p = small_params();
   const auto make = [&] { return std::make_unique<sim::SpinalSession>(p); };
 
-  sim::SweepOptions opt;
-  opt.trials = 8;
-  opt.seed = 42;
-  opt.attempt_growth = 1.04;
+  for (const sim::ChannelKind kind :
+       {sim::ChannelKind::kAwgn, sim::ChannelKind::kRayleighCsi}) {
+    sim::SweepOptions opt;
+    opt.trials = 8;
+    opt.seed = 42;
+    opt.attempt_growth = 1.04;
+    opt.channel = kind;
+    opt.coherence = 4;
+    const double snr = 8.0;
 
-  opt.threads = 1;
-  const sim::RateMeasurement seq = sim::measure_rate(make, 8.0, opt);
-  ASSERT_GT(seq.success_rate, 0.0) << "test wants at least one success";
+    // The reference: the same per-trial specs through run_sequential on
+    // this thread, reduced in trial order.
+    sim::RateMeasurement seq;
+    long total_symbols = 0, decoded_bits = 0;
+    int successes = 0;
+    double success_symbols = 0;
+    for (int t = 0; t < opt.trials; ++t) {
+      const std::uint64_t seed = opt.seed + 0x1000003 * static_cast<std::uint64_t>(t);
+      runtime::SessionSpec spec;
+      spec.make_session = make;
+      util::Xoshiro256 prng(seed ^ 0xC0FFEE);
+      spec.message = prng.random_bits(p.n);
+      spec.channel.kind = kind;
+      spec.channel.snr_db = snr;
+      spec.channel.coherence = opt.coherence;
+      spec.channel.seed = seed;
+      spec.engine.attempt_growth = opt.attempt_growth;
+      const runtime::SessionReport r = runtime::run_sequential(spec);
+      total_symbols += r.run.symbols;
+      if (r.run.success) {
+        ++successes;
+        decoded_bits += r.message_bits;
+        success_symbols += static_cast<double>(r.run.symbols);
+        seq.symbols_to_decode.add(static_cast<double>(r.run.symbols));
+      }
+    }
+    ASSERT_GT(successes, 0) << "test wants at least one success";
+    seq.rate = static_cast<double>(decoded_bits) / total_symbols;
+    seq.gap_db = util::gap_to_capacity_db(seq.rate, snr);
+    seq.success_rate = static_cast<double>(successes) / opt.trials;
+    seq.avg_symbols = success_symbols / successes;
 
-  for (int threads : {2, 4, 8}) {
-    opt.threads = threads;
-    const sim::RateMeasurement par = sim::measure_rate(make, 8.0, opt);
-    EXPECT_EQ(seq.rate, par.rate) << "threads=" << threads;
-    EXPECT_EQ(seq.gap_db, par.gap_db) << "threads=" << threads;
-    EXPECT_EQ(seq.success_rate, par.success_rate) << "threads=" << threads;
-    EXPECT_EQ(seq.avg_symbols, par.avg_symbols) << "threads=" << threads;
-    // Sample order feeds the Fig 8-11 CDF; it must match exactly too.
-    EXPECT_EQ(seq.symbols_to_decode.samples(), par.symbols_to_decode.samples())
-        << "threads=" << threads;
+    for (const char* threads : {"1", "2", "4"}) {
+      const ScopedBenchThreads env(threads);
+      const sim::RateMeasurement par = sim::measure_rate(make, snr, opt);
+      EXPECT_EQ(seq.rate, par.rate) << "threads=" << threads;
+      EXPECT_EQ(seq.gap_db, par.gap_db) << "threads=" << threads;
+      EXPECT_EQ(seq.success_rate, par.success_rate) << "threads=" << threads;
+      EXPECT_EQ(seq.avg_symbols, par.avg_symbols) << "threads=" << threads;
+      // Sample order feeds the Fig 8-11 CDF; it must match exactly too.
+      EXPECT_EQ(seq.symbols_to_decode.samples(), par.symbols_to_decode.samples())
+          << "threads=" << threads;
+    }
   }
+}
+
+TEST(Experiment, MeasureRateRefusesBscSweeps) {
+  const CodeParams p = small_params();
+  sim::SweepOptions opt;
+  opt.channel = sim::ChannelKind::kBsc;
+  EXPECT_THROW(sim::measure_rate([&] { return std::make_unique<sim::SpinalSession>(p); },
+                                 8.0, opt),
+               std::invalid_argument);
 }
 
 TEST(Experiment, FixedRateThroughputIsDeterministic) {
   const CodeParams p = small_params();
   const int symbols = p.symbols_per_pass() * 2;
   const double a = sim::fixed_rate_throughput(p, symbols, 10.0, 6, 99);
+  const ScopedBenchThreads env("1");
   const double b = sim::fixed_rate_throughput(p, symbols, 10.0, 6, 99);
   EXPECT_EQ(a, b);
 }
 
-// ---- TrialRunner mechanics -------------------------------------------
+// ---- run_trials ------------------------------------------------------
 
-TEST(TrialRunner, CoversEveryIndexExactlyOnce) {
-  sim::TrialRunner runner(4);
+TEST(Experiment, RunTrialsRunsEveryIndexOnceAndRethrows) {
+  const ScopedBenchThreads env("4");
   const int n = 257;
   std::vector<std::atomic<int>> hits(n);
-  runner.parallel_for(n, [&](int t) { hits[t].fetch_add(1); });
+  sim::run_trials(n, [&](int t) { hits[t].fetch_add(1); });
   for (int t = 0; t < n; ++t) EXPECT_EQ(hits[t].load(), 1) << "t=" << t;
-}
 
-TEST(TrialRunner, BackToBackJobsDoNotCrossOver) {
-  // A worker lingering after a job's last trial must not claim indices
-  // of the next job (it would run the previous, destroyed body and
-  // leave a slot unwritten). Hammer submissions to give stragglers a
-  // chance to misbehave.
-  sim::TrialRunner runner(4);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<int> out(16, -1);
-    runner.parallel_for(16, [&](int t) { out[t] = round; });
-    for (int t = 0; t < 16; ++t) ASSERT_EQ(out[t], round) << "round=" << round;
-  }
-}
-
-TEST(TrialRunner, PropagatesBodyExceptions) {
-  sim::TrialRunner runner(4);
-  EXPECT_THROW(runner.parallel_for(64,
-                                   [](int t) {
-                                     if (t == 13) throw std::runtime_error("boom");
-                                   }),
+  EXPECT_THROW(sim::run_trials(64,
+                               [](int t) {
+                                 if (t == 13) throw std::runtime_error("boom");
+                               }),
                std::runtime_error);
-  // The pool must still be usable after a failed job.
-  std::atomic<int> ran{0};
-  runner.parallel_for(8, [&](int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(TrialRunner, ConcurrentSubmittersAreSafe) {
-  // Two threads sweeping at once must not corrupt the shared job state;
-  // whoever loses the pool race just runs inline.
-  sim::TrialRunner runner(4);
-  std::vector<int> a(400, -1), b(400, -1);
-  std::thread other(
-      [&] { runner.parallel_for(400, [&](int t) { b[t] = t; }); });
-  runner.parallel_for(400, [&](int t) { a[t] = t; });
-  other.join();
-  for (int t = 0; t < 400; ++t) {
-    ASSERT_EQ(a[t], t);
-    ASSERT_EQ(b[t], t);
+TEST(Experiment, BenchThreadsHonorsEnvOverride) {
+  {
+    const ScopedBenchThreads env("3");
+    EXPECT_EQ(runtime::bench_threads(), 3);
   }
-}
-
-TEST(TrialRunner, NestedCallsRunInline) {
-  sim::TrialRunner runner(4);
-  std::vector<std::array<int, 8>> inner(32);
-  runner.parallel_for(32, [&](int outer) {
-    runner.parallel_for(8, [&](int t) { inner[outer][t] = outer + t; });
-  });
-  for (int outer = 0; outer < 32; ++outer)
-    for (int t = 0; t < 8; ++t) ASSERT_EQ(inner[outer][t], outer + t);
-}
-
-TEST(TrialRunner, BenchThreadsHonorsEnvOverride) {
-  // Restore the pre-test value afterwards: other tests rely on the
-  // kForcePoolSize setting when they first construct the shared pool,
-  // so leaving the variable unset would make this test order-sensitive.
-  const char* prev = std::getenv("SPINAL_BENCH_THREADS");
-  const std::string saved = prev ? prev : "";
-
-  ASSERT_EQ(setenv("SPINAL_BENCH_THREADS", "3", 1), 0);
-  EXPECT_EQ(sim::bench_threads(), 3);
-  ASSERT_EQ(setenv("SPINAL_BENCH_THREADS", "0", 1), 0);
-  EXPECT_GE(sim::bench_threads(), 1);  // invalid values fall back
-  ASSERT_EQ(unsetenv("SPINAL_BENCH_THREADS"), 0);
-  EXPECT_GE(sim::bench_threads(), 1);
-
-  if (prev) {
-    ASSERT_EQ(setenv("SPINAL_BENCH_THREADS", saved.c_str(), 1), 0);
+  {
+    const ScopedBenchThreads env("0");
+    EXPECT_GE(runtime::bench_threads(), 1);  // invalid values fall back
   }
+  const ScopedBenchThreads env(nullptr);
+  EXPECT_GE(runtime::bench_threads(), 1);
 }
 
 // ---- constructor / overflow guards -----------------------------------

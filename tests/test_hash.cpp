@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "backend/backend.h"
 #include "hash/jenkins.h"
 #include "hash/salsa20.h"
 
@@ -127,43 +128,53 @@ TEST_P(SpineHashAllKinds, RngIsDomainSeparatedFromHash) {
   EXPECT_LE(same, 1);
 }
 
+// The batched kernels live in the backend table: every available
+// backend (the portable scalar one included) must equal looping
+// SpineHash::operator().
+
+std::vector<const backend::Backend*> kernel_tables() {
+  std::vector<const backend::Backend*> tables = backend::available();
+  EXPECT_NE(backend::find("scalar"), nullptr);
+  EXPECT_EQ(tables.front(), backend::find("scalar"));
+  return tables;
+}
+
 TEST_P(SpineHashAllKinds, HashNMatchesLoopedSingleShot) {
   const SpineHash h(GetParam(), 17);
-  // Sizes straddling the internal blocking (0, 1, partial, full, >block).
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                        std::size_t{256}, std::size_t{300}}) {
-    std::vector<std::uint32_t> states(n), got(n);
-    for (std::size_t i = 0; i < n; ++i)
-      states[i] = static_cast<std::uint32_t>(i) * 2654435761u + 99u;
-    for (std::uint32_t data : {0u, 5u, 0x80000003u}) {
-      h.hash_n(states.data(), n, data, got.data());
+  for (const backend::Backend* b : kernel_tables()) {
+    // Sizes straddling the internal blocking (0, 1, partial, full, >block).
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                          std::size_t{256}, std::size_t{300}}) {
+      std::vector<std::uint32_t> states(n), got(n);
       for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(got[i], h(states[i], data)) << "n=" << n << " i=" << i;
+        states[i] = static_cast<std::uint32_t>(i) * 2654435761u + 99u;
+      for (std::uint32_t data : {0u, 5u, 0x80000003u}) {
+        b->hash_n(h.kind(), h.salt(), states.data(), n, data, got.data());
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(got[i], h(states[i], data)) << b->name << " n=" << n << " i=" << i;
+      }
+      // The RNG draws of §7.1 are hash_n over the domain-separated index.
+      b->hash_n(h.kind(), h.salt(), states.data(), n, 7u ^ 0x80000000u, got.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[i], h.rng(states[i], 7u)) << b->name << " n=" << n;
     }
   }
 }
 
-TEST_P(SpineHashAllKinds, RngNMatchesLoopedRng) {
-  const SpineHash h(GetParam(), 23);
-  std::vector<std::uint32_t> states(65), got(65);
-  for (std::size_t i = 0; i < states.size(); ++i)
-    states[i] = static_cast<std::uint32_t>(i * i + 3);
-  h.rng_n(states.data(), states.size(), 7u, got.data());
-  for (std::size_t i = 0; i < states.size(); ++i)
-    EXPECT_EQ(got[i], h.rng(states[i], 7u));
-}
-
 TEST_P(SpineHashAllKinds, HashChildrenMatchesLoopedSingleShot) {
   const SpineHash h(GetParam(), 31);
-  for (std::size_t n : {std::size_t{1}, std::size_t{37}, std::size_t{260}}) {
-    const std::uint32_t fanout = 16;
-    std::vector<std::uint32_t> states(n), got(n * fanout);
-    for (std::size_t i = 0; i < n; ++i)
-      states[i] = static_cast<std::uint32_t>(i) * 40503u + 1u;
-    h.hash_children(states.data(), n, fanout, got.data());
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::uint32_t v = 0; v < fanout; ++v)
-        ASSERT_EQ(got[i * fanout + v], h(states[i], v)) << "n=" << n << " v=" << v;
+  for (const backend::Backend* b : kernel_tables()) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{37}, std::size_t{260}}) {
+      const std::uint32_t fanout = 16;
+      std::vector<std::uint32_t> states(n), got(n * fanout);
+      for (std::size_t i = 0; i < n; ++i)
+        states[i] = static_cast<std::uint32_t>(i) * 40503u + 1u;
+      b->hash_children(h.kind(), h.salt(), states.data(), n, fanout, got.data());
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::uint32_t v = 0; v < fanout; ++v)
+          ASSERT_EQ(got[i * fanout + v], h(states[i], v))
+              << b->name << " n=" << n << " v=" << v;
+    }
   }
 }
 
@@ -173,15 +184,14 @@ TEST_P(SpineHashAllKinds, PremixedHashingMatchesDirect) {
   std::vector<std::uint32_t> states(100), premixed(100), got(100);
   for (std::size_t i = 0; i < states.size(); ++i)
     states[i] = static_cast<std::uint32_t>(i * 7919);
-  h.premix_n(states.data(), states.size(), premixed.data());
-  for (std::uint32_t data : {0u, 42u, 0x80000001u}) {
-    h.hash_premixed_n(premixed.data(), states.size(), data, got.data());
-    for (std::size_t i = 0; i < states.size(); ++i)
-      ASSERT_EQ(got[i], h(states[i], data)) << "data=" << data;
+  for (const backend::Backend* b : kernel_tables()) {
+    b->premix_n(h.salt(), states.data(), states.size(), premixed.data());
+    for (std::uint32_t data : {0u, 42u, 0x80000001u, 9u ^ 0x80000000u}) {
+      b->hash_premixed_n(premixed.data(), states.size(), data, got.data());
+      for (std::size_t i = 0; i < states.size(); ++i)
+        ASSERT_EQ(got[i], h(states[i], data)) << b->name << " data=" << data;
+    }
   }
-  h.rng_premixed_n(premixed.data(), states.size(), 9u, got.data());
-  for (std::size_t i = 0; i < states.size(); ++i)
-    EXPECT_EQ(got[i], h.rng(states[i], 9u));
 }
 
 TEST(SpineHash, SpineWalkNMatchesSerialWalk) {

@@ -222,6 +222,68 @@ TEST(Sessions, BscNonFiniteSamplesAreErasures) {
   }
 }
 
+TEST(Sessions, BaselineNonFiniteInputIsErasure) {
+  // One NaN sample, or one NaN or infinite fading coefficient, in the
+  // first chunk must be erased like a punctured symbol: the LLR
+  // combiners and Strider's pass store otherwise keep the NaN for good
+  // and the session never decodes. Clean runs decode in 1-6 chunks.
+  const auto make = [](int codec) -> std::unique_ptr<RatelessSession> {
+    switch (codec) {
+      case 0:
+        return std::make_unique<ldpc::LdpcSession>(ldpc::LdpcSessionConfig{});
+      case 1: {
+        turbo::TurboSessionConfig cfg;
+        cfg.info_bits = 256;
+        return std::make_unique<turbo::TurboSession>(cfg);
+      }
+      case 2: {
+        raptor::RaptorSessionConfig cfg;
+        cfg.info_bits = 400;
+        return std::make_unique<raptor::RaptorSession>(cfg);
+      }
+      default: {
+        strider::StriderSessionConfig cfg;
+        cfg.code.layers = 4;
+        cfg.code.layer_bits = 60;
+        return std::make_unique<strider::StriderSession>(cfg);
+      }
+    }
+  };
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  struct Poison {
+    const char* what;
+    bool with_csi;     // pass unit CSI (the equalising path) or none
+    bool on_h;         // poison the CSI value instead of the sample
+    float value;
+  };
+  const Poison poisons[] = {{"NaN y, no CSI", false, false, kNaN},
+                            {"NaN y, unit CSI", true, false, kNaN},
+                            {"NaN h", true, true, kNaN},
+                            {"infinite h", true, true, kInf}};
+  for (int codec = 0; codec < 4; ++codec) {
+    for (const Poison& poison : poisons) {
+      const auto s = make(codec);
+      channel::AwgnChannel awgn(13.0, 7 + codec);
+      s->set_noise_hint(awgn.noise_variance());
+      util::Xoshiro256 prng(5 + codec);
+      const util::BitVec msg = prng.random_bits(s->message_bits());
+      s->start(msg);
+      bool decoded = false;
+      for (int chunk = 0; chunk < 60 && !decoded; ++chunk) {
+        std::vector<std::complex<float>> y = s->next_chunk();
+        awgn.apply(y);
+        std::vector<std::complex<float>> csi(poison.with_csi ? y.size() : 0,
+                                             {1.0f, 0.0f});
+        if (chunk == 0) (poison.on_h ? csi[0] : y[0]) = {poison.value, 0.0f};
+        s->receive_chunk(y, csi);
+        decoded = s->try_decode() == msg;
+      }
+      EXPECT_TRUE(decoded) << "codec " << codec << ": " << poison.what;
+    }
+  }
+}
+
 TEST(Sessions, RaptorChunkSizeIsConfigured) {
   raptor::RaptorSessionConfig cfg;
   cfg.info_bits = 400;

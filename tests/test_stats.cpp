@@ -11,42 +11,6 @@
 namespace spinal::util {
 namespace {
 
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownSequence) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MatchesDirectComputationOnRandomData) {
-  Xoshiro256 r(77);
-  RunningStats s;
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = r.next_gaussian() * 3 + 1;
-    xs.push_back(x);
-    s.add(x);
-  }
-  double mean = 0;
-  for (double x : xs) mean += x;
-  mean /= xs.size();
-  double var = 0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= (xs.size() - 1);
-  EXPECT_NEAR(s.mean(), mean, 1e-9);
-  EXPECT_NEAR(s.variance(), var, 1e-9);
-}
-
 TEST(SampleSet, QuantilesOfKnownSet) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(i);
@@ -56,14 +20,6 @@ TEST(SampleSet, QuantilesOfKnownSet) {
   EXPECT_NEAR(s.mean(), 50.5, 1e-9);
 }
 
-TEST(SampleSet, CdfAt) {
-  SampleSet s;
-  for (int i = 1; i <= 10; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.cdf_at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.cdf_at(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(s.cdf_at(10.0), 1.0);
-}
-
 TEST(SampleSet, AddAfterQueryStillCorrect) {
   SampleSet s;
   s.add(3);
@@ -71,13 +27,12 @@ TEST(SampleSet, AddAfterQueryStillCorrect) {
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 3.0);
   s.add(10);  // invalidates sort
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(s.cdf_at(2.0), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), 3.0);
 }
 
 TEST(SampleSet, EmptyReturnsZero) {
   SampleSet s;
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.cdf_at(1.0), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 

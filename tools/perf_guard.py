@@ -18,12 +18,18 @@ artifact trail before they are baselined.
 CI machines differ in absolute speed from the machine the baseline was
 recorded on, and differ run to run. A naive absolute comparison would
 flag every slow runner, so the guard normalises by the *median ratio*
-across all shared benchmarks: a uniformly slower machine moves every
+of each backend group: a uniformly slower machine moves every
 benchmark by the same factor and normalises away, while a genuine
 regression shows up as one benchmark falling more than the tolerance
-below the rest. The tolerance is generous (25% by default) — this
-gate exists to catch 2x cliffs (a kernel knocked off its fast path, a
-debug build leaking into the bench), not 5% drift.
+below the rest of its group. The groups are the cases pinned to one
+kernel backend (a `backend:<name>` suffix) and the cases on the run's
+default backend: a runner whose default backend is wider than the
+baseline's (AVX-512 vs AVX2) speeds up only the default group, so one
+median over both would push the pinned cases under the floor. A group
+needs >= 3 shared benchmarks for a meaningful median; a smaller one is
+skipped. The tolerance is generous (25% by default) — this gate
+exists to catch 2x cliffs (a kernel knocked off its fast path, a debug
+build leaking into the bench), not 5% drift.
 
 --expect-ratio gates a *within-run* speed ratio: current[NUM] /
 current[DEN] must be >= MIN. Both points come from the same binary and
@@ -44,6 +50,11 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from perf_snapshot import distill  # one name-normalisation, shared with the snapshot
+
+
+def backend_group(name):
+    """'pinned' for a case pinned to one backend, else 'default'."""
+    return "pinned" if "/backend:" in name else "default"
 
 
 def load_current(path):
@@ -86,26 +97,29 @@ def main():
         print(f"perf_guard: FAIL — cannot read baseline ({e})", file=sys.stderr)
         return 2
 
-    shared = sorted(set(current) & set(baseline))
-    if len(shared) < 3:
-        print(f"perf_guard: only {len(shared)} shared benchmarks; "
-              "need >= 3 for a meaningful median — skipping", file=sys.stderr)
-        return 0
+    groups = {}
+    for n in sorted(set(current) & set(baseline)):
+        groups.setdefault(backend_group(n), []).append(n)
 
-    ratios = {n: current[n] / baseline[n] for n in shared}
-    median = statistics.median(ratios.values())
-    floor = median * (1.0 - args.tolerance)
-
-    print(f"perf_guard: {len(shared)} shared benchmarks, "
-          f"median speed ratio {median:.3f}, floor {floor:.3f}")
     failures = []
-    for n in shared:
-        flag = ""
-        if ratios[n] < floor:
-            failures.append(n)
-            flag = "  <-- REGRESSION"
-        print(f"  {n:48s} {baseline[n] / 1e3:9.1f}k -> {current[n] / 1e3:9.1f}k "
-              f"(x{ratios[n]:.2f}){flag}")
+    for group, shared in sorted(groups.items()):
+        if len(shared) < 3:
+            print(f"perf_guard: {group} group has only {len(shared)} shared "
+                  "benchmarks; need >= 3 for a meaningful median — skipping it",
+                  file=sys.stderr)
+            continue
+        ratios = {n: current[n] / baseline[n] for n in shared}
+        median = statistics.median(ratios.values())
+        floor = median * (1.0 - args.tolerance)
+        print(f"perf_guard: {group} group, {len(shared)} shared benchmarks, "
+              f"median speed ratio {median:.3f}, floor {floor:.3f}")
+        for n in shared:
+            flag = ""
+            if ratios[n] < floor:
+                failures.append(n)
+                flag = "  <-- REGRESSION"
+            print(f"  {n:48s} {baseline[n] / 1e3:9.1f}k -> {current[n] / 1e3:9.1f}k "
+                  f"(x{ratios[n]:.2f}){flag}")
 
     ratio_failures = []
     for num, den, min_s in args.expect_ratio:
@@ -125,7 +139,7 @@ def main():
 
     if failures:
         print(f"perf_guard: FAIL — {len(failures)} benchmark(s) regressed more than "
-              f"{args.tolerance:.0%} against the run median", file=sys.stderr)
+              f"{args.tolerance:.0%} against their group's median", file=sys.stderr)
         return 1
     if ratio_failures:
         print(f"perf_guard: FAIL — {len(ratio_failures)} within-run speed "
