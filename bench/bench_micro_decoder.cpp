@@ -9,15 +9,19 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "backend/backend.h"
 #include "channel/awgn.h"
 #include "channel/bsc.h"
+#include "spinal/attempt_schedule.h"
 #include "spinal/decoder.h"
 #include "spinal/encoder.h"
+#include "util/math.h"
 #include "util/prng.h"
 
 using namespace spinal;
@@ -110,60 +114,137 @@ BENCHMARK(BM_DecodeAwgnPunctured)
     ->Args({256, 4, 64, 4})
     ->ArgNames({"n", "k", "B", "subpasses"});
 
+/// An attempt sequence at the link geometry (n=256, k=4, 10 dB): for
+/// each of 64 messages, one attempt at every subpass from the capacity
+/// gate on until the decode succeeds — the attempts a rateless receiver
+/// makes, punctured early ones and symbol-heavy late ones alike. Setup
+/// records the sequence; each iteration replays every attempt. Items
+/// are attempts, so 1 / items_per_second is the time per attempt.
+/// args: B.
+void BM_DecodeAwgnAttempts(benchmark::State& state) {
+  const CodeParams p = make_params(256, 4, static_cast<int>(state.range(0)), 1);
+  constexpr int kMessages = 64;
+  const PuncturingSchedule sched(p);
+  const std::int64_t gate = AttemptSchedule::awgn_gate(p.n, util::db_to_lin(10.0));
+  // Message m's decoder after its first `subpasses` subpasses: the
+  // channel is re-seeded per message, so every prefix sees the same noise.
+  const auto fed = [&](int m, int subpasses, const util::BitVec& msg) {
+    const SpinalEncoder enc(p, msg);
+    channel::AwgnChannel ch(10.0, 2000 + static_cast<std::uint64_t>(m));
+    auto dec = std::make_unique<SpinalDecoder>(p);
+    for (int sp = 0; sp < subpasses; ++sp)
+      for (const SymbolId& id : sched.subpass(sp)) dec->add_symbol(id, ch.transmit(enc.symbol(id)));
+    return dec;
+  };
+  // Every attempt's decoder, symbols fed; all decode in one workspace.
+  std::vector<std::unique_ptr<SpinalDecoder>> attempts;
+  detail::DecodeWorkspace ws;
+  DecodeResult out;
+  for (int m = 0; m < kMessages; ++m) {
+    util::Xoshiro256 prng(1000 + static_cast<std::uint64_t>(m));
+    const util::BitVec msg = prng.random_bits(p.n);
+    std::int64_t symbols = 0;
+    for (int sp = 0;; ++sp) {
+      symbols += static_cast<std::int64_t>(sched.subpass(sp).size());
+      if (symbols < gate) continue;
+      attempts.push_back(fed(m, sp + 1, msg));
+      attempts.back()->decode_with(ws, out);
+      if (out.message == msg) break;
+    }
+  }
+  for (auto _ : state) {
+    for (const auto& dec : attempts) {
+      dec->decode_with(ws, out);
+      benchmark::DoNotOptimize(out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(attempts.size()));
+  state.counters["attempts"] = static_cast<double>(attempts.size());
+}
+BENCHMARK(BM_DecodeAwgnAttempts)->Arg(64)->Arg(256)->ArgName("B")->Unit(benchmark::kMillisecond);
+
 /// Survivor keys shaped like one pruned decode level, in candidate
 /// order: costs rise with the parent's rank (beams are cost-sorted)
 /// plus a per-child metric spread, so the keys are clustered and
-/// nearly sorted, as the selection sees them.
+/// nearly sorted, as the selection sees them. With @p ties the costs
+/// are whole numbers (a Hamming metric's), so hundreds of keys share
+/// each cost word.
 template <class Key>
-std::vector<Key> level_keys(std::size_t n) {
+std::vector<Key> level_keys(std::size_t n, bool ties) {
   util::Xoshiro256 prng(9);
   std::vector<Key> keys(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double cost = 20.0 + 0.05 * static_cast<double>(i / 16) + 4.0 * prng.next_double();
+    double cost = 20.0 + 0.05 * static_cast<double>(i / 16) + 4.0 * prng.next_double();
+    if (ties) cost = std::floor(cost);
     const auto cand = static_cast<std::uint32_t>(i);
     if constexpr (sizeof(Key) == 8)
       keys[i] = backend::F32Lane::key(static_cast<float>(cost), cand);
     else
-      keys[i] = backend::U16Lane::key(static_cast<std::uint32_t>(cost * 32.0), cand);
+      keys[i] = backend::U16Lane::key(static_cast<std::uint32_t>(cost * (ties ? 1.0 : 32.0)),
+                                      cand);
   }
   return keys;
 }
 
-/// One B-of-N select (backend::select_keys) per iteration, over a
-/// fresh copy of the keys (the copy is timed too: a few hundred keys).
-/// args: n, keep, key bits (64: F32Lane keys, 32: U16Lane keys). The
-/// shapes are the measured per-level calls of the three benchmark
-/// workloads: 2 of 23 (B=2 BSC fleet), 64 of ~355 (the B=64 link) and
-/// 256 of ~520 (the B=256 reference geometry).
-template <class Key>
-void select_keys_bench(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto keep = static_cast<std::size_t>(state.range(1));
-  const std::vector<Key> keys = level_keys<Key>(n);
+/// The arguments of one BM_SelectKeys case: n, keep, key bits (64:
+/// F32Lane keys, 32: U16Lane keys), tighten (0: the final select, 1:
+/// the mid-level tighten), ties (1: whole-number costs).
+using SelectShape = std::vector<std::int64_t>;
+
+/// One packed-key select or tighten (LaneKernels::select / tighten of
+/// backend @p b) per iteration, over a fresh copy of the keys (the copy
+/// is timed too: a few hundred keys).
+template <class Lane>
+void select_keys_bench(benchmark::State& state, const backend::Backend& b,
+                       const SelectShape& shape) {
+  using Key = typename Lane::key_t;
+  const auto n = static_cast<std::size_t>(shape[0]);
+  const auto keep = static_cast<std::size_t>(shape[1]);
+  const bool tighten = shape[3] != 0;
+  const std::vector<Key> keys = level_keys<Key>(n, shape[4] != 0);
   std::vector<Key> work(n);
+  const backend::LaneKernels<Lane>& kern = b.lane<Lane>();
   for (auto _ : state) {
     std::copy(keys.begin(), keys.end(), work.begin());
-    backend::select_keys(work.data(), n, keep);
+    if (tighten) {
+      Key bound = ~Key{0};
+      benchmark::DoNotOptimize(kern.tighten(work.data(), n, keep, &bound));
+    } else {
+      kern.select(work.data(), n, keep);
+    }
     benchmark::DoNotOptimize(work.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
-void BM_SelectKeys(benchmark::State& state) {
-  if (state.range(2) == 64)
-    select_keys_bench<std::uint64_t>(state);
+void BM_SelectKeysOn(benchmark::State& state, const backend::Backend* b,
+                     const SelectShape& shape) {
+  if (shape[2] == 64)
+    select_keys_bench<backend::F32Lane>(state, *b, shape);
   else
-    select_keys_bench<std::uint32_t>(state);
+    select_keys_bench<backend::U16Lane>(state, *b, shape);
 }
-BENCHMARK(BM_SelectKeys)
-    ->Args({23, 2, 64})
-    ->Args({355, 64, 64})
-    ->Args({520, 256, 64})
-    ->Args({23, 2, 32})
-    ->Args({355, 64, 32})
-    ->Args({520, 256, 32})
-    ->ArgNames({"n", "keep", "bits"});
+
+/// The default backend's cases (args as in SelectShape).
+void BM_SelectKeys(benchmark::State& state) {
+  const SelectShape shape = {state.range(0), state.range(1), state.range(2), state.range(3),
+                             state.range(4)};
+  BM_SelectKeysOn(state, &backend::active(), shape);
+}
+
+/// The final-select shapes are the measured per-level calls of the
+/// three benchmark workloads: 2 of 23 (B=2 BSC fleet), 64 of ~355 (the
+/// B=64 link) and 256 of ~520 (the B=256 reference geometry). The
+/// tighten shapes are the mean mid-level refinements of one reference
+/// decode: 546 -> 64 at B=64 and 673 -> 256 at B=256, plus the B=256
+/// one on whole-number (BSC) costs. Those also run on every backend.
+const std::vector<SelectShape> kSelectShapes = {
+    {23, 2, 64, 0, 0},   {355, 64, 64, 0, 0},  {520, 256, 64, 0, 0},
+    {23, 2, 32, 0, 0},   {355, 64, 32, 0, 0},  {520, 256, 32, 0, 0},
+    {546, 64, 64, 1, 0}, {673, 256, 64, 1, 0}, {546, 64, 32, 1, 0},
+    {673, 256, 32, 1, 0}, {673, 256, 64, 1, 1}};
+const std::vector<std::string> kSelectArgNames = {"n", "keep", "bits", "tighten", "ties"};
 
 /// The quantized narrow-metric path (spinal/cost_model.h) at the
 /// tracked reference geometry. args: precision (1 = u16, 2 = u8),
@@ -282,6 +363,10 @@ void BM_DecodeBscBackend(benchmark::State& state, const backend::Backend* b) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  benchmark::internal::Benchmark* select =
+      benchmark::RegisterBenchmark("BM_SelectKeys", BM_SelectKeys);
+  for (const auto& args : kSelectShapes) select->Args(args);
+  select->ArgNames(kSelectArgNames);
   for (const backend::Backend* b : backend::available()) {
     const std::string awgn = "BM_DecodeAwgn/backend:" + std::string(b->name);
     const std::string quant = "BM_DecodeAwgnQuant/backend:" + std::string(b->name);
@@ -289,6 +374,14 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(awgn.c_str(), BM_DecodeAwgnBackend, b);
     benchmark::RegisterBenchmark(quant.c_str(), BM_DecodeAwgnQuantBackend, b);
     benchmark::RegisterBenchmark(bsc.c_str(), BM_DecodeBscBackend, b);
+    for (const auto& args : kSelectShapes) {
+      if (args[3] == 0) continue;  // the tighten shapes
+      std::string name = "BM_SelectKeys";
+      for (std::size_t i = 0; i < args.size(); ++i)
+        name += "/" + kSelectArgNames[i] + ":" + std::to_string(args[i]);
+      name += "/backend:" + std::string(b->name);
+      benchmark::RegisterBenchmark(name.c_str(), BM_SelectKeysOn, b, args);
+    }
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

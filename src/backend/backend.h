@@ -23,9 +23,9 @@
 // expansion, GF(2) rows) sit in Backend itself; everything whose cost
 // word depends on the path metric sits once per *cost lane* (F32Lane,
 // U16Lane below) in Backend::f32 and Backend::u16 — the fused AWGN
-// expansion and the search's prune/regroup kernels. Each such entry is
-// one template over the lane traits, instantiated per lane
-// (lane_kernels_t in expand.h).
+// expansion and the search's prune, regroup and packed-key select
+// kernels. Each such entry is one template over the lane traits,
+// instantiated per lane (lane_kernels_t in expand.h).
 //
 // Selection: the best available backend is chosen at first use via
 // CPUID (x86) / hwcaps (ARM). The SPINAL_BACKEND environment variable
@@ -157,7 +157,7 @@ struct PruneFloors {
 
 /// Packs a quantized cost (<= 65535) and candidate index (< 65536 —
 /// the quantized path requires B*2^k <= 65536) into the u32 selection
-/// key of U16Lane (and of the u32 partition_keys/select_keys).
+/// key of U16Lane.
 /// Integer costs are their own monotone key, so unlike the f32 path
 /// there is no bit trick to undo: cost = key >> 16, cand = key & 0xFFFF.
 inline std::uint32_t quant_key(std::uint32_t cost, std::uint32_t cand) noexcept {
@@ -376,6 +376,35 @@ struct LaneKernels {
                                    std::uint32_t fanout, std::uint32_t cand_base,
                                    key_t bound_key, std::uint32_t* out_states,
                                    key_t* out_keys);
+
+  // --- Packed-key B-of-N selection ---
+  // Lane::key orders exactly like the (cost, candidate index)
+  // comparator, and keys are unique, so the kept *set* of a select is
+  // nth_element's and its order a full sort's: the arena layout and
+  // every equal-cost tie-break downstream come out identically on every
+  // stdlib and backend, even where the bodies differ. The scalar
+  // backend runs a range-adaptive bucket partition and bucket sort
+  // (scalar_kernels.h); the SIMD backends run a sampled vector
+  // threshold and a sorting network (simd_select.h), and fall back to
+  // the scalar bodies for small keeps (B <= 4) and short blocks. No
+  // entry allocates: all scratch lives on the stack.
+
+  /// The streaming search's mid-level bound refinement. Needs keep <
+  /// count (otherwise it returns count and touches nothing). Returns m
+  /// and sets *bound to a key b such that keys[0, m) holds exactly the
+  /// keys of keys[0, count) that are <= b, in unspecified order, and m
+  /// >= keep — so b is admissible: at least keep keys sit at or below
+  /// it. The bound need not be the keep-th key (the scalar body's is;
+  /// a SIMD body's is a sampled pivot a little above it), so m may
+  /// differ per backend; the final select is exact, so the kept set
+  /// never does. Writes nothing at or past keys + count.
+  std::size_t (*tighten)(key_t* keys, std::size_t count, std::size_t keep, key_t* bound);
+
+  /// Reorders keys so the min(keep, count) smallest occupy the front in
+  /// ascending order (the kept *set* and its *order* are deterministic;
+  /// the keys past them are unspecified). With keep >= count that is a
+  /// full sort. Writes nothing at or past keys + count.
+  void (*select)(key_t* keys, std::size_t count, std::size_t keep);
 };
 
 /// The kernel table: one entry per hot-path primitive. All function
@@ -436,56 +465,9 @@ struct Backend {
   }
 };
 
-// --- Packed-key B-of-N selection --------------------------------------
-// One copy for every backend, compiled in a baseline TU (backend.cpp),
-// and one template for both key widths: F32Lane's u64 keys
-// (monotone cost << 32 | candidate) and U16Lane's u32 keys
-// (cost << 16 | candidate). Either key orders exactly like the
-// (cost, candidate index) comparator, and keys are unique, so the
-// kept *set* is nth_element's and the sorted prefix is a full sort's:
-// the arena layout and every equal-cost tie-break downstream come out
-// identically on every stdlib and backend.
-//
-// The cost of a call follows its keys, not fixed per-round overheads:
-//   - select: a range-adaptive bucket select. One min/max pass, then
-//     rounds of at most 256 buckets sized to the ambiguous block's own
-//     key range and length (two to four keys per bucket), each
-//     resolved by one forward three-way scatter. Blocks of a couple
-//     dozen keys finish by insertion.
-//   - sort: one counting pass into n to 2n buckets over the block's own
-//     key range, then an insertion pass over the full keys: buckets
-//     hold a key or two, and equal costs share a bucket, so the
-//     insertion pass also orders every equal-cost run by candidate.
-//     Short or already ascending blocks skip the counting pass.
-// All scratch lives on the stack (4096 keys); wider inputs fall back to
-// std::nth_element / std::sort.
-
 /// keys[i] = monotone_key(costs[i]) << 32 | i — the F32Lane keys of a
 /// whole cost array.
 void build_keys(const float* costs, std::size_t count, std::uint64_t* keys);
-
-/// Moves the keep smallest keys into [0, keep) in *unspecified* order
-/// (the kept set is deterministic; its order is not). What is left past
-/// keep is unspecified too: the select overwrites keys it has ruled out.
-/// The streaming search's mid-level bound refinements run this over
-/// the survivor buffer: the keep-th-best bound needs the set, never
-/// the order, and the final select re-sorts anyway.
-void partition_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
-void partition_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
-
-/// Sorts keys[0, count) ascending: the search's final select when it
-/// keeps every survivor.
-void sort_keys(std::uint64_t* keys, std::size_t count);
-void sort_keys(std::uint32_t* keys, std::size_t count);
-
-/// Reorders keys so the keep smallest occupy [0, keep) in ascending
-/// order (the kept *set* and its *order* are deterministic; the keys
-/// past keep are unspecified, as for partition_keys). With keep >=
-/// count the u64 overload leaves the keys untouched (no pruning:
-/// candidate order is the reference search's contract), while the u32
-/// overload sorts them all.
-void select_keys(std::uint64_t* keys, std::size_t count, std::size_t keep);
-void select_keys(std::uint32_t* keys, std::size_t count, std::size_t keep);
 
 /// Backends compiled in *and* supported by this CPU, detection order
 /// (scalar first, widest last). Never empty: scalar is always present.

@@ -221,7 +221,8 @@ template <class Ops, class Lane>
 constexpr LaneKernels<Lane> lane_kernels_t() noexcept {
   return {Ops::template d1_prune<Lane>, Ops::template row_mins<Lane>,
           Ops::template regroup_emit<Lane>, awgn_expand_all_t<Ops, Lane>,
-          awgn_expand_prune_t<Ops, Lane>};
+          awgn_expand_prune_t<Ops, Lane>, Ops::template tighten<Lane>,
+          Ops::template select<Lane>};
 }
 
 /// The whole kernel table of the backend whose kernels are @p Ops.

@@ -400,6 +400,280 @@ struct ScalarOps {
                        std::size_t words) noexcept {
     for (std::size_t w = 0; w < words; ++w) dst[w] ^= src[w];
   }
+
+  // ---- Packed-key select (LaneKernels::tighten and select) -----------
+  // One template serves both key widths: F32Lane's u64 keys (monotone
+  // cost << 32 | candidate) and U16Lane's u32 keys (cost << 16 |
+  // candidate). The cost of a call follows its keys, not fixed
+  // per-round overheads:
+  //   - partition: a range-adaptive bucket select. One min/max pass,
+  //     then rounds of at most 256 buckets sized to the ambiguous
+  //     block's own key range and length (two to four keys per bucket),
+  //     each resolved by one forward three-way scatter. Blocks of a
+  //     couple dozen keys finish by insertion.
+  //   - sort: one counting pass into n to 2n buckets over the block's
+  //     own key range, then an insertion pass over the full keys:
+  //     buckets hold a key or two, and equal costs share a bucket, so
+  //     the insertion pass also orders every equal-cost run by
+  //     candidate. Short or already ascending blocks skip the counting
+  //     pass.
+  // All scratch lives on the stack (kScratch keys); wider inputs fall
+  // back to a heap sort.
+
+  /// Stack scratch of every selection routine, in keys; no heap.
+  static constexpr std::size_t kScratch = 4096;
+  /// Blocks this short skip the bucket passes: an insertion sort touches
+  /// fewer words than one histogram would.
+  static constexpr std::size_t kInsertion = 24;
+  /// So do blocks of up to kSmallKeepBlock keys that keep at most
+  /// kSmallKeep (a B <= 4 beam): the insertion select's sorted prefix
+  /// stays that short, so it is one compare per key.
+  static constexpr std::size_t kSmallKeep = 4;
+  static constexpr std::size_t kSmallKeepBlock = 256;
+
+  static bool by_insertion(std::size_t n, std::size_t need) noexcept {
+    return n <= kInsertion || (need <= kSmallKeep && n <= kSmallKeepBlock);
+  }
+
+  /// Bits needed to represent @p x (0 for 0): std::bit_width without the
+  /// std:: template.
+  template <class Key>
+  static int bit_width(Key x) noexcept {
+    int w = 0;
+    if constexpr (sizeof(Key) == 8) {
+      if (x != 0) w = 64 - __builtin_clzll(x);
+    } else {
+      if (x != 0) w = 32 - __builtin_clz(x);
+    }
+    return w;
+  }
+
+  template <class Key>
+  static void insertion_sort(Key* a, std::size_t n) noexcept {
+    for (std::size_t i = 1; i < n; ++i) {
+      const Key x = a[i];
+      std::size_t j = i;
+      for (; j > 0 && a[j - 1] > x; --j) a[j] = a[j - 1];
+      a[j] = x;
+    }
+  }
+
+  /// Moves the need smallest keys of a[0, n) into a[0, need), ascending:
+  /// an insertion sort whose sorted prefix stops growing at need.
+  template <class Key>
+  static void insertion_select(Key* a, std::size_t n, std::size_t need) noexcept {
+    insertion_sort(a, need);
+    for (std::size_t i = need; i < n; ++i) {
+      const Key x = a[i];
+      if (x >= a[need - 1]) continue;
+      a[i] = a[need - 1];
+      std::size_t j = need - 1;
+      for (; j > 0 && a[j - 1] > x; --j) a[j] = a[j - 1];
+      a[j] = x;
+    }
+  }
+
+  /// The fallback for blocks wider than the stack scratch (beams far
+  /// wider than any decode uses): in place, O(n log n), no recursion.
+  template <class Key>
+  static void heap_sort(Key* a, std::size_t n) noexcept {
+    const auto sift = [a](std::size_t root, std::size_t end) {
+      const Key x = a[root];
+      for (std::size_t c = 2 * root + 1; c < end; c = 2 * root + 1) {
+        if (c + 1 < end && a[c + 1] > a[c]) ++c;
+        if (a[c] <= x) break;
+        a[root] = a[c];
+        root = c;
+      }
+      a[root] = x;
+    };
+    for (std::size_t i = n / 2; i-- > 0;) sift(i, n);
+    for (std::size_t end = n; end > 1; --end) {
+      const Key top = a[0];
+      a[0] = a[end - 1];
+      a[end - 1] = top;
+      sift(0, end - 1);
+    }
+  }
+
+  template <class Key>
+  static bool is_sorted(const Key* a, std::size_t n) noexcept {
+    for (std::size_t i = 1; i < n; ++i)
+      if (a[i] < a[i - 1]) return false;
+    return true;
+  }
+
+  /// Smallest and largest of a[0, n), n >= 1, over two independent
+  /// accumulator pairs (one pair would serialise on its compare chain).
+  template <class Key>
+  static void min_max(const Key* a, std::size_t n, Key& mn, Key& mx) noexcept {
+    Key mn0 = a[0], mx0 = a[0], mn1 = a[0], mx1 = a[0];
+    std::size_t i = 1;
+    for (; i + 2 <= n; i += 2) {
+      mn0 = a[i] < mn0 ? a[i] : mn0;
+      mx0 = a[i] > mx0 ? a[i] : mx0;
+      mn1 = a[i + 1] < mn1 ? a[i + 1] : mn1;
+      mx1 = a[i + 1] > mx1 ? a[i + 1] : mx1;
+    }
+    if (i < n) {
+      mn0 = a[i] < mn0 ? a[i] : mn0;
+      mx0 = a[i] > mx0 ? a[i] : mx0;
+    }
+    mn = mn1 < mn0 ? mn1 : mn0;
+    mx = mx1 > mx0 ? mx1 : mx0;
+  }
+
+  /// Sorts a[0, n): by insertion when short, else by heap sort unless
+  /// it is already ascending.
+  template <class Key>
+  static void sort_run(Key* a, std::size_t n) noexcept {
+    if (n <= kInsertion)
+      insertion_sort(a, n);
+    else if (!is_sorted(a, n))
+      heap_sort(a, n);
+  }
+
+  /// Range-adaptive bucket select: moves the keep smallest keys into
+  /// [0, keep) in unspecified order (keys past keep are unspecified:
+  /// the select overwrites keys it has ruled out). Each round splits
+  /// the ambiguous block [lo, hi) — the one that straddles the keep
+  /// boundary — into at most 256 buckets spanning the block's own
+  /// [min, max] key range, with two to four keys per bucket, so a
+  /// round's counters never outnumber its keys. One forward scatter
+  /// then resolves the threshold bucket T: keys below T compact in
+  /// place (the write cursor never passes the read index), keys in T
+  /// spill to stack scratch and come back right behind them as the next
+  /// block (their min and max taken on the way), keys above T are
+  /// dropped. Short blocks, and blocks that keep only a few keys,
+  /// finish by insertion.
+  template <class Key>
+  static void partition_keys(Key* keys, std::size_t count, std::size_t keep) noexcept {
+    if (keep == 0 || keep >= count) return;
+    if (by_insertion(count, keep)) {
+      insertion_select(keys, count, keep);
+      return;
+    }
+    Key mn, mx;
+    min_max(keys, count, mn, mx);
+    Key eq[kScratch];
+    std::size_t lo = 0, hi = count;  // ambiguous block
+    std::size_t need = keep;         // how many of [lo, hi) are kept
+    while (need > 0 && need < hi - lo) {
+      const std::size_t n = hi - lo;
+      if (by_insertion(n, need)) {
+        insertion_select(keys + lo, n, need);
+        return;
+      }
+      // Power-of-two bucket width: bucket(max) = range >> shift < 2^lg,
+      // and min and max land in different buckets, so every round
+      // shrinks the block — as long as they differ, which unique keys
+      // guarantee.
+      if (mn == mx) return;
+      const int lg0 = bit_width(n) - 2;
+      const int lg = lg0 < 8 ? lg0 : 8;
+      const int sh = bit_width(static_cast<Key>(mx - mn)) - lg;
+      const int shift = sh > 0 ? sh : 0;
+      const std::size_t buckets = static_cast<std::size_t>((mx - mn) >> shift) + 1;
+      std::uint32_t cnt[256];
+      for (std::size_t b = 0; b < buckets; ++b) cnt[b] = 0;
+      for (std::size_t i = lo; i < hi; ++i) ++cnt[(keys[i] - mn) >> shift];
+
+      // Threshold bucket T: it straddles the keep boundary.
+      std::size_t acc = 0;
+      Key T = 0;
+      for (;; ++T) {
+        if (acc + cnt[T] > need) break;
+        acc += cnt[T];
+      }
+      if (cnt[T] >= kScratch) {  // only beams far wider than the scratch
+        heap_sort(keys + lo, n);
+        return;
+      }
+      std::size_t m = lo, e = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Key x = keys[i];
+        const Key b = (x - mn) >> shift;
+        keys[m] = x;
+        m += b < T;
+        eq[e] = x;
+        e += b == T;
+      }
+      mn = ~Key{0};
+      mx = 0;
+      for (std::size_t i = 0; i < e; ++i) {
+        keys[m + i] = eq[i];
+        mn = eq[i] < mn ? eq[i] : mn;
+        mx = eq[i] > mx ? eq[i] : mx;
+      }
+      need -= m - lo;
+      lo = m;
+      hi = m + e;
+    }
+  }
+
+  /// Range-adaptive bucket sort of keys[0, n): one counting pass
+  /// scatters the keys into n to 2n buckets spanning their [min, max]
+  /// range, and an insertion pass over the full keys finishes the job —
+  /// keys never cross a bucket boundary, and buckets hold a key or two,
+  /// so that pass is about one comparison per key. It also orders the
+  /// equal-cost runs (one bucket each) by candidate index. A bucket too
+  /// wide for insertion is sorted on its own.
+  template <class Key>
+  static void sort_keys(Key* keys, std::size_t n) noexcept {
+    if (n <= kInsertion || n > kScratch) {
+      sort_run(keys, n);
+      return;
+    }
+    if (is_sorted(keys, n)) return;  // a zero-symbol level's kept set
+    Key mn, mx;
+    min_max(keys, n, mn, mx);
+    constexpr int kMaxLg = 12;  // 4096 buckets: the scratch size
+    const int lg0 = bit_width(n);
+    const int lg = lg0 < kMaxLg ? lg0 : kMaxLg;
+    const int sh = bit_width(static_cast<Key>(mx - mn)) - lg;
+    const int shift = sh > 0 ? sh : 0;
+    const std::size_t buckets = static_cast<std::size_t>((mx - mn) >> shift) + 1;
+    std::uint16_t off[(1u << kMaxLg) + 1];
+    for (std::size_t b = 0; b <= buckets; ++b) off[b] = 0;
+    for (std::size_t i = 0; i < n; ++i) ++off[((keys[i] - mn) >> shift) + 1];
+    std::uint16_t widest = 0;
+    for (std::size_t b = 1; b <= buckets; ++b) {
+      widest = off[b] > widest ? off[b] : widest;
+      off[b] = static_cast<std::uint16_t>(off[b] + off[b - 1]);
+    }
+    Key tmp[kScratch];
+    for (std::size_t i = 0; i < n; ++i) tmp[off[(keys[i] - mn) >> shift]++] = keys[i];
+    if (widest <= kInsertion) {
+      insertion_sort(tmp, n);
+    } else {
+      for (std::size_t b = 0, start = 0; b < buckets; start = off[b++])
+        sort_run(tmp + start, off[b] - start);
+    }
+    for (std::size_t i = 0; i < n; ++i) keys[i] = tmp[i];
+  }
+
+  /// LaneKernels::tighten, exact: partitions the keep smallest keys to
+  /// the front and bounds them by their largest — the tightest
+  /// admissible bound there is.
+  template <class Lane>
+  static std::size_t tighten(typename Lane::key_t* keys, std::size_t count,
+                             std::size_t keep, typename Lane::key_t* bound) noexcept {
+    if (keep == 0 || keep >= count) return count;
+    partition_keys(keys, count, keep);
+    typename Lane::key_t mx = keys[0];
+    for (std::size_t j = 1; j < keep; ++j) mx = keys[j] > mx ? keys[j] : mx;
+    *bound = mx;
+    return keep;
+  }
+
+  /// LaneKernels::select: partition, then sort the kept prefix.
+  template <class Lane>
+  static void select(typename Lane::key_t* keys, std::size_t count,
+                     std::size_t keep) noexcept {
+    if (keep == 0) return;
+    partition_keys(keys, count, keep);
+    sort_keys(keys, keep < count ? keep : count);
+  }
 };
 
 }  // namespace

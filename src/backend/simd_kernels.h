@@ -26,6 +26,7 @@
 #include <type_traits>
 
 #include "backend/scalar_kernels.h"
+#include "backend/simd_select.h"
 
 namespace spinal::backend::simd {
 namespace {
@@ -771,6 +772,13 @@ struct SimdOps {
       }
     }
   }
+
+  /// The packed-key select (LaneKernels::tighten and select): the
+  /// sampled threshold and the sorting network of simd_select.h.
+  template <class Lane>
+  static constexpr auto tighten = &KeySelect<V, Lane>::tighten;
+  template <class Lane>
+  static constexpr auto select = &KeySelect<V, Lane>::select;
 
   /// Dense GF(2) row combine, dst ^= src over 64-bit words. XOR is exact
   /// in any lane width, so this is bit-identical to the scalar kernel by

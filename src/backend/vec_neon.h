@@ -114,6 +114,61 @@ struct VecNeon {
   }
 
   static U min_u32(U a, U b) { return vminq_u32(a, b); }
+  static U max_u32(U a, U b) { return vmaxq_u32(a, b); }
+
+  // ---- u64 key lanes (the packed-key select, simd_select.h) ----
+  /// Bitmask of u64 lanes where a > b, unsigned.
+  static unsigned gtu64_mask(U a, U b) {
+    const uint64x2_t gt = vcgtq_u64(vreinterpretq_u64_u32(a), vreinterpretq_u64_u32(b));
+    return static_cast<unsigned>((vgetq_lane_u64(gt, 0) & 1u) |
+                                 ((vgetq_lane_u64(gt, 1) & 1u) << 1));
+  }
+  /// The sorting network's u64 domain: the keys themselves (the
+  /// compares are unsigned already).
+  static U bias_u64(U a) { return a; }
+  static U min_biased_u64(U a, U b) {
+    const uint64x2_t a64 = vreinterpretq_u64_u32(a), b64 = vreinterpretq_u64_u32(b);
+    return vreinterpretq_u32_u64(vbslq_u64(vcgtq_u64(a64, b64), b64, a64));
+  }
+  static U max_biased_u64(U a, U b) {
+    const uint64x2_t a64 = vreinterpretq_u64_u32(a), b64 = vreinterpretq_u64_u32(b);
+    return vreinterpretq_u32_u64(vbslq_u64(vcgtq_u64(a64, b64), a64, b64));
+  }
+  /// acc plus one in each u64 (u32) lane where a > b, unsigned.
+  static U count_gtu64(U acc, U a, U b) {
+    return vreinterpretq_u32_u64(
+        vsubq_u64(vreinterpretq_u64_u32(acc),
+                  vcgtq_u64(vreinterpretq_u64_u32(a), vreinterpretq_u64_u32(b))));
+  }
+  static U count_gtu32(U acc, U a, U b) { return vsubq_u32(acc, vcgtq_u32(a, b)); }
+
+  /// Appends the u64 lanes of v whose bit is set in keep_mask to dst,
+  /// in lane order; returns the count. May write up to 2 slots.
+  static std::size_t compress_store_u64(std::uint64_t* dst, U v, unsigned keep_mask) {
+    std::uint64_t b[2];
+    vst1q_u64(b, vreinterpretq_u64_u32(v));
+    std::size_t n = 0;
+    for (unsigned l = 0; l < 2; ++l) {
+      dst[n] = b[l];
+      n += (keep_mask >> l) & 1u;  // branchless append
+    }
+    return n;
+  }
+
+  /// out[l] = v[idx[l]] over uint32 lanes: TBL on the byte indices
+  /// 4*idx + (0, 1, 2, 3).
+  static U permute(U v, U idx) {
+    const U bytes = vaddq_u32(vmulq_n_u32(vshlq_n_u32(idx, 2), 0x01010101u),
+                              vdupq_n_u32(0x03020100u));
+    return vreinterpretq_u32_u8(
+        vqtbl1q_u8(vreinterpretq_u8_u32(v), vreinterpretq_u8_u32(bytes)));
+  }
+
+  /// Lane l of b where bit l of bits is set, else lane l of a.
+  static U blend(unsigned bits, U a, U b) {
+    static const std::uint32_t w[4] = {1, 2, 4, 8};
+    return vbslq_u32(vtstq_u32(vdupq_n_u32(bits), vld1q_u32(w)), b, a);
+  }
 
   /// Zero-extends W uint16 values to uint32 lanes.
   static U widen_load_u16(const std::uint16_t* p) { return vmovl_u16(vld1_u16(p)); }

@@ -122,6 +122,63 @@ struct Vec128 {
   }
 
   static U min_u32(U a, U b) { return _mm_min_epu32(a, b); }
+  static U max_u32(U a, U b) { return _mm_max_epu32(a, b); }
+
+  // ---- u64 key lanes (the packed-key select, simd_select.h) ----
+  /// Lanes where a > b, unsigned, as all-ones u64 lanes (PCMPGTQ is
+  /// signed: flip the sign bit of both operands first).
+  static U gtu64(U a, U b) {
+    const U sign = _mm_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
+    return _mm_cmpgt_epi64(_mm_xor_si128(a, sign), _mm_xor_si128(b, sign));
+  }
+  /// Bitmask of u64 lanes where a > b, unsigned.
+  static unsigned gtu64_mask(U a, U b) {
+    return static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(gtu64(a, b))));
+  }
+  /// The sorting network's u64 domain: keys with the sign bit flipped,
+  /// so the signed PCMPGTQ orders them and each compare-exchange saves
+  /// two flips.
+  static U bias_u64(U a) {
+    return _mm_xor_si128(a, _mm_set1_epi64x(static_cast<long long>(0x8000000000000000ull)));
+  }
+  static U min_biased_u64(U a, U b) { return _mm_blendv_epi8(a, b, _mm_cmpgt_epi64(a, b)); }
+  static U max_biased_u64(U a, U b) { return _mm_blendv_epi8(b, a, _mm_cmpgt_epi64(a, b)); }
+  /// acc plus one in each u64 (u32) lane where a > b, unsigned.
+  static U count_gtu64(U acc, U a, U b) { return _mm_sub_epi64(acc, gtu64(a, b)); }
+  static U count_gtu32(U acc, U a, U b) {
+    const U sign = _mm_set1_epi32(static_cast<int>(0x80000000u));
+    return _mm_sub_epi32(acc, _mm_cmpgt_epi32(_mm_xor_si128(a, sign), _mm_xor_si128(b, sign)));
+  }
+
+  /// Appends the u64 lanes of v whose bit is set in keep_mask to dst,
+  /// in lane order; returns the count. May write up to 2 slots.
+  static std::size_t compress_store_u64(std::uint64_t* dst, U v, unsigned keep_mask) {
+    alignas(16) std::uint64_t b[2];
+    _mm_store_si128(reinterpret_cast<__m128i*>(b), v);
+    std::size_t n = 0;
+    for (unsigned l = 0; l < 2; ++l) {
+      dst[n] = b[l];
+      n += (keep_mask >> l) & 1u;  // branchless append
+    }
+    return n;
+  }
+
+  /// out[l] = v[idx[l]] over uint32 lanes: PSHUFB on the byte indices
+  /// 4*idx + (0, 1, 2, 3).
+  static U permute(U v, U idx) {
+    const U bytes =
+        _mm_add_epi32(_mm_mullo_epi32(_mm_slli_epi32(idx, 2), _mm_set1_epi32(0x01010101)),
+                      _mm_set1_epi32(0x03020100));
+    return _mm_shuffle_epi8(v, bytes);
+  }
+
+  /// Lane l of b where bit l of bits is set, else lane l of a.
+  static U blend(unsigned bits, U a, U b) {
+    const U lane_bit = _mm_setr_epi32(1, 2, 4, 8);
+    const U m = _mm_cmpeq_epi32(_mm_and_si128(_mm_set1_epi32(static_cast<int>(bits)), lane_bit),
+                                lane_bit);
+    return _mm_blendv_epi8(a, b, m);
+  }
 
   /// Zero-extends W uint16 values to uint32 lanes.
   static U widen_load_u16(const std::uint16_t* p) {
@@ -236,6 +293,60 @@ struct Vec256 {
   }
 
   static U min_u32(U a, U b) { return _mm256_min_epu32(a, b); }
+  static U max_u32(U a, U b) { return _mm256_max_epu32(a, b); }
+
+  // ---- u64 key lanes (the packed-key select, simd_select.h) ----
+  /// Lanes where a > b, unsigned, as all-ones u64 lanes.
+  static U gtu64(U a, U b) {
+    const U sign = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
+    return _mm256_cmpgt_epi64(_mm256_xor_si256(a, sign), _mm256_xor_si256(b, sign));
+  }
+  /// Bitmask of u64 lanes where a > b, unsigned.
+  static unsigned gtu64_mask(U a, U b) {
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(gtu64(a, b))));
+  }
+  /// The sorting network's u64 domain: keys with the sign bit flipped,
+  /// so the signed VPCMPGTQ orders them and each compare-exchange saves
+  /// two flips.
+  static U bias_u64(U a) {
+    return _mm256_xor_si256(a, _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull)));
+  }
+  static U min_biased_u64(U a, U b) {
+    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
+  }
+  static U max_biased_u64(U a, U b) {
+    return _mm256_blendv_epi8(b, a, _mm256_cmpgt_epi64(a, b));
+  }
+  /// acc plus one in each u64 (u32) lane where a > b, unsigned.
+  static U count_gtu64(U acc, U a, U b) { return _mm256_sub_epi64(acc, gtu64(a, b)); }
+  static U count_gtu32(U acc, U a, U b) {
+    const U sign = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+    return _mm256_sub_epi32(
+        acc, _mm256_cmpgt_epi32(_mm256_xor_si256(a, sign), _mm256_xor_si256(b, sign)));
+  }
+
+  /// Appends the u64 lanes of v whose bit is set in keep_mask to dst,
+  /// in lane order; returns the count. A u64 lane is two u32 lanes, so
+  /// the u32 compress table serves with every mask bit doubled. May
+  /// write a full vector of slack regardless of the count.
+  static std::size_t compress_store_u64(std::uint64_t* dst, U v, unsigned keep_mask) {
+    static constexpr std::uint8_t kDoubled[16] = {0x00, 0x03, 0x0C, 0x0F, 0x30, 0x33,
+                                                  0x3C, 0x3F, 0xC0, 0xC3, 0xCC, 0xCF,
+                                                  0xF0, 0xF3, 0xFC, 0xFF};
+    compress_store_u32(reinterpret_cast<std::uint32_t*>(dst), v, kDoubled[keep_mask]);
+    return static_cast<std::size_t>(__builtin_popcount(keep_mask));
+  }
+
+  /// out[l] = v[idx[l]] over uint32 lanes.
+  static U permute(U v, U idx) { return _mm256_permutevar8x32_epi32(v, idx); }
+
+  /// Lane l of b where bit l of bits is set, else lane l of a.
+  static U blend(unsigned bits, U a, U b) {
+    const U lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const U m = _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits)), lane_bit), lane_bit);
+    return _mm256_blendv_epi8(a, b, m);
+  }
 
   /// Zero-extends W uint16 values to uint32 lanes.
   static U widen_load_u16(const std::uint16_t* p) {
@@ -405,6 +516,39 @@ struct Vec512 {
   }
 
   static U min_u32(U a, U b) { return _mm512_maskz_min_epu32(kAll, a, b); }
+  static U max_u32(U a, U b) { return _mm512_maskz_max_epu32(kAll, a, b); }
+
+  // ---- u64 key lanes (the packed-key select, simd_select.h) ----
+  /// Bitmask of u64 lanes where a > b, unsigned: a native compare.
+  static unsigned gtu64_mask(U a, U b) { return _mm512_cmpgt_epu64_mask(a, b); }
+  /// The sorting network's u64 domain: the keys themselves (the
+  /// compares are unsigned already).
+  static U bias_u64(U a) { return a; }
+  static U min_biased_u64(U a, U b) { return _mm512_maskz_min_epu64(0xFF, a, b); }
+  static U max_biased_u64(U a, U b) { return _mm512_maskz_max_epu64(0xFF, a, b); }
+  /// acc plus one in each u64 (u32) lane where a > b, unsigned.
+  static U count_gtu64(U acc, U a, U b) {
+    return _mm512_mask_sub_epi64(acc, _mm512_cmpgt_epu64_mask(a, b), acc, _mm512_set1_epi64(-1));
+  }
+  static U count_gtu32(U acc, U a, U b) {
+    return _mm512_mask_sub_epi32(acc, _mm512_cmpgt_epu32_mask(a, b), acc, _mm512_set1_epi32(-1));
+  }
+
+  /// Appends the u64 lanes of v whose bit is set in keep_mask to dst,
+  /// in lane order (VPCOMPRESSQ, full-vector store); returns the count.
+  /// May write a full vector of slack regardless of the count.
+  static std::size_t compress_store_u64(std::uint64_t* dst, U v, unsigned keep_mask) {
+    _mm512_storeu_si512(dst, _mm512_maskz_compress_epi64(static_cast<__mmask8>(keep_mask), v));
+    return static_cast<std::size_t>(__builtin_popcount(keep_mask));
+  }
+
+  /// out[l] = v[idx[l]] over uint32 lanes.
+  static U permute(U v, U idx) { return _mm512_maskz_permutexvar_epi32(kAll, idx, v); }
+
+  /// Lane l of b where bit l of bits is set, else lane l of a.
+  static U blend(unsigned bits, U a, U b) {
+    return _mm512_mask_blend_epi32(static_cast<__mmask16>(bits), a, b);
+  }
 
   /// Zero-extends W uint16 values to uint32 lanes.
   static U widen_load_u16(const std::uint16_t* p) {

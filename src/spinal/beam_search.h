@@ -33,8 +33,10 @@
 //     pruning level seeds it without any select: its first block is
 //     just the ceil(B / 2^k) leaves that hold B candidates, and the
 //     largest of their keys is admissible (B candidates sit at or
-//     below it). Bucket selects over the small survivor set then
-//     tighten it block by block;
+//     below it). The backend's tighten then lowers it block by block
+//     to a sampled pivot over the small survivor set — admissible, not
+//     exact: at least B survivors sit at or below it, and the exact
+//     select runs once, at the end of the level;
 //   - because kept beams are sorted by (cost, index), whole trailing
 //     leaf blocks (d=1) or entries (d>1) are skipped outright once
 //     their key floor — parent cost, plus the first candidate index
@@ -351,32 +353,23 @@ class BeamSearch {
   /// that provably contains the kept set), so this is the same
   /// selection, run over far fewer keys.
   template <class Lane>
-  static void finalize_keys(LaneBuffers<Lane>& lw, std::size_t sc, int keep,
-                            int cand_total) {
+  static void finalize_keys(const backend::LaneKernels<Lane>& kern, LaneBuffers<Lane>& lw,
+                            std::size_t sc, int keep, int cand_total) {
     if (keep >= cand_total) return;  // no pruning: candidate order is the contract
-    if (static_cast<std::size_t>(keep) >= sc)
-      backend::sort_keys(lw.keys.data(), sc);
-    else
-      backend::select_keys(lw.keys.data(), sc, static_cast<std::size_t>(keep));
+    kern.select(lw.keys.data(), sc, static_cast<std::size_t>(keep));
   }
 
-  /// Tightens the online pruning bound to the keep-th best survivor key
-  /// seen so far — the block-local refinement that replaced the global
-  /// select. Survivors past the keep-th best can never be kept, so the
-  /// buffer also truncates to keep entries; keys are pure (cost,
+  /// Tightens the online pruning bound — the block-local refinement
+  /// that replaced the global select. The backend's tighten returns an
+  /// admissible bound (at least keep survivors at or below it) and
+  /// truncates the buffer to the survivors that clear it: survivors
+  /// past the bound can never be kept, and keys are pure (cost,
   /// candidate index) values, so no record gathering is involved.
   template <class Lane>
-  static void tighten(LaneBuffers<Lane>& lw, int keep, std::size_t& sc,
-                      typename Lane::key_t& bound_key) {
+  static void tighten(const backend::LaneKernels<Lane>& kern, LaneBuffers<Lane>& lw,
+                      int keep, std::size_t& sc, typename Lane::key_t& bound_key) {
     if (sc <= static_cast<std::size_t>(keep)) return;
-    // Set-only partition: the kept order is irrelevant here (the final
-    // select re-sorts), so the bound is the max over the kept prefix —
-    // the full packed key, tie-break included.
-    backend::partition_keys(lw.keys.data(), sc, static_cast<std::size_t>(keep));
-    sc = static_cast<std::size_t>(keep);
-    typename Lane::key_t mx = 0;
-    for (std::size_t j = 0; j < sc; ++j) mx = std::max(mx, lw.keys[j]);
-    bound_key = mx;
+    sc = kern.tighten(lw.keys.data(), sc, static_cast<std::size_t>(keep), &bound_key);
   }
 
   /// ---- Streaming expand–prune pipeline (batched Envs) ----
@@ -521,10 +514,10 @@ class BeamSearch {
         if (prune && bound_key == Lane::kKeepAll)
           bound_key = *std::max_element(lw.keys.data(), lw.keys.data() + sc);  // the seed
         else if (sc >= trigger)
-          tighten<Lane>(lw, keep, sc, bound_key);
+          tighten<Lane>(kern, lw, keep, sc, bound_key);
       }
 
-      finalize_keys<Lane>(lw, sc, keep, cand_total);
+      finalize_keys<Lane>(kern, lw, sc, keep, cand_total);
 
       ws.next_entry_arena.resize(keep);
       ws.next_state.resize(keep);
@@ -622,10 +615,10 @@ class BeamSearch {
         }
         en0 += eb;
         if (sc >= trigger && en0 < entries && !cutoff)
-          tighten<Lane>(lw, keep, sc, bound_key);
+          tighten<Lane>(kern, lw, keep, sc, bound_key);
       }
 
-      finalize_keys<Lane>(lw, sc, keep, cand_total);
+      finalize_keys<Lane>(kern, lw, sc, keep, cand_total);
 
       ws.next_entry_arena.resize(keep);
       ws.next_state.resize(static_cast<std::size_t>(keep) * rows);
@@ -736,12 +729,12 @@ class BeamSearch {
 
       // ---- Select the B best subtrees (ties broken by index) ----
       // Keys order exactly like the float comparator (cost, then
-      // candidate index); see backend::select_keys for the determinism
-      // contract. With no pruning the keys are already in
-      // candidate-index order, the historical (and deterministic)
-      // layout.
+      // candidate index); see LaneKernels::select for the determinism
+      // contract. With no pruning the keys stay in candidate-index
+      // order, the historical (and deterministic) layout.
       const int keep = std::min(B, cand_total);
-      backend::select_keys(lw.keys.data(), static_cast<std::size_t>(cand_total),
+      if (keep < cand_total)
+        cur.be->f32.select(lw.keys.data(), static_cast<std::size_t>(cand_total),
                            static_cast<std::size_t>(keep));
 
       ws.next_entry_arena.resize(keep);

@@ -17,6 +17,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/prng.h"
@@ -578,72 +580,102 @@ std::uint32_t u16_key(float cost, std::uint32_t cand) {
   return backend::quant_key(static_cast<std::uint32_t>(cost * 16.0f) & 0xFFFF, cand & 0xFFFF);
 }
 
-/// partition_keys keeps exactly the keep smallest keys (as a set).
+/// The cost lane whose select runs on @p Key keys.
 template <class Key>
-void expect_partition_set(const std::vector<Key>& keys, std::size_t keep,
+using LaneOf = std::conditional_t<sizeof(Key) == 8, backend::F32Lane, backend::U16Lane>;
+
+/// A value no select writes on its own: guard words past count.
+template <class Key>
+constexpr Key kGuardKey = static_cast<Key>(0x5A5A5A5A5A5A5A5Aull);
+
+/// The keys followed by kCompressSlack + 4 guard words.
+template <class Key>
+std::vector<Key> guarded(const std::vector<Key>& keys) {
+  std::vector<Key> work = keys;
+  work.resize(keys.size() + backend::kCompressSlack + 4, kGuardKey<Key>);
+  return work;
+}
+
+template <class Key>
+void expect_guards(const std::vector<Key>& work, std::size_t n, const std::string& what) {
+  for (std::size_t i = n; i < work.size(); ++i)
+    EXPECT_EQ(work[i], kGuardKey<Key>) << what << ": wrote slot " << i << " past count";
+}
+
+/// The tighten contract (keep < n): it returns m >= keep and a bound,
+/// and keys[0, m) holds exactly the keys <= the bound — so the bound is
+/// admissible. Nothing at or past count is written.
+template <class Key>
+void expect_tighten(const Backend* b, const std::vector<Key>& keys, std::size_t keep,
+                    const std::string& label) {
+  const std::size_t n = keys.size();
+  std::vector<Key> work = guarded(keys);
+  Key bound = kGuardKey<Key>;
+  const std::size_t m = b->lane<LaneOf<Key>>().tighten(work.data(), n, keep, &bound);
+  const std::string what = std::string(b->name) + " " + label + " n=" + std::to_string(n) +
+                           " keep=" + std::to_string(keep);
+  EXPECT_GE(m, keep) << what;
+  std::vector<Key> want;
+  for (const Key k : keys)
+    if (k <= bound) want.push_back(k);
+  std::sort(want.begin(), want.end());
+  std::vector<Key> got(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(std::min(m, n)));
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want) << what;
+  expect_guards(work, n, what);
+}
+
+/// The select contract: the min(keep, n) smallest keys, ascending, at
+/// the front — the full sort's prefix. Nothing past count is written.
+template <class Key>
+void expect_select_prefix(const Backend* b, const std::vector<Key>& keys, std::size_t keep,
                           const std::string& label) {
   std::vector<Key> sorted = keys;
   std::sort(sorted.begin(), sorted.end());
-  std::vector<Key> work = keys;
-  backend::partition_keys(work.data(), work.size(), keep);
+  std::vector<Key> work = guarded(keys);
+  b->lane<LaneOf<Key>>().select(work.data(), keys.size(), keep);
   const std::size_t kept = std::min(keep, keys.size());
-  std::sort(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(kept));
+  const std::string what = std::string(b->name) + " " + label +
+                           " n=" + std::to_string(keys.size()) + " keep=" + std::to_string(keep);
   EXPECT_TRUE(std::equal(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(kept),
                          sorted.begin()))
-      << label << " n=" << keys.size() << " keep=" << keep;
+      << what;
+  expect_guards(work, keys.size(), what);
 }
 
-/// select_keys keeps the full sort's prefix, in order.
-template <class Key>
-void expect_select_prefix(const std::vector<Key>& keys, std::size_t keep,
-                          const std::string& label) {
-  std::vector<Key> sorted = keys;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<Key> work = keys;
-  backend::select_keys(work.data(), work.size(), keep);
-  const std::size_t kept = std::min(keep, keys.size());
-  EXPECT_TRUE(std::equal(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(kept),
-                         sorted.begin()))
-      << label << " n=" << keys.size() << " keep=" << keep;
-}
-
-TEST(BackendKernels, PartitionKeysKeepsTheSelectSet) {
-  // The set-only refinement half of the selection contract: the keep
-  // smallest keys land in [0, keep) in some order — exactly the
-  // select_keys set, order-free.
+TEST(BackendKernels, TightenKeepsEveryKeyAtOrBelowItsBound) {
+  // The search's mid-level refinement on u64 keys, on every backend:
+  // an admissible bound (keep keys at or below it) and a buffer
+  // compacted to exactly the keys at or below it — over clustered walks
+  // and every select shape.
   util::Xoshiro256 prng(112);
-  for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{4096}}) {
-    std::vector<float> costs(n);
-    float walk = 5.0f;
-    for (auto& c : costs) {
-      walk += static_cast<float>(prng.next_double()) * 0.25f;
-      c = walk + static_cast<float>(prng.next_double()) * 2.0f;
+  for (const Backend* b : backend::available()) {
+    for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{546},
+                          std::size_t{4096}}) {
+      std::vector<float> costs(n);
+      float walk = 5.0f;
+      for (auto& c : costs) {
+        walk += static_cast<float>(prng.next_double()) * 0.25f;
+        c = walk + static_cast<float>(prng.next_double()) * 2.0f;
+      }
+      std::vector<std::uint64_t> keys(n);
+      backend::build_keys(costs.data(), n, keys.data());
+      for (std::size_t keep : {std::size_t{1}, std::size_t{64}, n / 2, n - 1})
+        if (keep > 0 && keep < n) expect_tighten(b, keys, keep, "walk");
     }
-    std::vector<std::uint64_t> keys(n);
-    backend::build_keys(costs.data(), n, keys.data());
-    std::vector<std::uint64_t> sorted = keys;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t keep : {std::size_t{1}, n / 2, n - 1}) {
-      if (keep == 0) continue;
-      std::vector<std::uint64_t> work = keys;
-      backend::partition_keys(work.data(), n, keep);
-      std::sort(work.begin(), work.begin() + keep);
-      for (std::size_t i = 0; i < keep; ++i)
-        EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
+    for (const SelectShape& shape : select_shapes(prng)) {
+      const auto keys = shape_keys<std::uint64_t>(shape, prng, f32_key);
+      for (std::size_t keep : shape.keeps)
+        if (keep > 0 && keep < keys.size()) expect_tighten(b, keys, keep, shape.label);
     }
-  }
-  for (const SelectShape& shape : select_shapes(prng)) {
-    const auto keys = shape_keys<std::uint64_t>(shape, prng, f32_key);
-    for (std::size_t keep : shape.keeps)
-      if (keep > 0) expect_partition_set(keys, keep, shape.label);
   }
 }
 
 TEST(BackendKernels, SelectionKeysMatchFirstPrinciples) {
-  // One selection implementation serves every backend, so the oracle
-  // is first principles: build_keys packs F32Lane keys (monotone cost
-  // word, candidate index) and select_keys keeps the full sort's prefix
-  // in order — over mixed signs and exact ties at zero.
+  // Every backend's select answers to first principles: build_keys
+  // packs F32Lane keys (monotone cost word, candidate index) and the
+  // select keeps the full sort's prefix in order — over mixed signs and
+  // exact ties at zero.
   util::Xoshiro256 prng(106);
   for (std::size_t n : {std::size_t{1}, std::size_t{17}, std::size_t{1024}}) {
     std::vector<float> costs(n);
@@ -657,13 +689,17 @@ TEST(BackendKernels, SelectionKeysMatchFirstPrinciples) {
     backend::build_keys(costs.data(), n, got.data());
     EXPECT_EQ(want, got) << "build_keys n=" << n;
 
-    // Selection: the kept set and its order are the sorted prefix.
+    // Selection: the kept set and its order are the sorted prefix, on
+    // every backend.
     const std::size_t keep = n / 2 + 1;
     std::sort(want.begin(), want.end());
-    backend::select_keys(got.data(), n, keep);
     want.resize(keep);
-    got.resize(keep);
-    EXPECT_EQ(want, got) << "select_keys n=" << n;
+    for (const Backend* b : backend::available()) {
+      std::vector<std::uint64_t> sel = got;
+      b->f32.select(sel.data(), n, keep);
+      sel.resize(keep);
+      EXPECT_EQ(want, sel) << b->name << " select n=" << n;
+    }
   }
 }
 
@@ -852,16 +888,13 @@ TEST(BackendKernels, StreamingPruneEqualsFullExpandSelect) {
         sc += b->f32.d1_prune(parent.data() + L, child.data() + L * fanout, n, fanout,
                           static_cast<std::uint32_t>(L * fanout), bound,
                           keys.data() + sc);
-        // The online bound: keep-th best survivor so far, via the
-        // block-local radix refinement (truncation is admissible).
-        if (sc >= trigger && L + n < count) {
-          backend::select_keys(keys.data(), sc, static_cast<std::size_t>(keep));
-          sc = static_cast<std::size_t>(keep);
-          bound = keys[keep - 1];  // the full keep-th-best packed key
-        }
+        // The online bound: the backend's tighten, as beam_search runs
+        // it (an admissible bound; truncation to it is admissible).
+        if (sc >= trigger && L + n < count)
+          sc = b->f32.tighten(keys.data(), sc, static_cast<std::size_t>(keep), &bound);
       }
       ASSERT_GE(sc, static_cast<std::size_t>(keep)) << b->name << " seed=" << seed;
-      backend::select_keys(keys.data(), sc, static_cast<std::size_t>(keep));
+      b->f32.select(keys.data(), sc, static_cast<std::size_t>(keep));
       // The kept keys — cost bits AND candidate indices, in packed-key
       // order — must be exactly the full sort's prefix.
       for (int j = 0; j < keep; ++j)
@@ -871,41 +904,31 @@ TEST(BackendKernels, StreamingPruneEqualsFullExpandSelect) {
 }
 
 TEST(BackendKernels, SelectKeysMatchesFullSortReference) {
-  // The radix selection must keep exactly the keep smallest keys, in
-  // ascending order — i.e. the prefix of a full sort. Exercised on
-  // clustered near-sorted keys (the shape real decode costs have) and
-  // several keep points.
+  // Every backend's select must keep exactly the keep smallest keys, in
+  // ascending order — the prefix of a full sort; keep >= n sorts them
+  // all. Exercised on clustered near-sorted keys (the shape real decode
+  // costs have), several keep points and every select shape.
   util::Xoshiro256 prng(108);
-  for (std::size_t n : {std::size_t{2}, std::size_t{100}, std::size_t{4096},
-                        std::size_t{5000}}) {
-    std::vector<float> costs(n);
-    float walk = 20.0f;
-    for (auto& c : costs) {
-      walk += static_cast<float>(prng.next_double()) * 0.25f;
-      c = walk + static_cast<float>(prng.next_double()) * 2.0f;
-    }
-    std::vector<std::uint64_t> keys(n);
-    backend::build_keys(costs.data(), n, keys.data());
-    std::vector<std::uint64_t> sorted = keys;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t keep : {std::size_t{1}, n / 3, n - 1, n}) {
-      if (keep == 0) continue;
-      std::vector<std::uint64_t> work = keys;
-      backend::select_keys(work.data(), n, keep);
-      bool ok = true;
-      if (keep < n) {
-        for (std::size_t i = 0; i < keep; ++i) ok &= work[i] == sorted[i];
-      } else {
-        // keep == n is a no-op by contract (no pruning, order kept).
-        ok = work == keys;
+  for (const Backend* b : backend::available()) {
+    for (std::size_t n : {std::size_t{2}, std::size_t{100}, std::size_t{4096},
+                          std::size_t{5000}}) {
+      std::vector<float> costs(n);
+      float walk = 20.0f;
+      for (auto& c : costs) {
+        walk += static_cast<float>(prng.next_double()) * 0.25f;
+        c = walk + static_cast<float>(prng.next_double()) * 2.0f;
       }
-      EXPECT_TRUE(ok) << "n=" << n << " keep=" << keep;
+      std::vector<std::uint64_t> keys(n);
+      backend::build_keys(costs.data(), n, keys.data());
+      for (std::size_t keep : {std::size_t{1}, n / 3, n - 1, n, n + 20})
+        if (keep > 0) expect_select_prefix(b, keys, keep, "walk");
     }
-  }
-  for (const SelectShape& shape : select_shapes(prng)) {
-    const auto keys = shape_keys<std::uint64_t>(shape, prng, f32_key);
-    for (std::size_t keep : shape.keeps)
-      if (keep > 0 && keep < keys.size()) expect_select_prefix(keys, keep, shape.label);
+    for (const SelectShape& shape : select_shapes(prng)) {
+      const auto keys = shape_keys<std::uint64_t>(shape, prng, f32_key);
+      for (std::size_t keep : shape.keeps)
+        if (keep > 0) expect_select_prefix(b, keys, keep, shape.label);
+      expect_select_prefix(b, keys, keys.size(), shape.label + " (full sort)");
+    }
   }
 }
 
@@ -1332,89 +1355,78 @@ TEST(BackendKernels, QuantizedRegroupEmitMatchesScalarExactly) {
   }
 }
 
-TEST(BackendKernels, PartitionKeysU32KeepsTheSelectSet) {
-  // Set-only contract of the u32 refinement used by the quantized
-  // selection: the keep smallest keys land in [0, keep) in some order.
+/// Long equal-cost runs: integer costs that step every 50-200
+/// candidates, as a renormalized quantized level produces.
+SelectShape cost_runs(util::Xoshiro256& prng, std::vector<std::size_t> keeps, bool shuffle) {
+  SelectShape runs{"runs", {}, std::move(keeps), shuffle};
+  float cost = 0.0f;
+  while (runs.costs.size() < 3000) {
+    runs.costs.insert(runs.costs.end(), 50 + prng.next_u64() % 151, cost);
+    cost += 1.0f;
+  }
+  runs.costs.resize(3000);
+  return runs;
+}
+
+TEST(BackendKernels, TightenU32KeepsEveryKeyAtOrBelowItsBound) {
+  // The tighten contract on the u32 keys of the quantized lane, on
+  // every backend: hundreds of keys share each cost word, so the bound
+  // must refine into the candidate-index bits.
   util::Xoshiro256 prng(125);
-  for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{4096},
-                        std::size_t{9000}}) {
-    std::vector<std::uint32_t> keys(n);
-    // Clustered costs in the high half, dense candidate ids below —
-    // the shape the quantized beam produces after renormalization.
-    std::uint32_t walk = 40;
-    for (std::size_t i = 0; i < n; ++i) {
-      walk += static_cast<std::uint32_t>(prng.next_u64() % 3u);
-      keys[i] = backend::quant_key(walk % 700u, static_cast<std::uint32_t>(i) & 0xFFFF);
+  for (const Backend* b : backend::available()) {
+    for (std::size_t n : {std::size_t{2}, std::size_t{300}, std::size_t{673},
+                          std::size_t{4096}, std::size_t{9000}}) {
+      std::vector<std::uint32_t> keys(n);
+      // Clustered costs in the high half, dense candidate ids below —
+      // the shape the quantized beam produces after renormalization.
+      std::uint32_t walk = 40;
+      for (std::size_t i = 0; i < n; ++i) {
+        walk += static_cast<std::uint32_t>(prng.next_u64() % 3u);
+        keys[i] = backend::quant_key(walk % 700u, static_cast<std::uint32_t>(i) & 0xFFFF);
+      }
+      for (std::size_t keep : {std::size_t{1}, std::size_t{256}, n / 2, n - 1})
+        if (keep > 0 && keep < n) expect_tighten(b, keys, keep, "walk");
     }
-    std::vector<std::uint32_t> sorted = keys;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t keep : {std::size_t{1}, n / 2, n - 1}) {
-      if (keep == 0) continue;
-      std::vector<std::uint32_t> work = keys;
-      backend::partition_keys(work.data(), n, keep);
-      std::sort(work.begin(), work.begin() + keep);
-      for (std::size_t i = 0; i < keep; ++i)
-        EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
+    for (const SelectShape& shape : select_shapes(prng)) {
+      const auto keys = shape_keys<std::uint32_t>(shape, prng, u16_key);
+      for (std::size_t keep : shape.keeps)
+        if (keep > 0 && keep < keys.size()) expect_tighten(b, keys, keep, shape.label);
     }
-  }
-  for (const SelectShape& shape : select_shapes(prng)) {
-    const auto keys = shape_keys<std::uint32_t>(shape, prng, u16_key);
-    for (std::size_t keep : shape.keeps)
-      if (keep > 0) expect_partition_set(keys, keep, shape.label);
-  }
-  // Long equal-cost runs: integer costs that step every 50-200
-  // candidates, as a renormalized quantized level produces.
-  for (bool shuffle : {false, true}) {
-    SelectShape runs{"runs", {}, {1, 2, 100, 999, 2000, 2999}, shuffle};
-    float cost = 0.0f;
-    while (runs.costs.size() < 3000) {
-      runs.costs.insert(runs.costs.end(), 50 + prng.next_u64() % 151, cost);
-      cost += 1.0f;
+    for (bool shuffle : {false, true}) {
+      const SelectShape runs = cost_runs(prng, {1, 2, 100, 999, 2000, 2999}, shuffle);
+      const auto keys = shape_keys<std::uint32_t>(runs, prng, u16_key);
+      for (std::size_t keep : runs.keeps) expect_tighten(b, keys, keep, runs.label);
     }
-    runs.costs.resize(3000);
-    const auto keys = shape_keys<std::uint32_t>(runs, prng, u16_key);
-    for (std::size_t keep : runs.keeps) expect_partition_set(keys, keep, runs.label);
   }
 }
 
 TEST(BackendKernels, SelectKeysU32MatchesFullSortReference) {
-  // Full contract: smallest keep keys ascending in [0, keep) — which
-  // for packed (cost << 16 | cand) keys *is* the deterministic
-  // tie-broken candidate order. Also covers keep >= count (the
-  // quantized finalize uses that as its full sort).
+  // Full contract on every backend: smallest keep keys ascending in
+  // [0, keep) — which for packed (cost << 16 | cand) keys *is* the
+  // deterministic tie-broken candidate order. Also covers keep >= count
+  // (a full sort, as for the u64 keys).
   util::Xoshiro256 prng(126);
-  for (std::size_t n :
-       {std::size_t{1}, std::size_t{37}, std::size_t{512}, std::size_t{5000}}) {
-    std::vector<std::uint32_t> keys(n);
-    for (std::size_t i = 0; i < n; ++i)
-      keys[i] = backend::quant_key(static_cast<std::uint32_t>(prng.next_u64() % 900u),
-                                   static_cast<std::uint32_t>(i) & 0xFFFF);
-    std::vector<std::uint32_t> sorted = keys;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t keep : {std::size_t{1}, n / 2, n - 1, n, n + 20}) {
-      if (keep == 0) continue;
-      std::vector<std::uint32_t> work = keys;
-      backend::select_keys(work.data(), n, keep);
-      for (std::size_t i = 0; i < std::min(keep, n); ++i)
-        EXPECT_EQ(work[i], sorted[i]) << "n=" << n << " keep=" << keep;
+  for (const Backend* b : backend::available()) {
+    for (std::size_t n :
+         {std::size_t{1}, std::size_t{37}, std::size_t{512}, std::size_t{5000}}) {
+      std::vector<std::uint32_t> keys(n);
+      for (std::size_t i = 0; i < n; ++i)
+        keys[i] = backend::quant_key(static_cast<std::uint32_t>(prng.next_u64() % 900u),
+                                     static_cast<std::uint32_t>(i) & 0xFFFF);
+      for (std::size_t keep : {std::size_t{1}, n / 2, n - 1, n, n + 20})
+        if (keep > 0) expect_select_prefix(b, keys, keep, "uniform");
     }
-  }
-  for (const SelectShape& shape : select_shapes(prng)) {
-    const auto keys = shape_keys<std::uint32_t>(shape, prng, u16_key);
-    for (std::size_t keep : shape.keeps)
-      if (keep > 0) expect_select_prefix(keys, keep, shape.label);
-    expect_select_prefix(keys, keys.size(), shape.label + " (full sort)");
-  }
-  for (bool shuffle : {false, true}) {
-    SelectShape runs{"runs", {}, {1, 2, 100, 999, 2000, 2999, 3000}, shuffle};
-    float cost = 0.0f;
-    while (runs.costs.size() < 3000) {
-      runs.costs.insert(runs.costs.end(), 50 + prng.next_u64() % 151, cost);
-      cost += 1.0f;
+    for (const SelectShape& shape : select_shapes(prng)) {
+      const auto keys = shape_keys<std::uint32_t>(shape, prng, u16_key);
+      for (std::size_t keep : shape.keeps)
+        if (keep > 0) expect_select_prefix(b, keys, keep, shape.label);
+      expect_select_prefix(b, keys, keys.size(), shape.label + " (full sort)");
     }
-    runs.costs.resize(3000);
-    const auto keys = shape_keys<std::uint32_t>(runs, prng, u16_key);
-    for (std::size_t keep : runs.keeps) expect_select_prefix(keys, keep, runs.label);
+    for (bool shuffle : {false, true}) {
+      const SelectShape runs = cost_runs(prng, {1, 2, 100, 999, 2000, 2999, 3000}, shuffle);
+      const auto keys = shape_keys<std::uint32_t>(runs, prng, u16_key);
+      for (std::size_t keep : runs.keeps) expect_select_prefix(b, keys, keep, runs.label);
+    }
   }
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "channel/awgn.h"
 #include "spinal/cost_model.h"
+#include "spinal/encoder.h"
+#include "util/crc.h"
 #include "util/prng.h"
 
 namespace spinal {
@@ -350,6 +355,41 @@ TEST(Link, ClaimedBlockRejectsBadSymbolAtReceive) {
   // Unclaimed: the store is untouched as well.
   EXPECT_THROW(rx.receive(bad), std::out_of_range);
   EXPECT_EQ(dec.symbols_received(), before + 2);
+}
+
+TEST(Link, NegativeOrdinalsAreOrdinalsModTwoToThe32) {
+  // Pinned contract for hostile ordinals: SymbolId::ordinal is an
+  // int32, and every end takes it mod 2^32 — the encoder and the decoder
+  // both draw RNG index static_cast<uint32_t>(ordinal) — so -1 is
+  // ordinal 2^32 - 1 and INT32_MIN is 2^31, ordinary observations of
+  // their spine values. A decoder and a link receiver fed nothing but
+  // such symbols decode the block.
+  const CodeParams p = link_params();
+  const auto datagram = random_datagram(static_cast<std::size_t>(p.n - 16) / 8, 31);
+  const util::BitVec block =
+      util::crc16_append(util::BitVec::from_bytes(datagram, datagram.size() * 8));
+  const SpinalEncoder enc(p, block);
+  constexpr std::int32_t kOrdinals[] = {-1, std::numeric_limits<std::int32_t>::min()};
+  // The two draws are distinct, and distinct from the first ordinals.
+  const SymbolId first{0, 0}, minus_one{0, kOrdinals[0]}, most_negative{0, kOrdinals[1]};
+  EXPECT_NE(enc.symbol(minus_one), enc.symbol(first));
+  EXPECT_NE(enc.symbol(most_negative), enc.symbol(first));
+  EXPECT_NE(enc.symbol(minus_one), enc.symbol(most_negative));
+
+  SpinalDecoder dec(p);
+  LinkReceiver rx(p, 1);
+  for (const std::int32_t ordinal : kOrdinals) {
+    for (int s = 0; s < p.spine_length(); ++s) {
+      const SymbolId id{s, ordinal};
+      dec.add_symbol(id, enc.symbol(id));
+      EXPECT_TRUE(rx.receive(LinkSymbol{0, id, enc.symbol(id)}));
+    }
+  }
+  EXPECT_EQ(dec.decode().message, block);
+  ASSERT_TRUE(rx.make_ack().all_decoded());
+  const auto received = rx.datagram();
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(*received, datagram);
 }
 
 }  // namespace
