@@ -543,6 +543,19 @@ std::vector<SelectShape> select_shapes(util::Xoshiro256& prng) {
     for (bool shuffle : {false, true})
       shapes.push_back({"bimodal" + std::to_string(n), c, {2, n / 2, n - 1}, shuffle});
   }
+  // Random sizes and keeps, uniform and integer costs: they land on
+  // every select path (sample rounds, the register network and its
+  // merge, the bucket sort) at keeps no fixed shape above picks.
+  for (int r = 0; r < 24; ++r) {
+    const std::size_t n = 25 + prng.next_below(700);
+    std::vector<float> c(n);
+    for (auto& x : c)
+      x = static_cast<float>(prng.next_double()) * 8.0f;
+    if (r % 2 == 1)
+      for (auto& x : c) x = std::floor(x);
+    const std::size_t keep = 5 + prng.next_below(n - 5);
+    shapes.push_back({"random" + std::to_string(n), c, {keep, n / 8 + 5}, r % 3 == 0});
+  }
   // Clustered walks at the size thresholds.
   for (std::size_t n : {511u, 512u, 513u, 1023u, 1024u, 2047u, 2048u, 2049u, 4095u,
                         4096u, 4097u, 8192u}) {
