@@ -18,15 +18,17 @@
 //    two whole vectors at distances of a vector or more, against a lane
 //    permutation of the same vector (partner lane l ^ x) below that.
 //
-// tighten is the threshold alone: its bound is the pivot, itself a kept
-// key, so the buffer holds exactly the keys at or below it. select is
-// the threshold when the keys far outnumber keep, then the network
-// when what is left fits the registers, else the scalar bucket sort
-// (which beats a longer network on the clustered keys a level
-// produces). Keys are unique, so the kept set and its order are those
-// of the scalar kernels on every backend. When no sampled pivot keeps
-// enough keys, and for small keeps (B <= 4) and short blocks, the
-// scalar kernels run instead. Like the other kernels, everything sits
+// tighten is the threshold alone, round after round while the keys
+// outnumber keep by more than a quarter: its bound is the last pivot,
+// itself a kept key, so the buffer holds exactly the keys at or below
+// it. select sorts through the network when keep fits the registers —
+// with one bitonic merge for up to twice that many keys — and otherwise
+// thresholds first and bucket-sorts what is left (the scalar bucket
+// sort beats a longer network on the clustered keys a level produces).
+// Keys are unique, so the kept set and its order are those of the
+// scalar kernels on every backend. When no sampled pivot keeps enough
+// keys, and for small keeps (B <= 4) and short blocks, the scalar
+// kernels run instead. Like the other kernels, everything sits
 // in an anonymous namespace inside the ISA-flagged TU and calls no
 // std:: template (see simd_kernels.h).
 
