@@ -70,27 +70,6 @@ void BM_HashChildren(benchmark::State& state) {
 }
 BENCHMARK(BM_HashChildren)->Arg(0)->Arg(1)->Arg(2)->ArgName("kind");
 
-// The serial spine walk s_{t+1} = h(s_t, m_t): chains:1 measures the
-// raw dependency-chain latency that bounds single-message encoding,
-// chains:2 and chains:4 measure how much of the core's mix throughput
-// interleaving independent chains recovers (SpineHash::spine_walk_n).
-void BM_SpineWalkN(benchmark::State& state) {
-  const hash::SpineHash h(hash::Kind::kOneAtATime, 42);
-  const std::size_t chains = static_cast<std::size_t>(state.range(0));
-  const std::size_t length = 4096;
-  std::vector<std::uint32_t> seeds(chains), data(chains * length),
-      out(chains * length);
-  for (std::size_t j = 0; j < chains; ++j) seeds[j] = static_cast<std::uint32_t>(j) + 1;
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::uint32_t>(i) * 2654435761u;
-  for (auto _ : state) {
-    h.spine_walk_n(seeds.data(), chains, data.data(), length, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * chains * length);
-}
-BENCHMARK(BM_SpineWalkN)->Arg(1)->Arg(2)->Arg(4)->ArgName("chains");
-
 // RNG draws over one-at-a-time lanes pre-mixed once (the decoder's
 // per-symbol form; the index is domain-separated as in SpineHash::rng).
 void BM_RngPremixed(benchmark::State& state) {

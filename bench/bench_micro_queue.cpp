@@ -1,7 +1,7 @@
 // Microbenchmarks for the runtime job queue (src/runtime/job_queue.h):
-// the ShardedJobQueue with one shard — the single bounded MPMC queue
-// baseline — against the four-shard layout the DecodeService scales
-// onto. Four shapes, each run on both:
+// the ShardedJobQueue with one shard — the single MPMC queue baseline —
+// against the four-shard layout the DecodeService scales onto. Four
+// shapes, each run on both:
 //
 //   PushClaim     — per-op cost of the uncontended push -> claim cycle
 //                   (the floor both layouts pay with one producer).
@@ -11,7 +11,7 @@
 //                   shards colocated each tag at fill time.
 //   RepostCycle   — the worker self-repost loop: push_many a same-tag
 //                   batch (home shard) and claim it back contiguously.
-//   Contended     — producers x consumers on one bounded queue, with
+//   Contended     — producers x consumers on one queue, with
 //                   close-and-drain termination; measures lock/notify
 //                   contention, which sharding splits per shard.
 //
@@ -36,7 +36,7 @@ constexpr int kTags = 8;
 using Queue = ShardedJobQueue<int>;
 
 void BM_QueuePushClaim(benchmark::State& state, int shards) {
-  Queue q(64, shards);
+  Queue q(shards);
   std::vector<int> out;
   for (auto _ : state) {
     q.push(1, /*tag=*/3, /*home=*/0);
@@ -48,7 +48,7 @@ void BM_QueuePushClaim(benchmark::State& state, int shards) {
 
 void BM_QueueClaimBatch(benchmark::State& state, int shards) {
   constexpr int kFill = 512;
-  Queue q(kFill + 64, shards);
+  Queue q(shards);
   std::vector<int> out;
   for (auto _ : state) {
     // Fill round-robin over kTags interned tags — the arrival order of a
@@ -66,7 +66,7 @@ void BM_QueueClaimBatch(benchmark::State& state, int shards) {
 
 void BM_QueueRepostCycle(benchmark::State& state, int shards) {
   constexpr int kBatch = 64;
-  Queue q(kBatch + 64, shards);
+  Queue q(shards);
   std::vector<int> items(kBatch, 7);
   std::vector<int> out;
   for (auto _ : state) {
@@ -86,9 +86,11 @@ void BM_QueueContended(benchmark::State& state, int shards) {
   constexpr int kConsumers = 2;
   constexpr int kPerProducer = 4096;
   for (auto _ : state) {
-    // Bounded well below the burst so producers hit the capacity path;
-    // termination is close-and-drain (the service teardown shape).
-    Queue q(1024, shards);
+    // Producers push the whole burst without waiting while consumers
+    // claim it, so the shard locks and the sleep/wake path see both
+    // sides at once; termination is close-and-drain (the service
+    // teardown shape).
+    Queue q(shards);
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&q, p] {

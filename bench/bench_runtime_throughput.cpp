@@ -11,7 +11,6 @@
 // not (the guarantee the experiment sweeps rely on).
 //
 // Run: ./build/bench/bench_runtime_throughput [--json FILE] [--min-scaling R]
-//                                             [--pin] [--skip-small]
 //   --json FILE        also emit Google-Benchmark-compatible JSON
 //                      (items_per_second = decoded bits/s) for
 //                      tools/perf_snapshot.py / perf_guard.py
@@ -22,12 +21,6 @@
 //                      than workers, and the check is skipped (with a
 //                      note) on a single-core host where no speedup is
 //                      physically possible.
-//   --pin              pin workers to cores (RuntimeOptions::
-//                      pin_workers); noted and ignored where the
-//                      platform refuses affinity.
-//   --skip-small       skip the 10k-session small-B phase (used by the
-//                      pinned CI gate run, which only re-checks worker
-//                      scaling).
 // Session counts scale with SPINAL_BENCH_TRIALS / SPINAL_BENCH_FULL.
 
 #include <algorithm>
@@ -40,7 +33,6 @@
 #include <vector>
 
 #include "common.h"
-#include "runtime/affinity.h"
 #include "runtime/decode_service.h"
 #include "sim/bsc_session.h"
 #include "sim/spinal_session.h"
@@ -132,29 +124,16 @@ struct Point {
 int main(int argc, char** argv) {
   const char* json_path = nullptr;
   double min_scaling = 0.0;
-  bool pin = false;
-  bool skip_small = false;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--json") == 0 && a + 1 < argc) {
       json_path = argv[++a];
     } else if (std::strcmp(argv[a], "--min-scaling") == 0 && a + 1 < argc) {
       min_scaling = std::atof(argv[++a]);
-    } else if (std::strcmp(argv[a], "--pin") == 0) {
-      pin = true;
-    } else if (std::strcmp(argv[a], "--skip-small") == 0) {
-      skip_small = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json FILE] [--min-scaling R] [--pin] "
-                   "[--skip-small]\n",
+      std::fprintf(stderr, "usage: %s [--json FILE] [--min-scaling R]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (pin && !affinity_supported()) {
-    std::printf("# --pin requested but thread affinity is unsupported here; "
-                "running unpinned\n");
-    pin = false;
   }
 
   benchutil::banner("runtime aggregate decode throughput",
@@ -176,7 +155,6 @@ int main(int argc, char** argv) {
       RuntimeOptions opt;
       opt.workers = workers;
       opt.deterministic = true;
-      opt.pin_workers = pin;
       const auto t0 = std::chrono::steady_clock::now();
       std::vector<SessionReport> reports;
       {
@@ -247,7 +225,6 @@ int main(int argc, char** argv) {
     opt.batch.window = 64;  // the runtime default scan budget
     opt.shards = mode >= 2 ? 32 : 1;
     opt.trace.enabled = mode == 3;
-    opt.pin_workers = pin;
     DecodeService service(opt);
     std::promise<void> release;
     std::shared_future<void> gate(release.get_future().share());
@@ -267,47 +244,45 @@ int main(int argc, char** argv) {
   // one slow window cannot decide the gate.
   std::vector<double> small_samples[kSmallModes];
   double small_bps[kSmallModes] = {0.0, 0.0, 0.0, 0.0};
-  if (!skip_small) {
-    std::vector<SessionReport> small_ref;
-    for (int rep = 0; rep < 7; ++rep) {
-      for (int mode = 0; mode < kSmallModes; ++mode) {
-        std::vector<SessionReport> reports;
-        const double wall = run_small(mode, reports);
-        long bits = 0;
-        for (const SessionReport& r : reports)
-          if (r.run.success) bits += r.message_bits;
-        if (small_ref.empty()) {
-          small_ref = reports;
-        } else {
-          for (std::size_t i = 0; i < reports.size(); ++i) {
-            if (reports[i].run.success != small_ref[i].run.success ||
-                reports[i].run.symbols != small_ref[i].run.symbols ||
-                reports[i].run.attempts != small_ref[i].run.attempts) {
-              std::fprintf(stderr,
-                           "DETERMINISM VIOLATION: small-B session %zu "
-                           "differs (%s)\n",
-                           i, kSmallModeName[mode]);
-              determinism_ok = false;
-            }
+  std::vector<SessionReport> small_ref;
+  for (int rep = 0; rep < 7; ++rep) {
+    for (int mode = 0; mode < kSmallModes; ++mode) {
+      std::vector<SessionReport> reports;
+      const double wall = run_small(mode, reports);
+      long bits = 0;
+      for (const SessionReport& r : reports)
+        if (r.run.success) bits += r.message_bits;
+      if (small_ref.empty()) {
+        small_ref = reports;
+      } else {
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+          if (reports[i].run.success != small_ref[i].run.success ||
+              reports[i].run.symbols != small_ref[i].run.symbols ||
+              reports[i].run.attempts != small_ref[i].run.attempts) {
+            std::fprintf(stderr,
+                         "DETERMINISM VIOLATION: small-B session %zu "
+                         "differs (%s)\n",
+                         i, kSmallModeName[mode]);
+            determinism_ok = false;
           }
         }
-        if (wall > 0)
-          small_samples[mode].push_back(static_cast<double>(bits) / wall);
       }
+      if (wall > 0)
+        small_samples[mode].push_back(static_cast<double>(bits) / wall);
     }
-    for (int mode = 0; mode < kSmallModes; ++mode)
-      small_bps[mode] = *std::max_element(small_samples[mode].begin(),
-                                          small_samples[mode].end());
-    std::printf(
-        "# small-B fleet (32 keys, n={4,8} x B=2, %d sessions, 1 worker): "
-        "batch off %.0f, batch on %.0f (%.2fx), sharded %.0f bits/s "
-        "(%.2fx vs batched single queue), tracing %.0f bits/s "
-        "(%.2fx of untraced)\n",
-        small_sessions, small_bps[0], small_bps[1],
-        small_bps[0] > 0 ? small_bps[1] / small_bps[0] : 0.0, small_bps[2],
-        small_bps[1] > 0 ? small_bps[2] / small_bps[1] : 0.0, small_bps[3],
-        small_bps[2] > 0 ? small_bps[3] / small_bps[2] : 0.0);
   }
+  for (int mode = 0; mode < kSmallModes; ++mode)
+    small_bps[mode] = *std::max_element(small_samples[mode].begin(),
+                                        small_samples[mode].end());
+  std::printf(
+      "# small-B fleet (32 keys, n={4,8} x B=2, %d sessions, 1 worker): "
+      "batch off %.0f, batch on %.0f (%.2fx), sharded %.0f bits/s "
+      "(%.2fx vs batched single queue), tracing %.0f bits/s "
+      "(%.2fx of untraced)\n",
+      small_sessions, small_bps[0], small_bps[1],
+      small_bps[0] > 0 ? small_bps[1] / small_bps[0] : 0.0, small_bps[2],
+      small_bps[1] > 0 ? small_bps[2] / small_bps[1] : 0.0, small_bps[3],
+      small_bps[2] > 0 ? small_bps[3] / small_bps[2] : 0.0);
 
   if (json_path) {
     std::FILE* f = std::fopen(json_path, "w");
@@ -318,33 +293,28 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"context\": {\"num_cpus\": %u, \"mhz_per_cpu\": 0},\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"benchmarks\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const Point& p = points[i];
-      const bool last = skip_small && i + 1 == points.size();
+    for (const Point& p : points)
       std::fprintf(f,
                    "    {\"name\": \"BM_RuntimeThroughput/workers:%d/"
                    "sessions:%d\", \"run_type\": \"iteration\", "
-                   "\"items_per_second\": %.1f}%s\n",
-                   p.workers, p.sessions, p.bits_per_s, last ? "" : ",");
-    }
+                   "\"items_per_second\": %.1f},\n",
+                   p.workers, p.sessions, p.bits_per_s);
     // Stable names (no session count): perf_guard's --expect-ratio
-    // gates hard-fail if a point goes missing, so a small-B run always
-    // emits all three. --skip-small runs emit only the scaling points.
-    if (!skip_small) {
-      for (int mode = 0; mode < kSmallModes; ++mode)
-        std::fprintf(f,
-                     "    {\"name\": \"BM_RuntimeSmallB/%s\", "
-                     "\"run_type\": \"iteration\", "
-                     "\"items_per_second\": %.1f},\n",
-                     kSmallModeName[mode], small_bps[mode]);
-      // trace:off is the sharded point under the name the tracing-
-      // overhead --expect-ratio gate pairs with trace:on.
+    // gates hard-fail if a point goes missing, so every run emits all
+    // of them.
+    for (int mode = 0; mode < kSmallModes; ++mode)
       std::fprintf(f,
-                   "    {\"name\": \"BM_RuntimeSmallB/trace:off\", "
+                   "    {\"name\": \"BM_RuntimeSmallB/%s\", "
                    "\"run_type\": \"iteration\", "
-                   "\"items_per_second\": %.1f}\n",
-                   small_bps[2]);
-    }
+                   "\"items_per_second\": %.1f},\n",
+                   kSmallModeName[mode], small_bps[mode]);
+    // trace:off is the sharded point under the name the tracing-
+    // overhead --expect-ratio gate pairs with trace:on.
+    std::fprintf(f,
+                 "    {\"name\": \"BM_RuntimeSmallB/trace:off\", "
+                 "\"run_type\": \"iteration\", "
+                 "\"items_per_second\": %.1f}\n",
+                 small_bps[2]);
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
   }

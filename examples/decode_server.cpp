@@ -14,10 +14,8 @@
 // and the sharded-queue counters.
 //
 // Run: ./build/examples/example_decode_server [sessions] [workers]
-//          [--deterministic] [--pin] [--shards N] [--trace-out FILE]
+//          [--deterministic] [--shards N] [--trace-out FILE]
 //          [--metrics-out FILE] [--metrics-interval MS]
-//   --pin            pin workers to cores (best-effort; the summary
-//                    reports how many pins stuck)
 //   --shards N       job-queue shard count (0 = one per worker;
 //                    deterministic mode always collapses to one)
 //   --trace-out F    enable runtime tracing; write Perfetto /
@@ -162,12 +160,10 @@ void print_summary(const DecodeService& service,
   std::printf("job queue: %zu shard%s (residual depth", snap.queue.shard_depths.size(),
               snap.queue.shard_depths.size() == 1 ? "" : "s");
   for (std::size_t d : snap.queue.shard_depths) std::printf(" %zu", d);
-  std::printf("), %llu steals / %llu jobs stolen, %llu cross-shard submits, "
-              "%d/%d workers pinned\n",
+  std::printf("), %llu steals / %llu jobs stolen, %llu cross-shard submits\n",
               static_cast<unsigned long long>(snap.queue.steals),
               static_cast<unsigned long long>(snap.queue.stolen_jobs),
-              static_cast<unsigned long long>(snap.queue.cross_shard_submits),
-              snap.workers_pinned, service.workers());
+              static_cast<unsigned long long>(snap.queue.cross_shard_submits));
 
   const std::size_t failed = static_cast<std::size_t>(
       snap.counters.sessions_failed);
@@ -182,7 +178,6 @@ int main(int argc, char** argv) {
   int sessions = 210;
   int workers = 0;  // 0 = all cores
   bool deterministic = false;
-  bool pin = false;
   int shards = 0;  // 0 = one per worker
   std::string trace_out, metrics_out;
   int metrics_interval_ms = 0;
@@ -190,8 +185,6 @@ int main(int argc, char** argv) {
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--deterministic") == 0) {
       deterministic = true;
-    } else if (std::strcmp(argv[a], "--pin") == 0) {
-      pin = true;
     } else if (std::strcmp(argv[a], "--shards") == 0 && a + 1 < argc) {
       shards = std::atoi(argv[++a]);
     } else if (std::strcmp(argv[a], "--trace-out") == 0 && a + 1 < argc) {
@@ -212,7 +205,6 @@ int main(int argc, char** argv) {
   RuntimeOptions opt;
   opt.workers = workers;
   opt.deterministic = deterministic;
-  opt.pin_workers = pin;
   opt.shards = shards;
   opt.trace.enabled = !trace_out.empty();
   DecodeService service(opt);

@@ -4,7 +4,6 @@
 // random index into the pairwise-independent family H), plus the
 // hash-derived RNG of §7.1: RNG(s, t) = h(s, t).
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -48,21 +47,6 @@ class SpineHash {
   /// once per state (the backend table's premix_n + hash_premixed_n,
   /// backend/backend.h), bit-identical to hashing each data word.
   bool has_premix() const noexcept { return kind_ == Kind::kOneAtATime; }
-
-  /// Walks @p chains independent spine chains in one interleaved sweep.
-  /// For chain j < chains, with s_0 = seeds[j]:
-  ///   s_{t+1} = h(s_t, data[j * length + t]),
-  ///   out[j * length + t] = s_{t+1}      for t < length.
-  /// Bit-identical to walking each chain with operator(). A single
-  /// chain is latency-bound — every mix of h waits on the previous
-  /// one — so for one-at-a-time the chains are software-pipelined in
-  /// groups of four: each step issues all chains' state pre-mixes,
-  /// then all data mixes (the premix/data split the backend's
-  /// hash_children also exploits), and the independent dependency
-  /// chains overlap in the pipeline instead of serialising.
-  void spine_walk_n(const std::uint32_t* seeds, std::size_t chains,
-                    const std::uint32_t* data, std::size_t length,
-                    std::uint32_t* out) const noexcept;
 
  private:
   Kind kind_;

@@ -26,9 +26,6 @@ class LdpcEncoder {
   /// bits) satisfying every parity check.
   util::BitVec encode(const util::BitVec& info) const;
 
-  /// Positions of the information bits within the codeword.
-  const std::vector<int>& info_columns() const noexcept { return info_cols_; }
-
   /// Extracts the information bits back out of a codeword.
   util::BitVec extract_info(const util::BitVec& codeword) const;
 

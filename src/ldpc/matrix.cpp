@@ -1,26 +1,20 @@
 #include "ldpc/matrix.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace spinal::ldpc {
 
-ParityMatrix::ParityMatrix(int checks, int variables) {
+ParityMatrix::ParityMatrix(int checks, int variables) : variables_(variables) {
   if (checks < 1 || variables < 1)
     throw std::invalid_argument("ParityMatrix: dimensions must be positive");
   check_to_var_.resize(checks);
-  var_to_check_.resize(variables);
 }
 
 void ParityMatrix::add_edge(int check, int var) {
+  if (var < 0 || var >= variables_)
+    throw std::out_of_range("ParityMatrix::add_edge: variable out of range");
   check_to_var_.at(check).push_back(var);
-  var_to_check_.at(var).push_back(check);
   ++edges_;
-}
-
-bool ParityMatrix::has_edge(int check, int var) const noexcept {
-  const auto& row = check_to_var_[check];
-  return std::find(row.begin(), row.end(), var) != row.end();
 }
 
 bool ParityMatrix::satisfied(const std::vector<std::uint8_t>& codeword) const noexcept {

@@ -17,16 +17,6 @@ double rate_value(Rate r) noexcept {
   return 0;
 }
 
-const char* rate_name(Rate r) noexcept {
-  switch (r) {
-    case Rate::kHalf: return "1/2";
-    case Rate::kTwoThirds: return "2/3";
-    case Rate::kThreeQuarters: return "3/4";
-    case Rate::kFiveSixths: return "5/6";
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr int kBlockCols = 24;  // 24 circulant columns of Z=27 -> n=648

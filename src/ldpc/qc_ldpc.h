@@ -21,7 +21,6 @@ namespace spinal::ldpc {
 enum class Rate { kHalf, kTwoThirds, kThreeQuarters, kFiveSixths };
 
 double rate_value(Rate r) noexcept;
-const char* rate_name(Rate r) noexcept;
 
 /// The shift-selection seed of this library's standard codes.
 constexpr std::uint64_t kWifiMatrixSeed = 0x802011;

@@ -10,45 +10,38 @@
 // Shannon"'s observation that beam width is the natural overload valve,
 // scheduled jointly with symbol arrival as in Li et al.
 // (arXiv:2101.07953). Each session reports its own full/floor pair
-// (sim::EffortProfile); the options here hold only the structural knobs
-// of the policy.
+// (sim::EffortProfile); the service holds only the on/off switch.
 
 #include <algorithm>
 #include <cstddef>
 
 namespace spinal::runtime {
 
+/// Queue depth at or below which the service counts as idle: attempts
+/// run at full effort, and a failed shrunk attempt is retried at full
+/// effort (costs only compute — the paper's failed-attempt currency —
+/// and saves the channel symbols a missed decode would burn).
+inline constexpr std::size_t kIdleDepth = 1;
+/// Each additional this-many queued jobs beyond kIdleDepth halves the
+/// effort.
+inline constexpr std::size_t kDepthPerHalving = 32;
+
 struct AdaptiveEffortOptions {
   bool enabled = true;
-  /// Service-wide floor on the effort knob; the effective floor per
-  /// attempt is max(min_effort, the session's EffortProfile floor),
-  /// clamped to its full effort (spinal sessions report floor
-  /// min(16, B), iterative decoders a few iterations).
-  int min_effort = 1;
-  /// Queue depth at or below which the service counts as idle: attempts
-  /// run at full effort, and failed shrunk attempts retry at full effort.
-  std::size_t idle_depth = 1;
-  /// Each additional this-many queued jobs beyond idle_depth halves the
-  /// effort.
-  std::size_t depth_per_halving = 32;
-  /// Retry a failed reduced-effort attempt at full effort when the queue
-  /// has drained (costs only compute — the paper's failed-attempt
-  /// currency — and saves the channel symbols a missed decode would burn).
-  bool retry_full_when_idle = true;
 };
 
 /// Effort for one decode attempt under the current queue depth.
-/// @p full/@p floor come from the session's EffortProfile; full <= 0
-/// (no knob) always yields 0, the "configured effort" sentinel.
-inline int pick_effort(const AdaptiveEffortOptions& opt, int full, int floor,
-                       std::size_t queue_depth) {
+/// @p full/@p floor come from the session's EffortProfile (spinal
+/// sessions report floor min(16, B), iterative decoders a few
+/// iterations); the floor is clamped to [1, full]. full <= 0 (no knob)
+/// always yields 0, the "configured effort" sentinel.
+inline int pick_effort(int full, int floor, std::size_t queue_depth) {
   if (full <= 0) return 0;
-  if (!opt.enabled || queue_depth <= opt.idle_depth) return full;
-  const std::size_t per = std::max<std::size_t>(1, opt.depth_per_halving);
-  const std::size_t halvings = (queue_depth - opt.idle_depth + per - 1) / per;
+  if (queue_depth <= kIdleDepth) return full;
+  const std::size_t halvings =
+      (queue_depth - kIdleDepth + kDepthPerHalving - 1) / kDepthPerHalving;
   const int shrunk = halvings >= 31 ? 1 : full >> halvings;
-  const int lo = std::clamp(std::max(floor, opt.min_effort), 1, full);
-  return std::clamp(shrunk, lo, full);
+  return std::clamp(shrunk, std::clamp(floor, 1, full), full);
 }
 
 }  // namespace spinal::runtime

@@ -7,8 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "runtime/affinity.h"
-
 namespace spinal::runtime {
 
 namespace {
@@ -158,20 +156,17 @@ DecodeService::DecodeService(const RuntimeOptions& opt)
       tracer_(kRuntimeTraceCompiled && opt.trace.enabled
                   ? std::make_unique<Tracer>(opt.trace)
                   : nullptr),
-      // Sized so pushes from inside workers can never block: session
-      // jobs in the queue are bounded by the admission cap (one job per
-      // session exists at a time) and posted tasks and blocks by
-      // kExtTaskCap (one job per posted block), so occupancy stays
-      // strictly below capacity and the queue's blocking-push path is
-      // only ever exercised by misuse, not by the service itself.
-      // Backpressure lives at admission instead.
+      // The queue has no bound of its own: admission bounds it. Session
+      // jobs in the queue are at most max_in_flight_ (one job per
+      // session exists at a time) and posted tasks and blocks at most
+      // kExtTaskCap (one job per posted block), so a push never blocks
+      // and backpressure lives at admission.
       //
       // Deterministic mode drains through a single ordered shard: with
       // one shard the sharded queue degenerates to exactly the
       // single-queue FIFO + windowed-claim semantics, which the ordered
       // bit-identity guarantee is stated against.
-      queue_(static_cast<std::size_t>(max_in_flight_) + kExtTaskCap + 64,
-             opt.deterministic
+      queue_(opt.deterministic
                  ? 1
                  : (opt.shards > 0 ? opt.shards
                                    : (opt.workers > 0 ? opt.workers
@@ -182,11 +177,7 @@ DecodeService::DecodeService(const RuntimeOptions& opt)
     workers_.push_back(std::make_unique<Worker>());
     Worker* w = workers_.back().get();
     w->index = i;
-    w->thread = std::thread([this, w] {
-      if (opt_.pin_workers && pin_current_thread(w->index))
-        workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-      worker_loop(*w);
-    });
+    w->thread = std::thread([this, w] { worker_loop(*w); });
   }
 }
 
@@ -479,8 +470,7 @@ void DecodeService::step(Kind& kind, WorkerScope& scope, StageRecorder& rec,
       // A shrunk attempt that failed gets one full-effort retry on the
       // same symbols when the queue has drained: compute is free when
       // idle, channel symbols never are.
-      if (!finished && reduced && opt_.adapt.retry_full_when_idle &&
-          scope.idle()) {
+      if (!finished && reduced && scope.idle()) {
         const std::uint64_t r0 = now_ns();
         const std::optional<util::BitVec> cand =
             kind.target(j).try_decode_with(ws, 0);
@@ -611,7 +601,6 @@ TelemetrySnapshot DecodeService::telemetry() const {
   snap.queue.shard_depths.resize(static_cast<std::size_t>(queue_.shards()));
   for (std::size_t s = 0; s < snap.queue.shard_depths.size(); ++s)
     snap.queue.shard_depths[s] = queue_.shard_depth(s);
-  snap.workers_pinned = workers_pinned_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -699,8 +688,8 @@ sim::CodecWorkspace* DecodeService::WorkerScope::workspace(
 int DecodeService::WorkerScope::pick_effort(
     const sim::EffortProfile& profile) const {
   if (svc_->opt_.deterministic || !svc_->opt_.adapt.enabled) return 0;
-  const int e = runtime::pick_effort(svc_->opt_.adapt, profile.full,
-                                     profile.floor, queue_depth());
+  const int e = runtime::pick_effort(profile.full, profile.floor,
+                                     queue_depth());
   return e >= profile.full ? 0 : e;
 }
 

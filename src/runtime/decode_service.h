@@ -13,13 +13,13 @@
 // Each session runs as a self-contained state machine (sim::MessageRun):
 // one job streams channel symbols until the engine's attempt schedule
 // fires, performs the decode attempt on the worker's pinned workspace
-// (sessions without one — today Raptor and Strider — run unpinned,
-// which telemetry counts), and reposts itself until the message decodes
-// or the give-up bound hits. At most one job per session exists at a
-// time, so sessions need no locking of their own; the queue's shard
-// mutexes provide the happens-before edge between the workers that
-// successively advance a session. Every claim, a solo one included, is
-// served by one step path (step_sessions).
+// (sessions without one — today Raptor, turbo and Strider — run
+// unpinned, which telemetry counts), and reposts itself until the
+// message decodes or the give-up bound hits. At most one job per
+// session exists at a time, so sessions need no locking of their own;
+// the queue's shard mutexes provide the happens-before edge between the
+// workers that successively advance a session. Every claim, a solo one
+// included, is served by one step path (step_sessions).
 //
 // Memory model: O(in flight), not O(submitted). An admitted session
 // lives in a slot of a table bounded by max_in_flight; jobs point at
@@ -35,9 +35,9 @@
 // same-WorkspaceKey jobs colocate on one shard and a worker's dequeue
 // finds long same-tag runs without widening its scan window; a worker
 // whose shard runs dry steals a whole batch from the deepest sibling
-// shard before sleeping. Optional core pinning (RuntimeOptions::
-// pin_workers, affinity.h) keeps each worker's shard and workspaces
-// cache-resident.
+// shard before sleeping. The queue has no bound of its own: admission
+// (max_in_flight sessions) and kExtTaskCap (posted work) bound what is
+// in it, so a push never blocks.
 //
 // Admission control: at most max_in_flight sessions run concurrently —
 // submit() blocks (backpressure), try_submit() refuses. The in-flight
@@ -131,10 +131,6 @@ struct RuntimeOptions {
   /// pools; they are served through the steal path). Deterministic mode
   /// forces a single ordered shard regardless of this knob.
   int shards = 0;
-  /// Pin worker i to the i-th allowed CPU (affinity.h). Best-effort:
-  /// ignored where unsupported; telemetry().workers_pinned reports how
-  /// many pins actually took.
-  bool pin_workers = false;
   /// Runtime event tracing (trace.h): when enabled (and compiled in),
   /// every stage of every job records into per-worker ring buffers,
   /// exported via tracer()->export_json. Off by default — the stage
@@ -145,8 +141,8 @@ struct RuntimeOptions {
 class DecodeService {
  public:
   class WorkerScope;
-  /// A closure run on some worker (post(Task)). Must not block on queue
-  /// capacity.
+  /// A closure run on some worker (post(Task)). Must not block on the
+  /// external-work cap (a post() from inside a task can).
   using Task = std::function<void(WorkerScope&)>;
 
   explicit DecodeService(const RuntimeOptions& opt = {});
@@ -190,8 +186,8 @@ class DecodeService {
 
   /// Posted work — tasks and block units alike — is admitted against
   /// one external-work cap (kExtTaskCap outstanding), and post() blocks
-  /// while it is reached, so posted floods cannot starve the workers'
-  /// self-reposting session jobs of queue capacity.
+  /// while it is reached: with session admission, the cap is what
+  /// bounds the job queue.
   ///
   /// Enqueues @p task, run once on some worker.
   void post(Task task);
@@ -219,7 +215,7 @@ class DecodeService {
   };
 
   struct Worker {
-    int index = 0;  ///< dense worker id: queue consumer id + pin slot
+    int index = 0;  ///< dense worker id: the queue consumer id
     std::map<WorkspaceKey, std::unique_ptr<sim::CodecWorkspace>> pinned;
     TraceBuffer* trace = nullptr;  ///< the worker's trace timeline (or null)
     std::thread thread;
@@ -306,7 +302,6 @@ class DecodeService {
   std::atomic<std::size_t> completed_{0};
   std::atomic<std::size_t> ext_pending_{0};
   std::atomic<int> admit_waiters_{0}, done_waiters_{0}, ext_waiters_{0};
-  std::atomic<int> workers_pinned_{0};
 
   // The slot table: every slot allocated so far, at most one per
   // session admitted at once (so never more than max_in_flight_).
@@ -365,9 +360,7 @@ class DecodeService::WorkerScope {
   int pick_effort(const sim::EffortProfile& profile) const;
 
   std::size_t queue_depth() const { return svc_->queue_.depth(); }
-  bool idle() const {
-    return svc_->queue_.depth() <= svc_->opt_.adapt.idle_depth;
-  }
+  bool idle() const { return svc_->queue_.depth() <= kIdleDepth; }
 
  private:
   friend class DecodeService;

@@ -1,18 +1,20 @@
 #pragma once
 // The decode runtime's job queue.
 //
-// ShardedJobQueue: one bounded deque per shard (by default one shard
+// ShardedJobQueue: one unbounded deque per shard (by default one shard
 // per worker), submissions routed by hashing the job's aggregation tag
 // so same-key jobs colocate — pop_batch then finds long same-tag runs
 // at a shard's head instead of scanning past interleaved strangers —
 // worker self-reposts land on the worker's own shard (push_many with a
 // home shard: locality, no cross-shard hop), and an idle worker steals
 // a whole batch from the deepest sibling shard before sleeping. The
-// global capacity lives in one atomic counter, so producers only ever
-// contend on the shard they route to; the sleep/wake paths use a shared
-// mutex + condvars but are gated on atomic waiter counts, so in steady
-// state (busy workers, queue non-empty, capacity free) no push or pop
-// touches a global lock. With one shard it is a plain bounded FIFO with
+// queue holds no bound of its own: its owner bounds what it pushes
+// (DecodeService admits at most max_in_flight sessions and kExtTaskCap
+// posted units), so a push never blocks and fails only on a closed
+// queue. Producers contend only on the shard they route to; the sleep/
+// wake path uses a shared mutex + condvar gated on an atomic sleeper
+// count, so in steady state (busy workers, queue non-empty) no push or
+// pop touches a global lock. With one shard it is a plain FIFO with
 // windowed batch claims — the single-queue baseline the benches compare
 // against and the ordered queue deterministic mode drains through.
 //
@@ -54,7 +56,7 @@ struct ShardedClaimInfo {
   bool stolen = false;    ///< true when that was a sibling's shard
 };
 
-/// Sharded bounded MPMC job queue: see the header comment. Consumers are
+/// Sharded MPMC job queue: see the header comment. Consumers are
 /// identified by a small integer (the worker index); consumer w owns
 /// shard w % shards() and always serves it first, so a worker's
 /// self-reposted continuations never migrate unless a sibling runs dry
@@ -69,49 +71,28 @@ class ShardedJobQueue {
   /// `home` value of producers that own no shard (external submitters).
   static constexpr int kNoShard = -1;
 
-  ShardedJobQueue(std::size_t capacity, int shards)
-      : cap_(capacity ? capacity : 1),
-        shards_(static_cast<std::size_t>(shards > 0 ? shards : 1)) {
+  explicit ShardedJobQueue(int shards)
+      : shards_(static_cast<std::size_t>(shards > 0 ? shards : 1)) {
     shard_ = std::make_unique<Shard[]>(shards_);
   }
 
-  /// Blocks while the queue is full (global capacity). Returns false
-  /// when the queue was closed (the item is dropped). Tagged items route
-  /// to shard tag % shards() — interned tags are dense, so the modulo
-  /// spreads keys evenly while keeping every same-tag job on one shard —
-  /// unless @p home names the pusher's own shard, which wins (worker
+  /// Enqueues @p item without blocking. Returns false when the queue
+  /// was closed (the item is dropped). Tagged items route to shard
+  /// tag % shards() — interned tags are dense, so the modulo spreads
+  /// keys evenly while keeping every same-tag job on one shard — unless
+  /// @p home names the pusher's own shard, which wins (worker
   /// continuations stay local). Untagged, homeless items round-robin.
   bool push(T item, std::int32_t tag = kNoTag, int home = kNoShard) {
-    if (!reserve(1, /*blocking=*/true)) return false;
-    enqueue_one(route(tag, home), std::move(item), tag, home);
-    return true;
-  }
-
-  /// Non-blocking probe: false when full or closed.
-  bool try_push(T item, std::int32_t tag = kNoTag, int home = kNoShard) {
-    if (!reserve(1, /*blocking=*/false)) return false;
-    enqueue_one(route(tag, home), std::move(item), tag, home);
-    return true;
+    return enqueue(&item, &item + 1, tag, home);
   }
 
   /// Pushes every item as one shard transaction under a single shared
-  /// tag — the continuation-repost companion to pop_batch(). Blocks
-  /// while there is not global room for all items; returns false when
-  /// the queue was closed (all items dropped); never partially pushes.
+  /// tag — the continuation-repost companion to pop_batch(). Never
+  /// blocks; returns false when the queue was closed (all items
+  /// dropped); never partially pushes.
   bool push_many(std::vector<T>& items, std::int32_t tag = kNoTag,
                  int home = kNoShard) {
-    if (items.empty()) return true;
-    if (!reserve(items.size(), /*blocking=*/true)) return false;
-    const std::size_t dest = route(tag, home);
-    if (static_cast<int>(dest) != home)
-      cross_shard_submits_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(shard_[dest].m);
-      for (T& item : items) shard_[dest].q.push_back({std::move(item), tag});
-      shard_[dest].depth.fetch_add(items.size(), std::memory_order_relaxed);
-    }
-    notify_items();
-    return true;
+    return enqueue(items.data(), items.data() + items.size(), tag, home);
   }
 
   /// Batch-aggregating pop for consumer @p worker: serves the worker's
@@ -150,8 +131,8 @@ class ShardedJobQueue {
         }
         cv_items_.wait(lock);
       } else {
-        // size_ > 0 but no shard yielded: a push has reserved space and
-        // is mid-enqueue (or a racing thief claimed what we saw). Yield
+        // size_ > 0 but no shard yielded: a push has counted its items
+        // and is mid-enqueue (or a racing thief claimed what we saw). Yield
         // and re-scan rather than sleeping past it.
         lock.unlock();
         std::this_thread::yield();
@@ -160,8 +141,8 @@ class ShardedJobQueue {
     }
   }
 
-  /// Instantaneous total depth across shards (reserved space counts
-  /// while a push is mid-flight). Lock-free.
+  /// Instantaneous total depth across shards (a push counts its items
+  /// while it is mid-flight). Lock-free.
   std::size_t depth() const { return size_.load(std::memory_order_relaxed); }
 
   /// Instantaneous depth of one shard (for telemetry / steal-victim
@@ -183,10 +164,8 @@ class ShardedJobQueue {
     closed_.store(true);
     std::lock_guard lock(sleep_m_);
     cv_items_.notify_all();
-    cv_space_.notify_all();
   }
 
-  std::size_t capacity() const noexcept { return cap_; }
   int shards() const noexcept { return static_cast<int>(shards_); }
 
  private:
@@ -194,7 +173,7 @@ class ShardedJobQueue {
     T item;
     std::int32_t tag;
   };
-  /// One bounded deque + its lock, padded so neighbouring shards' locks
+  /// One deque + its lock, padded so neighbouring shards' locks
   /// never share a cache line. `depth` mirrors q.size() so steal-victim
   /// scans and telemetry read it without the lock.
   struct alignas(64) Shard {
@@ -209,35 +188,24 @@ class ShardedJobQueue {
     return rr_.fetch_add(1, std::memory_order_relaxed) % shards_;
   }
 
-  /// Reserves @p n slots of global capacity (CAS on the atomic size).
-  /// Returns false when closed; when @p blocking, waits for space.
-  bool reserve(std::size_t n, bool blocking) {
-    std::size_t cur = size_.load();
-    for (;;) {
-      if (closed_.load()) return false;
-      if (cur + n > cap_) {
-        if (!blocking) return false;
-        std::unique_lock lock(sleep_m_);
-        space_waiters_.fetch_add(1);
-        cv_space_.wait(lock,
-                       [&] { return closed_.load() || size_.load() + n <= cap_; });
-        space_waiters_.fetch_sub(1);
-        cur = size_.load();
-        continue;
-      }
-      if (size_.compare_exchange_weak(cur, cur + n)) return true;
-    }
-  }
-
-  void enqueue_one(std::size_t dest, T item, std::int32_t tag, int home) {
+  /// Moves [first, last) onto one shard under one lock, then wakes
+  /// sleeping consumers; false (nothing moved) when closed.
+  bool enqueue(T* first, T* last, std::int32_t tag, int home) {
+    if (first == last) return true;
+    if (closed_.load()) return false;
+    const std::size_t n = static_cast<std::size_t>(last - first);
+    size_.fetch_add(n);
+    const std::size_t dest = route(tag, home);
     if (static_cast<int>(dest) != home)
       cross_shard_submits_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard lock(shard_[dest].m);
-      shard_[dest].q.push_back({std::move(item), tag});
-      shard_[dest].depth.fetch_add(1, std::memory_order_relaxed);
+      for (; first != last; ++first)
+        shard_[dest].q.push_back({std::move(*first), tag});
+      shard_[dest].depth.fetch_add(n, std::memory_order_relaxed);
     }
     notify_items();
+    return true;
   }
 
   /// Wakes sleeping consumers after an enqueue. Gated on the atomic
@@ -248,16 +216,6 @@ class ShardedJobQueue {
     if (sleepers_.load() > 0) {
       std::lock_guard lock(sleep_m_);
       cv_items_.notify_all();
-    }
-  }
-
-  /// Releases claimed slots and wakes capacity-blocked pushers (same
-  /// waiter-gated pattern as notify_items).
-  void release_space(std::size_t n) {
-    size_.fetch_sub(n);
-    if (space_waiters_.load() > 0) {
-      std::lock_guard lock(sleep_m_);
-      cv_space_.notify_all();
     }
   }
 
@@ -319,11 +277,10 @@ class ShardedJobQueue {
     }
     sh.depth.fetch_sub(out.size(), std::memory_order_relaxed);
     lock.unlock();
-    release_space(out.size());
+    size_.fetch_sub(out.size());
     return true;
   }
 
-  std::size_t cap_;
   std::size_t shards_;
   std::unique_ptr<Shard[]> shard_;
   std::atomic<std::size_t> size_{0};
@@ -332,11 +289,11 @@ class ShardedJobQueue {
   std::atomic<std::uint64_t> steals_{0}, stolen_jobs_{0},
       cross_shard_submits_{0};
 
-  // Sleep/wake machinery, touched only when a waiter exists (the atomic
-  // counts gate both notify paths) or a consumer runs dry.
+  // Sleep/wake machinery, touched only when a consumer sleeps (the
+  // atomic count gates the notify path) or runs dry.
   std::mutex sleep_m_;
-  std::condition_variable cv_items_, cv_space_;
-  std::atomic<int> sleepers_{0}, space_waiters_{0};
+  std::condition_variable cv_items_;
+  std::atomic<int> sleepers_{0};
 };
 
 }  // namespace spinal::runtime

@@ -96,8 +96,6 @@ void export_metrics(const TelemetrySnapshot& snap,
   for (std::size_t d : snap.queue.shard_depths) depth += d;
   reg.gauge("spinal_queue_depth", "Total queued jobs")
       .set(static_cast<double>(depth));
-  reg.gauge("spinal_workers_pinned", "Workers with a successful core pin")
-      .set(snap.workers_pinned);
   for (std::size_t s = 0; s < snap.queue.shard_depths.size(); ++s)
     reg.gauge("spinal_shard_depth", "Per-shard queue depth",
               "shard=\"" + std::to_string(s) + "\"")

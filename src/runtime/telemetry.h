@@ -40,9 +40,9 @@ namespace spinal::runtime {
 /// load and the exported spinal_<field>_total family.
 ///
 /// unpinned_decodes counts attempts that ran without a worker-pinned
-/// workspace (the session reports no WorkspaceKey — Raptor/Strider
-/// allocate inside the decode), so the pinning gap per codec stays
-/// measurable until each codec pins its scratch.
+/// workspace (the session reports no WorkspaceKey — Raptor, turbo and
+/// Strider allocate inside the decode), so the pinning gap per codec
+/// stays measurable until each codec pins its scratch.
 #define SPINAL_RUNTIME_COUNTERS(X)                                   \
   X(jobs, "Queue pops executed")                                     \
   X(symbols_fed, "Channel symbols streamed")                         \
@@ -111,7 +111,6 @@ struct QueueTelemetry {
 struct TelemetrySnapshot : LaneTelemetry {
   std::vector<TagTelemetry> tags;  ///< per-batch-tag breakdown
   QueueTelemetry queue;            ///< sharded job-queue state
-  int workers_pinned = 0;  ///< workers whose core-affinity pin succeeded
 };
 
 /// Per-tag store; recorded into by whichever worker serves the tag's

@@ -109,7 +109,7 @@ struct AwgnEnv {
 /// Batched environment: fuses child hashing, RNG draws, constellation
 /// lookup and the l2 metric into per-level sweeps over contiguous SoA
 /// arrays, all running in the pinned kernel backend (scalar / SSE4.2 /
-/// AVX2 / NEON — see backend/backend.h). Bit-identical to AwgnEnv
+/// AVX2 / AVX-512 / NEON — see backend/backend.h). Bit-identical to AwgnEnv
 /// whichever backend runs: same hash composition, the same per-symbol
 /// accumulation order, and the same float expression shapes (never
 /// contracted — the build pins -ffp-contract=off everywhere).

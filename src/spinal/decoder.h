@@ -21,8 +21,8 @@
 // The hot path is batched: each decode flattens the received symbols
 // into per-spine SoA arrays once, then the search expands whole leaf
 // arrays through the fused child-hash + cost kernels of the active
-// SIMD backend (backend/backend.h: scalar, SSE4.2, AVX2 or NEON,
-// captured per decode from backend::active()). decode()/decode_into()
+// SIMD backend (backend/backend.h: scalar, SSE4.2, AVX2, AVX-512 or
+// NEON, captured per decode from backend::active()). decode()/decode_into()
 // run in a private DecodeWorkspace the decoder allocates on its first
 // such call (runtime-served decoders, which always decode in a
 // worker-pinned workspace, never pay for one), so repeated decode

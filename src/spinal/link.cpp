@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "modem/qam.h"
+
 namespace spinal {
 
 namespace {
@@ -94,6 +96,9 @@ bool LinkReceiver::receive(const LinkSymbol& symbol, std::complex<float> csi) {
     ++stale_;
     return false;
   }
+  // An erasure (the decoder would drop it too): it must neither switch
+  // the capacity gate off as fading CSI nor make its block due again.
+  if (modem::non_finite(symbol.value, csi)) return false;
   fading_ = fading_ || csi != std::complex<float>{1.0f, 0.0f};
   blk.fresh = true;
   if (blk.claimed) {

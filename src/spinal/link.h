@@ -93,10 +93,12 @@ class LinkReceiver {
                const AttemptSchedule& schedule = AttemptSchedule());
 
   /// Ingests one received symbol (optionally with fading CSI). Returns
-  /// false when the symbol is stale (its block already decoded) and was
-  /// dropped. A symbol for a claimed block is buffered until
-  /// release_block(). Throws std::out_of_range, changing nothing, for a
-  /// bad block or spine index.
+  /// false when the symbol was dropped: stale (its block already
+  /// decoded; counted in stale_symbols()) or erased (a NaN or infinite
+  /// value or CSI, modem::non_finite; changes nothing). A symbol for a
+  /// claimed block is buffered until release_block(). Throws
+  /// std::out_of_range, changing nothing, for a bad block or spine
+  /// index.
   bool receive(const LinkSymbol& symbol, std::complex<float> csi = {1.0f, 0.0f});
 
   /// A pause point with inline decodes: pause(), then attempt every due

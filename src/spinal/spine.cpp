@@ -23,27 +23,4 @@ std::vector<std::uint32_t> compute_spine(const CodeParams& params,
   return spine;
 }
 
-std::vector<std::uint32_t> compute_spine_n(const CodeParams& params,
-                                           const hash::SpineHash& h,
-                                           const util::BitVec* messages,
-                                           std::size_t count) {
-  for (std::size_t j = 0; j < count; ++j)
-    if (messages[j].size() != static_cast<std::size_t>(params.n))
-      throw std::invalid_argument("compute_spine_n: message length != params.n");
-
-  const std::size_t s_len = static_cast<std::size_t>(params.spine_length());
-  // Chunk extraction is cheap and chain-independent; stage all chains'
-  // chunks chain-major so the walk itself is one interleaved sweep.
-  std::vector<std::uint32_t> chunks(count * s_len);
-  std::vector<std::uint32_t> seeds(count, params.s0);
-  for (std::size_t j = 0; j < count; ++j)
-    for (std::size_t i = 0; i < s_len; ++i)
-      chunks[j * s_len + i] = messages[j].get_bits(
-          i * params.k, static_cast<unsigned>(params.chunk_bits(static_cast<int>(i))));
-
-  std::vector<std::uint32_t> spines(count * s_len);
-  h.spine_walk_n(seeds.data(), count, chunks.data(), s_len, spines.data());
-  return spines;
-}
-
 }  // namespace spinal

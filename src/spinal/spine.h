@@ -18,16 +18,4 @@ std::vector<std::uint32_t> compute_spine(const CodeParams& params,
                                          const hash::SpineHash& h,
                                          const util::BitVec& message);
 
-/// Batched spine construction for @p count equal-length messages
-/// (frame pipelines encode many messages against one CodeParams).
-/// Returns the spines chain-major: element j * spine_length + i is
-/// s_{i+1} of message j. Bit-identical to calling compute_spine per
-/// message; the independent chains are walked interleaved
-/// (SpineHash::spine_walk_n), which hides the serial per-chain hash
-/// latency that bounds single-message construction.
-std::vector<std::uint32_t> compute_spine_n(const CodeParams& params,
-                                           const hash::SpineHash& h,
-                                           const util::BitVec* messages,
-                                           std::size_t count);
-
 }  // namespace spinal

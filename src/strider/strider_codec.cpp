@@ -262,10 +262,4 @@ void StriderDecoder::reset() {
   for (auto& cache : layer_symbol_cache_) cache.clear();
 }
 
-int StriderDecoder::layers_decoded() const noexcept {
-  int n = 0;
-  for (bool b : layer_done_) n += b;
-  return n;
-}
-
 }  // namespace spinal::strider

@@ -107,8 +107,6 @@ class StriderDecoder {
 
   void reset();
 
-  int layers_decoded() const noexcept;
-
  private:
   StriderConfig config_;
   turbo::TurboCodec turbo_;

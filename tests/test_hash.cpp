@@ -194,36 +194,6 @@ TEST_P(SpineHashAllKinds, PremixedHashingMatchesDirect) {
   }
 }
 
-TEST(SpineHash, SpineWalkNMatchesSerialWalk) {
-  // The interleaved multi-chain walk must be bit-identical to walking
-  // each chain with operator(), for every kind and for chain counts
-  // around the 4-way pipelining group (including a 0-length walk).
-  for (Kind kind : {Kind::kOneAtATime, Kind::kLookup3, Kind::kSalsa20}) {
-    const SpineHash h(kind, 0x9E3779B9u);
-    for (std::size_t chains : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                               std::size_t{4}, std::size_t{5}, std::size_t{9}}) {
-      for (std::size_t length : {std::size_t{0}, std::size_t{1}, std::size_t{67}}) {
-        std::vector<std::uint32_t> seeds(chains), data(chains * length),
-            out(chains * length, 0xCDCDCDCDu);
-        for (std::size_t j = 0; j < chains; ++j)
-          seeds[j] = static_cast<std::uint32_t>(j * 2654435761u + 17);
-        for (std::size_t i = 0; i < data.size(); ++i)
-          data[i] = static_cast<std::uint32_t>(i * 40503u) & 0xFu;
-        h.spine_walk_n(seeds.data(), chains, data.data(), length, out.data());
-        for (std::size_t j = 0; j < chains; ++j) {
-          std::uint32_t s = seeds[j];
-          for (std::size_t t = 0; t < length; ++t) {
-            s = h(s, data[j * length + t]);
-            ASSERT_EQ(out[j * length + t], s)
-                << kind_name(kind) << " chains=" << chains << " j=" << j
-                << " t=" << t;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(SpineHash, OnlyOneAtATimeHasPremix) {
   EXPECT_TRUE(SpineHash(Kind::kOneAtATime, 1).has_premix());
   EXPECT_FALSE(SpineHash(Kind::kLookup3, 1).has_premix());

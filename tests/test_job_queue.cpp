@@ -4,11 +4,11 @@
 // tag-affine routing, home-shard self-reposts, batch stealing from the
 // deepest sibling, per-tag FIFO across steals, the closed-queue drain of
 // non-empty shards (the PR 8 job-loss regression re-stated under
-// sharding), and a seeded randomized producer/consumer/steal stress.
+// sharding), a seeded randomized producer/consumer/steal stress, and
+// pushes that never block (the queue holds no bound of its own).
 // This suite runs under the ThreadSanitizer CI lane.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <thread>
@@ -24,15 +24,14 @@ namespace spinal::runtime {
 namespace {
 
 // -------------------------------- one shard: the single-queue baseline
-// With one shard the queue is a plain bounded FIFO with windowed batch
+// With one shard the queue is a plain FIFO with windowed batch
 // claims — the deterministic mode's ordered drain is stated against
 // exactly these semantics.
 
-TEST(ShardedJobQueue, SingleShardFifoTryPushAndClose) {
-  ShardedJobQueue<int> q(2, 1);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: the backpressure probe refuses
+TEST(ShardedJobQueue, SingleShardFifoPushAndClose) {
+  ShardedJobQueue<int> q(1);
+  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.push(2));
   EXPECT_EQ(q.depth(), 2u);
   std::vector<int> batch;
   EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));
@@ -40,6 +39,9 @@ TEST(ShardedJobQueue, SingleShardFifoTryPushAndClose) {
   EXPECT_TRUE(q.push(3));
   q.close();
   EXPECT_FALSE(q.push(4));  // closed
+  std::vector<int> more = {5, 6};
+  EXPECT_FALSE(q.push_many(more));  // closed: nothing pushed
+  EXPECT_EQ(more, (std::vector<int>{5, 6}));
   EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));  // drains pending items after close
   EXPECT_EQ(batch, (std::vector<int>{2}));
   EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));
@@ -48,11 +50,11 @@ TEST(ShardedJobQueue, SingleShardFifoTryPushAndClose) {
 }
 
 TEST(ShardedJobQueue, SingleShardAggregatesSameTagOnly) {
-  ShardedJobQueue<int> q(16, 1);
-  EXPECT_TRUE(q.try_push(1, 7));
-  EXPECT_TRUE(q.try_push(2, 9));
-  EXPECT_TRUE(q.try_push(3, 7));
-  EXPECT_TRUE(q.try_push(4, 7));
+  ShardedJobQueue<int> q(1);
+  EXPECT_TRUE(q.push(1, 7));
+  EXPECT_TRUE(q.push(2, 9));
+  EXPECT_TRUE(q.push(3, 7));
+  EXPECT_TRUE(q.push(4, 7));
   std::vector<int> batch;
   // Claims the head plus the same-tag entries behind it; the other tag
   // keeps its place at the new head.
@@ -63,8 +65,8 @@ TEST(ShardedJobQueue, SingleShardAggregatesSameTagOnly) {
   EXPECT_EQ(q.stats().steals, 0u);  // one shard: nothing to steal from
 
   // Untagged entries never aggregate, even with untagged neighbours.
-  EXPECT_TRUE(q.try_push(5));
-  EXPECT_TRUE(q.try_push(6));
+  EXPECT_TRUE(q.push(5));
+  EXPECT_TRUE(q.push(6));
   EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
   EXPECT_EQ(batch, (std::vector<int>{5}));
   EXPECT_TRUE(q.pop_batch(0, batch, 8, 16));
@@ -72,8 +74,8 @@ TEST(ShardedJobQueue, SingleShardAggregatesSameTagOnly) {
 }
 
 TEST(ShardedJobQueue, SingleShardHonorsMaxBatchAndWindow) {
-  ShardedJobQueue<int> q(16, 1);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.try_push(10 + i, 3));
+  ShardedJobQueue<int> q(1);
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.push(10 + i, 3));
   std::vector<int> batch;
   EXPECT_TRUE(q.pop_batch(0, batch, 3, 16));  // max_batch bounds the claim
   EXPECT_EQ(batch, (std::vector<int>{10, 11, 12}));
@@ -85,11 +87,11 @@ TEST(ShardedJobQueue, SingleShardHonorsMaxBatchAndWindow) {
 }
 
 TEST(ShardedJobQueue, SingleShardDrainsAfterClose) {
-  ShardedJobQueue<int> q(8, 1);
-  EXPECT_TRUE(q.try_push(1, 2));
-  EXPECT_TRUE(q.try_push(2, 2));
+  ShardedJobQueue<int> q(1);
+  EXPECT_TRUE(q.push(1, 2));
+  EXPECT_TRUE(q.push(2, 2));
   q.close();
-  EXPECT_FALSE(q.try_push(3, 2));
+  EXPECT_FALSE(q.push(3, 2));
   std::vector<int> batch;
   EXPECT_TRUE(q.pop_batch(0, batch, 4, 8));
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
@@ -100,11 +102,11 @@ TEST(ShardedJobQueue, SingleShardDrainsAfterClose) {
 // ------------------------------------------------------- several shards
 
 TEST(ShardedJobQueue, TagRoutingColocatesSameTag) {
-  ShardedJobQueue<int> q(64, 4);
+  ShardedJobQueue<int> q(4);
   // Tags are dense interned ids; tag t routes to shard t % 4.
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.try_push(100 + i, /*tag=*/1));
-  for (int i = 0; i < 2; ++i) EXPECT_TRUE(q.try_push(200 + i, /*tag=*/5));
-  EXPECT_TRUE(q.try_push(300, /*tag=*/2));
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.push(100 + i, /*tag=*/1));
+  for (int i = 0; i < 2; ++i) EXPECT_TRUE(q.push(200 + i, /*tag=*/5));
+  EXPECT_TRUE(q.push(300, /*tag=*/2));
   EXPECT_EQ(q.shard_depth(1), 5u);  // tags 1 and 5 share shard 1
   EXPECT_EQ(q.shard_depth(2), 1u);
   EXPECT_EQ(q.depth(), 6u);
@@ -120,23 +122,23 @@ TEST(ShardedJobQueue, TagRoutingColocatesSameTag) {
 }
 
 TEST(ShardedJobQueue, HomeShardWinsOverTagRouting) {
-  ShardedJobQueue<int> q(64, 4);
+  ShardedJobQueue<int> q(4);
   // A worker's self-repost (home >= 0) stays on its shard even when the
   // tag hashes elsewhere — and is not counted as a cross-shard submit.
-  EXPECT_TRUE(q.try_push(1, /*tag=*/3, /*home=*/2));
+  EXPECT_TRUE(q.push(1, /*tag=*/3, /*home=*/2));
   EXPECT_EQ(q.shard_depth(2), 1u);
   EXPECT_EQ(q.shard_depth(3), 0u);
   EXPECT_EQ(q.stats().cross_shard_submits, 0u);
 
   // External submitters own no shard: every push of theirs crosses.
-  EXPECT_TRUE(q.try_push(2, /*tag=*/3));
+  EXPECT_TRUE(q.push(2, /*tag=*/3));
   EXPECT_EQ(q.shard_depth(3), 1u);
   EXPECT_EQ(q.stats().cross_shard_submits, 1u);
 }
 
 TEST(ShardedJobQueue, PushManyLandsContiguousOnOneShard) {
-  ShardedJobQueue<int> q(64, 4);
-  EXPECT_TRUE(q.try_push(7, /*tag=*/1));
+  ShardedJobQueue<int> q(4);
+  EXPECT_TRUE(q.push(7, /*tag=*/1));
   std::vector<int> items = {10, 11, 12, 13};
   EXPECT_TRUE(q.push_many(items, /*tag=*/1, /*home=*/1));
   EXPECT_EQ(q.shard_depth(1), 5u);
@@ -146,9 +148,9 @@ TEST(ShardedJobQueue, PushManyLandsContiguousOnOneShard) {
 }
 
 TEST(ShardedJobQueue, StealsBatchFromDeepestSibling) {
-  ShardedJobQueue<int> q(64, 4);
-  for (int i = 0; i < 2; ++i) EXPECT_TRUE(q.try_push(100 + i, /*tag=*/1));
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(200 + i, /*tag=*/2));
+  ShardedJobQueue<int> q(4);
+  for (int i = 0; i < 2; ++i) EXPECT_TRUE(q.push(100 + i, /*tag=*/1));
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(200 + i, /*tag=*/2));
   // Worker 0's own shard is empty; shard 2 is deepest, so the whole
   // head batch there is stolen in one claim.
   std::vector<int> batch;
@@ -167,12 +169,12 @@ TEST(ShardedJobQueue, ClosedQueueDrainsEveryNonEmptyShard) {
   // The PR 8 no-silent-job-loss guarantee under sharding: close() with
   // items spread across several shards must still hand every item out
   // before pop_batch returns false.
-  ShardedJobQueue<int> q(64, 4);
+  ShardedJobQueue<int> q(4);
   for (int tag = 0; tag < 4; ++tag)
     for (int i = 0; i < 3; ++i)
-      EXPECT_TRUE(q.try_push(tag * 10 + i, tag));
+      EXPECT_TRUE(q.push(tag * 10 + i, tag));
   q.close();
-  EXPECT_FALSE(q.try_push(99, 0));
+  EXPECT_FALSE(q.push(99, 0));
 
   std::vector<int> got;
   std::vector<int> batch;
@@ -191,12 +193,12 @@ TEST(ShardedJobQueue, FifoPerTagHoldsAcrossSteals) {
   // so per-tag FIFO survives even when every claim is a steal. One
   // consumer drains a 3-shard queue seeded with interleaved tags from
   // the "wrong" worker index.
-  ShardedJobQueue<std::pair<int, int>> q(256, 3);
+  ShardedJobQueue<std::pair<int, int>> q(3);
   std::map<int, int> next_seq;
   util::Xoshiro256 prng(0x5EEDFACE);
   for (int i = 0; i < 120; ++i) {
     const int tag = static_cast<int>(prng.next_u64() % 6);
-    EXPECT_TRUE(q.try_push({tag, next_seq[tag]++}, tag));
+    EXPECT_TRUE(q.push({tag, next_seq[tag]++}, tag));
   }
   q.close();
   std::map<int, int> seen_seq;
@@ -220,7 +222,7 @@ TEST(ShardedJobQueue, RandomizedSubmitStealStress) {
   // FIFO of each claim), and the queue fully drained at close.
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 2000;
-  ShardedJobQueue<std::pair<int, int>> q(128, 4);
+  ShardedJobQueue<std::pair<int, int>> q(4);
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
@@ -279,31 +281,50 @@ TEST(ShardedJobQueue, RandomizedSubmitStealStress) {
   }
 }
 
-TEST(ShardedJobQueue, CapacityIsGlobalAcrossShards) {
-  ShardedJobQueue<int> q(3, 4);
-  EXPECT_TRUE(q.try_push(1, 0));
-  EXPECT_TRUE(q.try_push(2, 1));
-  EXPECT_TRUE(q.try_push(3, 2));
-  EXPECT_FALSE(q.try_push(4, 3));  // full: the cap spans all shards
-  std::vector<int> batch;
-  EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));
-  EXPECT_TRUE(q.try_push(4, 3));   // claim released global space
-}
+TEST(ShardedJobQueue, PushesNeverBlockWithoutAConsumer) {
+  // The queue has no bound of its own (its owner bounds what it
+  // pushes): with no consumer running, 10k jobs over several tags and
+  // shards go in through push and push_many without blocking, and the
+  // claims then hand each tag's jobs back in push order.
+  constexpr int kTags = 7;
+  constexpr int kJobs = 10000;
+  ShardedJobQueue<std::pair<int, int>> q(4);
+  std::map<int, int> next_seq;
+  std::vector<std::pair<int, int>> run;
+  for (int i = 0; i < kJobs;) {
+    const int tag = i % kTags;
+    if (i % 3 == 0) {
+      EXPECT_TRUE(q.push({tag, next_seq[tag]++}, tag));
+      ++i;
+    } else {
+      // A same-tag run, on the tag's shard or on a worker's home shard.
+      run.clear();
+      for (int r = 0; r < 5 && i < kJobs; ++r, ++i)
+        run.push_back({tag, next_seq[tag]++});
+      const int home = i % 2 ? ShardedJobQueue<int>::kNoShard : tag % 4;
+      EXPECT_TRUE(q.push_many(run, tag, home));
+    }
+  }
+  EXPECT_EQ(q.depth(), static_cast<std::size_t>(kJobs));
 
-TEST(ShardedJobQueue, BlockedPusherWakesOnClaim) {
-  ShardedJobQueue<int> q(2, 2);
-  EXPECT_TRUE(q.try_push(1, 0));
-  EXPECT_TRUE(q.try_push(2, 1));
-  std::atomic<bool> pushed{false};
-  std::thread pusher([&] {
-    EXPECT_TRUE(q.push(3, 0));  // blocks on global capacity
-    pushed.store(true);
-  });
-  std::vector<int> batch;
-  EXPECT_TRUE(q.pop_batch(0, batch, 1, 0));
-  pusher.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.depth(), 2u);
+  std::map<int, int> seen_seq;
+  std::vector<std::pair<int, int>> batch;
+  std::size_t total = 0;
+  for (int w = 0; total < static_cast<std::size_t>(kJobs); w = (w + 1) % 4) {
+    ASSERT_TRUE(q.pop_batch(w, batch, 16, 64));
+    for (const auto& [tag, seq] : batch) {
+      EXPECT_EQ(tag, batch.front().first);  // claims are same-tag only
+      EXPECT_EQ(seq, seen_seq[tag]++) << "tag " << tag;
+      ++total;
+    }
+  }
+  EXPECT_EQ(q.depth(), 0u);
+
+  q.close();
+  EXPECT_FALSE(q.push({0, 0}, 0));
+  run.assign(3, {1, 0});
+  EXPECT_FALSE(q.push_many(run, 1));
+  EXPECT_FALSE(q.pop_batch(0, batch, 16, 64));
 }
 
 }  // namespace

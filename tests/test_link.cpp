@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <complex>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "channel/awgn.h"
 #include "spinal/cost_model.h"
@@ -304,6 +308,55 @@ TEST(Link, GateSurvivesOneCorruptedBlock) {
   EXPECT_LT(gated.noise, 0.2);
   EXPECT_EQ(ungated.noise, 0.0);
   EXPECT_LT(gated.attempts, ungated.attempts);  // the gate fired
+}
+
+TEST(Link, NonFiniteSymbolIsAnErasure) {
+  // A NaN CSI or an infinite value says nothing about the symbol sent:
+  // receive() drops it, so it neither turns the capacity gate off (as
+  // fading CSI would) nor makes its block due again. The link then runs
+  // exactly as without it: same attempts, bursts and datagram.
+  const CodeParams p = link_params();
+  const auto datagram = random_datagram(256, 23);
+  struct Run {
+    std::int64_t attempts = 0;
+    long symbols = 0;
+    std::optional<std::vector<std::uint8_t>> datagram;
+  };
+  const auto run = [&](bool inject) {
+    LinkSender sender(p, datagram);
+    LinkReceiver rx(p, sender.block_count());
+    channel::AwgnChannel channel(10.0, 24);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (int burst = 0; !sender.done() && !sender.gave_up(); ++burst) {
+      std::vector<LinkSymbol> symbols = sender.next_burst();
+      for (LinkSymbol& s : symbols) {
+        s.value = channel.transmit(s.value);
+        rx.receive(s);
+      }
+      if (inject && (burst == 3 || burst == 5)) {
+        LinkSymbol s = symbols.front();
+        EXPECT_FALSE(rx.block_decoded(s.block));
+        const std::complex<float> csi =
+            burst == 3 ? std::complex<float>{nan, 0.0f}
+                       : std::complex<float>{1.0f, 0.0f};
+        if (burst == 5) s.value = {inf, 0.0f};
+        EXPECT_FALSE(rx.receive(s, csi));
+      }
+      sender.handle_ack(rx.make_ack());
+    }
+    EXPECT_TRUE(sender.done());
+    return Run{rx.attempts(), sender.symbols_sent(), rx.datagram()};
+  };
+  const Run clean = run(false);
+  const Run erased = run(true);
+  ASSERT_TRUE(clean.datagram.has_value());
+  ASSERT_GE(clean.datagram->size(), datagram.size());  // zero-padded tail
+  EXPECT_TRUE(std::equal(datagram.begin(), datagram.end(),
+                         clean.datagram->begin()));
+  EXPECT_EQ(erased.attempts, clean.attempts);
+  EXPECT_EQ(erased.symbols, clean.symbols);
+  EXPECT_EQ(erased.datagram, clean.datagram);
 }
 
 TEST(Link, ClaimedBlockBuffersUntilRelease) {

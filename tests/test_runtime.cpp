@@ -26,7 +26,6 @@
 #include "ldpc/ldpc_session.h"
 #include "raptor/raptor_session.h"
 #include "runtime/adaptive.h"
-#include "runtime/affinity.h"
 #include "runtime/decode_service.h"
 #include "runtime/session_mux.h"
 #include "sim/bsc_session.h"
@@ -277,9 +276,6 @@ TEST(Runtime, AdaptiveModeBatchedFleetStillDecodes) {
   // on few workers must still decode every session.
   RuntimeOptions opt;
   opt.workers = 2;
-  opt.adapt.min_effort = 8;
-  opt.adapt.idle_depth = 0;
-  opt.adapt.depth_per_halving = 4;
   opt.batch.max_batch = 8;
   DecodeService service(opt);
   constexpr int kSessions = 48;
@@ -487,9 +483,6 @@ TEST(Runtime, AdaptiveModeStillDecodesEveryInBudgetSession) {
   constexpr int kSessions = 48;
   RuntimeOptions opt;
   opt.workers = 2;
-  opt.adapt.min_effort = 8;
-  opt.adapt.idle_depth = 0;
-  opt.adapt.depth_per_halving = 4;
   DecodeService service(opt);
 
   const CodeParams p = awgn_params();
@@ -515,32 +508,27 @@ TEST(Runtime, AdaptiveModeStillDecodesEveryInBudgetSession) {
 }
 
 TEST(Adaptive, PickEffortShrinksWithDepthAndFloors) {
-  AdaptiveEffortOptions opt;
-  opt.idle_depth = 1;
-  opt.depth_per_halving = 8;
+  static_assert(kIdleDepth == 1 && kDepthPerHalving == 32);
   // Session floor 16 (spinal's min-beam profile for B >= 16).
-  EXPECT_EQ(pick_effort(opt, 256, 16, 0), 256);  // idle: full effort
-  EXPECT_EQ(pick_effort(opt, 256, 16, 1), 256);
-  EXPECT_EQ(pick_effort(opt, 256, 16, 2), 128);  // first halving step
-  EXPECT_EQ(pick_effort(opt, 256, 16, 9), 128);
-  EXPECT_EQ(pick_effort(opt, 256, 16, 10), 64);
+  EXPECT_EQ(pick_effort(256, 16, 0), 256);  // idle: full effort
+  EXPECT_EQ(pick_effort(256, 16, 1), 256);
+  EXPECT_EQ(pick_effort(256, 16, 2), 128);  // first halving step
+  EXPECT_EQ(pick_effort(256, 16, 33), 128);
+  EXPECT_EQ(pick_effort(256, 16, 34), 64);
+  EXPECT_EQ(pick_effort(64, 16, 2), 32);    // any backlog shrinks B=64
   int prev = 256;
   for (std::size_t depth = 0; depth < 400; depth += 7) {
-    const int e = pick_effort(opt, 256, 16, depth);
+    const int e = pick_effort(256, 16, depth);
     EXPECT_LE(e, prev);  // monotone in depth
     EXPECT_GE(e, 16);    // floored
     prev = e;
   }
-  EXPECT_EQ(pick_effort(opt, 256, 16, 4000), 16);
-  EXPECT_EQ(pick_effort(opt, 8, 16, 4000), 8);  // floor clamps to full
-  // The option-side floor is raise-only, against the session floor.
-  opt.min_effort = 32;
-  EXPECT_EQ(pick_effort(opt, 256, 1, 4000), 32);
+  EXPECT_EQ(pick_effort(256, 16, 4000), 16);
+  EXPECT_EQ(pick_effort(8, 16, 4000), 8);   // floor clamps to full
+  EXPECT_EQ(pick_effort(256, 0, 4000), 1);  // and to at least 1
   // A codec with no effort knob reports full = 0 and always gets the
   // "configured" sentinel back.
-  EXPECT_EQ(pick_effort(opt, 0, 1, 4000), 0);
-  opt.enabled = false;
-  EXPECT_EQ(pick_effort(opt, 256, 16, 4000), 256);
+  EXPECT_EQ(pick_effort(0, 1, 4000), 0);
 }
 
 // ------------------------------------------- admission / backpressure
@@ -726,7 +714,6 @@ TEST(Runtime, ExportMetricsTracksALiveService) {
       {"spinal_tag_jobs_total", Kind::kCounter},
       {"spinal_tag_attempts_total", Kind::kCounter},
       {"spinal_queue_depth", Kind::kGauge},
-      {"spinal_workers_pinned", Kind::kGauge},
       {"spinal_shard_depth", Kind::kGauge},
       {"spinal_decode_latency_us", Kind::kHistogram},
       {"spinal_stage_queue_wait_us", Kind::kHistogram},
@@ -735,7 +722,7 @@ TEST(Runtime, ExportMetricsTracksALiveService) {
       {"spinal_tag_queue_wait_us", Kind::kHistogram},
       {"spinal_tag_decode_service_us", Kind::kHistogram},
   };
-  ASSERT_EQ(schema.size(), 23u);
+  ASSERT_EQ(schema.size(), 22u);
 
   const TelemetrySnapshot snap = service.telemetry();
   std::map<std::string, double> counters = {
@@ -904,33 +891,6 @@ TEST(Runtime, ShardedClosedQueueFailsSessionsInsteadOfLosingThem) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_FALSE(got[0].run.success);
   EXPECT_FALSE(got[1].run.success);
-}
-
-TEST(Runtime, PinWorkersIsBestEffortAndCounted) {
-  RuntimeOptions opt = det_opts(2);
-  opt.pin_workers = true;
-  DecodeService service(opt);
-  service.submit(make_spec(0));
-  service.drain();
-  // Each worker pins itself as its thread starts, so one worker can
-  // serve the whole drain before its sibling has pinned: poll the count
-  // up to a deadline instead of reading it once.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  int pinned = service.telemetry().workers_pinned;
-  while (affinity_supported() && pinned < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    pinned = service.telemetry().workers_pinned;
-  }
-  if (affinity_supported())
-    EXPECT_EQ(pinned, 2);
-  else
-    EXPECT_EQ(pinned, 0);
-  // And off by default:
-  DecodeService unpinned(det_opts(1));
-  unpinned.submit(make_spec(0));
-  unpinned.drain();
-  EXPECT_EQ(unpinned.telemetry().workers_pinned, 0);
 }
 
 // ------------------------------------------------ bounded session memory
@@ -1248,8 +1208,6 @@ TEST(SessionMux, ReducedEffortAttemptsLeaveTheNoiseEstimate) {
     RuntimeOptions opt = basic_opts(1);
     opt.batch.max_batch = 1;
     opt.adapt.enabled = adapt;
-    opt.adapt.depth_per_halving = 1;
-    opt.adapt.retry_full_when_idle = false;
     DecodeService service(opt);
     SessionMux mux(service);
     LinkSender probe(p, random_datagram(20, 31));    // one block

@@ -87,39 +87,6 @@ TEST(Spine, DependsOnEveryChunkBeforeIt) {
   }
 }
 
-TEST(Spine, BatchedSpinesMatchPerMessageConstruction) {
-  // compute_spine_n (the interleaved multi-chain walk) must agree
-  // bit-for-bit with compute_spine per message, including a ragged
-  // final chunk (k does not divide n).
-  for (int k : {4, 3}) {
-    CodeParams p;
-    p.n = 64;
-    p.k = k;
-    const hash::SpineHash h(p.hash_kind, p.salt);
-    util::Xoshiro256 prng(77);
-    for (std::size_t count : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-      std::vector<util::BitVec> msgs;
-      for (std::size_t j = 0; j < count; ++j) msgs.push_back(prng.random_bits(p.n));
-      const auto batch = compute_spine_n(p, h, msgs.data(), count);
-      const std::size_t s_len = static_cast<std::size_t>(p.spine_length());
-      ASSERT_EQ(batch.size(), count * s_len);
-      for (std::size_t j = 0; j < count; ++j) {
-        const auto one = compute_spine(p, h, msgs[j]);
-        for (std::size_t i = 0; i < s_len; ++i)
-          ASSERT_EQ(batch[j * s_len + i], one[i]) << "k=" << k << " j=" << j << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(Spine, BatchedSpinesRejectWrongLength) {
-  const CodeParams p = small_params();
-  const hash::SpineHash h(p.hash_kind, p.salt);
-  util::Xoshiro256 prng(78);
-  const util::BitVec wrong = prng.random_bits(p.n + 1);
-  EXPECT_THROW(compute_spine_n(p, h, &wrong, 1), std::invalid_argument);
-}
-
 TEST(Spine, AllHashKindsProduceValidSpines) {
   for (auto kind : {hash::Kind::kOneAtATime, hash::Kind::kLookup3, hash::Kind::kSalsa20}) {
     CodeParams p = small_params();
