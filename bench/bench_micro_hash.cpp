@@ -160,24 +160,24 @@ void BM_ExpandF32Backend(benchmark::State& state, const backend::Backend* b) {
 
 void BM_ExpandU16Backend(benchmark::State& state, const backend::Backend* b) {
   const std::size_t total = kExpLeaves * kExpFanout;
-  const std::uint32_t qstride = 1u << (2 * kExpCbits);
+  const std::uint32_t qstride = 2u << kExpCbits;  // qre and qim rows per symbol
   std::vector<std::uint32_t> states(kExpLeaves), ord(kExpNsym);
   for (std::size_t i = 0; i < kExpLeaves; ++i)
     states[i] = static_cast<std::uint32_t>(i) * 2654435761u;
-  // Synthetic metric rows (+1 u16 of gather tail slack, the
-  // AwgnLevelQ::qtab contract) and their suffix-minima floors.
+  // Synthetic per-dimension metric rows (+1 u16 of gather tail slack,
+  // the AwgnLevelQ::qtab contract) and their suffix-minima floors.
   std::vector<std::uint16_t> qtab(kExpNsym * qstride + 1, 0);
   std::vector<std::uint16_t> min_rest(kExpNsym + 1, 0);
   for (std::uint32_t s = 0; s < kExpNsym; ++s) {
     ord[s] = s;
-    for (std::uint32_t w = 0; w < qstride; ++w)
-      qtab[s * qstride + w] = static_cast<std::uint16_t>((w * 37u + s) & 1023u);
+    for (std::uint32_t j = 0; j < qstride; ++j)
+      qtab[s * qstride + j] = static_cast<std::uint16_t>((j * 37u + s) & 511u);
   }
   std::vector<std::uint32_t> rng(total), premix(total), acc(total), out_states(total);
   std::vector<std::uint16_t> out_costs(total);
   const backend::AwgnLevelQ level{
       hash::Kind::kOneAtATime, 42,         ord.data(),      kExpNsym,
-      qtab.data(),             qstride,    qstride - 1,     min_rest.data(),
+      qtab.data(),             kExpCbits,  65535,           min_rest.data(),
       rng.data(),              premix.data(), acc.data(),   nullptr};
   for (auto _ : state) {
     b->u16.awgn_expand_all(level, states.data(), kExpLeaves, kExpFanout,

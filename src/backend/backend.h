@@ -114,25 +114,27 @@ struct AwgnLevel {
 
 /// Everything the *quantized* (u16/u8 grid, see spinal/cost_model.h)
 /// AWGN expansion kernels need for one spine level. The channel metric
-/// is fully pre-tabulated: qtab row s holds the combined re+im integer
-/// metric of symbol s for every 2^(2c) constellation index pair, so a
-/// kernel's per-child work per symbol is one RNG draw, one gather
-/// (qtab[w & qmask]) and one add. Entries are clamped to the
-/// precision's cap (<= 65535) and a path cost is min(sum, 65535)
-/// everywhere — exactly a u16 saturating-add chain, carried in u32
-/// lanes so survivor compaction reuses the u32 compress stores.
+/// is fully pre-tabulated per dimension: qtab row s holds symbol s's
+/// integer metric of the I coordinate (qre) and of the Q coordinate
+/// (qim) for every c-bit constellation index, so a kernel's per-child
+/// work per symbol is one RNG draw, two lookups and the clamped sum
+///   min(qre[w & mask] + qim[(w >> c) & mask], cap),  mask = 2^c - 1.
+/// Each dimension is clamped to cap before rounding (see
+/// spinal/cost_model.h). A path cost is min(sum, 65535) everywhere —
+/// exactly a u16 saturating-add chain, carried in u32 lanes so survivor
+/// compaction reuses the u32 compress stores.
 struct AwgnLevelQ {
   hash::Kind kind;
   std::uint32_t salt;
   const std::uint32_t* ord;  ///< symbol ordinals, nsym entries
   std::uint32_t nsym;
-  const std::uint16_t* qtab;      ///< nsym rows of qstride combined metrics
-                                  ///< (u16 entries — 8 KiB per row at c=6, so
-                                  ///< a level's rows sit in L1; the table must
-                                  ///< carry one u16 of tail slack for the
-                                  ///< 32-bit SIMD gather of the last entry)
-  std::uint32_t qstride;          ///< 1 << (2*cbits)
-  std::uint32_t qmask;            ///< qstride - 1 (index = rng_word & qmask)
+  const std::uint16_t* qtab;      ///< nsym rows of 2 << cbits u16 metrics, qre
+                                  ///< then qim (256 B per row at c=6); the
+                                  ///< table must carry one u16 of tail slack
+                                  ///< for the 32-bit SIMD gather of the last
+                                  ///< entry
+  int cbits;                      ///< c: bits of the RNG word per dimension
+  std::uint32_t cap;              ///< per-symbol clamp of qre + qim (<= 65535)
   const std::uint16_t* min_rest;  ///< nsym+1 suffix sums of per-row minima
                                   ///< (min_rest[s] = sat sum of rows >= s,
                                   ///< min_rest[nsym] = 0): admissible
@@ -277,8 +279,8 @@ inline constexpr std::size_t kCompressSlack = kMaxLanes - 1;
 /// The one place the lanes do different work is the per-child branch
 /// metric inside the two expansion entries: F32Lane runs the l2 float
 /// chain against the constellation (with the CSI and Appendix-B
-/// fixed-point modes), U16Lane gathers one pre-tabulated integer per
-/// symbol (AwgnLevelQ) with u16-saturating costs. The quantized kernels
+/// fixed-point modes), U16Lane adds two pre-tabulated per-dimension
+/// integers per symbol (AwgnLevelQ) with u16-saturating costs. The quantized kernels
 /// are pure integer, so bit-identical across backends by construction
 /// (quantized vs f32 is gated statistically instead, see
 /// spinal/cost_model.h).

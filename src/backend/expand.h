@@ -67,16 +67,17 @@ void awgn_level_sweep(const AwgnLevel& L, std::uint32_t s, const std::uint32_t* 
   }
 }
 
-/// One symbol's U16Lane metric sweep: one pre-tabulated gather per
-/// child from symbol s's metric row, accumulated unclamped in u32.
+/// One symbol's U16Lane metric sweep: the clamped sum of two
+/// per-dimension lookups per child from symbol s's metric rows,
+/// accumulated unclamped in u32.
 template <class Ops, bool kStore>
 void awgn_level_sweep(const AwgnLevelQ& L, std::uint32_t s, const std::uint32_t* lanes,
                       bool premixed, std::size_t n, std::uint32_t* w,
                       std::uint32_t* acc) {
   Ops::template awgn_q_sweep<kStore>(L.kind, L.salt, premixed, lanes, n,
                                      L.ord[s] ^ 0x80000000u,
-                                     L.qtab + s * static_cast<std::size_t>(L.qstride),
-                                     L.qmask, w, acc);
+                                     L.qtab + (static_cast<std::size_t>(s) << (L.cbits + 1)),
+                                     L.cbits, L.cap, w, acc);
 }
 
 /// The f32 metric tabulates no floors (F32Lane::kLevelFloor is false).

@@ -188,25 +188,31 @@ struct ScalarOps {
     }
   }
 
-  /// One symbol's RNG draw + quantized metric: acc[i] += qtab[w[i] &
-  /// qmask] (or = with @p kStore), split passes exactly as awgn_sweep.
+  /// One symbol's RNG draw + quantized metric from its per-dimension
+  /// rows (qre = row[0, 2^c), qim = row[2^c, 2^(c+1))):
+  ///   acc[i] += min(qre[w[i] & mask] + qim[(w[i] >> c) & mask], cap)
+  /// (or = with @p kStore), split passes exactly as awgn_sweep.
   template <bool kStore>
   static void awgn_q_sweep(hash::Kind kind, std::uint32_t salt, bool premixed,
                            const std::uint32_t* lanes, std::size_t count,
-                           std::uint32_t data, const std::uint16_t* qtab,
-                           std::uint32_t qmask, std::uint32_t* w,
+                           std::uint32_t data, const std::uint16_t* row, int cbits,
+                           std::uint32_t cap, std::uint32_t* w,
                            std::uint32_t* acc) noexcept {
     if (premixed)
       hash_premixed_n(lanes, count, data, w);
     else
       hash_n(kind, salt, lanes, count, data, w);
-    const std::uint16_t* const __restrict t = qtab;
+    const std::uint32_t mask = (1u << cbits) - 1u;
+    const std::uint16_t* const __restrict re = row;
+    const std::uint16_t* const __restrict im = row + mask + 1u;
     std::uint32_t* const __restrict oc = acc;
     for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t s = re[w[i] & mask] + im[(w[i] >> cbits) & mask];
+      const std::uint32_t m = s < cap ? s : cap;
       if constexpr (kStore)
-        oc[i] = t[w[i] & qmask];
+        oc[i] = m;
       else
-        oc[i] += t[w[i] & qmask];
+        oc[i] += m;
     }
   }
 

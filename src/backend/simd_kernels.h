@@ -502,29 +502,51 @@ struct SimdOps {
                                     table, mask, cbits, yr, yi, w_scratch + i, acc + i);
   }
 
-  /// Fused RNG draw + quantized table metric for one symbol (see
-  /// ScalarOps::awgn_q_sweep): half the gathers and a third of the
-  /// arithmetic of the float metric, on the same interleaved hash
-  /// chains. Pure integer lanes: bit-identical by construction.
+  /// Fused RNG draw + quantized per-dimension metric for one symbol
+  /// (see ScalarOps::awgn_q_sweep), on the same interleaved hash chains
+  /// as the float metric. Where the wrapper holds a 64-entry table in
+  /// registers (V::Table64: AVX-512), each row widens once per call and
+  /// each lookup is a register permute; rows longer than that (c > 6,
+  /// which the decoder never quantizes) take the scalar kernel. Other
+  /// wrappers gather each dimension. Pure integer lanes: bit-identical
+  /// by construction.
   template <bool kStore>
   static void awgn_q_sweep(hash::Kind kind, std::uint32_t salt, bool premixed,
                            const std::uint32_t* lanes, std::size_t count,
-                           std::uint32_t data, const std::uint16_t* qtab,
-                           std::uint32_t qmask, std::uint32_t* w_scratch,
+                           std::uint32_t data, const std::uint16_t* row, int cbits,
+                           std::uint32_t cap, std::uint32_t* w_scratch,
                            std::uint32_t* acc) {
-    const U qmaskv = V::set1(qmask);
-    const auto metric = [&](U w) { return V::gather_u16(qtab, V::and_(w, qmaskv)); };
+    const std::uint32_t dim = 1u << cbits;
+    const U capv = V::set1(cap);
     const auto emit = [&](std::size_t at, U m) {
       if constexpr (kStore)
         V::storeu(acc + at, m);
       else
         V::storeu(acc + at, V::add(V::loadu(acc + at), m));
     };
-    const std::size_t i = sweep_body(kind, salt, premixed, lanes, count, data, metric,
-                                     emit);
+    // @p re and @p im take the RNG word, shifted by c for Q.
+    const auto run = [&](const auto& re, const auto& im) {
+      const auto metric = [&](U w) {
+        return V::min_u32(V::add(re(w), im(V::shr(w, cbits))), capv);
+      };
+      return sweep_body(kind, salt, premixed, lanes, count, data, metric, emit);
+    };
+    std::size_t i = 0;
+    if constexpr (requires { typename V::Table64; }) {
+      if (dim <= 64) {
+        const typename V::Table64 tre = V::load_table64(row, dim);
+        const typename V::Table64 tim = V::load_table64(row + dim, dim);
+        i = run([&](U j) { return V::lookup64(tre, j); },
+                [&](U j) { return V::lookup64(tim, j); });
+      }
+    } else {
+      const U maskv = V::set1(dim - 1u);
+      i = run([&](U j) { return V::gather_u16(row, V::and_(j, maskv)); },
+              [&](U j) { return V::gather_u16(row + dim, V::and_(j, maskv)); });
+    }
     if (i < count)
       ScalarOps::awgn_q_sweep<kStore>(kind, salt, premixed, lanes + i, count - i, data,
-                                      qtab, qmask, w_scratch + i, acc + i);
+                                      row, cbits, cap, w_scratch + i, acc + i);
   }
 
   static void awgn_csi_accum(const std::uint32_t* w, std::size_t count,

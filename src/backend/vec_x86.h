@@ -114,7 +114,8 @@ struct Vec128 {
                           static_cast<int>(t[i[2]]), static_cast<int>(t[i[3]]));
   }
 
-  /// Gather of u16 table entries, zero-extended to u32 lanes.
+  /// Gather of u16 table entries, zero-extended to u32 lanes (one
+  /// dimension's metric row, AwgnLevelQ::qtab).
   static U gather_u16(const std::uint16_t* t, U idx) {
     alignas(16) std::uint32_t i[4];
     _mm_store_si128(reinterpret_cast<__m128i*>(i), idx);
@@ -282,10 +283,11 @@ struct Vec256 {
     return _mm256_i32gather_epi32(reinterpret_cast<const int*>(t), idx, 4);
   }
 
-  /// Gather of u16 table entries, zero-extended to u32 lanes. The
-  /// 32-bit gather at scale 2 reads two bytes past entry idx, so the
-  /// table owner must pad one u16 of slack after the last entry
-  /// (AwgnLevelQ::qtab's contract).
+  /// Gather of u16 table entries (one dimension's metric row,
+  /// AwgnLevelQ::qtab), zero-extended to u32 lanes. The 32-bit gather
+  /// at scale 2 reads two bytes past entry idx: within the row pair for
+  /// the I row, the next row's first entry or the table's one u16 of
+  /// tail slack for the Q row.
   static U gather_u16(const std::uint16_t* t, U idx) {
     const __m256i wide =
         _mm256_i32gather_epi32(reinterpret_cast<const int*>(t), idx, 2);
@@ -506,13 +508,39 @@ struct Vec512 {
     return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAll, idx, t, 4);
   }
 
-  /// Gather of u16 table entries, zero-extended to u32 lanes. Like
-  /// Vec256's, the 32-bit gather at scale 2 reads two bytes past entry
-  /// idx (AwgnLevelQ::qtab's one u16 of tail slack).
-  static U gather_u16(const std::uint16_t* t, U idx) {
-    return _mm512_and_si512(
-        _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAll, idx, t, 2),
-        _mm512_set1_epi32(0xFFFF));
+  /// A u16 table of n <= 64 entries (n a power of two) widened to u32
+  /// and repeated every n entries up to 64, held in four registers
+  /// (entries 16j .. 16j+15 in r[j]): a per-dimension metric row the
+  /// quantized sweep reads with lookup64 instead of gathers. The
+  /// repetition makes entry i equal entry i mod n, so lookups need no
+  /// index mask.
+  struct Table64 {
+    U r[4];
+  };
+
+  /// Widens the n entries of t into a Table64, reading no memory past
+  /// t + n.
+  static Table64 load_table64(const std::uint16_t* t, std::uint32_t n) {
+    Table64 out;
+    if (n >= 16) {
+      for (std::uint32_t j = 0; j < 4; ++j)
+        out.r[j] = widen_load_u16(t + 16 * (j & (n / 16 - 1)));
+    } else {
+      // Rows shorter than a register (c <= 3) repeat through a copy.
+      alignas(32) std::uint16_t rep[16];
+      for (std::uint32_t j = 0; j < 16; ++j) rep[j] = t[j & (n - 1)];
+      out.r[0] = out.r[1] = out.r[2] = out.r[3] = widen_load_u16(rep);
+    }
+    return out;
+  }
+
+  /// out[l] = t[idx[l] mod 64]: two two-register permutes on the low
+  /// five index bits, blended on bit 5.
+  static U lookup64(const Table64& t, U idx) {
+    const U lo = _mm512_permutex2var_epi32(t.r[0], idx, t.r[1]);
+    const U hi = _mm512_permutex2var_epi32(t.r[2], idx, t.r[3]);
+    return _mm512_mask_blend_epi32(_mm512_test_epi32_mask(idx, _mm512_set1_epi32(32)), lo,
+                                   hi);
   }
 
   static U min_u32(U a, U b) { return _mm512_maskz_min_epu32(kAll, a, b); }

@@ -423,9 +423,10 @@ class BeamSearch {
     // ---- One step t of 0 .. S-d, expansion chunk e = t+d-1 ----
     const int e = t + d - 1;                    // chunk evaluated this step
     const int fanout = 1 << p.chunk_bits(e);    // children per expanded leaf
-    const int group_count = 1 << p.chunk_bits(t);  // candidate subtrees per entry
+    const int group_bits = p.chunk_bits(t);
+    const int group_count = 1 << group_bits;    // candidate subtrees per entry
     const int entries = static_cast<int>(ws.entry_arena.size());
-    const int rows = leaves_per_entry * fanout / group_count;  // leaves per candidate
+    const int rows = (leaves_per_entry * fanout) >> group_bits;  // leaves per candidate
     const int cand_total = entries * group_count;
     const std::size_t total_leaves = ws.leaf_state.size();
 
@@ -525,8 +526,8 @@ class BeamSearch {
       for (int j = 0; j < keep; ++j) {
         const key_t key = lw.keys[j];
         const int cand = static_cast<int>(Lane::cand_of(key));
-        const int en = cand / group_count;
-        const std::uint32_t g = static_cast<std::uint32_t>(cand % group_count);
+        const int en = cand >> group_bits;
+        const std::uint32_t g = static_cast<std::uint32_t>(cand & (group_count - 1));
         ws.arena.push_back({ws.entry_arena[en], g});
         ws.next_entry_arena[j] = static_cast<std::int32_t>(ws.arena.size() - 1);
         ws.next_state[j] = ws.child_state[cand];
@@ -626,8 +627,8 @@ class BeamSearch {
       ws.next_path.resize(static_cast<std::size_t>(keep) * rows);
       for (int j = 0; j < keep; ++j) {
         const int cand = static_cast<int>(Lane::cand_of(lw.keys[j]));
-        const int en = cand / group_count;
-        const std::uint32_t g = static_cast<std::uint32_t>(cand % group_count);
+        const int en = cand >> group_bits;
+        const std::uint32_t g = static_cast<std::uint32_t>(cand & (group_count - 1));
         ws.arena.push_back({ws.entry_arena[en], g});
         ws.next_entry_arena[j] = static_cast<std::int32_t>(ws.arena.size() - 1);
         const std::size_t src = static_cast<std::size_t>(cand) * rows;
@@ -686,9 +687,10 @@ class BeamSearch {
     for (int t = 0; t <= S - d; ++t) {
       const int e = t + d - 1;                    // chunk evaluated this step
       const int fanout = 1 << p.chunk_bits(e);    // children per expanded leaf
-      const int group_count = 1 << p.chunk_bits(t);  // candidate subtrees per entry
+      const int group_bits = p.chunk_bits(t);
+      const int group_count = 1 << group_bits;    // candidate subtrees per entry
       const int entries = static_cast<int>(ws.entry_arena.size());
-      const int new_leaves_per_cand = leaves_per_entry * fanout / group_count;
+      const int new_leaves_per_cand = (leaves_per_entry * fanout) >> group_bits;
       const int cand_total = entries * group_count;
 
       ws.cand_state.resize(static_cast<std::size_t>(cand_total) * new_leaves_per_cand);
@@ -744,8 +746,8 @@ class BeamSearch {
         ws.next_path.resize(static_cast<std::size_t>(keep) * new_leaves_per_cand);
       for (int j = 0; j < keep; ++j) {
         const int cand = static_cast<int>(F32Lane::cand_of(lw.keys[j]));
-        const int en = cand / group_count;
-        const std::uint32_t g = static_cast<std::uint32_t>(cand % group_count);
+        const int en = cand >> group_bits;
+        const std::uint32_t g = static_cast<std::uint32_t>(cand & (group_count - 1));
         ws.arena.push_back({ws.entry_arena[en], g});
         ws.next_entry_arena[j] = static_cast<std::int32_t>(ws.arena.size() - 1);
         const std::size_t src = static_cast<std::size_t>(cand) * new_leaves_per_cand;

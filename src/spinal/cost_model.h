@@ -17,11 +17,15 @@
 //   the byte-radix select this scale was chosen under, S = 2^6 spilled
 //   the spread into a second key byte and the selection phases
 //   measurably outweighed the finer grid's (unmeasurable) BLER gain.
-//   Per received symbol the decoder pre-tabulates the combined
-//   re+im metric over all 2^(2c) constellation index pairs, so the hot
-//   kernel performs one integer table gather + one saturating add per
-//   child per symbol. The u8 mode narrows only the per-symbol grid and
-//   clamp; path accumulation always rides the 16-bit saturating lanes
+//   Per received symbol the decoder pre-tabulates the metric of each
+//   dimension over the 2^c constellation coordinates (two u16 rows,
+//   256 B at c=6), each entry clamped at cap before rounding; the hot
+//   kernel adds one entry of each row, clamps the sum at cap and
+//   accumulates it, per child per symbol. That is the same integer a
+//   table over all 2^(2c) index pairs would hold, at 1/32 of its
+//   memory (8 KiB per symbol at c=6), and small enough that on
+//   AVX-512 both rows sit in registers. The u8 mode narrows only the
+//   per-symbol grid and clamp; path accumulation always rides the 16-bit saturating lanes
 //   (a true 8-bit path accumulator would wrap within a handful of
 //   symbols at B=256 cost spreads — see README "Performance").
 //
@@ -54,7 +58,8 @@ constexpr float cost_quant_scale(CostPrecision p) noexcept {
   return p == CostPrecision::kU8 ? 8.0f : 16.0f;
 }
 
-/// Per-symbol combined-metric clamp: 255 for the u8 grid, 65535 for u16.
+/// Per-symbol metric clamp, applied to each dimension and to their
+/// sum: 255 for the u8 grid, 65535 for u16.
 constexpr std::uint32_t cost_quant_cap(CostPrecision p) noexcept {
   return p == CostPrecision::kU8 ? 255u : 65535u;
 }

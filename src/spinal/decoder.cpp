@@ -28,37 +28,33 @@ inline float fx_quantise(float v, float scale) noexcept {
   return std::nearbyintf(v * scale) / scale;
 }
 
-/// Builds one symbol's quantized combined metric row
-/// (spinal/cost_model.h): row[w] = min(round(S*(yr-xr)^2) +
-/// round(S*(yi-xi)^2), cap) for every 2c-bit RNG word, per-dimension
-/// coordinates from @p table — exactly the table the f32 kernels read,
-/// so fixed-point mode composes. Returns the row minimum, which
-/// factors per dimension
+/// Builds one symbol's quantized per-dimension metric rows
+/// (spinal/cost_model.h): row[j] = min(round(S*(yr-x_j)^2), cap) and
+/// row[dim + j] = min(round(S*(yi-x_j)^2), cap) for every constellation
+/// coordinate x_j of @p table (dim entries) — exactly the table the f32
+/// kernels read, so fixed-point mode composes. The kernels add one
+/// entry of each and clamp the sum to cap. Returns the minimum of that
+/// clamped sum over all index pairs, which factors per dimension
 /// (min_w min(cap, qre+qim) == min(cap, min qre + min qim)).
 /// Runs once per *received symbol* (add_symbol), not per decode
 /// attempt; baseline scalar code shared by every backend, so the
 /// quantized kernels' inputs are bit-identical by construction.
-std::uint16_t build_quant_row(float yr, float yi, const float* table,
-                              std::uint32_t mask, int c, float qs, std::uint32_t cap,
-                              std::uint16_t* row) {
-  std::uint32_t qre[64], qim[64];  // dim <= 64: eligibility caps 2c at 12
-  const std::uint32_t dim = mask + 1;
+std::uint16_t build_quant_rows(float yr, float yi, const float* table, std::uint32_t dim,
+                               float qs, std::uint32_t cap, std::uint16_t* row) {
   const float capf = static_cast<float>(cap);
   std::uint32_t minre = ~0u, minim = ~0u;
   for (std::uint32_t j = 0; j < dim; ++j) {
     const float dr = yr - table[j];
     const float di = yi - table[j];
     // Clamped before rounding: a far-off y would otherwise overflow
-    // lrintf's range (an unspecified result) and wrap the u32 sum.
-    qre[j] = static_cast<std::uint32_t>(std::lrintf(std::min(dr * dr * qs, capf)));
-    qim[j] = static_cast<std::uint32_t>(std::lrintf(std::min(di * di * qs, capf)));
-    minre = std::min(minre, qre[j]);
-    minim = std::min(minim, qim[j]);
+    // lrintf's range (an unspecified result).
+    const auto qre = static_cast<std::uint32_t>(std::lrintf(std::min(dr * dr * qs, capf)));
+    const auto qim = static_cast<std::uint32_t>(std::lrintf(std::min(di * di * qs, capf)));
+    row[j] = static_cast<std::uint16_t>(qre);
+    row[dim + j] = static_cast<std::uint16_t>(qim);
+    minre = std::min(minre, qre);
+    minim = std::min(minim, qim);
   }
-  const std::uint32_t qstride = dim * dim;
-  for (std::uint32_t w = 0; w < qstride; ++w)
-    row[w] = static_cast<std::uint16_t>(
-        std::min(qre[w & mask] + qim[(w >> c) & mask], cap));
   return static_cast<std::uint16_t>(std::min(minre + minim, cap));
 }
 
@@ -125,15 +121,14 @@ struct AwgnBatchEnv : AwgnEnv {
 
   // ---- U16Lane (quantized path metric) ----
   // Active only when decode_with resolved the precision knob to a
-  // narrow type AND the decode is eligible (AWGN without CSI, 2c <= 12
-  // so the combined metric table stays cache-resident, B·2^k <= 65536
-  // so candidate indices fit the u32 packed key's low half). The
-  // search checks quantized() per run and silently stays on the
+  // narrow type AND the decode is eligible (AWGN without CSI, c <= 6
+  // so each per-dimension row fits the AVX-512 register tables, B·2^k
+  // <= 65536 so candidate indices fit the u32 packed key's low half).
+  // The search checks quantized() per run and silently stays on the
   // F32Lane otherwise.
   bool q_on = false;              ///< this decode runs the quantized pipeline
   float q_scale_v = 0.0f;         ///< metric grid scale (2^4 u16, 2^3 u8)
-  std::uint32_t q_stride = 0;     ///< combined metric row length, 2^(2c)
-  std::uint32_t q_mask = 0;       ///< q_stride - 1
+  std::uint32_t q_cap = 0;        ///< per-symbol metric clamp
 
   bool quantized() const noexcept { return q_on; }
   float quant_scale() const noexcept { return q_scale_v; }
@@ -141,18 +136,18 @@ struct AwgnBatchEnv : AwgnEnv {
   using AwgnEnv::node_cost;
 
   /// Scalar per-node metric on the quantized grid (prologue levels):
-  /// the saturating-add chain over the symbol rows, identical to the
-  /// kernels' accumulate+clamp.
+  /// the saturating-add chain over the symbols' clamped per-dimension
+  /// sums, identical to the kernels' accumulate+clamp.
   std::uint32_t node_cost(int spine_idx, std::uint32_t state,
                           backend::U16Lane) const noexcept {
     const std::uint32_t begin = ws->soa_off[spine_idx];
     const std::uint32_t nsym = ws->soa_off[spine_idx + 1] - begin;
-    const std::uint16_t* rows = dec.qtab_[spine_idx].data();
+    const std::uint16_t* row = dec.qtab_[spine_idx].data();
     std::uint32_t acc = 0;
-    for (std::uint32_t i = 0; i < nsym; ++i) {
+    for (std::uint32_t i = 0; i < nsym; ++i, row += 2 * (mask + 1u)) {
       const std::uint32_t w = dec.hash_.rng(state, ws->ord[begin + i]);
-      acc = backend::quant_sat_add(
-          acc, rows[static_cast<std::size_t>(i) * q_stride + (w & q_mask)]);
+      const std::uint32_t m = row[w & mask] + row[mask + 1u + ((w >> cbits) & mask)];
+      acc = backend::quant_sat_add(acc, std::min(m, q_cap));
     }
     return acc;
   }
@@ -207,8 +202,8 @@ struct AwgnBatchEnv : AwgnEnv {
               ws->ord.data() + begin,
               nsym,
               dec.qtab_[spine_idx].data(),
-              q_stride,
-              q_mask,
+              cbits,
+              q_cap,
               ws->qmin_rest.data() + begin + spine_idx,
               sc.rng_words.data(),
               sc.premix.data(),
@@ -252,19 +247,18 @@ AwgnMetric::AwgnMetric(const CodeParams& params)
       fx_table_[i] = fx_quantise(constellation_.table()[i], fx_scale_);
   }
   // Quantized-path eligibility that is a construction-time fact:
-  // precision knob (env override included), metric-table size (2c <=
-  // 12 keeps the combined row at 16 KiB), candidate-index width
-  // (B·2^k <= 65536 so indices fit the u32 packed key's low half; a
-  // per-attempt beam override only shrinks B). CSI symbols can still
-  // veto at decode time.
+  // precision knob (env override included), metric-row size (2c <= 12:
+  // each per-dimension row has at most 64 entries, one AVX-512
+  // register table), candidate-index width (B·2^k <= 65536 so indices
+  // fit the u32 packed key's low half; a per-attempt beam override
+  // only shrinks B). CSI symbols can still veto at decode time.
   resolved_precision_ = resolve_cost_precision(params.cost_precision);
   q_build_ = resolved_precision_ != CostPrecision::kFloat32 && 2 * params.c <= 12 &&
              (static_cast<std::uint64_t>(params.B) << params.k) <= 65536u;
   if (q_build_) {
     q_scale_ = cost_quant_scale(resolved_precision_);
     q_cap_ = cost_quant_cap(resolved_precision_);
-    const std::uint32_t dim = constellation_.mask() + 1u;
-    q_stride_ = dim * dim;
+    q_stride_ = 2u * (constellation_.mask() + 1u);
     qtab_.resize(static_cast<std::size_t>(params.spine_length()));
     qrow_min_.resize(static_cast<std::size_t>(params.spine_length()));
   }
@@ -293,9 +287,8 @@ bool AwgnMetric::arrive(int spine, const Rx& r) {
     const std::size_t off = rows.empty() ? 0 : rows.size() - 1;
     rows.resize(off + q_stride_ + 1);
     rows.back() = 0;
-    qrow_min_[spine].push_back(build_quant_row(yr, yi, table, constellation_.mask(),
-                                               constellation_.c(), q_scale_, q_cap_,
-                                               rows.data() + off));
+    qrow_min_[spine].push_back(build_quant_rows(yr, yi, table, q_stride_ / 2, q_scale_,
+                                                q_cap_, rows.data() + off));
   }
   return true;
 }
@@ -375,8 +368,7 @@ AwgnBatchEnv SpinalDecoder::batch_env(detail::DecodeWorkspace& ws) const {
                    constellation_.c()};
   env.q_on = q_build_ && !any_csi_;
   env.q_scale_v = q_scale_;
-  env.q_stride = q_stride_;
-  env.q_mask = q_stride_ - 1u;
+  env.q_cap = q_cap_;
   return env;
 }
 

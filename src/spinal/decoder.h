@@ -129,16 +129,16 @@ struct AwgnMetric {
   // Quantized-path state (spinal/cost_model.h). The precision knob
   // (including the SPINAL_COST_PRECISION override) is resolved at
   // construction; when it lands on a narrow type and the geometry is
-  // eligible, arrive() builds the symbol's combined 2^(2c)-entry
-  // metric row up front — one table build per received symbol, shared
-  // by every subsequent decode attempt, mirroring the SoA flatten's
-  // receiver-side precompute.
+  // eligible, arrive() builds the symbol's two per-dimension metric
+  // rows (2^c entries each, I then Q) up front — one table build per
+  // received symbol, shared by every subsequent decode attempt,
+  // mirroring the SoA flatten's receiver-side precompute.
   CostPrecision resolved_precision_ = CostPrecision::kFloat32;
   bool q_build_ = false;        // build metric rows on arrival
   float q_scale_ = 0.0f;        // metric grid scale (2^4 u16, 2^3 u8)
   std::uint32_t q_cap_ = 0;     // per-symbol metric clamp
-  std::uint32_t q_stride_ = 0;  // combined row length, 2^(2c)
-  std::vector<std::vector<std::uint16_t>> qtab_;      // per spine: nsym rows (+1 gather sentinel)
+  std::uint32_t q_stride_ = 0;  // per-symbol row pair length, 2 * 2^c
+  std::vector<std::vector<std::uint16_t>> qtab_;      // per spine: nsym row pairs (+1 gather sentinel)
   std::vector<std::vector<std::uint16_t>> qrow_min_;  // per spine: row minima
 };
 

@@ -974,79 +974,111 @@ TEST(BackendKernels, XorRowsMatchesScalarExactly) {
 
 // ------------------------------------------- quantized (u16) kernels
 
-/// Builds a randomized quantized level table: nsym rows of 2^(2*cbits)
-/// u16 metrics (+1 u16 of gather tail slack, the AwgnLevelQ::qtab
-/// contract) with a few near-cap entries so saturating adds clamp.
-std::vector<std::uint16_t> random_qtab(util::Xoshiro256& prng, std::uint32_t nsym,
-                                       std::uint32_t qstride) {
-  std::vector<std::uint16_t> t(static_cast<std::size_t>(nsym) * qstride + 1, 0);
+/// Builds a randomized quantized level table in the AwgnLevelQ::qtab
+/// layout: nsym row pairs of 2^cbits per-dimension u16 metrics (the I
+/// row, then the Q row), each entry <= cap, plus one u16 of gather tail
+/// slack. About one entry in sixteen sits at cap and one more just
+/// below it, so both the per-symbol clamp of qre + qim and the path's
+/// saturating adds trip.
+std::vector<std::uint16_t> random_qrows(util::Xoshiro256& prng, std::uint32_t nsym,
+                                        int cbits, std::uint32_t cap) {
+  std::vector<std::uint16_t> t((static_cast<std::size_t>(nsym) << (cbits + 1)) + 1, 0);
+  const std::uint32_t low = std::min(cap / 2 + 1, 2048u);
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     const std::uint32_t r = static_cast<std::uint32_t>(prng.next_u64());
-    t[i] = static_cast<std::uint16_t>((r & 0xFFu) == 0 ? 60000u + (r % 5000u)
-                                                       : r % 2048u);
+    const std::uint32_t v = (r & 15u) == 0   ? cap
+                            : (r & 15u) == 1 ? cap - (r >> 4) % (cap / 8 + 1)
+                                             : (r >> 4) % low;
+    t[i] = static_cast<std::uint16_t>(v);
   }
   return t;
 }
 
-/// True admissible suffix floors: min_rest[s] = saturating sum of the
-/// minima of rows s.., min_rest[nsym] = 0.
+/// The brute-force per-symbol metric of symbol s for RNG word w:
+/// min(qre[w & mask] + qim[(w >> c) & mask], cap).
+std::uint32_t qmetric(const std::vector<std::uint16_t>& qtab, std::uint32_t s, int cbits,
+                      std::uint32_t cap, std::uint32_t w) {
+  const std::uint32_t dim = 1u << cbits;
+  const std::uint16_t* row = qtab.data() + (static_cast<std::size_t>(s) << (cbits + 1));
+  return std::min<std::uint32_t>(row[w & (dim - 1)] + row[dim + ((w >> cbits) & (dim - 1))],
+                                 cap);
+}
+
+/// True admissible suffix floors: min_rest[s] = saturating sum over
+/// rows s.. of the row's minimum metric over every 2c-bit word,
+/// min_rest[nsym] = 0.
 std::vector<std::uint16_t> suffix_floors(const std::vector<std::uint16_t>& qtab,
-                                         std::uint32_t nsym, std::uint32_t qstride) {
+                                         std::uint32_t nsym, int cbits, std::uint32_t cap) {
   std::vector<std::uint16_t> floors(nsym + 1, 0);
   for (std::uint32_t s = nsym; s-- > 0;) {
     std::uint32_t m = 65535;
-    for (std::uint32_t w = 0; w < qstride; ++w)
-      m = std::min(m, static_cast<std::uint32_t>(qtab[s * qstride + w]));
+    for (std::uint32_t w = 0; w < (1u << (2 * cbits)); ++w)
+      m = std::min(m, qmetric(qtab, s, cbits, cap, w));
     floors[s] = static_cast<std::uint16_t>(
         std::min(65535u, m + static_cast<std::uint32_t>(floors[s + 1])));
   }
   return floors;
 }
 
+/// Row geometries for the quantized kernel tests: c = 6 is the
+/// reference map (a full AVX-512 register table per row), 1 to 5 are
+/// shorter rows (repeated through the register table), and 7 is
+/// longer than a register table (the gather path on every backend);
+/// caps are the u16 and u8 grids'.
+struct QGeom {
+  int cbits;
+  std::uint32_t cap;
+};
+constexpr QGeom kQGeoms[] = {{6, 65535}, {6, 255}, {3, 65535}, {5, 255},
+                             {4, 65535}, {1, 255}, {7, 65535}};
+
 TEST(BackendKernels, QuantizedExpandAllMatchesBruteForce) {
   // u16.awgn_expand_all on every backend must equal the from-scratch
   // definition: child state = h(state, v); cost = clamp(sum over
-  // symbols of qtab[s][rng(child, ord[s]) & qmask]). This pins the
-  // SIMD gather/saturation path bit-exactly, not just scalar-vs-SIMD.
+  // symbols of min(qre + qim, cap) at rng(child, ord[s])). This pins
+  // the SIMD lookup/saturation path bit-exactly, not just
+  // scalar-vs-SIMD.
   util::Xoshiro256 prng(120);
-  for (const Backend* b : backend::available()) {
-    for (hash::Kind kind : kKinds) {
-      const int cbits = 3;  // small grid keeps brute force cheap
-      const std::uint32_t qstride = 1u << (2 * cbits);
-      const std::uint32_t nsym = 3, fanout = 8;
-      const std::size_t count = 37;  // not a lane multiple
-      const std::size_t total = count * fanout;
-      const auto states = random_words(prng, count);
-      const auto ord = random_words(prng, nsym);
-      const auto qtab = random_qtab(prng, nsym, qstride);
-      const auto floors = suffix_floors(qtab, nsym, qstride);
-      const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
+  for (const QGeom g : kQGeoms) {
+    for (const Backend* b : backend::available()) {
+      for (hash::Kind kind : kKinds) {
+        const std::uint32_t nsym = 3, fanout = 8;
+        const std::size_t count = 37;  // not a lane multiple
+        const std::size_t total = count * fanout;
+        const auto states = random_words(prng, count);
+        const auto ord = random_words(prng, nsym);
+        const auto qtab = random_qrows(prng, nsym, g.cbits, g.cap);
+        const auto floors = suffix_floors(qtab, nsym, g.cbits, g.cap);
+        const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
 
-      std::vector<std::uint32_t> rng_sc(total), premix_sc(total), acc_sc(total);
-      const backend::AwgnLevelQ level{kind,          salt,
-                                      ord.data(),    nsym,
-                                      qtab.data(),   qstride,
-                                      qstride - 1,   floors.data(),
-                                      rng_sc.data(), premix_sc.data(),
-                                      acc_sc.data(), nullptr};
-      std::vector<std::uint32_t> out_states(total);
-      std::vector<std::uint16_t> out_costs(total);
-      b->u16.awgn_expand_all(level, states.data(), count, fanout, out_states.data(),
-                             out_costs.data());
+        std::vector<std::uint32_t> rng_sc(total), premix_sc(total), acc_sc(total);
+        const backend::AwgnLevelQ level{kind,          salt,
+                                        ord.data(),    nsym,
+                                        qtab.data(),   g.cbits,
+                                        g.cap,         floors.data(),
+                                        rng_sc.data(), premix_sc.data(),
+                                        acc_sc.data(), nullptr};
+        std::vector<std::uint32_t> out_states(total);
+        std::vector<std::uint16_t> out_costs(total);
+        b->u16.awgn_expand_all(level, states.data(), count, fanout, out_states.data(),
+                               out_costs.data());
 
-      const hash::SpineHash h(kind, salt);
-      for (std::size_t i = 0; i < count; ++i)
-        for (std::uint32_t v = 0; v < fanout; ++v) {
-          const std::uint32_t child = h(states[i], v);
-          std::uint32_t acc = 0;
-          for (std::uint32_t s = 0; s < nsym; ++s)
-            acc += qtab[s * qstride + (h.rng(child, ord[s]) & (qstride - 1))];
-          const std::size_t c = i * fanout + v;
-          ASSERT_EQ(out_states[c], child)
-              << b->name << " kind=" << hash::kind_name(kind) << " c=" << c;
-          ASSERT_EQ(out_costs[c], static_cast<std::uint16_t>(std::min(acc, 65535u)))
-              << b->name << " kind=" << hash::kind_name(kind) << " c=" << c;
-        }
+        const hash::SpineHash h(kind, salt);
+        const std::string where = std::string(b->name) + " kind=" + hash::kind_name(kind) +
+                                  " c=" + std::to_string(g.cbits) +
+                                  " cap=" + std::to_string(g.cap);
+        for (std::size_t i = 0; i < count; ++i)
+          for (std::uint32_t v = 0; v < fanout; ++v) {
+            const std::uint32_t child = h(states[i], v);
+            std::uint32_t acc = 0;
+            for (std::uint32_t s = 0; s < nsym; ++s)
+              acc += qmetric(qtab, s, g.cbits, g.cap, h.rng(child, ord[s]));
+            const std::size_t c = i * fanout + v;
+            ASSERT_EQ(out_states[c], child) << where << " child " << c;
+            ASSERT_EQ(out_costs[c], static_cast<std::uint16_t>(std::min(acc, 65535u)))
+                << where << " child " << c;
+          }
+      }
     }
   }
 }
@@ -1091,74 +1123,87 @@ TEST(BackendKernels, QuantizedD1PruneMatchesBruteForce) {
 TEST(BackendKernels, QuantizedExpandPruneMatchesSplitPipeline) {
   // The fused integer streaming kernel must append exactly the keys of
   // u16.awgn_expand_all + u16.d1_prune, for every backend x hash kind
-  // x bound tightness — including bounds tight enough to trip the
-  // min_rest row-skip and partial-floor sharpenings, which may only
-  // ever skip work, never change the survivor set.
+  // x row geometry x bound tightness — including bounds tight enough to
+  // trip the min_rest row-skip and partial-floor sharpenings, which may
+  // only ever skip work, never change the survivor set. The split
+  // pipeline's costs are themselves checked against the brute-force
+  // sum of min(qre + qim, cap).
   util::Xoshiro256 prng(122);
   // Geometries as in AwgnExpandPruneMatchesSplitPipeline; nsym 70
   // also drives the u32 accumulators past the u16 saturation point.
-  for (const std::uint32_t fanout : {8u, 2u, 16u}) {
-    for (const std::uint32_t nsym : {3u, 0u, 1u, 70u}) {
-      for (const Backend* b : backend::available()) {
-        for (hash::Kind kind : kKinds) {
-          const int cbits = 3;
-          const std::uint32_t qstride = 1u << (2 * cbits);
-          const std::size_t count = 37;
-          const std::size_t total = count * fanout;
-          const auto states = random_words(prng, count);
-          const auto ord = random_words(prng, nsym);
-          const auto qtab = random_qtab(prng, nsym, qstride);
-          const auto floors = suffix_floors(qtab, nsym, qstride);
-          const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
-          std::vector<std::uint16_t> parent(count);
-          for (auto& c : parent)
-            c = static_cast<std::uint16_t>(prng.next_u64() % 2000u);
+  for (const QGeom g : {kQGeoms[0], kQGeoms[1], kQGeoms[2]}) {
+    for (const std::uint32_t fanout : {8u, 2u, 16u}) {
+      for (const std::uint32_t nsym : {3u, 0u, 1u, 70u}) {
+        for (const Backend* b : backend::available()) {
+          for (hash::Kind kind : kKinds) {
+            const std::size_t count = 37;
+            const std::size_t total = count * fanout;
+            const auto states = random_words(prng, count);
+            const auto ord = random_words(prng, nsym);
+            const auto qtab = random_qrows(prng, nsym, g.cbits, g.cap);
+            const auto floors = suffix_floors(qtab, nsym, g.cbits, g.cap);
+            const std::uint32_t salt = static_cast<std::uint32_t>(prng.next_u64());
+            std::vector<std::uint16_t> parent(count);
+            for (auto& c : parent)
+              c = static_cast<std::uint16_t>(prng.next_u64() % 2000u);
+            const std::string where =
+                std::string(b->name) + " kind=" + hash::kind_name(kind) +
+                " c=" + std::to_string(g.cbits) + " cap=" + std::to_string(g.cap) +
+                " fanout=" + std::to_string(fanout) + " nsym=" + std::to_string(nsym);
 
-          std::vector<std::uint32_t> rng_sc(total), premix_sc(total), acc_sc(total),
-              idx_sc(total);
-          auto make_level = [&] {
-            return backend::AwgnLevelQ{kind,          salt,
-                                       ord.data(),    nsym,
-                                       qtab.data(),   qstride,
-                                       qstride - 1,   floors.data(),
-                                       rng_sc.data(), premix_sc.data(),
-                                       acc_sc.data(), idx_sc.data()};
-          };
+            std::vector<std::uint32_t> rng_sc(total), premix_sc(total), acc_sc(total),
+                idx_sc(total);
+            auto make_level = [&] {
+              return backend::AwgnLevelQ{kind,          salt,
+                                         ord.data(),    nsym,
+                                         qtab.data(),   g.cbits,
+                                         g.cap,         floors.data(),
+                                         rng_sc.data(), premix_sc.data(),
+                                         acc_sc.data(), idx_sc.data()};
+            };
 
-          const backend::AwgnLevelQ ls = make_level();
-          std::vector<std::uint32_t> st_split(total);
-          std::vector<std::uint16_t> costs(total);
-          b->u16.awgn_expand_all(ls, states.data(), count, fanout, st_split.data(),
-                                 costs.data());
-
-          for (int bsel = 0; bsel < 3; ++bsel) {
-            std::uint32_t bound = ~0u;
-            if (bsel > 0) {
-              std::vector<std::uint32_t> fin(total);
-              for (std::size_t i = 0; i < count; ++i)
-                for (std::uint32_t v = 0; v < fanout; ++v)
-                  fin[i * fanout + v] = std::min(
-                      65535u, static_cast<std::uint32_t>(parent[i]) + costs[i * fanout + v]);
-              std::sort(fin.begin(), fin.end());
-              bound = backend::quant_key(fin[bsel == 1 ? total / 4 : 3 * total / 4], 0x4FF);
+            const backend::AwgnLevelQ ls = make_level();
+            std::vector<std::uint32_t> st_split(total);
+            std::vector<std::uint16_t> costs(total);
+            b->u16.awgn_expand_all(ls, states.data(), count, fanout, st_split.data(),
+                                   costs.data());
+            const hash::SpineHash h(kind, salt);
+            for (std::size_t c = 0; c < total; ++c) {
+              std::uint32_t acc = 0;
+              for (std::uint32_t s = 0; s < nsym; ++s)
+                acc += qmetric(qtab, s, g.cbits, g.cap, h.rng(st_split[c], ord[s]));
+              ASSERT_EQ(costs[c], static_cast<std::uint16_t>(std::min(acc, 65535u)))
+                  << where << " child " << c;
             }
-            std::vector<std::uint32_t> k_split(total + backend::kCompressSlack, ~0u),
-                k_fused(total + backend::kCompressSlack, ~1u);
-            const std::size_t n_split = b->u16.d1_prune(parent.data(), costs.data(), count,
-                                                        fanout, 100, bound, k_split.data());
-            const backend::AwgnLevelQ lf = make_level();
-            std::vector<std::uint32_t> st_fused(total, ~0u);
-            const std::size_t n_fused =
-                b->u16.awgn_expand_prune(lf, states.data(), parent.data(), count, fanout,
-                                         100, bound, st_fused.data(), k_fused.data());
-            EXPECT_EQ(n_split, n_fused)
-                << b->name << " kind=" << hash::kind_name(kind) << " bsel=" << bsel
-                << " fanout=" << fanout << " nsym=" << nsym;
-            EXPECT_EQ(st_split, st_fused) << b->name << " bsel=" << bsel;
-            for (std::size_t j = 0; j < std::min(n_split, n_fused); ++j)
-              EXPECT_EQ(k_split[j], k_fused[j])
-                  << b->name << " kind=" << hash::kind_name(kind) << " bsel=" << bsel
-                  << " survivor " << j;
+
+            for (int bsel = 0; bsel < 3; ++bsel) {
+              std::uint32_t bound = ~0u;
+              if (bsel > 0) {
+                std::vector<std::uint32_t> fin(total);
+                for (std::size_t i = 0; i < count; ++i)
+                  for (std::uint32_t v = 0; v < fanout; ++v)
+                    fin[i * fanout + v] =
+                        std::min(65535u, static_cast<std::uint32_t>(parent[i]) +
+                                             costs[i * fanout + v]);
+                std::sort(fin.begin(), fin.end());
+                bound =
+                    backend::quant_key(fin[bsel == 1 ? total / 4 : 3 * total / 4], 0x4FF);
+              }
+              std::vector<std::uint32_t> k_split(total + backend::kCompressSlack, ~0u),
+                  k_fused(total + backend::kCompressSlack, ~1u);
+              const std::size_t n_split = b->u16.d1_prune(
+                  parent.data(), costs.data(), count, fanout, 100, bound, k_split.data());
+              const backend::AwgnLevelQ lf = make_level();
+              std::vector<std::uint32_t> st_fused(total, ~0u);
+              const std::size_t n_fused =
+                  b->u16.awgn_expand_prune(lf, states.data(), parent.data(), count, fanout,
+                                           100, bound, st_fused.data(), k_fused.data());
+              EXPECT_EQ(n_split, n_fused) << where << " bsel=" << bsel;
+              EXPECT_EQ(st_split, st_fused) << where << " bsel=" << bsel;
+              for (std::size_t j = 0; j < std::min(n_split, n_fused); ++j)
+                EXPECT_EQ(k_split[j], k_fused[j])
+                    << where << " bsel=" << bsel << " survivor " << j;
+            }
           }
         }
       }
@@ -1181,7 +1226,6 @@ TEST(BackendKernels, SurvivorAppendsStayWithinSlack) {
   constexpr std::size_t kCount = 23;
   constexpr std::size_t kTotal = kCount * kFanout;
   constexpr int kCbits = 3;
-  constexpr std::uint32_t kQstride = 1u << (2 * kCbits);
   util::Xoshiro256 prng(131);
   const auto states = random_words(prng, kCount);
   const auto table = random_table(prng, kCbits);
@@ -1199,8 +1243,8 @@ TEST(BackendKernels, SurvivorAppendsStayWithinSlack) {
       const auto ord = random_words(prng, nsym);
       std::vector<float> y(nsym), h(nsym, 1.0f);
       for (auto& v : y) v = static_cast<float>(prng.next_double()) * 2.0f - 1.0f;
-      const auto qtab = random_qtab(prng, nsym, kQstride);
-      const auto floors = suffix_floors(qtab, nsym, kQstride);
+      const auto qtab = random_qrows(prng, nsym, kCbits, 65535);
+      const auto floors = suffix_floors(qtab, nsym, kCbits, 65535);
       std::vector<float> parent_f(kCount), acc_f(kTotal), cost_f(kTotal);
       std::vector<std::uint16_t> parent_q(kCount), cost_q(kTotal);
       for (std::size_t i = 0; i < kCount; ++i) {
@@ -1232,8 +1276,8 @@ TEST(BackendKernels, SurvivorAppendsStayWithinSlack) {
                                    ord.data(),
                                    nsym,
                                    qtab.data(),
-                                   kQstride,
-                                   kQstride - 1,
+                                   kCbits,
+                                   65535,
                                    floors.data(),
                                    rng_sc.data(),
                                    premix_sc.data(),

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <string>
 
 #include "channel/awgn.h"
 #include "channel/bsc.h"
@@ -396,6 +398,62 @@ TEST(Decoder, NonFiniteSymbolsAreErasures) {
         EXPECT_EQ(got.message, msg) << v << " " << where;
         EXPECT_TRUE(std::isfinite(got.path_cost)) << v << " " << where;
         EXPECT_EQ(got.path_cost, want.path_cost) << v << " " << where;
+      }
+    }
+  }
+}
+
+TEST(Decoder, QuantizedOutlierPathCostsMatchCombinedRows) {
+  // The outlier case of the clipped-metric study: n=64, k=4, c=6,
+  // B=64, d=1, three noiseless passes with symbol (spine 3, ordinal 0)
+  // replaced by (v, v). On both integer grids the reported path cost
+  // must be the decoded message's cost under the combined-row metric,
+  // computed here from scratch: per symbol
+  //   min(round(min(S*dr^2, cap)) + round(min(S*di^2, cap)), cap),
+  // summed and divided by S. Where the study measured every message
+  // seed failing (u16 at v = 10 and 30) or none (u16 from v = 100, u8
+  // from v = 10), the decode's outcome is pinned too.
+  const SymbolId bad{3, 0};
+  for (const CostPrecision prec : {CostPrecision::kU16, CostPrecision::kU8}) {
+    for (const float v : {3.0f, 10.0f, 30.0f, 100.0f, 3000.0f}) {
+      CodeParams p = basic();
+      p.cost_precision = prec;
+      util::Xoshiro256 prng(23);
+      const util::BitVec msg = prng.random_bits(p.n);
+      const SpinalEncoder enc(p, msg);
+      const PuncturingSchedule sched(p);
+      SpinalDecoder dec(p);
+      const auto received = [&](const SymbolId& id) {
+        return id == bad ? std::complex<float>{v, v} : enc.symbol(id);
+      };
+      for (int sp = 0; sp < 3 * sched.subpasses_per_pass(); ++sp)
+        for (const SymbolId& id : sched.subpass(sp)) dec.add_symbol(id, received(id));
+      const CostPrecision q = dec.active_precision();
+      if (q == CostPrecision::kFloat32)
+        GTEST_SKIP() << "SPINAL_COST_PRECISION override replaces the integer grid";
+
+      const DecodeResult got = dec.decode();
+      const float scale = cost_quant_scale(q);
+      const std::uint32_t cap = cost_quant_cap(q);
+      const float capf = static_cast<float>(cap);
+      const auto grid = [&](float d) {
+        return static_cast<std::uint32_t>(std::lrintf(std::min(d * d * scale, capf)));
+      };
+      const SpinalEncoder decoded(p, got.message);
+      std::uint64_t sum = 0;
+      for (int sp = 0; sp < 3 * sched.subpasses_per_pass(); ++sp)
+        for (const SymbolId& id : sched.subpass(sp)) {
+          const std::complex<float> y = received(id), x = decoded.symbol(id);
+          sum += std::min(grid(y.real() - x.real()) + grid(y.imag() - x.imag()), cap);
+        }
+      const std::string where = std::string(q == CostPrecision::kU8 ? "u8" : "u16") +
+                                " v=" + std::to_string(v);
+      EXPECT_EQ(got.path_cost, static_cast<double>(sum) / static_cast<double>(scale))
+          << where;
+      if (q == CostPrecision::kU16 && (v == 10.0f || v == 30.0f)) {
+        EXPECT_NE(got.message, msg) << where;
+      } else if (v >= 10.0f) {
+        EXPECT_EQ(got.message, msg) << where;
       }
     }
   }
